@@ -163,6 +163,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := vppb.CheckLogFormat(*format); err != nil {
 		return usageError{err}
 	}
+	if *cpus > vppb.MaxCPUs || *lwps > vppb.MaxCPUs {
+		return usageError{fmt.Errorf("-cpus %d / -lwps %d: at most %d each", *cpus, *lwps, vppb.MaxCPUs)}
+	}
+	var sizes []int
+	if *sweep != "" {
+		var err error
+		if sizes, err = parseSizes(*sweep); err != nil {
+			return usageError{err}
+		}
+	}
 	log, err := vppb.ReadLogFormat(*logPath, *format)
 	if err != nil {
 		return fmt.Errorf("%s: %w", *logPath, err)
@@ -204,13 +214,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 		MaxVirtualTime: vppb.Duration(*maxVtime),
 	}
 	if *optimize {
-		return runOptimize(stdout, stderr, log, prof, *sweep)
+		return runOptimize(stdout, stderr, log, prof, sizes)
 	}
 	if *sweep != "" {
-		return runSweep(stdout, prof, *sweep, machine)
+		return runSweep(stdout, prof, sizes, machine)
 	}
 
-	both, err := vppb.SimulateMany(prof, []vppb.Machine{machine, machine.Uniprocessor()})
+	// Only the file and the reports read the predicted timeline; the
+	// printed prediction and its baseline need durations alone.
+	machine.DiscardTimeline = *timelineP == "" && !*contention && !*cpuReport && !*perThread
+	uniMachine := machine.Uniprocessor()
+	uniMachine.DiscardTimeline = true
+	both, err := vppb.SimulateMany(prof, []vppb.Machine{machine, uniMachine})
 	if err != nil {
 		return err
 	}
@@ -288,18 +303,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 // (policy × CPU count) configuration, sharing simulation prefixes across
 // the grid via checkpoints and pruning configurations whose
 // happens-before lower bound already loses to the incumbent, and prints
-// the ranked grid plus the winner. sweepSpec overrides the CPU grid.
-func runOptimize(stdout, stderr io.Writer, log *vppb.Log, prof *vppb.TraceProfile, sweepSpec string) error {
-	var sizes []int
-	if sweepSpec != "" {
-		for _, part := range strings.Split(sweepSpec, ",") {
-			cpus, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || cpus < 1 {
-				return fmt.Errorf("-sweep wants positive CPU counts, got %q", part)
-			}
-			sizes = append(sizes, cpus)
-		}
-	}
+// the ranked grid plus the winner. Non-nil sizes override the CPU grid.
+func runOptimize(stdout, stderr io.Writer, log *vppb.Log, prof *vppb.TraceProfile, sizes []int) error {
 	hbA, err := vppb.AnalyzeHB(log)
 	if err != nil {
 		fmt.Fprintf(stderr, "vppb-sim: optimizing without bound pruning (%v)\n", err)
@@ -334,16 +339,9 @@ func runOptimize(stdout, stderr io.Writer, log *vppb.Log, prof *vppb.TraceProfil
 // profile concurrently; rows print in the order the sizes were given. The
 // baseline shares every non-CPU parameter of the swept machine (-lwps,
 // -commdelay, overrides), so the printed speed-ups isolate the processor
-// count.
-func runSweep(stdout io.Writer, prof *vppb.TraceProfile, spec string, base vppb.Machine) error {
-	var sizes []int
-	for _, part := range strings.Split(spec, ",") {
-		cpus, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || cpus < 1 {
-			return fmt.Errorf("-sweep wants positive CPU counts, got %q", part)
-		}
-		sizes = append(sizes, cpus)
-	}
+// count. Every row is a duration, so no replay builds a timeline.
+func runSweep(stdout io.Writer, prof *vppb.TraceProfile, sizes []int, base vppb.Machine) error {
+	base.DiscardTimeline = true
 	// Machine 0 is the baseline; the sweep points follow in input order.
 	machines := make([]vppb.Machine, 0, len(sizes)+1)
 	machines = append(machines, base.Uniprocessor())
@@ -363,4 +361,20 @@ func runSweep(stdout io.Writer, prof *vppb.TraceProfile, spec string, base vppb.
 		fmt.Fprintf(stdout, "%6d %16s %9.2fx\n", cpus, res.Duration, vppb.Speedup(uni.Duration, res.Duration))
 	}
 	return nil
+}
+
+// parseSizes parses the -sweep CPU grid.
+func parseSizes(spec string) ([]int, error) {
+	var sizes []int
+	for _, part := range strings.Split(spec, ",") {
+		cpus, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || cpus < 1 {
+			return nil, fmt.Errorf("-sweep wants positive CPU counts, got %q", part)
+		}
+		if cpus > vppb.MaxCPUs {
+			return nil, fmt.Errorf("-sweep allows at most %d CPUs per machine, got %d", vppb.MaxCPUs, cpus)
+		}
+		sizes = append(sizes, cpus)
+	}
+	return sizes, nil
 }

@@ -73,6 +73,15 @@ func TestContentionAndCPUReports(t *testing.T) {
 			t.Errorf("buffer row lacks a serialization score: %s", line)
 		}
 	}
+	// Without a report no timeline is built; the prediction lines must not
+	// change.
+	plain, _, err := runCmd(t, "-log", path, "-cpus", "8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(out, plain) {
+		t.Errorf("prediction without reports differs:\n--- plain\n%s--- with reports\n%s", plain, out)
+	}
 }
 
 func TestSweep(t *testing.T) {
@@ -400,5 +409,30 @@ func TestOverrideFlags(t *testing.T) {
 		if _, _, err := runCmd(t, "-log", path, "-prio", bad); err == nil {
 			t.Errorf("bad -prio %q accepted", bad)
 		}
+	}
+}
+
+// TestMachineSizeFlagsExitTwo: a machine beyond vppb.MaxCPUs CPUs or LWPs
+// is a usage error (exit status 2) naming the limit, never an attempt to
+// allocate it.
+func TestMachineSizeFlagsExitTwo(t *testing.T) {
+	path := fixtureLog(t, "example")
+	for _, args := range [][]string{
+		{"-cpus", "2000000000"},
+		{"-lwps", "4097"},
+		{"-sweep", "1,4097"},
+		{"-optimize", "-sweep", "2000000000"},
+	} {
+		_, _, err := runCmd(t, append([]string{"-log", path}, args...)...)
+		if err == nil || !strings.Contains(err.Error(), "4096") {
+			t.Errorf("%v: err = %v, want the limit named", args, err)
+			continue
+		}
+		if code := exitCode(err); code != 2 {
+			t.Errorf("%v: exitCode = %d, want 2", args, code)
+		}
+	}
+	if _, _, err := runCmd(t, "-log", path, "-cpus", "4096", "-lwps", "4096"); err != nil {
+		t.Errorf("a machine at the limit fails: %v", err)
 	}
 }

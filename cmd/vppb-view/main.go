@@ -90,6 +90,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *strict && *repair {
 		return usageError{fmt.Errorf("-strict and -repair are mutually exclusive")}
 	}
+	if *cpus > vppb.MaxCPUs || *lwps > vppb.MaxCPUs {
+		return usageError{fmt.Errorf("-cpus %d / -lwps %d: at most %d each", *cpus, *lwps, vppb.MaxCPUs)}
+	}
 
 	var timeline *vppb.Timeline
 	var program string

@@ -214,6 +214,8 @@ func TestUsageErrorsExitStatusTwo(t *testing.T) {
 		{"-log", path, "-threads", "4,x"},
 		{"-no-such-flag"},
 		{"-log", path, "stray-arg"},
+		{"-log", path, "-cpus", "2000000000"},
+		{"-log", path, "-lwps", "4097"},
 	} {
 		_, _, err := runCmd(t, args...)
 		if err == nil {

@@ -89,9 +89,14 @@ type Machine struct {
 
 	// DiscardTimeline skips assembling the per-thread Timeline:
 	// Result.Timeline is nil, while Duration, PerThreadCPU and Events are
-	// byte-identical to a recording run. Callers that only need the
-	// predicted time (capacity probing, throughput measurement) avoid the
-	// dominant allocation cost of a simulation.
+	// byte-identical to a recording run (TestDiscardTimelineIdentity).
+	// Callers that only need the predicted time avoid the dominant
+	// allocation cost of a simulation: vppb-serve's /v1/predict and
+	// /v1/optimize (analysis.Optimize), vppb-sim's sweep points, its
+	// uniprocessor baseline and, unless a report needs the timeline, its
+	// main prediction, and vppb.PredictSpeedup. The renderings and timeline
+	// reports (/v1/view.*, vppb-view, vppb-analyze -flow, vppb-sim
+	// -timeline and its reports) keep it.
 	DiscardTimeline bool
 
 	// Guardrails: budgets that terminate a runaway simulation of a
@@ -108,6 +113,14 @@ type Machine struct {
 	// default of 1,000,000; negative disables the check.
 	LivelockWindow int
 }
+
+// MaxCPUs bounds every simulated machine: its CPU count, its LWP pool
+// (Machine.LWPs) and the pool a recorded thr_setconcurrency may grow.
+// The simulator allocates one struct per CPU and per LWP in one step, so
+// an unbounded count from a request or an uploaded log could exhaust
+// memory at once, a fatal runtime error that recover cannot catch.
+// Simulate fails with an error above the limit instead.
+const MaxCPUs = 4096
 
 // DefaultLivelockWindow is the dispatch budget per virtual-time instant
 // when Machine.LivelockWindow is 0. Legitimate replays dispatch at most a

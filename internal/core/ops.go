@@ -179,6 +179,10 @@ func (s *sim) opSetConcurrency(n int) {
 		// (paper section 3.2).
 		return
 	}
+	if n > MaxCPUs {
+		s.fail(fmt.Errorf("core: thr_setconcurrency %d exceeds the limit of %d LWPs", n, MaxCPUs))
+		return
+	}
 	have := 0
 	for _, l := range s.lwps {
 		if !l.dedicated && !l.dead {

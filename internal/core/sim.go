@@ -438,6 +438,12 @@ func newSim(prof *trace.Profile, m Machine) (*sim, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	if m.CPUs > MaxCPUs {
+		return nil, fmt.Errorf("core: %d CPUs exceeds the limit of %d", m.CPUs, MaxCPUs)
+	}
+	if m.LWPs > MaxCPUs {
+		return nil, fmt.Errorf("core: %d LWPs exceeds the limit of %d", m.LWPs, MaxCPUs)
+	}
 	dense := prof.Dense()
 	ids := prof.ThreadIDs()
 	s := &sim{

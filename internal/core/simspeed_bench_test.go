@@ -24,7 +24,7 @@ import (
 // benchProfile records a workload once and caches its profile.
 var benchProfiles sync.Map // key string -> *trace.Profile
 
-func workloadProfile(b *testing.B, app string, threads int, scale float64) *trace.Profile {
+func workloadProfile(b testing.TB, app string, threads int, scale float64) *trace.Profile {
 	b.Helper()
 	key := fmt.Sprintf("%s/%d/%g", app, threads, scale)
 	if p, ok := benchProfiles.Load(key); ok {
@@ -46,7 +46,7 @@ func workloadProfile(b *testing.B, app string, threads int, scale float64) *trac
 	return prof
 }
 
-func gotraceProfile(b *testing.B) *trace.Profile {
+func gotraceProfile(b testing.TB) *trace.Profile {
 	b.Helper()
 	const key = "gotrace/go-mutexchan"
 	if p, ok := benchProfiles.Load(key); ok {
@@ -117,4 +117,12 @@ func BenchmarkSimEvents(b *testing.B) {
 	b.Run("gotrace_mutexchan_4p", func(b *testing.B) {
 		benchSim(b, gotraceProfile(b), core.Machine{CPUs: 4})
 	})
+	// oversubscribed: 16 Ocean threads on 8 CPUs, prediction-only, under the
+	// two policies vppb-serve's predict traffic mixes. Profile this case to
+	// attribute the per-event cost of an oversubscribed machine.
+	for _, pol := range []string{"ts", "rr"} {
+		b.Run("oversub_ocean16t_8p_"+pol, func(b *testing.B) {
+			benchSim(b, workloadProfile(b, "ocean", 16, 1.0), core.Machine{CPUs: 8, Policy: pol, DiscardTimeline: true})
+		})
+	}
 }

@@ -98,7 +98,7 @@ type Core[T Thread[L], L LWP[T, C], C CPU[L]] struct {
 	// the last DispatchAll / PreemptPass could possibly let the pass do
 	// work. The engines call both passes after every simulated event; on
 	// stale or no-op events (the common case in a contended replay) the
-	// flags turn the O(CPUs) and O(kernelQ x CPUs) scans into a single
+	// flags turn the O(CPUs) dispatch and preemption scans into a single
 	// branch. A dispatch opportunity requires a kernel-queue insertion or
 	// a CPU going idle; a preemption opportunity requires a kernel-queue
 	// insertion or a running LWP's priority drop (every policy's
@@ -134,7 +134,8 @@ type Core[T Thread[L], L LWP[T, C], C CPU[L]] struct {
 	OnSliceInvalidated func(L)
 }
 
-// NewCore builds a scheduler over the given CPUs. hint preallocates the
+// NewCore builds a scheduler over the given CPUs, where cpus[i] must have
+// ID i (a CPU-bound thread names its CPU by ID). hint preallocates the
 // queues (the Simulator knows its thread count up front).
 func NewCore[T Thread[L], L LWP[T, C], C CPU[L]](policy Policy, engine Engine[T, L, C], cpus []C, noPreemption bool, hint int) *Core[T, L, C] {
 	return &Core[T, L, C]{
@@ -424,41 +425,63 @@ func (c *Core[T, L, C]) PreemptPass() {
 	if c.noPreempt || !c.preemptDirty {
 		return
 	}
+	for {
+		victim, ok := c.preemptVictim()
+		if !ok {
+			// Quiescent: no queued LWP can preempt any runner, so the pass
+			// stays a no-op until the next insertion or priority drop sets
+			// the flag again.
+			c.preemptDirty = false
+			return
+		}
+		c.Undispatch(victim)
+		c.DispatchAll()
+	}
+}
+
+// preemptVictim finds the CPU the best preempting queued LWP evicts: the
+// first queued LWP, best first, that may preempt a runner on a CPU it is
+// eligible for, and among those runners the lowest-priority one (the
+// first in CPU order on a tie). It costs O(CPUs + queued CPU-bound LWPs)
+// instead of O(kernelQ x CPUs):
+//
+//   - a CPU-bound LWP is eligible on one CPU only, so it is tested against
+//     that CPU's runner alone;
+//   - for the first LWP that may run on any CPU, the lowest-priority
+//     runner is the victim if any runner is (ShouldPreempt falls as the
+//     running priority rises), and the walk stops there whatever the
+//     answer: the queue is priority-descending and ShouldPreempt rises
+//     with the queued priority, so if that LWP cannot preempt the lowest
+//     runner, no LWP behind it can preempt any runner (see Policy).
+func (c *Core[T, L, C]) preemptVictim() (C, bool) {
+	var zeroT T
 	var zeroL L
 	var zeroC C
-	for {
-		if len(c.kernelQ) == 0 {
-			c.preemptDirty = false
-			return
-		}
-		preempted := false
-		for _, l := range c.kernelQ {
-			victim := zeroC
-			for _, cpu := range c.cpus {
-				rl := cpu.SchedLWP()
-				if !c.eligible(cpu, l) || rl == zeroL {
-					continue
-				}
-				if c.policy.ShouldPreempt(l.Node().Prio, rl.Node().Prio) &&
-					(victim == zeroC || rl.Node().Prio < victim.SchedLWP().Node().Prio) {
-					victim = cpu
+	for _, l := range c.kernelQ {
+		q := l.Node().Prio
+		if t := l.SchedThread(); t != zeroT && t.SchedBoundCPU() >= 0 {
+			if b := t.SchedBoundCPU(); b < len(c.cpus) {
+				cpu := c.cpus[b]
+				if rl := cpu.SchedLWP(); rl != zeroL && c.policy.ShouldPreempt(q, rl.Node().Prio) {
+					return cpu, true
 				}
 			}
-			if victim != zeroC {
-				c.Undispatch(victim)
-				c.DispatchAll()
-				preempted = true
-				break
+			continue
+		}
+		low, lowPrio := zeroC, 0
+		for _, cpu := range c.cpus {
+			if rl := cpu.SchedLWP(); rl != zeroL {
+				if p := rl.Node().Prio; low == zeroC || p < lowPrio {
+					low, lowPrio = cpu, p
+				}
 			}
 		}
-		if !preempted {
-			// Quiescent: the scan just proved no queued LWP can preempt
-			// any runner, so the pass stays a no-op until the next
-			// insertion or priority drop sets the flag again.
-			c.preemptDirty = false
-			return
+		if low != zeroC && c.policy.ShouldPreempt(q, lowPrio) {
+			return low, true
 		}
+		break
 	}
+	return zeroC, false
 }
 
 // NextThread hands a pool LWP — still linked to cpu — its next queued

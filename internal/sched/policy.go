@@ -32,10 +32,16 @@ type Policy interface {
 	Name() string
 	// Precedes reports whether a newly queued entity of priority a goes
 	// ahead of an already queued one of priority b. Equal priorities must
-	// answer false so queues stay FIFO within a priority.
+	// answer false so queues stay FIFO within a priority, and Precedes(a, b)
+	// must imply a > b, so every queue is priority-descending.
 	Precedes(a, b int) bool
 	// ShouldPreempt reports whether a queued LWP of priority queued may
-	// preempt a running LWP of priority running.
+	// preempt a running LWP of priority running. It must imply
+	// Precedes(queued, running), and it must be monotone: never false
+	// where a lower queued priority (against the same runner) or a higher
+	// running priority (for the same queued LWP) answers true. The Core's
+	// preemption check relies on both: it tests only the best LWP that
+	// may run on any CPU, against the lowest-priority runner.
 	ShouldPreempt(queued, running int) bool
 	// Quantum is the time slice granted at priority p. Zero or negative
 	// disables time slicing entirely (run-to-block).

@@ -1,0 +1,229 @@
+package sched
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
+
+// TestPolicyContract checks, for every registered policy over the TS
+// priority range, the rules the Core's preemption check relies on:
+// ShouldPreempt implies Precedes, Precedes implies a higher priority (so
+// every queue is priority-descending), and ShouldPreempt rises with the
+// queued priority and falls as the running priority rises.
+func TestPolicyContract(t *testing.T) {
+	const maxPrio = 59
+	for _, name := range Names() {
+		p, err := New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for q := 0; q <= maxPrio; q++ {
+			for r := 0; r <= maxPrio; r++ {
+				sp := p.ShouldPreempt(q, r)
+				if sp && !p.Precedes(q, r) {
+					t.Errorf("%s: ShouldPreempt(%d, %d) without Precedes(%d, %d)", name, q, r, q, r)
+				}
+				if p.Precedes(q, r) && q <= r {
+					t.Errorf("%s: Precedes(%d, %d) puts a priority ahead of a higher or equal one", name, q, r)
+				}
+				if sp && q < maxPrio && !p.ShouldPreempt(q+1, r) {
+					t.Errorf("%s: ShouldPreempt(%d, %d) but not ShouldPreempt(%d, %d): must rise with the queued priority", name, q, r, q+1, r)
+				}
+				if !sp && r < maxPrio && p.ShouldPreempt(q, r+1) {
+					t.Errorf("%s: ShouldPreempt(%d, %d) but not ShouldPreempt(%d, %d): must fall as the running priority rises", name, q, r+1, q, r)
+				}
+			}
+		}
+	}
+}
+
+// refPreemptPass is the O(kernelQ x CPUs) scan PreemptPass replaced: for
+// each queued LWP in order, the lowest-priority preemptable runner on an
+// eligible CPU; the first LWP with a victim evicts it. It is the reference
+// TestPreemptPassDifferential compares against.
+func refPreemptPass(c *Core[*fakeThread, *fakeLWP, *fakeCPU]) {
+	if c.noPreempt || !c.preemptDirty {
+		return
+	}
+	for {
+		preempted := false
+		for _, l := range c.kernelQ {
+			var victim *fakeCPU
+			for _, cpu := range c.cpus {
+				rl := cpu.SchedLWP()
+				if !c.eligible(cpu, l) || rl == nil {
+					continue
+				}
+				if c.policy.ShouldPreempt(l.Prio, rl.Prio) && (victim == nil || rl.Prio < victim.lwp.Prio) {
+					victim = cpu
+				}
+			}
+			if victim != nil {
+				c.Undispatch(victim)
+				c.DispatchAll()
+				preempted = true
+				break
+			}
+		}
+		if !preempted {
+			c.preemptDirty = false
+			return
+		}
+	}
+}
+
+// victimEngine records the CPU of every Account call: Undispatch accounts
+// exactly the evicted CPU, and SliceExpired its runner's CPU.
+type victimEngine struct {
+	fakeEngine
+	accounted []int
+}
+
+func (e *victimEngine) Account(cpu *fakeCPU) { e.accounted = append(e.accounted, cpu.ID) }
+
+// preemptGen builds random scheduler states. Two generators from the same
+// seed driven through the same calls build identical, unshared states.
+type preemptGen struct {
+	rng  *rand.Rand
+	nCPU int
+	id   int
+}
+
+// lwp makes a queued or running LWP of random priority and placement
+// rule: CPU-bound (sometimes to a CPU the machine lacks), bound to its LWP
+// only, threadless, or unbound. All but the first may run on any CPU.
+func (g *preemptGen) lwp() *fakeLWP {
+	g.id++
+	l := newLWP(g.id, g.rng.Intn(60))
+	switch g.rng.Intn(6) {
+	case 0, 1:
+		l.thread.bound = true
+		l.thread.boundCPU = g.rng.Intn(g.nCPU + 1)
+	case 2:
+		l.thread.bound = true
+	case 3:
+		l.thread = nil
+	}
+	return l
+}
+
+func cpuBound(l *fakeLWP) bool { return l.thread != nil && l.thread.boundCPU >= 0 }
+
+// state builds a Core with 1-8 CPUs, most of them running an LWP, and up to
+// a dozen LWPs on the kernel queue.
+func (g *preemptGen) state(policy string) (*Core[*fakeThread, *fakeLWP, *fakeCPU], *victimEngine, error) {
+	pol, err := New(policy)
+	if err != nil {
+		return nil, nil, err
+	}
+	cpus := make([]*fakeCPU, g.nCPU)
+	for i := range cpus {
+		cpus[i] = &fakeCPU{CPUNode: CPUNode{ID: i}}
+	}
+	eng := &victimEngine{}
+	c := NewCore[*fakeThread, *fakeLWP, *fakeCPU](pol, eng, cpus, false, 0)
+	for _, cpu := range cpus {
+		if g.rng.Intn(5) == 0 {
+			continue
+		}
+		l := g.lwp()
+		if cpuBound(l) {
+			l.thread.boundCPU = cpu.ID
+		}
+		cpu.lwp, l.cpu = l, cpu
+		c.idleCPUs--
+	}
+	for n := g.rng.Intn(13); n > 0; n-- {
+		c.PushKernelQ(g.lwp())
+	}
+	return c, eng, nil
+}
+
+// perturb applies one random scheduling step: a slice expiry on a random
+// runner (which may demote or yield it) or a fresh LWP arriving.
+func (g *preemptGen) perturb(c *Core[*fakeThread, *fakeLWP, *fakeCPU]) {
+	cpu := c.cpus[g.rng.Intn(len(c.cpus))]
+	if l := cpu.lwp; l != nil && g.rng.Intn(2) == 0 {
+		c.SliceExpired(l)
+		return
+	}
+	c.PushKernelQ(g.lwp())
+}
+
+// snapshot renders everything a preemption decision can change.
+func snapshot(c *Core[*fakeThread, *fakeLWP, *fakeCPU], eng *victimEngine) string {
+	running := make([]int, len(c.cpus))
+	for i, cpu := range c.cpus {
+		running[i] = -1
+		if cpu.lwp != nil {
+			running[i] = cpu.lwp.ID
+		}
+	}
+	queued := make([]int, len(c.kernelQ))
+	for i, l := range c.kernelQ {
+		queued[i] = l.ID
+	}
+	return fmt.Sprintf("accounted %v placed %v running %v queued %v dirty %v",
+		eng.accounted, eng.placed, running, queued, c.preemptDirty)
+}
+
+// TestPreemptPassDifferential drives PreemptPass and the full-scan
+// reference through identical random states and scheduling steps, under
+// every policy, and requires the same victims in the same order and the
+// same resulting placement.
+func TestPreemptPassDifferential(t *testing.T) {
+	const seeds = 3000
+	var headBound, boundBehindAny, preempted int
+	for _, policy := range Names() {
+		for seed := int64(0); seed < seeds; seed++ {
+			newGen := func() *preemptGen {
+				rng := rand.New(rand.NewSource(seed))
+				return &preemptGen{rng: rng, nCPU: 1 + rng.Intn(8)}
+			}
+			gGot, gWant := newGen(), newGen()
+			got, gotEng, err := gGot.state(policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantEng, _ := gWant.state(policy)
+
+			if q := got.kernelQ; len(q) > 0 && cpuBound(q[0]) {
+				headBound++
+			}
+			for i, l := range got.kernelQ {
+				if !cpuBound(l) {
+					for _, behind := range got.kernelQ[i+1:] {
+						if cpuBound(behind) {
+							boundBehindAny++
+							break
+						}
+					}
+					break
+				}
+			}
+
+			for step := 0; step < 4; step++ {
+				got.DispatchAll()
+				before := len(gotEng.accounted)
+				got.PreemptPass()
+				if len(gotEng.accounted) > before {
+					preempted++
+				}
+				want.DispatchAll()
+				refPreemptPass(want)
+				g, w := snapshot(got, gotEng), snapshot(want, wantEng)
+				if g != w {
+					t.Fatalf("%s seed %d step %d:\n got  %s\n want %s", policy, seed, step, g, w)
+				}
+				gGot.perturb(got)
+				gWant.perturb(want)
+			}
+		}
+	}
+	// The generated states must reach the cases the early stop is about.
+	if headBound == 0 || boundBehindAny == 0 || preempted == 0 {
+		t.Fatalf("coverage: %d states with a CPU-bound head, %d with a CPU-bound LWP behind the first any-CPU LWP, %d passes that preempted",
+			headBound, boundBehindAny, preempted)
+	}
+}

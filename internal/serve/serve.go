@@ -569,9 +569,21 @@ func parseCPUList(r *http.Request) ([]int, *httpError) {
 		if err != nil || n < 1 {
 			return nil, errf(http.StatusBadRequest, "cpus wants positive CPU counts, got %q", part)
 		}
+		if herr := checkCPUs(n); herr != nil {
+			return nil, herr
+		}
 		out = append(out, n)
 	}
 	return out, nil
+}
+
+// checkCPUs rejects a machine size the simulator would refuse, before any
+// trace is resolved or simulated.
+func checkCPUs(n int) *httpError {
+	if n > core.MaxCPUs {
+		return errf(http.StatusBadRequest, "cpus allows at most %d CPUs per machine, got %d", core.MaxCPUs, n)
+	}
+	return nil
 }
 
 func parseInt(r *http.Request, name string, def, min int) (int, *httpError) {
@@ -697,8 +709,10 @@ func (s *Server) predict(ctx context.Context, e *Entry, resolved, policy string,
 		s.onSimulate(ctx)
 	}
 	// Machine 0 is the uniprocessor baseline every speed-up divides by;
-	// the requested sizes follow in input order.
+	// the requested sizes follow in input order. The body carries
+	// durations and event counts only, so no replay builds a timeline.
 	base, deadlineBudget := s.machineFor(ctx, policy)
+	base.DiscardTimeline = true
 	machines := make([]core.Machine, 0, len(sizes)+1)
 	machines = append(machines, base.Uniprocessor())
 	for _, cpus := range sizes {
@@ -796,6 +810,9 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request, contentType 
 		return writeError(w, herr)
 	}
 	cpus, herr := parseInt(r, "cpus", 2, 1)
+	if herr == nil {
+		herr = checkCPUs(cpus)
+	}
 	if herr != nil {
 		return writeError(w, herr)
 	}

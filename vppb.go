@@ -256,6 +256,10 @@ const (
 	BindCPU        = core.BindCPU
 )
 
+// MaxCPUs bounds a simulated machine's CPU count and LWP pool; Simulate
+// fails above it.
+const MaxCPUs = core.MaxCPUs
+
 // TraceProfile is the immutable per-thread behaviour profile the
 // Simulator replays — build it once per log and share it across any
 // number of concurrent simulations.
@@ -369,12 +373,13 @@ func PredictionError(real, predicted float64) float64 {
 // using a one-processor replay of the same recording as baseline. The
 // baseline shares every non-CPU parameter of m (LWPs, communication delay,
 // overrides), so the ratio isolates the processor count. The profile is
-// derived once and shared by both replays.
+// derived once and shared by both replays, which build no timeline.
 func PredictSpeedup(log *Log, m Machine) (float64, error) {
 	prof, err := trace.BuildProfile(log)
 	if err != nil {
 		return 0, err
 	}
+	m.DiscardTimeline = true
 	uni, err := core.SimulateProfile(prof, m.Uniprocessor())
 	if err != nil {
 		return 0, err
