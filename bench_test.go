@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"vppb/internal/experiments"
+	"vppb/internal/trace"
 )
 
 // One benchmark per table and figure of the paper's evaluation, each
@@ -216,9 +217,27 @@ func BenchmarkVisualizer_Ocean8(b *testing.B) {
 // (per-thread split, burst extraction, call records) alone.
 func BenchmarkBuildProfile_Ocean8(b *testing.B) {
 	log := oceanLog(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := BuildProfile(log); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLogDecode_Text and ..._Binary measure decoding an in-memory
+// upload, the first step of every ingest.
+func BenchmarkLogDecode_Text(b *testing.B)   { benchDecode(b, MarshalLogText) }
+func BenchmarkLogDecode_Binary(b *testing.B) { benchDecode(b, MarshalLogBinary) }
+
+func benchDecode(b *testing.B, encode func(*Log) []byte) {
+	data := encode(oceanLog(b))
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := trace.Decode(data); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,7 +11,6 @@ import (
 	"os"
 
 	"vppb/internal/gotrace"
-	"vppb/internal/recorder"
 	"vppb/internal/trace"
 )
 
@@ -38,7 +37,7 @@ func CheckFormat(format string) error {
 // ("# vppb-log v1") and binary ("VPPBLOG1") encodings, FormatGoTrace for a
 // Go runtime execution trace header, "" when the bytes match neither.
 func Detect(data []byte) string {
-	if bytes.HasPrefix(data, []byte("VPPB")) {
+	if trace.IsBinary(data) {
 		return FormatVPPB
 	}
 	if gotrace.Sniff(data) {
@@ -82,7 +81,7 @@ func Decode(data []byte, format, program string) (*trace.Log, error) {
 	}
 	switch format {
 	case FormatVPPB:
-		return recorder.Read(bytes.NewReader(data))
+		return trace.Decode(data)
 	case FormatGoTrace:
 		return gotrace.Convert(data, gotrace.Options{Program: program})
 	}

@@ -123,3 +123,20 @@ func TestCheckFormat(t *testing.T) {
 		t.Error("CheckFormat accepted an unknown name")
 	}
 }
+
+// TestShortBinaryPrefix pins the one sniff rule: any input Detect calls a
+// binary vppb log, however short, gets the binary decoder's diagnosis.
+func TestShortBinaryPrefix(t *testing.T) {
+	for n := 4; n < len("VPPBLOG1"); n++ {
+		data := []byte("VPPBLOG1"[:n])
+		if got := Detect(data); got != FormatVPPB {
+			t.Errorf("%q: Detect = %q, want %q", data, got, FormatVPPB)
+		}
+		for _, format := range []string{FormatAuto, FormatVPPB} {
+			_, err := Decode(data, format, "")
+			if err == nil || err.Error() != "trace: not a vppb binary log" {
+				t.Errorf("%q as %s: err = %v, want the binary decoder's rejection", data, format, err)
+			}
+		}
+	}
+}

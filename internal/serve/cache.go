@@ -72,7 +72,7 @@ type Cache struct {
 	// an Entry from the raw stored bytes on a fault-in. Both are set once
 	// by AttachStore before the cache is shared.
 	store  *Store
-	ingest func(raw []byte) (*Entry, error)
+	ingest func(digest string, raw []byte) (*Entry, error)
 }
 
 // DefaultCacheEntries is the cache capacity when the configuration leaves
@@ -109,8 +109,9 @@ func (c *Cache) Get(digest string) (*Entry, bool) {
 
 // AttachStore wires the durable tier under the LRU: Load falls back to
 // reading (and re-verifying) store bytes and rebuilding the entry via
-// ingest. Must be called before the cache is shared.
-func (c *Cache) AttachStore(store *Store, ingest func(raw []byte) (*Entry, error)) {
+// ingest, which is handed the digest the bytes were just verified
+// against. Must be called before the cache is shared.
+func (c *Cache) AttachStore(store *Store, ingest func(digest string, raw []byte) (*Entry, error)) {
 	c.store = store
 	c.ingest = ingest
 }
@@ -131,7 +132,7 @@ func (c *Cache) Load(digest string) (*Entry, bool) {
 	if err != nil {
 		return nil, false
 	}
-	e, err := c.ingest(raw)
+	e, err := c.ingest(digest, raw)
 	if err != nil {
 		// Stored bytes that hash correctly but no longer ingest (e.g. a
 		// strict format change across versions) are unusable, not corrupt.

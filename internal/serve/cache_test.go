@@ -80,9 +80,12 @@ func TestCacheLoadFaultsEvictedEntryFromStore(t *testing.T) {
 	}
 	c := NewCache(1)
 	ingested := 0
-	c.AttachStore(store, func(raw []byte) (*Entry, error) {
+	c.AttachStore(store, func(digest string, raw []byte) (*Entry, error) {
 		ingested++
-		return &Entry{Digest: Digest(raw), Size: len(raw)}, nil
+		if digest != Digest(raw) {
+			t.Errorf("ingest handed digest %s for bytes hashing to %s", digest, Digest(raw))
+		}
+		return &Entry{Digest: digest, Size: len(raw)}, nil
 	})
 
 	rawA, rawB := []byte("trace a"), []byte("trace b")

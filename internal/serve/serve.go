@@ -219,8 +219,8 @@ func New(cfg Config) (*Server, error) {
 		// Fault-ins re-run the lenient ingestion pipeline: the store holds
 		// the original upload bytes, so the repair verdict (and therefore
 		// strict-mode rejection) is recomputed identically after a restart.
-		s.cache.AttachStore(store, func(raw []byte) (*Entry, error) {
-			e, herr := s.ingest(raw, false)
+		s.cache.AttachStore(store, func(digest string, raw []byte) (*Entry, error) {
+			e, herr := s.ingest(digest, raw, false)
 			if herr != nil {
 				return nil, herr
 			}
@@ -425,7 +425,7 @@ func (s *Server) resolveEntry(w http.ResponseWriter, r *http.Request, strict boo
 		return e, true, nil
 	}
 
-	e, herr := s.ingest(raw, strict)
+	e, herr := s.ingest(digest, raw, strict)
 	if herr != nil {
 		return nil, false, herr
 	}
@@ -444,7 +444,8 @@ func (s *Server) resolveEntry(w http.ResponseWriter, r *http.Request, strict boo
 // auto-repair (unless strict), build the immutable profile. It is shared
 // by fresh uploads and durable-store fault-ins, so an entry rebuilt after
 // a restart gets the exact same repair verdict as the original upload.
-func (s *Server) ingest(raw []byte, strict bool) (*Entry, *httpError) {
+// digest is Digest(raw), which both callers have already computed.
+func (s *Server) ingest(digest string, raw []byte, strict bool) (*Entry, *httpError) {
 	// The format is sniffed from the bytes themselves: native vppb
 	// recordings and Go runtime execution traces are both accepted, and
 	// anything else is a 400 counted per format in the ingest-error metric.
@@ -460,7 +461,7 @@ func (s *Server) ingest(raw []byte, strict bool) (*Entry, *httpError) {
 		s.metrics.IngestError(format)
 		return nil, errf(http.StatusBadRequest, "invalid %s trace: %v", format, err)
 	}
-	e := &Entry{Digest: Digest(raw), Size: len(raw)}
+	e := &Entry{Digest: digest, Size: len(raw)}
 	if verr := log.Validate(); verr != nil {
 		if strict {
 			return nil, errf(http.StatusUnprocessableEntity, "corrupt log rejected by strict=true: %v", verr)

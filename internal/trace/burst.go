@@ -180,24 +180,43 @@ func BuildProfile(l *Log) (*Profile, error) {
 		return nil, fmt.Errorf("trace: profile requires a 1-CPU/1-LWP recording, log has %d CPUs, %d LWPs",
 			l.Header.CPUs, l.Header.LWPs)
 	}
-	if err := l.Validate(); err != nil {
+	ix, _, err := l.validate()
+	if err != nil {
 		return nil, err
 	}
+
+	// Every Before event becomes one call record, so validate's counts
+	// size each thread's call list exactly; the lists share one arena.
+	total := 0
+	for _, n := range ix.befores {
+		total += int(n)
+	}
+	arena := make([]CallRecord, total)
+	calls := make([][]CallRecord, len(ix.befores))
+	nThreads := 0
+	for s, n := range ix.befores {
+		if n > 0 {
+			calls[s], arena = arena[:n:n], arena[n:]
+			nThreads++
+		}
+	}
+	// filled counts the records written per slot. The last one written is
+	// still waiting for its After when waiting is set: validate has
+	// checked that a thread issues nothing else while a call is open.
+	filled := make([]int32, len(calls))
+	waiting := make([]bool, len(calls))
 
 	// Attribute each global inter-event gap to the generator of the later
 	// event, minus the probe cost of that event. Along the same walk,
 	// track who is waiting on each condition variable so that broadcasts
 	// can record how many threads they released (the barrier fix input).
-	type attributed struct {
-		ev       Event
-		cpu      vtime.Duration
-		released int32
-	}
-	perThread := make(map[ThreadID][]attributed)
-	condWaiters := make(map[ObjectID]map[ThreadID]bool)
-	waitingOn := make(map[ThreadID]ObjectID)
+	var condWaiters map[ObjectID]map[ThreadID]bool
+	// An After with no record waiting (one closing a thr_exit) is an
+	// error; the lowest such thread is reported.
+	var orphan *Event
 	prev := l.Header.Start
-	for _, ev := range l.Events {
+	for i := range l.Events {
+		ev := &l.Events[i]
 		gap := ev.Time.Sub(prev) - l.Header.ProbeCost
 		if gap < 0 {
 			gap = 0
@@ -207,88 +226,84 @@ func BuildProfile(l *Log) (*Profile, error) {
 		if ev.Class == After && (ev.Call == CallIO || (ev.Call == CallCondTimedWait && !ev.OK)) {
 			gap = 0
 		}
-		a := attributed{ev: ev, cpu: gap}
-		switch {
-		case ev.Class == Before && (ev.Call == CallCondWait || ev.Call == CallCondTimedWait):
-			if condWaiters[ev.Object] == nil {
-				condWaiters[ev.Object] = make(map[ThreadID]bool)
-			}
-			condWaiters[ev.Object][ev.Thread] = true
-			waitingOn[ev.Thread] = ev.Object
-		case ev.Class == After && (ev.Call == CallCondWait || ev.Call == CallCondTimedWait):
-			delete(condWaiters[ev.Object], ev.Thread)
-			delete(waitingOn, ev.Thread)
-		case ev.Class == Before && ev.Call == CallCondBroadcast:
-			a.released = int32(len(condWaiters[ev.Object]))
-		}
-		perThread[ev.Thread] = append(perThread[ev.Thread], a)
 		prev = ev.Time
+		slot := ix.slots[ev.Thread]
+		condWait := ev.Call == CallCondWait || ev.Call == CallCondTimedWait
+		if ev.Class == Before {
+			var released int32
+			switch {
+			case condWait:
+				if condWaiters == nil {
+					condWaiters = make(map[ObjectID]map[ThreadID]bool)
+				}
+				if condWaiters[ev.Object] == nil {
+					condWaiters[ev.Object] = make(map[ThreadID]bool)
+				}
+				condWaiters[ev.Object][ev.Thread] = true
+			case ev.Call == CallCondBroadcast:
+				released = int32(len(condWaiters[ev.Object]))
+			}
+			calls[slot][filled[slot]] = CallRecord{
+				CPUBefore:   gap,
+				Call:        ev.Call,
+				Object:      ev.Object,
+				MutexObject: ev.Mutex,
+				Target:      ev.Target,
+				OK:          ev.OK,
+				Timeout:     ev.Timeout,
+				Prio:        ev.Prio,
+				Loc:         ev.Loc,
+				Released:    released,
+				Seq:         ev.Seq,
+			}
+			filled[slot]++
+			waiting[slot] = pairsWithAfter(ev.Call) && ev.Call != CallThrExit
+			continue
+		}
+		if condWait {
+			delete(condWaiters[ev.Object], ev.Thread)
+		}
+		if !waiting[slot] {
+			if orphan == nil || ev.Thread < orphan.Thread {
+				orphan = ev
+			}
+			continue
+		}
+		rec := &calls[slot][filled[slot]-1]
+		rec.CallCPU = gap
+		// Did anyone else run in between? Compare global sequence
+		// numbers: an intervening event from another thread means the
+		// call blocked.
+		rec.BlockedInLog = ev.Seq != rec.Seq+1
+		if ev.Call == CallThrJoin {
+			rec.JoinedTarget = ev.Target
+		}
+		if ev.Call == CallCondTimedWait || ev.Call == CallMutexTryLock || ev.Call == CallSemaTryWait {
+			rec.OK = ev.OK
+		}
+		waiting[slot] = false
+	}
+	if orphan != nil {
+		return nil, fmt.Errorf("trace: thread %d: AFTER without BEFORE at seq %d", orphan.Thread, orphan.Seq)
 	}
 
-	p := &Profile{Log: l, Threads: make(map[ThreadID]*ThreadProfile)}
-	for tid, evs := range perThread {
-		tp := &ThreadProfile{}
-		if info := l.Thread(tid); info != nil {
-			tp.Info = *info
-		} else {
-			tp.Info = ThreadInfo{ID: tid, BoundCPU: -1}
-		}
-		var pending *CallRecord
-		for i := 0; i < len(evs); i++ {
-			a := evs[i]
-			switch a.ev.Class {
-			case Before:
-				if pending != nil {
-					// Unpaired Before (thr_exit, collection markers):
-					// already flushed below, so a dangling record here is
-					// a bug in Validate.
-					return nil, fmt.Errorf("trace: thread %d: overlapping calls at seq %d", tid, a.ev.Seq)
-				}
-				rec := CallRecord{
-					CPUBefore:   a.cpu,
-					Call:        a.ev.Call,
-					Object:      a.ev.Object,
-					MutexObject: a.ev.Mutex,
-					Target:      a.ev.Target,
-					OK:          a.ev.OK,
-					Timeout:     a.ev.Timeout,
-					Prio:        a.ev.Prio,
-					Loc:         a.ev.Loc,
-					Released:    a.released,
-					Seq:         a.ev.Seq,
-				}
-				if pairsWithAfter(a.ev.Call) && a.ev.Call != CallThrExit {
-					pending = &rec
-				} else {
-					tp.Calls = append(tp.Calls, rec)
-				}
-			case After:
-				if pending == nil {
-					return nil, fmt.Errorf("trace: thread %d: AFTER without BEFORE at seq %d", tid, a.ev.Seq)
-				}
-				pending.CallCPU = a.cpu
-				// Did anyone else run in between? Compare global
-				// sequence numbers: an intervening event from another
-				// thread means the call blocked.
-				pending.BlockedInLog = a.ev.Seq != pending.Seq+1
-				if a.ev.Call == CallThrJoin {
-					pending.JoinedTarget = a.ev.Target
-				}
-				if a.ev.Call == CallCondTimedWait || a.ev.Call == CallMutexTryLock || a.ev.Call == CallSemaTryWait {
-					pending.OK = a.ev.OK
-				}
-				tp.Calls = append(tp.Calls, *pending)
-				pending = nil
-			}
-		}
-		if pending != nil {
-			return nil, fmt.Errorf("trace: thread %d: call %v never completed", tid, pending.Call)
-		}
-		p.Threads[tid] = tp
+	p := &Profile{
+		Log:     l,
+		Threads: make(map[ThreadID]*ThreadProfile, nThreads),
+		IDs:     make([]ThreadID, 0, nThreads),
 	}
-	p.IDs = make([]ThreadID, 0, len(p.Threads))
-	for id := range p.Threads {
-		p.IDs = append(p.IDs, id)
+	tps := make([]ThreadProfile, 0, nThreads)
+	for s, cs := range calls {
+		if len(cs) == 0 {
+			continue
+		}
+		info := ThreadInfo{BoundCPU: -1}
+		if s < len(l.Threads) {
+			info = l.Threads[s]
+		}
+		tps = append(tps, ThreadProfile{Info: info, Calls: cs})
+		p.Threads[info.ID] = &tps[len(tps)-1]
+		p.IDs = append(p.IDs, info.ID)
 	}
 	sort.Slice(p.IDs, func(i, j int) bool { return p.IDs[i] < p.IDs[j] })
 	return p, nil

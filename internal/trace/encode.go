@@ -2,14 +2,15 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
-	"vppb/internal/source"
 	"vppb/internal/vtime"
 )
 
@@ -269,142 +270,258 @@ func b2i(b bool) int {
 	return 0
 }
 
-// ReadText parses a text-format log.
+// maxLineBytes bounds one line of the text format. A longer line fails
+// with bufio.ErrTooLong, the error the reader has always reported for it.
+const maxLineBytes = 1 << 26
+
+// IsBinary reports whether data opens with the binary encoding's "VPPB"
+// prefix. It is the one rule that tells the encodings apart: input that
+// claims to be binary is diagnosed by DecodeBinary, however short.
+func IsBinary(data []byte) bool {
+	return bytes.HasPrefix(data, binMagic[:4])
+}
+
+// Decode parses a log held in memory, in either encoding.
+func Decode(data []byte) (*Log, error) {
+	if IsBinary(data) {
+		return DecodeBinary(data)
+	}
+	return DecodeText(data)
+}
+
+// ReadText parses a text-format log from a stream.
 func ReadText(r io.Reader) (*Log, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
-	l := &Log{}
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
+	}
+	return DecodeText(data)
+}
+
+// DecodeText parses a text-format log held in memory. It walks data line
+// by line in place. The only strings it allocates are one copy of each
+// distinct name and source file, so the log never aliases data.
+func DecodeText(data []byte) (*Log, error) {
+	d := textDecoder{l: &Log{}, strs: make(map[string]string)}
+	// The first line is the magic, so every event line follows a newline:
+	// the count sizes Events for well-formed input and can never exceed
+	// len(data)/7.
+	if n := bytes.Count(data, []byte("\nevent ")); n > 0 {
+		d.l.Events = make([]Event, 0, n)
+	}
 	lineNo := 0
 	sawMagic := false
-	for sc.Scan() {
+	for rest := data; len(rest) > 0; {
+		line := rest
+		if i := bytes.IndexByte(rest, '\n'); i >= 0 {
+			line, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = nil
+		}
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		if len(line) >= maxLineBytes {
+			return nil, fmt.Errorf("trace: %w", bufio.ErrTooLong)
+		}
+		line = bytes.TrimSpace(line)
+		if len(line) == 0 {
 			continue
 		}
 		if !sawMagic {
-			if line != textMagic {
+			if string(line) != textMagic {
 				return nil, fmt.Errorf("trace: line %d: not a vppb log (missing %q)", lineNo, textMagic)
 			}
 			sawMagic = true
 			continue
 		}
-		if strings.HasPrefix(line, "#") {
+		if line[0] == '#' {
 			continue
 		}
-		fields := strings.Fields(line)
-		if err := parseTextLine(l, fields); err != nil {
+		d.fields = appendFields(d.fields[:0], line)
+		if err := d.parseLine(); err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
 	}
 	if !sawMagic {
 		return nil, fmt.Errorf("trace: empty input")
 	}
-	return l, nil
+	return d.l, nil
 }
 
-func parseTextLine(l *Log, fields []string) error {
-	if len(fields) == 0 {
-		return nil
+// Byte classes for appendFields.
+const (
+	fieldText = iota
+	// fieldSpace marks the ASCII bytes strings.Fields splits on.
+	fieldSpace
+	fieldNonASCII
+)
+
+var fieldClass = func() (c [256]uint8) {
+	for _, b := range []byte("\t\n\v\f\r ") {
+		c[b] = fieldSpace
 	}
-	switch fields[0] {
+	for b := utf8.RuneSelf; b < len(c); b++ {
+		c[b] = fieldNonASCII
+	}
+	return c
+}()
+
+// appendFields appends the fields of line to dst with strings.Fields
+// semantics. An ASCII line is split in place; a line holding any other
+// byte goes through bytes.Fields for its Unicode spaces.
+func appendFields(dst [][]byte, line []byte) [][]byte {
+	n := len(dst)
+	for i := 0; i < len(line); {
+		start := i
+		for i < len(line) && fieldClass[line[i]] == fieldText {
+			i++
+		}
+		if start < i {
+			dst = append(dst, line[start:i])
+		}
+		for i < len(line) && fieldClass[line[i]] == fieldSpace {
+			i++
+		}
+		if i < len(line) && fieldClass[line[i]] == fieldNonASCII {
+			return append(dst[:n], bytes.Fields(line)...)
+		}
+	}
+	return dst
+}
+
+// textDecoder holds the state of one DecodeText call.
+type textDecoder struct {
+	l *Log
+	// fields is the current line split into subslices of the input,
+	// reused from line to line.
+	fields [][]byte
+	// strs interns decoded strings by their encoded form.
+	strs map[string]string
+}
+
+// str decodes a quoted name, returning the one copy this log keeps of it.
+func (d *textDecoder) str(b []byte) string {
+	if s, ok := d.strs[string(b)]; ok {
+		return s
+	}
+	k := string(b)
+	s := unquote(k)
+	d.strs[k] = s
+	return s
+}
+
+func parseInt(b []byte, bitSize int) (int64, error) {
+	return strconv.ParseInt(string(b), 10, bitSize)
+}
+
+func parseInt32(b []byte) (int32, error) {
+	n, err := parseInt(b, 32)
+	return int32(n), err
+}
+
+// parseCall is ParseCall for a field of the input.
+func parseCall(b []byte) (Call, error) {
+	if c, ok := callByName[string(b)]; ok {
+		return c, nil
+	}
+	return ParseCall(string(b))
+}
+
+func (d *textDecoder) parseLine() error {
+	fields := d.fields
+	switch string(fields[0]) {
 	case "program":
 		if len(fields) > 1 {
-			l.Header.Program = unquote(fields[1])
+			d.l.Header.Program = d.str(fields[1])
 		}
 	case "cpus", "lwps", "probecost", "start", "end":
 		if len(fields) < 2 {
 			return fmt.Errorf("%s: missing value", fields[0])
 		}
-		v, err := strconv.ParseInt(fields[1], 10, 64)
+		v, err := parseInt(fields[1], 64)
 		if err != nil {
 			return fmt.Errorf("%s: %w", fields[0], err)
 		}
-		switch fields[0] {
+		h := &d.l.Header
+		switch string(fields[0]) {
 		case "cpus":
-			l.Header.CPUs = int(v)
+			h.CPUs = int(v)
 		case "lwps":
-			l.Header.LWPs = int(v)
+			h.LWPs = int(v)
 		case "probecost":
-			l.Header.ProbeCost = vtime.Duration(v)
+			h.ProbeCost = vtime.Duration(v)
 		case "start":
-			l.Header.Start = vtime.Time(v)
+			h.Start = vtime.Time(v)
 		case "end":
-			l.Header.End = vtime.Time(v)
+			h.End = vtime.Time(v)
 		}
 	case "thread":
-		return parseThreadLine(l, fields)
+		return d.parseThread()
 	case "object":
-		return parseObjectLine(l, fields)
+		return d.parseObject()
 	case "event":
-		return parseEventLine(l, fields)
+		return d.parseEvent()
 	default:
 		return fmt.Errorf("unknown record %q", fields[0])
 	}
 	return nil
 }
 
-func parseThreadLine(l *Log, fields []string) error {
+func (d *textDecoder) parseThread() error {
+	fields := d.fields
 	if len(fields) < 2 {
 		return fmt.Errorf("thread: missing id")
 	}
-	id, err := strconv.ParseInt(fields[1], 10, 32)
+	id, err := parseInt32(fields[1])
 	if err != nil {
 		return fmt.Errorf("thread id: %w", err)
 	}
 	t := ThreadInfo{ID: ThreadID(id), BoundCPU: -1}
 	for _, f := range fields[2:] {
-		k, v, ok := strings.Cut(f, "=")
+		k, v, ok := bytes.Cut(f, []byte("="))
 		if !ok {
 			return fmt.Errorf("thread: malformed field %q", f)
 		}
-		switch k {
+		switch string(k) {
 		case "name":
-			t.Name = unquote(v)
+			t.Name = d.str(v)
 		case "func":
-			t.Func = unquote(v)
+			t.Func = d.str(v)
 		case "bound":
-			t.Bound = v == "1"
+			t.Bound = string(v) == "1"
 		case "boundcpu":
-			n, err := strconv.ParseInt(v, 10, 32)
-			if err != nil {
+			if t.BoundCPU, err = parseInt32(v); err != nil {
 				return err
 			}
-			t.BoundCPU = int32(n)
 		case "prio":
-			n, err := strconv.ParseInt(v, 10, 32)
-			if err != nil {
+			if t.Prio, err = parseInt32(v); err != nil {
 				return err
 			}
-			t.Prio = int32(n)
 		default:
 			return fmt.Errorf("thread: unknown field %q", k)
 		}
 	}
-	l.Threads = append(l.Threads, t)
+	d.l.Threads = append(d.l.Threads, t)
 	return nil
 }
 
-func parseObjectLine(l *Log, fields []string) error {
+func (d *textDecoder) parseObject() error {
+	fields := d.fields
 	if len(fields) < 2 {
 		return fmt.Errorf("object: missing id")
 	}
-	id, err := strconv.ParseInt(fields[1], 10, 32)
+	id, err := parseInt32(fields[1])
 	if err != nil {
 		return fmt.Errorf("object id: %w", err)
 	}
 	o := ObjectInfo{ID: ObjectID(id)}
 	for _, f := range fields[2:] {
-		k, v, ok := strings.Cut(f, "=")
+		k, v, ok := bytes.Cut(f, []byte("="))
 		if !ok {
 			return fmt.Errorf("object: malformed field %q", f)
 		}
-		switch k {
+		switch string(k) {
 		case "kind":
-			switch v {
+			switch string(v) {
 			case "mutex":
 				o.Kind = ObjMutex
 			case "sema":
@@ -419,13 +536,11 @@ func parseObjectLine(l *Log, fields []string) error {
 				return fmt.Errorf("object: unknown kind %q", v)
 			}
 		case "name":
-			o.Name = unquote(v)
+			o.Name = d.str(v)
 		case "count":
-			n, err := strconv.ParseInt(v, 10, 32)
-			if err != nil {
+			if o.InitCount, err = parseInt32(v); err != nil {
 				return err
 			}
-			o.InitCount = int32(n)
 		default:
 			return fmt.Errorf("object: unknown field %q", k)
 		}
@@ -433,34 +548,34 @@ func parseObjectLine(l *Log, fields []string) error {
 	if o.Kind == ObjNone {
 		return fmt.Errorf("object %d: missing kind", o.ID)
 	}
-	l.Objects = append(l.Objects, o)
+	d.l.Objects = append(d.l.Objects, o)
 	return nil
 }
 
-func parseEventLine(l *Log, fields []string) error {
+func (d *textDecoder) parseEvent() error {
+	fields := d.fields
 	if len(fields) < 6 {
 		return fmt.Errorf("event: want at least 6 fields, got %d", len(fields))
 	}
 	var ev Event
-	seq, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil {
+	var err error
+	if ev.Seq, err = parseInt(fields[1], 64); err != nil {
 		return fmt.Errorf("event seq: %w", err)
 	}
-	ev.Seq = seq
-	ts, err := strconv.ParseInt(fields[2], 10, 64)
+	ts, err := parseInt(fields[2], 64)
 	if err != nil {
 		return fmt.Errorf("event time: %w", err)
 	}
 	ev.Time = vtime.Time(ts)
-	if !strings.HasPrefix(fields[3], "T") {
+	if fields[3][0] != 'T' {
 		return fmt.Errorf("event thread: %q", fields[3])
 	}
-	tid, err := strconv.ParseInt(fields[3][1:], 10, 32)
+	tid, err := parseInt32(fields[3][1:])
 	if err != nil {
 		return fmt.Errorf("event thread: %w", err)
 	}
 	ev.Thread = ThreadID(tid)
-	switch fields[4] {
+	switch string(fields[4]) {
 	case "before":
 		ev.Class = Before
 	case "after":
@@ -468,73 +583,51 @@ func parseEventLine(l *Log, fields []string) error {
 	default:
 		return fmt.Errorf("event class: %q", fields[4])
 	}
-	call, err := ParseCall(fields[5])
-	if err != nil {
+	if ev.Call, err = parseCall(fields[5]); err != nil {
 		return err
 	}
-	ev.Call = call
 	for _, f := range fields[6:] {
-		k, v, ok := strings.Cut(f, "=")
+		k, v, ok := bytes.Cut(f, []byte("="))
 		if !ok {
 			return fmt.Errorf("event: malformed field %q", f)
 		}
-		switch k {
+		var n int32
+		switch string(k) {
 		case "obj":
-			n, err := strconv.ParseInt(v, 10, 32)
-			if err != nil {
-				return err
-			}
+			n, err = parseInt32(v)
 			ev.Object = ObjectID(n)
 		case "mutex":
-			n, err := strconv.ParseInt(v, 10, 32)
-			if err != nil {
-				return err
-			}
+			n, err = parseInt32(v)
 			ev.Mutex = ObjectID(n)
 		case "target":
-			n, err := strconv.ParseInt(v, 10, 32)
-			if err != nil {
-				return err
-			}
+			n, err = parseInt32(v)
 			ev.Target = ThreadID(n)
 		case "ok":
-			ev.OK = v == "1"
+			ev.OK = string(v) == "1"
 		case "timeout":
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return err
-			}
-			ev.Timeout = vtime.Duration(n)
+			var t int64
+			t, err = parseInt(v, 64)
+			ev.Timeout = vtime.Duration(t)
 		case "prio":
-			n, err := strconv.ParseInt(v, 10, 32)
-			if err != nil {
-				return err
-			}
-			ev.Prio = int32(n)
+			ev.Prio, err = parseInt32(v)
 		case "loc":
-			file, lineStr, ok := cutLast(v, ":")
-			if !ok {
+			i := bytes.LastIndexByte(v, ':')
+			if i < 0 {
 				return fmt.Errorf("event loc: %q", v)
 			}
-			n, err := strconv.Atoi(lineStr)
-			if err != nil {
-				return err
+			ev.Loc.Line, err = strconv.Atoi(string(v[i+1:]))
+			if err == nil {
+				ev.Loc.File = d.str(v[:i])
 			}
-			ev.Loc = source.Loc{File: unquote(file), Line: n}
 		default:
 			return fmt.Errorf("event: unknown field %q", k)
 		}
+		if err != nil {
+			return err
+		}
 	}
-	l.Events = append(l.Events, ev)
+	d.l.Events = append(d.l.Events, ev)
 	return nil
-}
-
-func cutLast(s, sep string) (before, after string, found bool) {
-	i := strings.LastIndex(s, sep)
-	if i < 0 {
-		return s, "", false
-	}
-	return s[:i], s[i+len(sep):], true
 }
 
 // FormatPaper renders the log the way the paper's figure 2 lists Recorder
@@ -643,6 +736,7 @@ func DecodeBinary(data []byte) (*Log, error) {
 	if d.err == nil && nThreads > uint64(len(data)) {
 		return nil, fmt.Errorf("trace: corrupt binary log: %d threads", nThreads)
 	}
+	l.Threads = presize[ThreadInfo](nThreads, d.buf, minThreadBytes)
 	for i := uint64(0); i < nThreads && d.err == nil; i++ {
 		var t ThreadInfo
 		t.ID = ThreadID(d.sv())
@@ -657,6 +751,7 @@ func DecodeBinary(data []byte) (*Log, error) {
 	if d.err == nil && nObjects > uint64(len(data)) {
 		return nil, fmt.Errorf("trace: corrupt binary log: %d objects", nObjects)
 	}
+	l.Objects = presize[ObjectInfo](nObjects, d.buf, minObjectBytes)
 	for i := uint64(0); i < nObjects && d.err == nil; i++ {
 		var o ObjectInfo
 		o.ID = ObjectID(d.sv())
@@ -669,6 +764,7 @@ func DecodeBinary(data []byte) (*Log, error) {
 	if d.err == nil && nEvents > uint64(len(data)) {
 		return nil, fmt.Errorf("trace: corrupt binary log: %d events", nEvents)
 	}
+	l.Events = presize[Event](nEvents, d.buf, minEventBytes)
 	var prevTime vtime.Time
 	var prevSeq int64
 	for i := uint64(0); i < nEvents && d.err == nil; i++ {
@@ -688,12 +784,38 @@ func DecodeBinary(data []byte) (*Log, error) {
 		ev.Prio = int32(d.sv())
 		ev.Loc.File = d.str()
 		ev.Loc.Line = int(d.sv())
+		if d.err != nil {
+			// Keep a truncated tail from growing past the presized table.
+			break
+		}
 		l.Events = append(l.Events, ev)
 	}
 	if d.err != nil {
 		return nil, fmt.Errorf("trace: corrupt binary log: %w", d.err)
 	}
 	return l, nil
+}
+
+// The fewest bytes one record of each table can take: one per varint
+// field, string references included.
+const (
+	minThreadBytes = 6
+	minObjectBytes = 4
+	minEventBytes  = 13
+)
+
+// presize reserves room for a declared count of records, capped by how
+// many the rest of the input can hold, so a hostile count never reserves
+// more than a small multiple of the input. A zero count stays nil, as an
+// append-grown table would.
+func presize[T any](n uint64, rest []byte, minBytes int) []T {
+	if c := uint64(len(rest) / minBytes); n > c {
+		n = c
+	}
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, n)
 }
 
 type binEncoder struct {

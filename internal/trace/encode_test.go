@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"math/rand"
 	"reflect"
@@ -111,6 +112,27 @@ func TestReadTextRejectsGarbage(t *testing.T) {
 		if _, err := ReadText(strings.NewReader(c)); err == nil {
 			t.Errorf("ReadText accepted %q", c)
 		}
+	}
+}
+
+// TestDecodeTextLineLimit pins the 64 MiB line limit at its edge: a line
+// one byte shorter than the limit is read, a line of the limit fails with
+// the error the scanner-based reader gave.
+func TestDecodeTextLineLimit(t *testing.T) {
+	// The magic line, then a comment line of maxLineBytes-1 bytes.
+	data := make([]byte, len(textMagic)+1+maxLineBytes)
+	copy(data, textMagic+"\n#")
+	for i := len(textMagic) + 2; i < len(data); i++ {
+		data[i] = 'x'
+	}
+	data[len(data)-1] = '\n'
+	if _, err := DecodeText(data); err != nil {
+		t.Errorf("%d-byte line: %v", maxLineBytes-1, err)
+	}
+	data[len(data)-1] = 'x'
+	_, err := DecodeText(data)
+	if want := "trace: " + bufio.ErrTooLong.Error(); err == nil || err.Error() != want {
+		t.Errorf("%d-byte line: err = %v, want %s", maxLineBytes, err, want)
 	}
 }
 

@@ -121,12 +121,20 @@ func (c Call) String() string {
 	return fmt.Sprintf("Call(%d)", uint8(c))
 }
 
+var callByName = func() map[string]Call {
+	m := make(map[string]Call, len(callNames))
+	for c, name := range callNames {
+		if name != "" {
+			m[name] = Call(c)
+		}
+	}
+	return m
+}()
+
 // ParseCall maps a call name back to its Call value.
 func ParseCall(s string) (Call, error) {
-	for c, name := range callNames {
-		if name == s && name != "" {
-			return Call(c), nil
-		}
+	if c, ok := callByName[s]; ok {
+		return c, nil
 	}
 	return CallNone, fmt.Errorf("trace: unknown call %q", s)
 }

@@ -2,15 +2,19 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// Fuzz targets for the two decoders that consume untrusted bytes: the text
-// log reader and the timeline JSON envelope. The contract under fuzzing is
-// simple — return an error on bad input, never panic — plus a round-trip
-// obligation: anything the decoder accepts must re-encode and re-decode to
-// the same log.
+// Fuzz targets for the decoders that consume untrusted bytes: the text and
+// binary log decoders and the timeline JSON envelope. The contract under
+// fuzzing is simple — return an error on bad input, never panic — plus a
+// round-trip obligation: anything the decoder accepts must re-encode and
+// re-decode to the same log. The text decoder must also agree with the
+// scanner-based reader it replaced, log for log and error for error.
 
 func fuzzSeedLogs() []*Log {
 	truncated := repairFixture()
@@ -38,8 +42,16 @@ func FuzzReadText(f *testing.F) {
 	f.Add([]byte("# vppb-log v1\nthread 1 name=\\s prio=-9999999999999999999\n"))
 	f.Add([]byte("# vppb-log v1\nobject 9 kind=mutex name=\\u0020\n"))
 	f.Add([]byte("# vppb-log v1\ncpus 99999999999999999999\n"))
+	f.Add([]byte("# vppb-log v1\r\n\n  thread 1 name=a\u00a0b func=\xff\u2028\r\r\nevent 0 0 T1 before thr_exit loc=x:y:7\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		l, err := ReadText(bytes.NewReader(data))
+		l, err := DecodeText(data)
+		ol, oerr := oracleReadText(bytes.NewReader(data))
+		if fmt.Sprint(err) != fmt.Sprint(oerr) {
+			t.Fatalf("error %v; oracle %v", err, oerr)
+		}
+		if !reflect.DeepEqual(l, ol) {
+			t.Fatalf("log differs from the oracle's:\n%+v\n%+v", l, ol)
+		}
 		if err != nil {
 			return
 		}
@@ -51,6 +63,27 @@ func FuzzReadText(f *testing.F) {
 		if len(back.Events) != len(l.Events) || len(back.Threads) != len(l.Threads) {
 			t.Fatalf("round trip changed shape: %d/%d events, %d/%d threads",
 				len(l.Events), len(back.Events), len(l.Threads), len(back.Threads))
+		}
+	})
+}
+
+func FuzzDecodeBinary(f *testing.F) {
+	for _, l := range fuzzSeedLogs() {
+		f.Add(AppendBinary(nil, l))
+	}
+	f.Add([]byte("VPPB"))
+	f.Add(binary.AppendUvarint([]byte("VPPBLOG1\x00\x00\x01\x01\x00\x00\x00\x00\x00"), 1<<40))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		l, err := DecodeBinary(data)
+		if err != nil {
+			return
+		}
+		back, err := DecodeBinary(AppendBinary(nil, l))
+		if err != nil {
+			t.Fatalf("re-decode of accepted log failed: %v", err)
+		}
+		if !reflect.DeepEqual(back, l) {
+			t.Fatalf("round trip changed the log:\n%+v\n%+v", l, back)
 		}
 	})
 }

@@ -139,68 +139,125 @@ func (l *Log) ThreadIDs() []ThreadID {
 // references resolvable through the tables. It returns the first violation
 // found.
 func (l *Log) Validate() error {
-	_, err := l.validate()
+	_, _, err := l.validate()
 	return err
 }
 
+// logIndex resolves the thread and object IDs of one log in constant
+// time. validate builds it once per call, and BuildProfile reuses it.
+type logIndex struct {
+	// slots maps every thread an event may name to a dense slot: the
+	// table position of the thread's first entry, and one past the table
+	// for thread 0 when the table has no entry for it.
+	slots   map[ThreadID]int32
+	objects map[ObjectID]struct{}
+	// befores counts each slot's Before events: the exact length of the
+	// thread's call list in a profile.
+	befores []int32
+}
+
+func newLogIndex(l *Log) *logIndex {
+	n := len(l.Threads)
+	ix := &logIndex{
+		slots:   make(map[ThreadID]int32, n+1),
+		objects: make(map[ObjectID]struct{}, len(l.Objects)),
+		befores: make([]int32, n+1),
+	}
+	for i := range l.Threads {
+		if _, dup := ix.slots[l.Threads[i].ID]; !dup {
+			ix.slots[l.Threads[i].ID] = int32(i)
+		}
+	}
+	if _, ok := ix.slots[0]; !ok {
+		ix.slots[0] = int32(n)
+	}
+	for i := range l.Objects {
+		ix.objects[l.Objects[i].ID] = struct{}{}
+	}
+	return ix
+}
+
+// threadID is the ID of the thread in slot s.
+func (l *Log) threadID(s int) ThreadID {
+	if s < len(l.Threads) {
+		return l.Threads[s].ID
+	}
+	return 0
+}
+
+func (ix *logIndex) hasObject(id ObjectID) bool {
+	_, ok := ix.objects[id]
+	return ok
+}
+
 // validate is Validate plus the index of the offending event (-1 for
-// log-level violations), which Repair uses to name unrecoverable records.
-func (l *Log) validate() (int, error) {
+// log-level violations), which Repair uses to name unrecoverable records,
+// and, for a valid log, its ID index.
+func (l *Log) validate() (*logIndex, int, error) {
+	ix := newLogIndex(l)
+	// open holds each slot's call awaiting its After; CallNone is none.
+	open := make([]Call, len(ix.befores))
 	var prev vtime.Time
 	prevSeq := int64(-1)
-	open := make(map[ThreadID]Call)
-	for i, ev := range l.Events {
+	for i := range l.Events {
+		ev := &l.Events[i]
 		if ev.Time < prev {
-			return i, fmt.Errorf("trace: event %d: time %v before previous %v", i, ev.Time, prev)
+			return nil, i, fmt.Errorf("trace: event %d: time %v before previous %v", i, ev.Time, prev)
 		}
 		if ev.Time == prev && ev.Seq <= prevSeq && i > 0 {
-			return i, fmt.Errorf("trace: event %d: sequence not increasing at equal times", i)
+			return nil, i, fmt.Errorf("trace: event %d: sequence not increasing at equal times", i)
 		}
 		prev, prevSeq = ev.Time, ev.Seq
 		if ev.Time < l.Header.Start || ev.Time > l.Header.End {
-			return i, fmt.Errorf("trace: event %d: time %v outside [%v, %v]", i, ev.Time, l.Header.Start, l.Header.End)
+			return nil, i, fmt.Errorf("trace: event %d: time %v outside [%v, %v]", i, ev.Time, l.Header.Start, l.Header.End)
 		}
 		if ev.Call == CallNone || ev.Call >= numCalls {
-			return i, fmt.Errorf("trace: event %d: invalid call %d", i, uint8(ev.Call))
+			return nil, i, fmt.Errorf("trace: event %d: invalid call %d", i, uint8(ev.Call))
 		}
-		if ev.Thread != 0 && l.Thread(ev.Thread) == nil {
-			return i, fmt.Errorf("trace: event %d: unknown thread %d", i, ev.Thread)
+		slot, known := ix.slots[ev.Thread]
+		if !known {
+			return nil, i, fmt.Errorf("trace: event %d: unknown thread %d", i, ev.Thread)
 		}
-		if ev.Object != 0 && l.Object(ev.Object) == nil {
-			return i, fmt.Errorf("trace: event %d: unknown object %d", i, ev.Object)
+		if ev.Object != 0 && !ix.hasObject(ev.Object) {
+			return nil, i, fmt.Errorf("trace: event %d: unknown object %d", i, ev.Object)
 		}
-		if ev.Mutex != 0 && l.Object(ev.Mutex) == nil {
-			return i, fmt.Errorf("trace: event %d: unknown mutex %d", i, ev.Mutex)
+		if ev.Mutex != 0 && !ix.hasObject(ev.Mutex) {
+			return nil, i, fmt.Errorf("trace: event %d: unknown mutex %d", i, ev.Mutex)
 		}
 		switch ev.Class {
 		case Before:
-			if c, ok := open[ev.Thread]; ok {
-				return i, fmt.Errorf("trace: event %d: thread %d issued %v while %v still open", i, ev.Thread, ev.Call, c)
+			if c := open[slot]; c != CallNone {
+				return nil, i, fmt.Errorf("trace: event %d: thread %d issued %v while %v still open", i, ev.Thread, ev.Call, c)
 			}
 			if pairsWithAfter(ev.Call) {
-				open[ev.Thread] = ev.Call
+				open[slot] = ev.Call
 			}
+			ix.befores[slot]++
 		case After:
-			c, ok := open[ev.Thread]
-			if !ok {
-				return i, fmt.Errorf("trace: event %d: thread %d AFTER %v without BEFORE", i, ev.Thread, ev.Call)
+			c := open[slot]
+			if c == CallNone {
+				return nil, i, fmt.Errorf("trace: event %d: thread %d AFTER %v without BEFORE", i, ev.Thread, ev.Call)
 			}
 			if c != ev.Call {
-				return i, fmt.Errorf("trace: event %d: thread %d AFTER %v does not match open %v", i, ev.Thread, ev.Call, c)
+				return nil, i, fmt.Errorf("trace: event %d: thread %d AFTER %v does not match open %v", i, ev.Thread, ev.Call, c)
 			}
-			delete(open, ev.Thread)
+			open[slot] = CallNone
 		default:
-			return i, fmt.Errorf("trace: event %d: invalid class %d", i, ev.Class)
+			return nil, i, fmt.Errorf("trace: event %d: invalid class %d", i, ev.Class)
 		}
 	}
-	for tid, c := range open {
-		// thr_exit never completes for the exiting thread; everything else
-		// must have closed.
-		if c != CallThrExit {
-			return -1, fmt.Errorf("trace: thread %d: %v never completed", tid, c)
+	// thr_exit never completes for the exiting thread; everything else
+	// must have closed. The lowest such thread is reported.
+	bad := -1
+	for s, c := range open {
+		if c != CallNone && c != CallThrExit && (bad < 0 || l.threadID(s) < l.threadID(bad)) {
+			bad = s
 		}
 	}
-	return -1, nil
+	if bad >= 0 {
+		return nil, -1, fmt.Errorf("trace: thread %d: %v never completed", l.threadID(bad), open[bad])
+	}
+	return ix, -1, nil
 }
 
 // pairsWithAfter reports whether a Before event of call c is followed by a

@@ -1,0 +1,465 @@
+package trace
+
+import (
+	"bufio"
+	"fmt"
+	"io"
+	"sort"
+	"strconv"
+	"strings"
+
+	"vppb/internal/source"
+	"vppb/internal/vtime"
+)
+
+// Reference implementations for the differential tests: the scanner-based
+// text reader, the scan-per-lookup validator and the copy-per-thread
+// profile builder that the in-place decoder, the indexed validator and the
+// single-pass builder replaced. They are kept verbatim except for one
+// change each to validate and BuildProfile: where the original picked the
+// reported error by walking a map (random order when several threads are
+// at fault), these walk thread IDs ascending, the order the replacements
+// report in.
+
+func oracleReadText(r io.Reader) (*Log, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<26)
+	l := &Log{}
+	lineNo := 0
+	sawMagic := false
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" {
+			continue
+		}
+		if !sawMagic {
+			if line != textMagic {
+				return nil, fmt.Errorf("trace: line %d: not a vppb log (missing %q)", lineNo, textMagic)
+			}
+			sawMagic = true
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Fields(line)
+		if err := oracleParseTextLine(l, fields); err != nil {
+			return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
+	}
+	if !sawMagic {
+		return nil, fmt.Errorf("trace: empty input")
+	}
+	return l, nil
+}
+
+func oracleParseTextLine(l *Log, fields []string) error {
+	if len(fields) == 0 {
+		return nil
+	}
+	switch fields[0] {
+	case "program":
+		if len(fields) > 1 {
+			l.Header.Program = unquote(fields[1])
+		}
+	case "cpus", "lwps", "probecost", "start", "end":
+		if len(fields) < 2 {
+			return fmt.Errorf("%s: missing value", fields[0])
+		}
+		v, err := strconv.ParseInt(fields[1], 10, 64)
+		if err != nil {
+			return fmt.Errorf("%s: %w", fields[0], err)
+		}
+		switch fields[0] {
+		case "cpus":
+			l.Header.CPUs = int(v)
+		case "lwps":
+			l.Header.LWPs = int(v)
+		case "probecost":
+			l.Header.ProbeCost = vtime.Duration(v)
+		case "start":
+			l.Header.Start = vtime.Time(v)
+		case "end":
+			l.Header.End = vtime.Time(v)
+		}
+	case "thread":
+		return oracleParseThreadLine(l, fields)
+	case "object":
+		return oracleParseObjectLine(l, fields)
+	case "event":
+		return oracleParseEventLine(l, fields)
+	default:
+		return fmt.Errorf("unknown record %q", fields[0])
+	}
+	return nil
+}
+
+func oracleParseThreadLine(l *Log, fields []string) error {
+	if len(fields) < 2 {
+		return fmt.Errorf("thread: missing id")
+	}
+	id, err := strconv.ParseInt(fields[1], 10, 32)
+	if err != nil {
+		return fmt.Errorf("thread id: %w", err)
+	}
+	t := ThreadInfo{ID: ThreadID(id), BoundCPU: -1}
+	for _, f := range fields[2:] {
+		k, v, ok := strings.Cut(f, "=")
+		if !ok {
+			return fmt.Errorf("thread: malformed field %q", f)
+		}
+		switch k {
+		case "name":
+			t.Name = unquote(v)
+		case "func":
+			t.Func = unquote(v)
+		case "bound":
+			t.Bound = v == "1"
+		case "boundcpu":
+			n, err := strconv.ParseInt(v, 10, 32)
+			if err != nil {
+				return err
+			}
+			t.BoundCPU = int32(n)
+		case "prio":
+			n, err := strconv.ParseInt(v, 10, 32)
+			if err != nil {
+				return err
+			}
+			t.Prio = int32(n)
+		default:
+			return fmt.Errorf("thread: unknown field %q", k)
+		}
+	}
+	l.Threads = append(l.Threads, t)
+	return nil
+}
+
+func oracleParseObjectLine(l *Log, fields []string) error {
+	if len(fields) < 2 {
+		return fmt.Errorf("object: missing id")
+	}
+	id, err := strconv.ParseInt(fields[1], 10, 32)
+	if err != nil {
+		return fmt.Errorf("object id: %w", err)
+	}
+	o := ObjectInfo{ID: ObjectID(id)}
+	for _, f := range fields[2:] {
+		k, v, ok := strings.Cut(f, "=")
+		if !ok {
+			return fmt.Errorf("object: malformed field %q", f)
+		}
+		switch k {
+		case "kind":
+			switch v {
+			case "mutex":
+				o.Kind = ObjMutex
+			case "sema":
+				o.Kind = ObjSema
+			case "cond":
+				o.Kind = ObjCond
+			case "rwlock":
+				o.Kind = ObjRWLock
+			case "device":
+				o.Kind = ObjDevice
+			default:
+				return fmt.Errorf("object: unknown kind %q", v)
+			}
+		case "name":
+			o.Name = unquote(v)
+		case "count":
+			n, err := strconv.ParseInt(v, 10, 32)
+			if err != nil {
+				return err
+			}
+			o.InitCount = int32(n)
+		default:
+			return fmt.Errorf("object: unknown field %q", k)
+		}
+	}
+	if o.Kind == ObjNone {
+		return fmt.Errorf("object %d: missing kind", o.ID)
+	}
+	l.Objects = append(l.Objects, o)
+	return nil
+}
+
+func oracleParseEventLine(l *Log, fields []string) error {
+	if len(fields) < 6 {
+		return fmt.Errorf("event: want at least 6 fields, got %d", len(fields))
+	}
+	var ev Event
+	seq, err := strconv.ParseInt(fields[1], 10, 64)
+	if err != nil {
+		return fmt.Errorf("event seq: %w", err)
+	}
+	ev.Seq = seq
+	ts, err := strconv.ParseInt(fields[2], 10, 64)
+	if err != nil {
+		return fmt.Errorf("event time: %w", err)
+	}
+	ev.Time = vtime.Time(ts)
+	if !strings.HasPrefix(fields[3], "T") {
+		return fmt.Errorf("event thread: %q", fields[3])
+	}
+	tid, err := strconv.ParseInt(fields[3][1:], 10, 32)
+	if err != nil {
+		return fmt.Errorf("event thread: %w", err)
+	}
+	ev.Thread = ThreadID(tid)
+	switch fields[4] {
+	case "before":
+		ev.Class = Before
+	case "after":
+		ev.Class = After
+	default:
+		return fmt.Errorf("event class: %q", fields[4])
+	}
+	call, err := ParseCall(fields[5])
+	if err != nil {
+		return err
+	}
+	ev.Call = call
+	for _, f := range fields[6:] {
+		k, v, ok := strings.Cut(f, "=")
+		if !ok {
+			return fmt.Errorf("event: malformed field %q", f)
+		}
+		switch k {
+		case "obj":
+			n, err := strconv.ParseInt(v, 10, 32)
+			if err != nil {
+				return err
+			}
+			ev.Object = ObjectID(n)
+		case "mutex":
+			n, err := strconv.ParseInt(v, 10, 32)
+			if err != nil {
+				return err
+			}
+			ev.Mutex = ObjectID(n)
+		case "target":
+			n, err := strconv.ParseInt(v, 10, 32)
+			if err != nil {
+				return err
+			}
+			ev.Target = ThreadID(n)
+		case "ok":
+			ev.OK = v == "1"
+		case "timeout":
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				return err
+			}
+			ev.Timeout = vtime.Duration(n)
+		case "prio":
+			n, err := strconv.ParseInt(v, 10, 32)
+			if err != nil {
+				return err
+			}
+			ev.Prio = int32(n)
+		case "loc":
+			file, lineStr, ok := oracleCutLast(v, ":")
+			if !ok {
+				return fmt.Errorf("event loc: %q", v)
+			}
+			n, err := strconv.Atoi(lineStr)
+			if err != nil {
+				return err
+			}
+			ev.Loc = source.Loc{File: unquote(file), Line: n}
+		default:
+			return fmt.Errorf("event: unknown field %q", k)
+		}
+	}
+	l.Events = append(l.Events, ev)
+	return nil
+}
+
+func oracleCutLast(s, sep string) (before, after string, found bool) {
+	i := strings.LastIndex(s, sep)
+	if i < 0 {
+		return s, "", false
+	}
+	return s[:i], s[i+len(sep):], true
+}
+
+func oracleValidate(l *Log) (int, error) {
+	var prev vtime.Time
+	prevSeq := int64(-1)
+	open := make(map[ThreadID]Call)
+	for i, ev := range l.Events {
+		if ev.Time < prev {
+			return i, fmt.Errorf("trace: event %d: time %v before previous %v", i, ev.Time, prev)
+		}
+		if ev.Time == prev && ev.Seq <= prevSeq && i > 0 {
+			return i, fmt.Errorf("trace: event %d: sequence not increasing at equal times", i)
+		}
+		prev, prevSeq = ev.Time, ev.Seq
+		if ev.Time < l.Header.Start || ev.Time > l.Header.End {
+			return i, fmt.Errorf("trace: event %d: time %v outside [%v, %v]", i, ev.Time, l.Header.Start, l.Header.End)
+		}
+		if ev.Call == CallNone || ev.Call >= numCalls {
+			return i, fmt.Errorf("trace: event %d: invalid call %d", i, uint8(ev.Call))
+		}
+		if ev.Thread != 0 && l.Thread(ev.Thread) == nil {
+			return i, fmt.Errorf("trace: event %d: unknown thread %d", i, ev.Thread)
+		}
+		if ev.Object != 0 && l.Object(ev.Object) == nil {
+			return i, fmt.Errorf("trace: event %d: unknown object %d", i, ev.Object)
+		}
+		if ev.Mutex != 0 && l.Object(ev.Mutex) == nil {
+			return i, fmt.Errorf("trace: event %d: unknown mutex %d", i, ev.Mutex)
+		}
+		switch ev.Class {
+		case Before:
+			if c, ok := open[ev.Thread]; ok {
+				return i, fmt.Errorf("trace: event %d: thread %d issued %v while %v still open", i, ev.Thread, ev.Call, c)
+			}
+			if pairsWithAfter(ev.Call) {
+				open[ev.Thread] = ev.Call
+			}
+		case After:
+			c, ok := open[ev.Thread]
+			if !ok {
+				return i, fmt.Errorf("trace: event %d: thread %d AFTER %v without BEFORE", i, ev.Thread, ev.Call)
+			}
+			if c != ev.Call {
+				return i, fmt.Errorf("trace: event %d: thread %d AFTER %v does not match open %v", i, ev.Thread, ev.Call, c)
+			}
+			delete(open, ev.Thread)
+		default:
+			return i, fmt.Errorf("trace: event %d: invalid class %d", i, ev.Class)
+		}
+	}
+	tids := make([]ThreadID, 0, len(open))
+	for tid := range open {
+		tids = append(tids, tid)
+	}
+	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
+	for _, tid := range tids {
+		// thr_exit never completes for the exiting thread; everything else
+		// must have closed.
+		if c := open[tid]; c != CallThrExit {
+			return -1, fmt.Errorf("trace: thread %d: %v never completed", tid, c)
+		}
+	}
+	return -1, nil
+}
+
+func oracleBuildProfile(l *Log) (*Profile, error) {
+	if l.Header.CPUs != 1 || l.Header.LWPs != 1 {
+		return nil, fmt.Errorf("trace: profile requires a 1-CPU/1-LWP recording, log has %d CPUs, %d LWPs",
+			l.Header.CPUs, l.Header.LWPs)
+	}
+	if _, err := oracleValidate(l); err != nil {
+		return nil, err
+	}
+
+	type attributed struct {
+		ev       Event
+		cpu      vtime.Duration
+		released int32
+	}
+	perThread := make(map[ThreadID][]attributed)
+	condWaiters := make(map[ObjectID]map[ThreadID]bool)
+	waitingOn := make(map[ThreadID]ObjectID)
+	prev := l.Header.Start
+	for _, ev := range l.Events {
+		gap := ev.Time.Sub(prev) - l.Header.ProbeCost
+		if gap < 0 {
+			gap = 0
+		}
+		if ev.Class == After && (ev.Call == CallIO || (ev.Call == CallCondTimedWait && !ev.OK)) {
+			gap = 0
+		}
+		a := attributed{ev: ev, cpu: gap}
+		switch {
+		case ev.Class == Before && (ev.Call == CallCondWait || ev.Call == CallCondTimedWait):
+			if condWaiters[ev.Object] == nil {
+				condWaiters[ev.Object] = make(map[ThreadID]bool)
+			}
+			condWaiters[ev.Object][ev.Thread] = true
+			waitingOn[ev.Thread] = ev.Object
+		case ev.Class == After && (ev.Call == CallCondWait || ev.Call == CallCondTimedWait):
+			delete(condWaiters[ev.Object], ev.Thread)
+			delete(waitingOn, ev.Thread)
+		case ev.Class == Before && ev.Call == CallCondBroadcast:
+			a.released = int32(len(condWaiters[ev.Object]))
+		}
+		perThread[ev.Thread] = append(perThread[ev.Thread], a)
+		prev = ev.Time
+	}
+
+	p := &Profile{Log: l, Threads: make(map[ThreadID]*ThreadProfile)}
+	tids := make([]ThreadID, 0, len(perThread))
+	for tid := range perThread {
+		tids = append(tids, tid)
+	}
+	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
+	for _, tid := range tids {
+		evs := perThread[tid]
+		tp := &ThreadProfile{}
+		if info := l.Thread(tid); info != nil {
+			tp.Info = *info
+		} else {
+			tp.Info = ThreadInfo{ID: tid, BoundCPU: -1}
+		}
+		var pending *CallRecord
+		for i := 0; i < len(evs); i++ {
+			a := evs[i]
+			switch a.ev.Class {
+			case Before:
+				if pending != nil {
+					return nil, fmt.Errorf("trace: thread %d: overlapping calls at seq %d", tid, a.ev.Seq)
+				}
+				rec := CallRecord{
+					CPUBefore:   a.cpu,
+					Call:        a.ev.Call,
+					Object:      a.ev.Object,
+					MutexObject: a.ev.Mutex,
+					Target:      a.ev.Target,
+					OK:          a.ev.OK,
+					Timeout:     a.ev.Timeout,
+					Prio:        a.ev.Prio,
+					Loc:         a.ev.Loc,
+					Released:    a.released,
+					Seq:         a.ev.Seq,
+				}
+				if pairsWithAfter(a.ev.Call) && a.ev.Call != CallThrExit {
+					pending = &rec
+				} else {
+					tp.Calls = append(tp.Calls, rec)
+				}
+			case After:
+				if pending == nil {
+					return nil, fmt.Errorf("trace: thread %d: AFTER without BEFORE at seq %d", tid, a.ev.Seq)
+				}
+				pending.CallCPU = a.cpu
+				pending.BlockedInLog = a.ev.Seq != pending.Seq+1
+				if a.ev.Call == CallThrJoin {
+					pending.JoinedTarget = a.ev.Target
+				}
+				if a.ev.Call == CallCondTimedWait || a.ev.Call == CallMutexTryLock || a.ev.Call == CallSemaTryWait {
+					pending.OK = a.ev.OK
+				}
+				tp.Calls = append(tp.Calls, *pending)
+				pending = nil
+			}
+		}
+		if pending != nil {
+			return nil, fmt.Errorf("trace: thread %d: call %v never completed", tid, pending.Call)
+		}
+		p.Threads[tid] = tp
+	}
+	p.IDs = make([]ThreadID, 0, len(p.Threads))
+	for id := range p.Threads {
+		p.IDs = append(p.IDs, id)
+	}
+	sort.Slice(p.IDs, func(i, j int) bool { return p.IDs[i] < p.IDs[j] })
+	return p, nil
+}

@@ -321,7 +321,7 @@ func Repair(l *Log, strategies ...RepairStrategy) (*Log, *RepairReport, error) {
 		c.SortEvents()
 	}
 
-	if idx, err := c.validate(); err != nil {
+	if _, idx, err := c.validate(); err != nil {
 		ue := &UnrecoverableError{Index: idx, Err: err}
 		if idx >= 0 && idx < len(c.Events) {
 			ev := c.Events[idx]
