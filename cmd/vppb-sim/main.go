@@ -300,8 +300,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 }
 
 // runOptimize answers "what should I deploy on?": it sweeps every
-// (policy × CPU count) configuration, sharing simulation prefixes across
-// the grid via checkpoints and pruning configurations whose
+// (policy × CPU count) configuration, pruning configurations whose
 // happens-before lower bound already loses to the incumbent, and prints
 // the ranked grid plus the winner. Non-nil sizes override the CPU grid.
 func runOptimize(stdout, stderr io.Writer, log *vppb.Log, prof *vppb.TraceProfile, sizes []int) error {
@@ -319,8 +318,6 @@ func runOptimize(stdout, stderr io.Writer, log *vppb.Log, prof *vppb.TraceProfil
 		note := ""
 		if c.Pruned {
 			note = "pruned"
-		} else if c.ResumedFromEvents > 0 {
-			note = fmt.Sprintf("resumed@%d", c.ResumedFromEvents)
 		}
 		dur := "-"
 		if !c.Pruned {

@@ -20,6 +20,12 @@ func optimizeProfile(t *testing.T, name string, threads int, scale float64) (*tr
 	if err != nil {
 		t.Fatal(err)
 	}
+	return analyzed(t, log)
+}
+
+// analyzed builds the profile and happens-before analysis of a log.
+func analyzed(t *testing.T, log *trace.Log) (*trace.Profile, *hb.Analysis) {
+	t.Helper()
 	prof, err := trace.BuildProfile(log)
 	if err != nil {
 		t.Fatal(err)
@@ -34,20 +40,35 @@ func optimizeProfile(t *testing.T, name string, threads int, scale float64) (*tr
 // TestOptimizeMatchesExhaustive is the sweep-soundness test: over
 // workloads with very different parallelism bounds, the pruned sweep must
 // return exactly the winner and exactly the per-candidate durations the
-// exhaustive sweep computes.
+// exhaustive sweep computes. testdata/rand-4.log is seed 4 of the random
+// programs internal/core's differential tests generate (genProgram): its
+// replays beat hb's recorded mandatory chain, and a bound built on that
+// chain pruned the true winner.
 func TestOptimizeMatchesExhaustive(t *testing.T) {
 	cases := []struct {
 		name    string
 		threads int
 		scale   float64
+		log     string // recorded testdata log instead of a workload
 	}{
-		{"fft", 8, 0.25},
-		{"prodcons", 0, 0.15},
+		{name: "fft", threads: 8, scale: 0.25},
+		{name: "prodcons", scale: 0.15},
+		{name: "rand-4", log: "testdata/rand-4.log"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			prof, a := optimizeProfile(t, tc.name, tc.threads, tc.scale)
-			pruned, err := Optimize(context.Background(), prof, a, OptimizeOptions{CheckpointEvery: 256})
+			var prof *trace.Profile
+			var a *hb.Analysis
+			if tc.log != "" {
+				log, err := recorder.ReadFile(tc.log)
+				if err != nil {
+					t.Fatal(err)
+				}
+				prof, a = analyzed(t, log)
+			} else {
+				prof, a = optimizeProfile(t, tc.name, tc.threads, tc.scale)
+			}
+			pruned, err := Optimize(context.Background(), prof, a, OptimizeOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,9 +110,9 @@ func TestOptimizeMatchesExhaustive(t *testing.T) {
 				t.Fatalf("accounting broken: %d simulated + %d pruned != %d candidates",
 					pruned.Simulated, pruned.Pruned, len(pruned.Candidates))
 			}
-			t.Logf("%s: winner %s@%d in %v; %d simulated, %d pruned, %d shared events",
+			t.Logf("%s: winner %s@%d in %v; %d simulated, %d pruned",
 				tc.name, pruned.Winner.Policy, pruned.Winner.CPUs, pruned.Winner.Duration,
-				pruned.Simulated, pruned.Pruned, pruned.SharedEvents)
+				pruned.Simulated, pruned.Pruned)
 		})
 	}
 }
@@ -107,8 +128,8 @@ func TestOptimizePrunesBoundedWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Pruned == 0 {
-		t.Fatalf("expected pruning on a serialization-bound workload (bound inputs: work=%v critpath=%v):\n%+v",
-			res.Work, res.CritPath, res.Candidates)
+		t.Fatalf("expected pruning on a serialization-bound workload (bound inputs: work=%v serial demand=%v):\n%+v",
+			res.Work, res.SerialDemand, res.Candidates)
 	}
 	for _, c := range res.Candidates {
 		if c.Pruned && c.LowerBound <= res.Winner.Duration {

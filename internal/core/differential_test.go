@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"vppb/internal/hb"
 	"vppb/internal/recorder"
 	"vppb/internal/sched"
 	"vppb/internal/threadlib"
@@ -296,6 +297,43 @@ func TestDifferentialSpeedupMonotone(t *testing.T) {
 				t.Errorf("seed %d: %d CPUs slower than fewer (%v > %v)", seed, cpus, res.Duration, prev)
 			}
 			prev = res.Duration
+		}
+	}
+}
+
+// TestLowerBoundOnGeneratedPrograms checks the premise analysis.Optimize
+// prunes on: no replay of a recording, under any policy on any CPU count,
+// finishes before lb(c) = max(SerialDemand, Work/c). The comparison is
+// exact. hb's mandatory chain is deliberately not part of the bound: these
+// programs have several posters on one semaphore and a condition barrier
+// whose last arrival varies, so a replay may pair posts and wakes
+// differently from the recording and beat the recorded chain.
+func TestLowerBoundOnGeneratedPrograms(t *testing.T) {
+	for seed := uint64(1); seed <= 300; seed++ {
+		log, _, err := recorder.Record(genProgram(seed), recorder.Options{Program: fmt.Sprintf("rand-%d", seed)})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		a, err := hb.Analyze(log)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		prof, err := trace.BuildProfile(log)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, policy := range []string{"ts", "fifo", "rr"} {
+			for _, cpus := range []int{1, 2, 3, 4, 8} {
+				res, err := SimulateProfile(prof, Machine{CPUs: cpus, Policy: policy, DiscardTimeline: true})
+				if err != nil {
+					t.Fatalf("seed %d %s@%d: %v", seed, policy, cpus, err)
+				}
+				lb := max(a.SerialDemand, vtime.Duration(int64(a.Work)/int64(cpus)))
+				if res.Duration < lb {
+					t.Errorf("seed %d %s@%d: replay %v beats the lower bound %v (serial demand %v, work %v)",
+						seed, policy, cpus, res.Duration, lb, a.SerialDemand, a.Work)
+				}
+			}
 		}
 	}
 }

@@ -17,9 +17,8 @@ import (
 // Experiment E13: the deployment sweep. "What should I deploy on?" means
 // ranking every (policy × CPU count) configuration by predicted execution
 // time from one monitored recording. The naive answer simulates the full
-// grid; analysis.Optimize shares the machine-independent prefix across CPU
-// counts via checkpoints and skips configurations whose happens-before
-// lower bound already loses to the incumbent. This experiment measures
+// grid; analysis.Optimize skips configurations whose happens-before lower
+// bound already loses to the incumbent. This experiment measures
 // both modes on the five SPLASH-2 analogues over the Table 1 grid and
 // pins the wall-clock ratio (and winner equality) in
 // results/BENCH_optimize.json, gated by the optimize-smoke CI job.
@@ -40,8 +39,6 @@ type OptimizeSweepRow struct {
 	Candidates int `json:"candidates"`
 	Simulated  int `json:"simulated"`
 	Pruned     int `json:"pruned"`
-	// SharedEvents is the total prefix events checkpoint resumes skipped.
-	SharedEvents int64 `json:"shared_events"`
 	// Runs is how many timed sweeps of each mode the measurement averaged
 	// over.
 	Runs int `json:"runs"`
@@ -65,7 +62,7 @@ type OptimizeSweepResult struct {
 	// wall time — the headline the CI gate checks.
 	AggregateSpeedup float64 `json:"aggregate_speedup"`
 	// AllWinnersMatch is the conjunction of every row's WinnersMatch.
-	AllWinnersMatch bool `json:"all_winners_match"`
+	AllWinnersMatch bool   `json:"all_winners_match"`
 	Report          string `json:"-"`
 }
 
@@ -159,7 +156,6 @@ func optimizeSweepRow(name string, opts Options, grid analysis.OptimizeOptions) 
 		Candidates:        len(optRes.Candidates),
 		Simulated:         optRes.Simulated,
 		Pruned:            optRes.Pruned,
-		SharedEvents:      optRes.SharedEvents,
 		Runs:              optRuns,
 		ExhaustiveSeconds: exhSec,
 		OptimizedSeconds:  optSec,
@@ -189,18 +185,18 @@ func timeSweep(ctx context.Context, prof *trace.Profile, a *hb.Analysis, grid an
 
 func formatOptimizeSweep(res *OptimizeSweepResult) string {
 	var b strings.Builder
-	b.WriteString("Deployment sweep: exhaustive vs checkpoint+bound-pruned (grid = ")
+	b.WriteString("Deployment sweep: exhaustive vs bound-pruned (grid = ")
 	fmt.Fprintf(&b, "%v CPUs x %v)\n\n", res.CPUCounts, res.Policies)
-	fmt.Fprintf(&b, "%-14s %10s %5s %5s %7s %7s %12s %12s %8s %6s\n",
-		"workload", "winner", "cand", "sim", "pruned", "shared", "exhaust(s)", "optimized(s)", "speedup", "match")
+	fmt.Fprintf(&b, "%-14s %10s %5s %5s %7s %12s %12s %8s %6s\n",
+		"workload", "winner", "cand", "sim", "pruned", "exhaust(s)", "optimized(s)", "speedup", "match")
 	for _, r := range res.Rows {
 		match := "yes"
 		if !r.WinnersMatch {
 			match = "NO"
 		}
-		fmt.Fprintf(&b, "%-14s %7s@%-2d %5d %5d %7d %7d %12.4f %12.4f %7.2fx %6s\n",
+		fmt.Fprintf(&b, "%-14s %7s@%-2d %5d %5d %7d %12.4f %12.4f %7.2fx %6s\n",
 			r.Workload, r.WinnerPolicy, r.WinnerCPUs, r.Candidates, r.Simulated, r.Pruned,
-			r.SharedEvents, r.ExhaustiveSeconds, r.OptimizedSeconds, r.Speedup, match)
+			r.ExhaustiveSeconds, r.OptimizedSeconds, r.Speedup, match)
 	}
 	fmt.Fprintf(&b, "\naggregate speedup = %.2fx, all winners match = %v\n",
 		res.AggregateSpeedup, res.AllWinnersMatch)

@@ -19,11 +19,14 @@ import (
 )
 
 // ServeResult is the horizontal-scaling experiment: the same closed-loop
-// workload against one vppb-serve node and against a 3-node
-// consistent-hash cluster. The working set is deliberately larger than
-// one node's profile cache, so the single node thrashes (every request
+// workload against one vppb-serve node, against a 3-node consistent-hash
+// cluster, and against one node whose cache holds as many entries as the
+// whole cluster's. The working set is deliberately larger than one node's
+// profile cache, so the small single node thrashes (every request
 // re-uploads and re-ingests its trace) while the cluster's shards each
-// hold their slice warm — the aggregate cache is what scales.
+// hold their slice warm. The third topology separates the two things a
+// cluster adds: if it matches the cluster, cache capacity explains the
+// gain; if the cluster still wins, sharding the work does.
 type ServeResult struct {
 	Traces       int `json:"traces"`
 	CacheEntries int `json:"cache_entries"`
@@ -35,6 +38,9 @@ type ServeResult struct {
 	// ThroughputRatio is cluster rps / single-node rps on the identical
 	// workload.
 	ThroughputRatio float64 `json:"throughput_ratio"`
+	// BigCacheRatio is cluster rps / the rps of one node holding the
+	// cluster's total cache.
+	BigCacheRatio float64 `json:"big_cache_ratio"`
 	// BodiesIdentical reports that every digest's prediction body from
 	// the cluster was byte-identical to the single node's — sharding and
 	// proxying change where work runs, never what it computes.
@@ -48,7 +54,9 @@ type ServeResult struct {
 
 // ServeTopology is one topology's half of the comparison.
 type ServeTopology struct {
-	Nodes         int     `json:"nodes"`
+	Nodes int `json:"nodes"`
+	// CacheEntries is each node's profile-cache capacity.
+	CacheEntries  int     `json:"cache_entries"`
 	Requests      int     `json:"requests"`
 	Succeeded     int     `json:"succeeded"`
 	Uploads       int     `json:"uploads"`
@@ -78,6 +86,7 @@ const (
 	serveTraces       = 12
 	serveCacheEntries = 8
 	serveClients      = 6
+	serveClusterNodes = 3
 )
 
 // ServeScale runs the horizontal-scaling comparison. Both topologies are
@@ -115,8 +124,12 @@ func ServeScale(opts Options) (*ServeResult, error) {
 
 	// bodies[digest index] is the reference body from the single node.
 	var reference [][]byte
-	for _, nodes := range []int{1, 3} {
-		topo, bodies, rejected, err := runServeTopology(nodes, raws, garbage, opts.Runs)
+	for _, shape := range []struct{ nodes, cache int }{
+		{1, serveCacheEntries},
+		{serveClusterNodes, serveCacheEntries},
+		{1, serveClusterNodes * serveCacheEntries},
+	} {
+		topo, bodies, rejected, err := runServeTopology(shape.nodes, shape.cache, raws, garbage, opts.Runs)
 		if err != nil {
 			return nil, err
 		}
@@ -132,29 +145,34 @@ func ServeScale(opts Options) (*ServeResult, error) {
 			}
 		}
 	}
-	single, cluster := out.Topologies[0], out.Topologies[1]
+	single, cluster, bigCache := out.Topologies[0], out.Topologies[1], out.Topologies[2]
 	if single.ThroughputRPS > 0 {
 		out.ThroughputRatio = cluster.ThroughputRPS / single.ThroughputRPS
 	}
+	if bigCache.ThroughputRPS > 0 {
+		out.BigCacheRatio = cluster.ThroughputRPS / bigCache.ThroughputRPS
+	}
 
 	var b strings.Builder
-	b.WriteString("Horizontal scaling: one vppb-serve node vs a 3-node consistent-hash cluster\n\n")
-	fmt.Fprintf(&b, "%d trace digests, %d cache entries per node, %d closed-loop clients, %d rounds\n",
-		serveTraces, serveCacheEntries, serveClients, opts.Runs)
-	b.WriteString("(the working set exceeds one cache, so the single node re-ingests per request;\n")
-	b.WriteString(" each cluster shard holds ~1/3 of the digests warm)\n\n")
-	fmt.Fprintf(&b, "%8s %10s %12s %9s %9s %9s  per-node hit rates\n",
-		"nodes", "requests", "throughput", "p50", "p95", "p99")
+	fmt.Fprintf(&b, "Horizontal scaling: one vppb-serve node vs a %d-node consistent-hash cluster\n\n", serveClusterNodes)
+	fmt.Fprintf(&b, "%d trace digests, %d closed-loop clients, %d rounds\n",
+		serveTraces, serveClients, opts.Runs)
+	b.WriteString("(the working set exceeds one small cache, so that node re-ingests per request;\n")
+	b.WriteString(" each cluster shard holds ~1/3 of the digests warm, and so does the big cache)\n\n")
+	fmt.Fprintf(&b, "%8s %6s %10s %12s %9s %9s %9s  per-node hit rates\n",
+		"nodes", "cache", "requests", "throughput", "p50", "p95", "p99")
 	for _, tp := range out.Topologies {
 		rates := make([]string, len(tp.PerNode))
 		for i, n := range tp.PerNode {
 			rates[i] = fmt.Sprintf("%.0f%%", 100*n.HitRate)
 		}
-		fmt.Fprintf(&b, "%8d %10d %9.0f/s %7.1fms %7.1fms %7.1fms  %s\n",
-			tp.Nodes, tp.Requests, tp.ThroughputRPS, tp.P50Ms, tp.P95Ms, tp.P99Ms,
+		fmt.Fprintf(&b, "%8d %6d %10d %9.0f/s %7.1fms %7.1fms %7.1fms  %s\n",
+			tp.Nodes, tp.CacheEntries, tp.Requests, tp.ThroughputRPS, tp.P50Ms, tp.P95Ms, tp.P99Ms,
 			strings.Join(rates, " "))
 	}
 	fmt.Fprintf(&b, "\nthroughput ratio    %.2fx (cluster vs single node)\n", out.ThroughputRatio)
+	fmt.Fprintf(&b, "big-cache ratio     %.2fx (cluster vs one node with %d entries)\n",
+		out.BigCacheRatio, serveClusterNodes*serveCacheEntries)
 	fmt.Fprintf(&b, "bodies identical    %v across topologies for every digest\n", out.BodiesIdentical)
 	fmt.Fprintf(&b, "garbage uploads     %d, all rejected with 4xx\n", out.CorruptRejected)
 	out.Report = b.String()
@@ -162,9 +180,9 @@ func ServeScale(opts Options) (*ServeResult, error) {
 }
 
 // runServeTopology runs the closed-loop workload against an n-node
-// cluster and reports the topology stats, the final body per digest, and
-// how many garbage uploads were rejected.
-func runServeTopology(n int, raws [][]byte, garbage []byte, rounds int) (*ServeTopology, [][]byte, int, error) {
+// cluster of cacheEntries-entry nodes and reports the topology stats, the
+// final body per digest, and how many garbage uploads were rejected.
+func runServeTopology(n, cacheEntries int, raws [][]byte, garbage []byte, rounds int) (*ServeTopology, [][]byte, int, error) {
 	// Membership before servers: every node's ring needs all addresses.
 	lns := make([]net.Listener, n)
 	addrs := make([]string, n)
@@ -179,7 +197,7 @@ func runServeTopology(n int, raws [][]byte, garbage []byte, rounds int) (*ServeT
 	}
 	servers := make([]*serve.Server, n)
 	for i := range lns {
-		cfg := serve.Config{CacheEntries: serveCacheEntries}
+		cfg := serve.Config{CacheEntries: cacheEntries}
 		if n > 1 {
 			cfg.Peers = addrs
 			cfg.Self = addrs[i]
@@ -252,7 +270,7 @@ func runServeTopology(n int, raws [][]byte, garbage []byte, rounds int) (*ServeT
 	wg.Wait()
 	wall := time.Since(start)
 
-	topo := &ServeTopology{Nodes: n, Requests: len(samples), WallSeconds: wall.Seconds()}
+	topo := &ServeTopology{Nodes: n, CacheEntries: cacheEntries, Requests: len(samples), WallSeconds: wall.Seconds()}
 	rejected := 0
 	var walls []time.Duration
 	for _, s := range samples {

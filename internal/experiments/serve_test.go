@@ -10,21 +10,29 @@ func TestServeScaleClusterOutperformsSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Topologies) != 2 {
-		t.Fatalf("%d topologies, want 2", len(res.Topologies))
+	if len(res.Topologies) != 3 {
+		t.Fatalf("%d topologies, want 3", len(res.Topologies))
 	}
-	single, cluster := res.Topologies[0], res.Topologies[1]
-	if single.Nodes != 1 || cluster.Nodes != 3 {
-		t.Fatalf("topology sizes %d and %d, want 1 and 3", single.Nodes, cluster.Nodes)
+	single, cluster, bigCache := res.Topologies[0], res.Topologies[1], res.Topologies[2]
+	if single.Nodes != 1 || cluster.Nodes != 3 || bigCache.Nodes != 1 {
+		t.Fatalf("topology sizes %d, %d and %d, want 1, 3 and 1", single.Nodes, cluster.Nodes, bigCache.Nodes)
+	}
+	// The big-cache node holds what the whole cluster holds.
+	if bigCache.CacheEntries != cluster.Nodes*cluster.CacheEntries {
+		t.Fatalf("big-cache node has %d entries, want %d", bigCache.CacheEntries, cluster.Nodes*cluster.CacheEntries)
 	}
 	// Sharding must never change results; this is the hard gate.
 	if !res.BodiesIdentical {
 		t.Fatal("cluster and single-node bodies differ for some digest")
 	}
 	// Every request (garbage included) reached a verdict.
-	if single.Succeeded != single.Requests || cluster.Succeeded != cluster.Requests {
-		t.Fatalf("failures: single %d/%d, cluster %d/%d",
-			single.Succeeded, single.Requests, cluster.Succeeded, cluster.Requests)
+	for _, tp := range res.Topologies {
+		if tp.Succeeded != tp.Requests {
+			t.Fatalf("failures on %d node(s) x %d entries: %d/%d", tp.Nodes, tp.CacheEntries, tp.Succeeded, tp.Requests)
+		}
+	}
+	if res.BigCacheRatio <= 0 {
+		t.Fatalf("big-cache ratio %v not measured", res.BigCacheRatio)
 	}
 	if res.CorruptRejected == 0 {
 		t.Fatal("no garbage uploads in the mix")
@@ -56,7 +64,7 @@ func TestServeScaleClusterOutperformsSingleNode(t *testing.T) {
 	if forwarded == 0 {
 		t.Fatal("no requests were proxied between cluster nodes")
 	}
-	for _, want := range []string{"throughput ratio", "bodies identical", "per-node hit rates"} {
+	for _, want := range []string{"throughput ratio", "big-cache ratio", "bodies identical", "per-node hit rates"} {
 		if !strings.Contains(res.Report, want) {
 			t.Fatalf("report lacks %q:\n%s", want, res.Report)
 		}

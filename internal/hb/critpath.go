@@ -28,6 +28,7 @@ func (a *Analysis) extractPath(dist []int64, backEv []int, cpuW, waitW []vtime.D
 		}
 	}
 
+	a.SerialDemand = topS
 	a.CritPath = a.Chain
 	if topS > a.CritPath {
 		a.CritPath = topS

@@ -32,9 +32,19 @@
 //
 //	CritPath = max(longest mandatory chain, max over objects of serial demand)
 //
-// and Work / CritPath is a machine-independent upper bound on the speed-up
-// of any replay (a two-term bound in the style of Brent's theorem plus a
-// bottleneck-resource term).
+// and Work / CritPath is the recording's speed-up bound (a two-term bound
+// in the style of Brent's theorem plus a bottleneck-resource term).
+//
+// The chain term is not a lower bound on every replay. It follows the
+// recorded pairing of semaphore posts with waits and of condition signals
+// with wakes. When one semaphore has several posters, or the last thread
+// to reach a condition barrier varies, which post or signal wakes a given
+// waiter is itself a schedule accident. Replays of the random programs in
+// internal/core's differential tests (seeds 1-300 under ts, fifo and rr
+// on 1, 2, 3, 4 and 8 CPUs) finished below max(CritPath, Work/c) in 962
+// of 4500 runs, each time because of the chain. The serial-demand term
+// holds for every replay, so a caller that needs a sound bound, such as
+// the optimize sweep's pruning, uses max(SerialDemand, Work/c).
 package hb
 
 import (
@@ -63,8 +73,14 @@ type Analysis struct {
 	// happens-before DAG (program order, create/join/exit,
 	// suspend/continue, sema post→wait, cond signal→wake).
 	Chain vtime.Duration
-	// CritPath is max(Chain, the largest per-object serial demand): no
-	// number of processors executes the program faster than this.
+	// SerialDemand is the largest per-object serial demand: the summed
+	// exclusive hold (or device service) time of the busiest object. No
+	// schedule overlaps one object's holds with each other, so no replay
+	// on any machine finishes sooner.
+	SerialDemand vtime.Duration
+	// CritPath is max(Chain, SerialDemand), the recording's speed-up
+	// bound (see the package comment for why Chain is not a bound on
+	// every replay).
 	CritPath vtime.Duration
 	// Dominant is the object whose serial demand sets CritPath, or 0 when
 	// the mandatory dependency chain dominates instead.

@@ -114,15 +114,6 @@ type Core[T Thread[L], L LWP[T, C], C CPU[L]] struct {
 	// while every CPU is busy — the steady state of a contended replay.
 	idleCPUs int
 
-	// idlePops counts Wake's pops from the idle pool over the Core's
-	// lifetime. While idlePops stays at or below the initial pool size,
-	// every pop has returned a never-used LWP with ID equal to the pop
-	// count (pops take the head; releases append behind the unused tail),
-	// so the pop sequence — and with it every LWP ID an execution records —
-	// is independent of how large the pool is. The Simulator's
-	// checkpoint-portability check is built on exactly this counter.
-	idlePops int
-
 	// OnPushKernelQ, when non-nil, runs before every kernel-queue
 	// insertion — the engines' debug-invariant hook.
 	OnPushKernelQ func(L)
@@ -169,33 +160,6 @@ func (c *Core[T, L, C]) IdleLWPs() []L { return c.idleLWPs }
 
 // AddIdleLWP parks a fresh pool LWP on the idle list.
 func (c *Core[T, L, C]) AddIdleLWP(l L) { c.idleLWPs = append(c.idleLWPs, l) }
-
-// IdlePops reports how many times Wake popped the idle pool over the
-// Core's lifetime (see the idlePops field).
-func (c *Core[T, L, C]) IdlePops() int { return c.idlePops }
-
-// SchedFlags exposes the pass-skipping state for snapshots: the dispatch
-// and preemption dirty flags and the exact idle-CPU count.
-func (c *Core[T, L, C]) SchedFlags() (dispatchDirty, preemptDirty bool, idleCPUs int) {
-	return c.dispatchDirty, c.preemptDirty, c.idleCPUs
-}
-
-// SetState wholesale-replaces the Core's mutable queue state — the user
-// run queue, the kernel queue, the idle pool, the pass-skipping flags and
-// the lifetime idle-pop counter — with the given values. The slices are
-// copied, never aliased. This is the restore half of the Simulator's
-// checkpointing: the caller rebuilds the queues from arena indices and
-// hands them over in one call, so the Core's invariants (policy order,
-// exact idleCPUs) hold by construction of the snapshot they came from.
-func (c *Core[T, L, C]) SetState(userRunQ []T, kernelQ, idleLWPs []L, dispatchDirty, preemptDirty bool, idleCPUs, idlePops int) {
-	c.userRunQ = append(c.userRunQ[:0], userRunQ...)
-	c.kernelQ = append(c.kernelQ[:0], kernelQ...)
-	c.idleLWPs = append(c.idleLWPs[:0], idleLWPs...)
-	c.dispatchDirty = dispatchDirty
-	c.preemptDirty = preemptDirty
-	c.idleCPUs = idleCPUs
-	c.idlePops = idlePops
-}
 
 // ---- queues ---------------------------------------------------------------
 
@@ -321,7 +285,6 @@ func (c *Core[T, L, C]) Wake(t T, boost bool) {
 		var zeroL L
 		c.idleLWPs[n] = zeroL
 		c.idleLWPs = c.idleLWPs[:n]
-		c.idlePops++
 		l.SetSchedThread(t)
 		t.SetSchedLWP(l)
 		c.refreshWake(l, boost)

@@ -10,19 +10,17 @@ import (
 
 // POST /v1/optimize answers "what should I deploy on?" in one call: it
 // sweeps every (policy × CPU count) configuration of a grid over the
-// uploaded recording and returns the ranked outcome. The sweep shares the
-// machine-independent simulation prefix across CPU counts via checkpoints
-// and skips configurations whose happens-before lower bound already loses
-// to the incumbent, so a full grid typically costs a fraction of the
-// naive per-configuration predictions.
+// uploaded recording and returns the ranked outcome. The sweep skips
+// configurations whose happens-before lower bound already loses to the
+// incumbent, so a full grid typically costs a fraction of the naive
+// per-configuration predictions.
 //
 //	POST /v1/optimize?cpus=1,2,4,8&policies=ts,rr,fifo
 //	                  (?trace=<digest> ?strict=true ?exhaustive=true)
 //
-// ?exhaustive=true disables sharing and pruning — every candidate is a
-// fresh full simulation. The winner is identical by construction; the
-// flag exists so clients (and the CI smoke gate) can verify that claim
-// differentially.
+// ?exhaustive=true disables pruning — every candidate is simulated. The
+// winner is identical by construction; the flag exists so clients (and
+// the CI smoke gate) can verify that claim differentially.
 
 // optimizeResponse is the deterministic JSON body of /v1/optimize.
 type optimizeResponse struct {

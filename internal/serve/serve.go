@@ -11,9 +11,9 @@
 //	                      (?cpus=1,2,4,8 ?policy=ts ?strict=true),
 //	                      or ?trace=<digest> to reuse an uploaded trace
 //	POST /v1/optimize     rank every (policy x CPU) configuration; the
-//	                      sweep shares checkpoints and prunes by the
-//	                      happens-before bound (?cpus= ?policies=
-//	                      ?exhaustive=true for the naive baseline)
+//	                      sweep prunes by the happens-before bound
+//	                      (?cpus= ?policies= ?exhaustive=true for the
+//	                      naive baseline)
 //	GET  /v1/bounds       critical-path speed-up bound  (?trace= or POST body)
 //	GET  /v1/lockorder    lock-order cycles / potential deadlocks
 //	GET  /v1/view.svg     predicted-execution rendering (?cpus=N ?width=)

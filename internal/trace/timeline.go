@@ -337,26 +337,6 @@ func (b *TimelineBuilder) EndThreadH(h int, at vtime.Time) {
 	}
 }
 
-// Clone returns a deep copy of the builder: the copy shares no mutable
-// storage with the original, so both sides may keep appending
-// independently. Thread handles issued by the original remain valid on the
-// clone — the Simulator's checkpoint/restore machinery depends on exactly
-// that.
-func (b *TimelineBuilder) Clone() *TimelineBuilder {
-	nb := &TimelineBuilder{index: make(map[ThreadID]int, len(b.index))}
-	for id, h := range b.index {
-		nb.index[id] = h
-	}
-	nb.tls = make([]*ThreadTimeline, 0, len(b.tls))
-	for _, th := range b.tls {
-		c := *th
-		c.Spans = append([]Span(nil), th.Spans...)
-		c.Events = append([]PlacedEvent(nil), th.Events...)
-		nb.tls = append(nb.tls, &c)
-	}
-	return nb
-}
-
 // Build assembles the Timeline. Threads appear in registration order.
 func (b *TimelineBuilder) Build(program string, cpus, lwps int, duration vtime.Duration) *Timeline {
 	tl := &Timeline{Program: program, CPUs: cpus, LWPs: lwps, Duration: duration}
