@@ -30,7 +30,7 @@ import (
 var experimentNames = []string{
 	"table1", "bounds", "fig2", "fig4", "fig5", "case5", "overhead",
 	"logstats", "bound", "commdelay", "lwps", "io", "faults", "policies",
-	"chaos", "simspeed", "optimize", "serve",
+	"chaos", "simspeed", "optimize",
 }
 
 func main() {
@@ -258,12 +258,6 @@ func runExperiment(name string, opts experiments.Options) benchResult {
 		}
 	case "optimize":
 		res, e := vppb.ExperimentOptimize(opts)
-		r.err = e
-		if e == nil {
-			r.report, r.payload = res.Report, res
-		}
-	case "serve":
-		res, e := vppb.ExperimentServe(opts)
 		r.err = e
 		if e == nil {
 			r.report, r.payload = res.Report, res

@@ -39,7 +39,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -89,8 +88,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) error {
 		storeDir     = fs.String("store-dir", "", "durable content-addressed store directory; uploads survive restarts (empty = memory only)")
 		maxInflight  = fs.Int("max-inflight", serve.DefaultMaxInflight, "concurrent simulation requests admitted before shedding with 503 (0 = unlimited)")
 		admWait      = fs.Duration("admission-wait", serve.DefaultAdmissionWait, "how long an over-capacity request may queue for a slot before being shed (0 = shed immediately)")
-		peers        = fs.String("peers", "", "comma-separated cluster membership, host:port per node including this one; every node builds the same consistent-hash ring and proxies requests to the digest's owner (empty = standalone)")
-		self         = fs.String("self", "", "this node's own entry in -peers (required with -peers)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return usageError{err}
@@ -113,22 +110,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) error {
 	if *admWait < 0 {
 		return usageError{fmt.Errorf("-admission-wait must not be negative, got %s", *admWait)}
 	}
-	var peerList []string
-	if *peers != "" {
-		if *self == "" {
-			return usageError{errors.New("-peers requires -self (this node's own host:port from the list)")}
-		}
-		for _, p := range strings.Split(*peers, ",") {
-			p = strings.TrimSpace(p)
-			if p == "" {
-				return usageError{fmt.Errorf("-peers has an empty entry in %q", *peers)}
-			}
-			peerList = append(peerList, p)
-		}
-	} else if *self != "" {
-		return usageError{errors.New("-self without -peers; a one-node cluster lists itself in -peers")}
-	}
-
 	cfg := serve.Config{
 		CacheEntries:       *cacheEntries,
 		MaxBodyBytes:       *maxBody,
@@ -139,8 +120,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) error {
 		StoreDir:           *storeDir,
 		MaxInflight:        *maxInflight,
 		AdmissionWait:      *admWait,
-		Peers:              peerList,
-		Self:               *self,
 	}
 	if *timeout == 0 {
 		cfg.RequestTimeout = -1 // Config treats 0 as "default"; -1 disables.
@@ -172,12 +151,8 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) error {
 	if *storeDir != "" {
 		durability = fmt.Sprintf("store %s (%d entries recovered)", *storeDir, srv.Store().Len())
 	}
-	topology := "standalone"
-	if r := srv.Ring(); r != nil {
-		topology = fmt.Sprintf("cluster of %d (self %s)", r.N(), *self)
-	}
-	fmt.Fprintf(stderr, "vppb-serve: listening on %s (cache %d entries, timeout %s, %s, %s)\n",
-		ln.Addr(), *cacheEntries, *timeout, durability, topology)
+	fmt.Fprintf(stderr, "vppb-serve: listening on %s (cache %d entries, timeout %s, %s)\n",
+		ln.Addr(), *cacheEntries, *timeout, durability)
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}

@@ -32,10 +32,6 @@ type Metrics struct {
 	optimizeSimulated  atomic.Int64
 	optimizePruned     atomic.Int64
 	singleflightShared atomic.Int64
-
-	proxyForwarded map[string]int64 // proxied requests, by owning peer
-	proxyDegraded  atomic.Int64
-	proxyLoops     atomic.Int64
 }
 
 type requestKey struct {
@@ -50,11 +46,10 @@ var defaultBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 2.5, 10}
 // NewMetrics creates an empty registry.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		requests:       make(map[requestKey]int64),
-		ingestErrors:   make(map[string]int64),
-		proxyForwarded: make(map[string]int64),
-		buckets:        defaultBuckets,
-		counts:         make([]int64, len(defaultBuckets)+1),
+		requests:     make(map[requestKey]int64),
+		ingestErrors: make(map[string]int64),
+		buckets:      defaultBuckets,
+		counts:       make([]int64, len(defaultBuckets)+1),
 	}
 }
 
@@ -107,29 +102,6 @@ func (m *Metrics) OptimizePruned() *atomic.Int64 { return &m.optimizePruned }
 // in-flight request instead of simulating themselves.
 func (m *Metrics) SingleflightShared() *atomic.Int64 { return &m.singleflightShared }
 
-// ProxyForwarded counts one request forwarded to the peer that owns its
-// trace digest.
-func (m *Metrics) ProxyForwarded(peer string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.proxyForwarded[peer]++
-}
-
-// ProxyForwardedTotal reports forwards to one peer (for tests).
-func (m *Metrics) ProxyForwardedTotal(peer string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.proxyForwarded[peer]
-}
-
-// ProxyDegraded counts requests served locally because the owning peer
-// was unreachable.
-func (m *Metrics) ProxyDegraded() *atomic.Int64 { return &m.proxyDegraded }
-
-// ProxyLoops counts requests that arrived with the forwarding budget
-// already spent (membership disagreement) and were served locally.
-func (m *Metrics) ProxyLoops() *atomic.Int64 { return &m.proxyLoops }
-
 // WritePrometheus renders the registry (and the cache, store and breaker
 // counters) in the Prometheus text exposition format. Output is
 // deterministic: series are sorted by route and code. store may be nil
@@ -161,15 +133,6 @@ func (m *Metrics) WritePrometheus(w io.Writer, cache *Cache, store *Store, break
 	ingestCounts := make([]int64, len(ingestFormats))
 	for i, f := range ingestFormats {
 		ingestCounts[i] = m.ingestErrors[f]
-	}
-	proxyPeers := make([]string, 0, len(m.proxyForwarded))
-	for p := range m.proxyForwarded {
-		proxyPeers = append(proxyPeers, p)
-	}
-	sort.Strings(proxyPeers)
-	proxyCounts := make([]int64, len(proxyPeers))
-	for i, p := range proxyPeers {
-		proxyCounts[i] = m.proxyForwarded[p]
 	}
 	m.mu.Unlock()
 
@@ -239,17 +202,6 @@ func (m *Metrics) WritePrometheus(w io.Writer, cache *Cache, store *Store, break
 	fmt.Fprintln(w, "# HELP vppb_singleflight_shared_total Requests served by joining an identical in-flight request.")
 	fmt.Fprintln(w, "# TYPE vppb_singleflight_shared_total counter")
 	fmt.Fprintf(w, "vppb_singleflight_shared_total %d\n", m.singleflightShared.Load())
-	fmt.Fprintln(w, "# HELP vppb_proxy_forwarded_total Requests forwarded to the peer owning the trace digest.")
-	fmt.Fprintln(w, "# TYPE vppb_proxy_forwarded_total counter")
-	for i, p := range proxyPeers {
-		fmt.Fprintf(w, "vppb_proxy_forwarded_total{peer=%q} %d\n", p, proxyCounts[i])
-	}
-	fmt.Fprintln(w, "# HELP vppb_proxy_degraded_total Requests served locally because the owning peer was unreachable.")
-	fmt.Fprintln(w, "# TYPE vppb_proxy_degraded_total counter")
-	fmt.Fprintf(w, "vppb_proxy_degraded_total %d\n", m.proxyDegraded.Load())
-	fmt.Fprintln(w, "# HELP vppb_proxy_loops_total Requests served locally after exhausting the forwarding hop budget.")
-	fmt.Fprintln(w, "# TYPE vppb_proxy_loops_total counter")
-	fmt.Fprintf(w, "vppb_proxy_loops_total %d\n", m.proxyLoops.Load())
 
 	fmt.Fprintln(w, "# HELP vppb_request_duration_seconds Request latency.")
 	fmt.Fprintln(w, "# TYPE vppb_request_duration_seconds histogram")

@@ -43,7 +43,6 @@ import (
 	"strings"
 	"time"
 
-	"vppb/internal/cluster"
 	"vppb/internal/core"
 	"vppb/internal/ingest"
 	"vppb/internal/metrics"
@@ -96,21 +95,6 @@ type Config struct {
 	// handler faults here; a panicking middleware is recovered, counted in
 	// vppb_panics_total and answered with 500 like any handler panic.
 	Middleware func(http.Handler) http.Handler
-
-	// Peers is the cluster membership (host:port per node, this node
-	// included). When set, the nodes build identical consistent-hash rings
-	// and shard the profile cache by trace digest: a request for a digest
-	// owned by a peer is proxied to it, so any node answers any request.
-	// Empty keeps the daemon standalone.
-	Peers []string
-	// Self is this node's own entry in Peers. Required when Peers is set.
-	Self string
-	// MaxProxyHops bounds forwarding during membership disagreement
-	// (0 = DefaultMaxProxyHops). A request at the limit is served locally.
-	MaxProxyHops int
-	// PeerHTTP is the client used for peer forwarding (nil = a shared
-	// keep-alive pool). Tests inject fault-injecting transports here.
-	PeerHTTP *http.Client
 }
 
 // Defaults for the zero Config.
@@ -180,12 +164,6 @@ type Server struct {
 	flights  *flightGroup
 	mux      *http.ServeMux
 
-	// Consistent-hash peer layer; all nil/zero when standalone.
-	ring     *cluster.Ring
-	self     string
-	peerHTTP *http.Client
-	maxHops  int
-
 	// onSimulate, when set, runs inside every singleflight leader just
 	// before it simulates — a test hook for observing (and delaying) the
 	// one simulation N collapsed requests share. It receives the leader's
@@ -227,19 +205,15 @@ func New(cfg Config) (*Server, error) {
 			return e, nil
 		})
 	}
-	if err := s.initCluster(); err != nil {
-		return nil, err
-	}
 	s.mux = http.NewServeMux()
-	// Every trace-addressed route goes through the digest-ownership proxy
-	// (a no-op for a standalone daemon); observability routes are local by
-	// definition.
-	s.route("/v1/predict", true, s.proxied(s.handlePredict))
-	s.route("/v1/optimize", true, s.proxied(s.handleOptimize))
-	s.route("/v1/bounds", true, s.proxied(s.handleBounds))
-	s.route("/v1/lockorder", true, s.proxied(s.handleLockOrder))
-	s.route("/v1/view.svg", true, s.proxied(s.handleViewSVG))
-	s.route("/v1/view.html", true, s.proxied(s.handleViewHTML))
+	// Trace-addressed routes are admission-gated; observability routes
+	// are not, so the daemon stays observable under overload.
+	s.route("/v1/predict", true, s.handlePredict)
+	s.route("/v1/optimize", true, s.handleOptimize)
+	s.route("/v1/bounds", true, s.handleBounds)
+	s.route("/v1/lockorder", true, s.handleLockOrder)
+	s.route("/v1/view.svg", true, s.handleViewSVG)
+	s.route("/v1/view.html", true, s.handleViewHTML)
 	s.route("/metrics", false, s.handleMetrics)
 	s.route("/healthz", false, s.handleHealthz)
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -438,6 +412,21 @@ func (s *Server) resolveEntry(w http.ResponseWriter, r *http.Request, strict boo
 		}
 	}
 	return s.cache.Add(e), false, nil
+}
+
+// readBody reads a request body under the upload size limit, mapping the
+// oversize and transport failures exactly like the ingestion path.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, *httpError) {
+	body := http.MaxBytesReader(w, r.Body, limit)
+	raw, err := io.ReadAll(body)
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return nil, errf(http.StatusRequestEntityTooLarge, "trace exceeds the %d-byte upload limit", tooBig.Limit)
+		}
+		return nil, errf(http.StatusBadRequest, "reading request body: %v", err)
+	}
+	return raw, nil
 }
 
 // ingest runs the upload pipeline on raw bytes: parse, validate,

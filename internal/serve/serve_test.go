@@ -531,8 +531,8 @@ func TestQuarantineBitFlippedStoreFile(t *testing.T) {
 	}
 }
 
-// TestMetricsNamesExposed pins the operational metric names the ROADMAP's
-// scale-out tooling scrapes.
+// TestMetricsNamesExposed pins the operational metric names dashboards
+// and the CI smoke jobs scrape, and that no peer-proxy series remain.
 func TestMetricsNamesExposed(t *testing.T) {
 	_, ts := newTestServer(t, Config{StoreDir: t.TempDir()})
 	get(t, ts.URL+"/healthz") // seed one observed request
@@ -550,6 +550,9 @@ func TestMetricsNamesExposed(t *testing.T) {
 		if !strings.Contains(string(body), "\n"+name) && !strings.HasPrefix(string(body), name) {
 			t.Errorf("/metrics missing series %q:\n%s", strings.TrimSpace(name), body)
 		}
+	}
+	if strings.Contains(string(body), "vppb_proxy_") {
+		t.Errorf("/metrics still exposes vppb_proxy_ series:\n%s", body)
 	}
 	// The store series must exist (at zero) even for a memory-only daemon.
 	_, ts2 := newTestServer(t, Config{})

@@ -108,10 +108,6 @@ type Result struct {
 	Header http.Header
 	// Digest is the trace's content address.
 	Digest string
-	// Peer names the cluster node that served the final response
-	// (X-Vppb-Peer); empty when the node that received the request served
-	// it itself or the daemon is standalone.
-	Peer string
 	// Cache is the final X-Vppb-Cache verdict: "hit", "miss", or empty on
 	// an error response.
 	Cache string
@@ -146,7 +142,6 @@ func (c *Client) Predict(ctx context.Context, raw []byte, query url.Values) (*Re
 			lastErr = err // dropped connection, torn response: retry
 		} else {
 			res.Status, res.Body, res.Header = status, body, header
-			res.Peer = header.Get("X-Vppb-Peer")
 			res.Cache = header.Get("X-Vppb-Cache")
 			switch {
 			case status == http.StatusNotFound && !uploadNext:

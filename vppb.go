@@ -503,7 +503,6 @@ var (
 	ExperimentChaos       = experiments.Chaos
 	ExperimentSimSpeed    = experiments.SimSpeed
 	ExperimentOptimize    = experiments.OptimizeSweep
-	ExperimentServe       = experiments.ServeScale
 	AblationBound         = experiments.AblationBound
 	AblationCommDelay     = experiments.AblationCommDelay
 	AblationLWPs          = experiments.AblationLWPs
