@@ -254,7 +254,6 @@ func (c *converter) site(g *generation, stackID uint64) source.Loc {
 	return source.Loc{
 		File: source.Base(g.stringAt(chosen.file)),
 		Line: int(chosen.line),
-		Func: g.stringAt(chosen.fn),
 	}
 }
 

@@ -15,22 +15,30 @@ package recorder
 import (
 	"fmt"
 	"os"
+	"slices"
 
 	"vppb/internal/threadlib"
 	"vppb/internal/trace"
 	"vppb/internal/vtime"
 )
 
+// blockEvents is the capacity of one event block. Probes append into
+// fixed blocks, so a recording never copies its events to grow; Finish
+// copies them once into an exact-length slice.
+const blockEvents = 4096
+
 // Recorder collects the probe stream of one monitored execution. It
 // implements threadlib.Hook.
 type Recorder struct {
 	program   string
 	probeCost vtime.Duration
-	events    []trace.Event
-	threads   []trace.ThreadInfo
-	objects   []trace.ObjectInfo
-	finished  bool
-	end       vtime.Time
+	// blocks holds the buffered events; every block but the last is full.
+	blocks   [][]trace.Event
+	events   []trace.Event // assembled by the first Finish
+	threads  []trace.ThreadInfo
+	objects  []trace.ObjectInfo
+	finished bool
+	end      vtime.Time
 }
 
 var _ threadlib.Hook = (*Recorder)(nil)
@@ -43,7 +51,11 @@ func New(program string, probeCost vtime.Duration) *Recorder {
 
 // HandleEvent buffers one probe firing.
 func (r *Recorder) HandleEvent(ev trace.Event) {
-	r.events = append(r.events, ev)
+	if n := len(r.blocks); n == 0 || len(r.blocks[n-1]) == blockEvents {
+		r.blocks = append(r.blocks, make([]trace.Event, 0, blockEvents))
+	}
+	last := &r.blocks[len(r.blocks)-1]
+	*last = append(*last, ev)
 	if ev.Time > r.end {
 		r.end = ev.Time
 	}
@@ -60,9 +72,14 @@ func (r *Recorder) HandleObject(info trace.ObjectInfo) {
 }
 
 // Finish seals the recording at the program's end time and returns the
-// log. Calling Finish twice returns the same log.
+// log. Calling Finish twice returns the same log; the events are assembled
+// only once.
 func (r *Recorder) Finish(end vtime.Time) *trace.Log {
-	r.finished = true
+	if !r.finished {
+		r.finished = true
+		r.events = slices.Concat(r.blocks...)
+		r.blocks = nil
+	}
 	if end > r.end {
 		r.end = end
 	}

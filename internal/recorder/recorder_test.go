@@ -3,12 +3,15 @@ package recorder
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"vppb/internal/threadlib"
 	"vppb/internal/trace"
 	"vppb/internal/vtime"
+	"vppb/internal/workloads"
 )
 
 // fig2Program reproduces the paper's figure 2 example: main creates thr_a
@@ -200,5 +203,61 @@ func TestFinishExtendsEnd(t *testing.T) {
 	log2 := New("p", 10).Finish(0)
 	if log2.Header.End != 0 || len(log2.Events) != 0 {
 		t.Fatalf("empty finish = %+v", log2.Header)
+	}
+}
+
+// TestFinishTwice checks that a second Finish returns an equal log, still
+// extending the end time, without assembling the events again.
+func TestFinishTwice(t *testing.T) {
+	r := New("p", 10)
+	for i := 0; i < blockEvents+3; i++ {
+		r.HandleEvent(trace.Event{Seq: int64(i), Time: vtime.Time(i), Thread: trace.MainThread})
+	}
+	first := r.Finish(0)
+	if len(first.Events) != blockEvents+3 {
+		t.Fatalf("%d events, want %d", len(first.Events), blockEvents+3)
+	}
+	for i, ev := range first.Events {
+		if ev.Seq != int64(i) {
+			t.Fatalf("event %d has Seq %d", i, ev.Seq)
+		}
+	}
+	second := r.Finish(1 << 20)
+	if len(second.Events) != len(first.Events) || &second.Events[0] != &first.Events[0] {
+		t.Fatal("second Finish copied the events again")
+	}
+	if second.Header.End != 1<<20 {
+		t.Fatalf("second Finish end = %v, want %v", second.Header.End, vtime.Time(1<<20))
+	}
+	second.Header.End = first.Header.End
+	if !reflect.DeepEqual(first, second) {
+		t.Fatal("second Finish returned a different log")
+	}
+}
+
+// TestRecorderAllocs bounds the heap bytes a monitored execution
+// allocates per recorded event: ocean at 8 threads, recorder, thread
+// library and probes included.
+func TestRecorderAllocs(t *testing.T) {
+	w, err := workloads.Get("ocean")
+	if err != nil {
+		t.Fatal(err)
+	}
+	setup := w.Bind(workloads.Params{Threads: 8, Scale: 0.1})
+	if _, _, err := Record(setup, Options{Program: "ocean"}); err != nil {
+		t.Fatal(err) // warm the source-location cache
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	log, _, err := Record(setup, Options{Program: "ocean"})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(log.Events))
+	t.Logf("%d events, %.0f B/event", len(log.Events), perEvent)
+	if perEvent > 400 {
+		t.Fatalf("recording allocates %.0f B per event, want <= 400", perEvent)
 	}
 }

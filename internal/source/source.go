@@ -3,8 +3,10 @@
 //
 // The paper's Recorder saves the SPARC return-address register (%i7) at each
 // probe and later translates addresses to file/line with a debugger
-// (section 3.1). Go gives us the same information directly through
-// runtime.Caller, so Loc is recorded eagerly instead of post-processed.
+// (section 3.1). Capture does the same with Go's return PCs, except that it
+// resolves each PC the first time it is seen and keeps the answer, so a
+// probe costs one stack walk and a map lookup and Loc is still recorded
+// eagerly instead of post-processed.
 // The Visualizer's "start an editor with the line highlighted" feature is
 // reproduced by Excerpt, which renders the surrounding source lines with the
 // target line marked.
@@ -15,26 +17,35 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"sync"
 )
 
 // Loc identifies a source code position.
 type Loc struct {
 	File string
 	Line int
-	Func string
 }
+
+// sites maps a return PC to its resolved Loc. It holds at most one entry
+// per call site in the binary, and recording threads share it.
+var sites sync.Map
 
 // Capture records the caller's position. skip counts stack frames above
 // Capture itself: 0 is the caller of Capture, 1 its caller, and so on.
 func Capture(skip int) Loc {
-	pc, file, line, ok := runtime.Caller(skip + 1)
-	if !ok {
+	var pcs [1]uintptr
+	if runtime.Callers(skip+2, pcs[:]) < 1 {
 		return Loc{}
 	}
-	loc := Loc{File: file, Line: line}
-	if f := runtime.FuncForPC(pc); f != nil {
-		loc.Func = f.Name()
+	if loc, ok := sites.Load(pcs[0]); ok {
+		return loc.(Loc)
 	}
+	frame, _ := runtime.CallersFrames(pcs[:]).Next()
+	if frame.PC == 0 {
+		return Loc{}
+	}
+	loc := Loc{File: frame.File, Line: frame.Line}
+	sites.Store(pcs[0], loc)
 	return loc
 }
 

@@ -278,7 +278,7 @@ func BuildProfile(l *Log) (*Profile, error) {
 		if ev.Call == CallThrJoin {
 			rec.JoinedTarget = ev.Target
 		}
-		if ev.Call == CallCondTimedWait || ev.Call == CallMutexTryLock || ev.Call == CallSemaTryWait {
+		if hasOutcome(ev.Call) {
 			rec.OK = ev.OK
 		}
 		waiting[slot] = false

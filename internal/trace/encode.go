@@ -55,7 +55,14 @@ func WriteText(w io.Writer, l *Log) error {
 }
 
 // AppendText appends the text encoding of l to dst and returns the result.
+// dst grows at most once, to exactly the encoded size, so a nil dst comes
+// back with cap == len.
 func AppendText(dst []byte, l *Log) []byte {
+	if n := textSize(l); cap(dst)-len(dst) < n {
+		grown := make([]byte, len(dst), len(dst)+n)
+		copy(grown, dst)
+		dst = grown
+	}
 	dst = appendTextPreamble(dst, l)
 	for i := range l.Threads {
 		dst = appendThreadLine(dst, &l.Threads[i])
@@ -67,6 +74,77 @@ func AppendText(dst []byte, l *Log) []byte {
 		dst = appendEventLine(dst, &l.Events[i])
 	}
 	return dst
+}
+
+// textSize is the exact length of l's text encoding. The event lines,
+// which dominate, are measured field by field in step with
+// appendEventLine; the few header and table lines are measured by encoding
+// them into one scratch line.
+func textSize(l *Log) int {
+	line := appendTextPreamble(make([]byte, 0, 256), l)
+	n := len(line)
+	for i := range l.Threads {
+		line = appendThreadLine(line[:0], &l.Threads[i])
+		n += len(line)
+	}
+	for i := range l.Objects {
+		line = appendObjectLine(line[:0], &l.Objects[i])
+		n += len(line)
+	}
+	// Consecutive events mostly share a source file: measure its quoted
+	// form once per run of equal paths.
+	file := ""
+	fileLen := quotedLen(file)
+	for i := range l.Events {
+		ev := &l.Events[i]
+		if ev.Loc.File != file {
+			file, fileLen = ev.Loc.File, quotedLen(ev.Loc.File)
+		}
+		n += eventLineLen(ev, fileLen)
+	}
+	return n
+}
+
+// eventLineLen is the length of appendEventLine's output for ev, given the
+// length of ev.Loc.File once quoted.
+func eventLineLen(ev *Event, fileLen int) int {
+	n := len("event ") + decLen(ev.Seq) + len(" ") + decLen(int64(ev.Time)) +
+		len(" T") + decLen(int64(ev.Thread)) + len(" ") + len(ev.Class.String()) +
+		len(" ") + len(ev.Call.String())
+	if ev.Object != 0 {
+		n += len(" obj=") + decLen(int64(ev.Object))
+	}
+	if ev.Mutex != 0 {
+		n += len(" mutex=") + decLen(int64(ev.Mutex))
+	}
+	if ev.Target != 0 {
+		n += len(" target=") + decLen(int64(ev.Target))
+	}
+	if hasOutcome(ev.Call) {
+		n += len(" ok=0")
+	}
+	if ev.Timeout != 0 {
+		n += len(" timeout=") + decLen(int64(ev.Timeout))
+	}
+	if ev.Prio != 0 {
+		n += len(" prio=") + decLen(int64(ev.Prio))
+	}
+	if !ev.Loc.IsZero() {
+		n += len(" loc=") + fileLen + len(":") + decLen(int64(ev.Loc.Line))
+	}
+	return n + len("\n")
+}
+
+// decLen is the length of strconv.AppendInt(nil, v, 10).
+func decLen(v int64) int {
+	n, u := 1, uint64(v)
+	if v < 0 {
+		n, u = 2, -u
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
 }
 
 func appendTextPreamble(dst []byte, l *Log) []byte {
@@ -138,7 +216,7 @@ func appendEventLine(dst []byte, ev *Event) []byte {
 		dst = append(dst, " target="...)
 		dst = strconv.AppendInt(dst, int64(ev.Target), 10)
 	}
-	if ev.Call == CallMutexTryLock || ev.Call == CallSemaTryWait || ev.Call == CallCondTimedWait {
+	if hasOutcome(ev.Call) {
 		dst = append(dst, " ok="...)
 		dst = strconv.AppendInt(dst, int64(b2i(ev.OK)), 10)
 	}
@@ -217,6 +295,19 @@ func appendQuoted(dst []byte, s string) []byte {
 		return append(dst, s...)
 	}
 	return append(dst, quote(s)...)
+}
+
+// quotedLen is len(appendQuoted(nil, s)).
+func quotedLen(s string) int {
+	switch {
+	case s == "":
+		return 1
+	case s == "-":
+		return 2
+	case !needsQuoting(s):
+		return len(s)
+	}
+	return len(quote(s))
 }
 
 // unquote is the exact inverse of quote.

@@ -64,11 +64,8 @@ func logsEqual(t *testing.T, a, b *Log) {
 		t.Fatalf("event count %d vs %d", len(a.Events), len(b.Events))
 	}
 	for i := range a.Events {
-		ea, eb := a.Events[i], b.Events[i]
-		// Func names in Loc are not persisted.
-		ea.Loc.Func, eb.Loc.Func = "", ""
-		if !reflect.DeepEqual(ea, eb) {
-			t.Fatalf("event %d mismatch:\n%+v\n%+v", i, ea, eb)
+		if a.Events[i] != b.Events[i] {
+			t.Fatalf("event %d mismatch:\n%+v\n%+v", i, a.Events[i], b.Events[i])
 		}
 	}
 }

@@ -166,6 +166,12 @@ func (c Call) Sync() bool {
 	return false
 }
 
+// hasOutcome reports whether events of call c carry an outcome in
+// Event.OK (and an ok= field in the text format).
+func hasOutcome(c Call) bool {
+	return c == CallMutexTryLock || c == CallSemaTryWait || c == CallCondTimedWait
+}
+
 // EventClass tells whether an event marks the entry to a call or its
 // completion. The paper's probes record both ("mthr_collect(..., BEFORE,
 // ...)" in figure 3; the "ok thr_join" lines in figure 2 are AFTER events).
@@ -187,16 +193,18 @@ func (c EventClass) String() string {
 // Event is one recorded probe firing: who, what, when, on which object,
 // with what outcome, and from which source line.
 type Event struct {
+	// Fields are ordered by size so that the struct packs into 72 bytes.
+
 	// Seq is the position of the event in the global recorded order.
 	Seq int64
 	// Time is the (virtual) wall-clock timestamp, 1 microsecond resolution.
 	Time vtime.Time
+	// Timeout is the requested timeout for cond_timedwait.
+	Timeout vtime.Duration
+	// Loc is the source position of the call.
+	Loc source.Loc
 	// Thread is the identity of the thread generating the event.
 	Thread ThreadID
-	// Class distinguishes call entry from call completion.
-	Class EventClass
-	// Call is the probed library routine.
-	Call Call
 	// Object is the synchronization object concerned, if any.
 	Object ObjectID
 	// Mutex is the companion mutex of a cond_wait / cond_timedwait.
@@ -205,16 +213,16 @@ type Event struct {
 	// thr_create, the joined thread for thr_join (0 means wildcard join
 	// on the Before event; the reaped thread on the After event).
 	Target ThreadID
-	// OK is the outcome for mutex_trylock / sema_trywait (acquired or
-	// not) and cond_timedwait (true = signalled, false = timed out).
-	OK bool
-	// Timeout is the requested timeout for cond_timedwait.
-	Timeout vtime.Duration
 	// Prio is the argument of thr_setprio, or the concurrency level for
 	// thr_setconcurrency.
 	Prio int32
-	// Loc is the source position of the call.
-	Loc source.Loc
+	// Class distinguishes call entry from call completion.
+	Class EventClass
+	// Call is the probed library routine.
+	Call Call
+	// OK is the outcome for mutex_trylock / sema_trywait (acquired or
+	// not) and cond_timedwait (true = signalled, false = timed out).
+	OK bool
 }
 
 // ObjectInfo describes one synchronization object seen in a recording.

@@ -3,7 +3,20 @@ package trace
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
+
+// TestEventLayout pins the packed sizes: a recording holds one Event per
+// probe and a timeline one PlacedEvent per replayed event, so a padding
+// byte costs a byte per event in every live trace.
+func TestEventLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 72 {
+		t.Errorf("sizeof(Event) = %d, want 72", got)
+	}
+	if got := unsafe.Sizeof(PlacedEvent{}); got != 96 {
+		t.Errorf("sizeof(PlacedEvent) = %d, want 96", got)
+	}
+}
 
 func TestCallStringParseRoundTrip(t *testing.T) {
 	for c := CallStartCollect; c < numCalls; c++ {

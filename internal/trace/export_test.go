@@ -6,6 +6,7 @@ var (
 	OracleReadText     = oracleReadText
 	OracleValidate     = oracleValidate
 	OracleBuildProfile = oracleBuildProfile
+	FuzzTextSeeds      = fuzzTextSeeds
 )
 
 // ValidateAt is Validate plus the index of the offending event, as Repair

@@ -33,16 +33,26 @@ func fuzzSeedLogs() []*Log {
 	}
 }
 
-func FuzzReadText(f *testing.F) {
+// fuzzTextSeeds is FuzzReadText's seed corpus: the seed logs encoded, and
+// hand-damaged lines that steer the fuzzer at the per-record parsers.
+func fuzzTextSeeds() [][]byte {
+	var seeds [][]byte
 	for _, l := range fuzzSeedLogs() {
-		f.Add(AppendText(nil, l))
+		seeds = append(seeds, AppendText(nil, l))
 	}
-	// Hand-damaged lines steer the fuzzer at the per-record parsers.
-	f.Add([]byte("# vppb-log v1\nevent 0 0 T1 before thr_exit\n"))
-	f.Add([]byte("# vppb-log v1\nthread 1 name=\\s prio=-9999999999999999999\n"))
-	f.Add([]byte("# vppb-log v1\nobject 9 kind=mutex name=\\u0020\n"))
-	f.Add([]byte("# vppb-log v1\ncpus 99999999999999999999\n"))
-	f.Add([]byte("# vppb-log v1\r\n\n  thread 1 name=a\u00a0b func=\xff\u2028\r\r\nevent 0 0 T1 before thr_exit loc=x:y:7\n"))
+	return append(seeds,
+		[]byte("# vppb-log v1\nevent 0 0 T1 before thr_exit\n"),
+		[]byte("# vppb-log v1\nthread 1 name=\\s prio=-9999999999999999999\n"),
+		[]byte("# vppb-log v1\nobject 9 kind=mutex name=\\u0020\n"),
+		[]byte("# vppb-log v1\ncpus 99999999999999999999\n"),
+		[]byte("# vppb-log v1\r\n\n  thread 1 name=a\u00a0b func=\xff\u2028\r\r\nevent 0 0 T1 before thr_exit loc=x:y:7\n"),
+	)
+}
+
+func FuzzReadText(f *testing.F) {
+	for _, seed := range fuzzTextSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l, err := DecodeText(data)
 		ol, oerr := oracleReadText(bytes.NewReader(data))
@@ -55,8 +65,13 @@ func FuzzReadText(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Accepted input must survive a re-encode round trip.
-		back, err := ReadText(bytes.NewReader(AppendText(nil, l)))
+		// Accepted input must survive a re-encode round trip, and the
+		// encoder must size its output exactly.
+		enc := AppendText(nil, l)
+		if cap(enc) != len(enc) {
+			t.Fatalf("AppendText: cap %d, len %d", cap(enc), len(enc))
+		}
+		back, err := ReadText(bytes.NewReader(enc))
 		if err != nil {
 			t.Fatalf("re-decode of accepted log failed: %v", err)
 		}

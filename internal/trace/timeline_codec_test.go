@@ -74,3 +74,22 @@ func TestTimelineCodecValidates(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// oldTimeline is a timeline as written before source.Loc lost its Func
+// field: event keys in the old field order, and a "Func" key in Loc.
+const oldTimeline = `{"format":"vppb-timeline","version":1,"data":{"Program":"old","CPUs":1,"LWPs":1,"Duration":100,"Threads":[{"Info":{"ID":1,"Name":"main","Func":"main.main","Bound":false,"BoundCPU":-1,"Prio":0},"Spans":[{"Start":0,"End":100,"State":2,"CPU":0,"LWP":0}],"Events":[{"Event":{"Seq":3,"Time":100,"Thread":1,"Class":0,"Call":4,"Object":0,"Mutex":0,"Target":0,"OK":false,"Timeout":0,"Prio":0,"Loc":{"File":"/src/main.go","Line":7,"Func":"main.main"}},"CPU":0,"Start":100,"End":100}],"Created":0,"Ended":100}],"Objects":null}}`
+
+func TestUnmarshalTimelineOldFuncKeys(t *testing.T) {
+	tl, err := UnmarshalTimeline([]byte(oldTimeline))
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := tl.Thread(1)
+	if th == nil || th.Info.Func != "main.main" || len(th.Events) != 1 {
+		t.Fatalf("thread 1 = %+v", th)
+	}
+	ev := th.Events[0].Event
+	if ev.Seq != 3 || ev.Call != CallThrExit || ev.Loc.File != "/src/main.go" || ev.Loc.Line != 7 {
+		t.Fatalf("event = %+v", ev)
+	}
+}
