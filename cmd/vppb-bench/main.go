@@ -30,7 +30,7 @@ import (
 var experimentNames = []string{
 	"table1", "bounds", "fig2", "fig4", "fig5", "case5", "overhead",
 	"logstats", "bound", "commdelay", "lwps", "io", "faults", "policies",
-	"chaos", "simspeed", "optimize",
+	"chaos",
 }
 
 func main() {
@@ -60,13 +60,12 @@ func runMain(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("vppb-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		which    = fs.String("experiment", "all", "experiment to run: all | "+joinNames())
-		scale    = fs.Float64("scale", 1.0, "problem-size multiplier")
-		runs     = fs.Int("runs", 5, "reference executions per Table-1 cell")
-		out      = fs.String("out", "", "directory for SVG artifacts (omit to skip writing)")
-		jsonOut  = fs.Bool("json", false, "additionally write BENCH_<experiment>.json with the structured results and wall time")
-		baseline = fs.String("baseline", "", "committed BENCH_table1.json to compare the table1 wall time against")
-		policy   = fs.String("policy", "", "scheduling policy for every machine in the experiments: "+strings.Join(vppb.SchedulingPolicies(), ", ")+" (default \"ts\"; the policies experiment sweeps all of them)")
+		which   = fs.String("experiment", "all", "experiment to run: all | "+joinNames())
+		scale   = fs.Float64("scale", 1.0, "problem-size multiplier")
+		runs    = fs.Int("runs", 5, "reference executions per Table-1 cell")
+		out     = fs.String("out", "", "directory for SVG artifacts (omit to skip writing)")
+		jsonOut = fs.Bool("json", false, "additionally write BENCH_<experiment>.json with the structured results and wall time")
+		policy  = fs.String("policy", "", "scheduling policy for every machine in the experiments: "+strings.Join(vppb.SchedulingPolicies(), ", ")+" (default \"ts\"; the policies experiment sweeps all of them)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -120,9 +119,6 @@ func runMain(args []string, stdout, stderr io.Writer) error {
 		}
 		if *jsonOut {
 			fail(writeBenchJSON(stderr, *out, name, opts, r.wall, r.report, r.payload))
-		}
-		if *baseline != "" && name == "table1" {
-			fail(compareBaseline(stdout, *baseline, r.wall))
 		}
 	}
 	return firstErr
@@ -250,47 +246,11 @@ func runExperiment(name string, opts experiments.Options) benchResult {
 		if e == nil {
 			r.report, r.payload = res.Report, res
 		}
-	case "simspeed":
-		res, e := vppb.ExperimentSimSpeed(opts)
-		r.err = e
-		if e == nil {
-			r.report, r.payload = res.Report, res
-		}
-	case "optimize":
-		res, e := vppb.ExperimentOptimize(opts)
-		r.err = e
-		if e == nil {
-			r.report, r.payload = res.Report, res
-		}
 	default:
 		r.err = fmt.Errorf("unknown experiment %q (want all | %s)", name, joinNames())
 	}
 	r.wall = time.Since(started)
 	return r
-}
-
-// compareBaseline reads a previously committed BENCH_table1.json and
-// prints a benchstat-style old vs new wall-time line, failing on a
-// malformed baseline but never on a slowdown (CI surfaces the delta; a
-// human judges it).
-func compareBaseline(stdout io.Writer, path string, wall time.Duration) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("-baseline: %w", err)
-	}
-	var doc struct {
-		WallSeconds float64 `json:"wall_seconds"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return fmt.Errorf("-baseline %s: %w", path, err)
-	}
-	if doc.WallSeconds <= 0 {
-		return fmt.Errorf("-baseline %s: no wall_seconds recorded", path)
-	}
-	delta := (wall.Seconds() - doc.WallSeconds) / doc.WallSeconds * 100
-	fmt.Fprintf(stdout, "table1 wall time: baseline %.2fs -> now %.2fs (%+.1f%%)\n\n",
-		doc.WallSeconds, wall.Seconds(), delta)
-	return nil
 }
 
 // writeBenchJSON stores one experiment's structured results as

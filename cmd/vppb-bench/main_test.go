@@ -18,9 +18,13 @@ func runCmd(t *testing.T, args ...string) (string, string, error) {
 	return out.String(), errb.String(), err
 }
 
+// TestUnknownExperiment also covers the retired timing experiments: replay
+// and sweep speed are measured by the benchmark under benchmark/.
 func TestUnknownExperiment(t *testing.T) {
-	if _, _, err := runCmd(t, "-experiment", "nope"); err == nil {
-		t.Fatal("unknown experiment accepted")
+	for _, name := range []string{"nope", "simspeed", "optimize"} {
+		if _, _, err := runCmd(t, "-experiment", name); err == nil {
+			t.Errorf("unknown experiment %q accepted", name)
+		}
 	}
 }
 

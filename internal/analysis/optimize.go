@@ -32,7 +32,7 @@ import (
 // order (policies as given, CPU counts descending) and the winner is the
 // first candidate with the minimum duration; a pruned candidate's true
 // duration exceeds the incumbent's strictly, so it neither beats nor ties
-// any earlier candidate. The optimize-smoke CI gate verifies winner
+// any earlier candidate. TestOptimizeMatchesExhaustive verifies winner
 // equality against the exhaustive sweep differentially.
 
 // DefaultOptimizeCPUs is the CPU grid when OptimizeOptions.CPUCounts is
@@ -48,8 +48,8 @@ type OptimizeOptions struct {
 	// policy (sched.Names()).
 	Policies []string
 	// Exhaustive disables bound pruning: every candidate is simulated.
-	// This is the baseline the optimize experiment measures the default
-	// mode against.
+	// It is the reference the pruned sweep must agree with
+	// (TestOptimizeMatchesExhaustive, ?exhaustive=true on the daemon).
 	Exhaustive bool
 	// MaxSimEvents bounds each candidate simulation (0 = unlimited); a
 	// candidate exceeding it aborts the sweep with the budget error.

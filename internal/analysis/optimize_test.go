@@ -1,7 +1,12 @@
 package analysis
 
 import (
+	"cmp"
 	"context"
+	"flag"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"vppb/internal/hb"
@@ -44,17 +49,31 @@ func analyzed(t *testing.T, log *trace.Log) (*trace.Profile, *hb.Analysis) {
 // programs internal/core's differential tests generate (genProgram): its
 // replays beat hb's recorded mandatory chain, and a bound built on that
 // chain pruned the true winner.
+//
+// The five SPLASH-2 analogues (8 threads, scale 0.5) also pin their
+// pruned sweep in testdata/optimize_splash.golden: the winner and its
+// duration, and how many candidates were simulated and pruned. A looser
+// bound or a changed visiting order shows up there as a drift in the
+// counts even when the winner survives.
 func TestOptimizeMatchesExhaustive(t *testing.T) {
 	cases := []struct {
-		name    string
-		threads int
-		scale   float64
-		log     string // recorded testdata log instead of a workload
+		name     string
+		workload string // defaults to name
+		threads  int
+		scale    float64
+		log      string // recorded testdata log instead of a workload
+		golden   bool   // pinned in optimizeGolden
 	}{
 		{name: "fft", threads: 8, scale: 0.25},
 		{name: "prodcons", scale: 0.15},
 		{name: "rand-4", log: "testdata/rand-4.log"},
+		{name: "splash-ocean", workload: "ocean", threads: 8, scale: 0.5, golden: true},
+		{name: "splash-waterspatial", workload: "waterspatial", threads: 8, scale: 0.5, golden: true},
+		{name: "splash-fft", workload: "fft", threads: 8, scale: 0.5, golden: true},
+		{name: "splash-radix", workload: "radix", threads: 8, scale: 0.5, golden: true},
+		{name: "splash-lu", workload: "lu", threads: 8, scale: 0.5, golden: true},
 	}
+	golden := readGoldenLines(t, optimizeGolden)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var prof *trace.Profile
@@ -66,7 +85,7 @@ func TestOptimizeMatchesExhaustive(t *testing.T) {
 				}
 				prof, a = analyzed(t, log)
 			} else {
-				prof, a = optimizeProfile(t, tc.name, tc.threads, tc.scale)
+				prof, a = optimizeProfile(t, cmp.Or(tc.workload, tc.name), tc.threads, tc.scale)
 			}
 			pruned, err := Optimize(context.Background(), prof, a, OptimizeOptions{})
 			if err != nil {
@@ -113,8 +132,52 @@ func TestOptimizeMatchesExhaustive(t *testing.T) {
 			t.Logf("%s: winner %s@%d in %v; %d simulated, %d pruned",
 				tc.name, pruned.Winner.Policy, pruned.Winner.CPUs, pruned.Winner.Duration,
 				pruned.Simulated, pruned.Pruned)
+			if !tc.golden {
+				return
+			}
+			got := fmt.Sprintf("winner=%s@%d duration_us=%d candidates=%d simulated=%d pruned=%d",
+				pruned.Winner.Policy, pruned.Winner.CPUs, int64(pruned.Winner.Duration),
+				len(pruned.Candidates), pruned.Simulated, pruned.Pruned)
+			if *update {
+				golden[tc.name] = got
+			} else if want := golden[tc.name]; got != want {
+				t.Errorf("%s drifted from %s (run with -update to accept):\ngot:  %s\nwant: %s",
+					tc.name, optimizeGolden, got, want)
+			}
 		})
 	}
+	if *update {
+		var b strings.Builder
+		for _, tc := range cases {
+			if line, ok := golden[tc.name]; ok {
+				fmt.Fprintf(&b, "%s %s\n", tc.name, line)
+			}
+		}
+		if err := os.WriteFile(optimizeGolden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+const optimizeGolden = "testdata/optimize_splash.golden"
+
+var update = flag.Bool("update", false, "rewrite the golden files")
+
+// readGoldenLines reads a golden file of "name rest-of-line" lines into a
+// map from name to the rest of its line.
+func readGoldenLines(t *testing.T, path string) map[string]string {
+	t.Helper()
+	lines := map[string]string{}
+	data, err := os.ReadFile(path)
+	if err != nil && !*update {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if name, rest, ok := strings.Cut(line, " "); ok {
+			lines[name] = rest
+		}
+	}
+	return lines
 }
 
 // TestOptimizePrunesBoundedWorkload pins that pruning actually fires where

@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 
+	"vppb/internal/sched"
 	"vppb/internal/threadlib"
 	"vppb/internal/trace"
 )
@@ -131,15 +133,17 @@ func TestMarshaledResultDeterminism(t *testing.T) {
 	}
 }
 
-// TestSteadyStateReplayAllocs pins the tentpole's zero-alloc claim: with
-// timeline building off, the replay loop itself must not allocate, so a
-// recording with ~3x the events costs the same allocations per run as the
-// small one (both pay only the O(threads) per-run setup: arenas, LWPs,
-// the result map). Comparing two sizes of the same workload makes the
-// test robust to setup-cost changes while still catching any per-event
-// allocation, which would scale with the event delta.
+// TestSteadyStateReplayAllocs pins the zero-alloc replay loop: the loop
+// itself must not allocate, so a recording with ~3x the events costs the
+// same allocations per run as the small one (both pay only the
+// O(threads) per-run setup: arenas, LWPs, the result map). Comparing two
+// sizes of the same workload makes the test robust to setup-cost changes
+// while still catching any per-event allocation, which would scale with
+// the event delta. The table covers prediction-only and timeline-building
+// replays, 4 threads and an oversubscribed 8 on 4 CPUs, under every
+// registered policy.
 func TestSteadyStateReplayAllocs(t *testing.T) {
-	mkProf := func(iters int) (*trace.Profile, int64) {
+	mkProf := func(threads, iters int) (*trace.Profile, int64) {
 		prog := func(p *threadlib.Process) func(*threadlib.Thread) {
 			mu := p.NewMutex("m")
 			worker := func(t *threadlib.Thread) {
@@ -151,8 +155,8 @@ func TestSteadyStateReplayAllocs(t *testing.T) {
 				}
 			}
 			return func(main *threadlib.Thread) {
-				main.SetConcurrency(4)
-				ids := make([]trace.ThreadID, 4)
+				main.SetConcurrency(threads)
+				ids := make([]trace.ThreadID, threads)
 				for i := range ids {
 					ids[i] = main.Create(worker)
 				}
@@ -173,25 +177,34 @@ func TestSteadyStateReplayAllocs(t *testing.T) {
 		return prof, res.Events
 	}
 
-	smallProf, smallEvents := mkProf(20)
-	bigProf, bigEvents := mkProf(80)
-	if bigEvents < 2*smallEvents {
-		t.Fatalf("workload sizing broken: %d events vs %d", bigEvents, smallEvents)
-	}
-	m := Machine{CPUs: 4, DiscardTimeline: true}
-	measure := func(prof *trace.Profile) float64 {
-		return testing.AllocsPerRun(20, func() {
-			if _, err := SimulateProfile(prof, m); err != nil {
-				t.Fatal(err)
+	for _, threads := range []int{4, 8} {
+		smallProf, smallEvents := mkProf(threads, 20)
+		bigProf, bigEvents := mkProf(threads, 80)
+		if bigEvents < 2*smallEvents {
+			t.Fatalf("workload sizing broken: %d events vs %d", bigEvents, smallEvents)
+		}
+		for _, discard := range []bool{true, false} {
+			for _, policy := range sched.Names() {
+				name := fmt.Sprintf("%dthreads/discard=%v/%s", threads, discard, policy)
+				t.Run(name, func(t *testing.T) {
+					m := Machine{CPUs: 4, Policy: policy, DiscardTimeline: discard}
+					measure := func(prof *trace.Profile) float64 {
+						return testing.AllocsPerRun(20, func() {
+							if _, err := SimulateProfile(prof, m); err != nil {
+								t.Fatal(err)
+							}
+						})
+					}
+					small := measure(smallProf)
+					big := measure(bigProf)
+					perEvent := (big - small) / float64(bigEvents-smallEvents)
+					t.Logf("allocs/run: small=%v (%d events), big=%v (%d events), marginal allocs/event=%g",
+						small, smallEvents, big, bigEvents, perEvent)
+					if perEvent > 0.01 {
+						t.Fatalf("replay loop allocates: %g allocs/event (small run %v allocs, big run %v)", perEvent, small, big)
+					}
+				})
 			}
-		})
-	}
-	small := measure(smallProf)
-	big := measure(bigProf)
-	perEvent := (big - small) / float64(bigEvents-smallEvents)
-	t.Logf("allocs/run: small=%v (%d events), big=%v (%d events), marginal allocs/event=%g",
-		small, smallEvents, big, bigEvents, perEvent)
-	if perEvent > 0.01 {
-		t.Fatalf("replay loop allocates: %g allocs/event (small run %v allocs, big run %v)", perEvent, small, big)
+		}
 	}
 }

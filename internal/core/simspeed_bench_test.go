@@ -18,8 +18,9 @@ import (
 // profiles from both frontends (vppb recordings of the Table 1 workloads
 // and the committed `go tool trace` capture). The profile is built once
 // per benchmark; each iteration is one full SimulateProfile, the unit
-// vppb-serve pays per prediction. The custom events/sec metric is what
-// results/BENCH_simspeed.json gates on in CI.
+// vppb-serve pays per prediction. It is for profiling the replay loop;
+// it gates nothing. Speed comparisons between commits belong to the
+// interleaved A/B pairs of benchmark/ (benchmark/README.md).
 
 // benchProfile records a workload once and caches its profile.
 var benchProfiles sync.Map // key string -> *trace.Profile

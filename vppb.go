@@ -501,8 +501,6 @@ var (
 	ExperimentBounds      = experiments.Bounds
 	ExperimentPolicySweep = experiments.PolicySweep
 	ExperimentChaos       = experiments.Chaos
-	ExperimentSimSpeed    = experiments.SimSpeed
-	ExperimentOptimize    = experiments.OptimizeSweep
 	AblationBound         = experiments.AblationBound
 	AblationCommDelay     = experiments.AblationCommDelay
 	AblationLWPs          = experiments.AblationLWPs
