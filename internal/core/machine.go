@@ -29,6 +29,7 @@ import (
 	"fmt"
 
 	"vppb/internal/par"
+	"vppb/internal/sched"
 	"vppb/internal/trace"
 	"vppb/internal/vtime"
 )
@@ -115,12 +116,10 @@ type Machine struct {
 }
 
 // MaxCPUs bounds every simulated machine: its CPU count, its LWP pool
-// (Machine.LWPs) and the pool a recorded thr_setconcurrency may grow.
-// The simulator allocates one struct per CPU and per LWP in one step, so
-// an unbounded count from a request or an uploaded log could exhaust
-// memory at once, a fatal runtime error that recover cannot catch.
-// Simulate fails with an error above the limit instead.
-const MaxCPUs = 4096
+// (Machine.LWPs) and the pool a recorded thr_setconcurrency may grow. It
+// is the scheduler core's limit, shared with the recorder. Simulate fails
+// with an error above it.
+const MaxCPUs = sched.MaxCPUs
 
 // DefaultLivelockWindow is the dispatch budget per virtual-time instant
 // when Machine.LivelockWindow is 0. Legitimate replays dispatch at most a

@@ -5,6 +5,7 @@ import (
 
 	"vppb/internal/dispatch"
 	"vppb/internal/sched"
+	"vppb/internal/syncobj"
 	"vppb/internal/trace"
 	"vppb/internal/vtime"
 )
@@ -46,77 +47,20 @@ const (
 	stWaiting                // suspended awaiting completion
 )
 
-// The simulation state lives in flat arenas: every thread and every
-// synchronization object is a slot in a slice allocated once in newSim and
-// addressed by its dense index (threads in ascending recorded-ID order,
-// objects in Log.Objects order — the same indices trace.ProfileIndex
-// precomputes). The arenas never grow, so pointers into them are stable
-// and double as identities; wait queues thread through the arena with
-// intrusive index links instead of per-object waiter slices. The steady
-// state of the replay loop therefore allocates nothing per event: no maps,
-// no queue growth, and a pointer-free event queue the garbage collector
-// never has to scan.
+// The simulation state lives in flat arenas: every thread is a slot in a
+// slice allocated once in newSim and addressed by its dense index
+// (ascending recorded-ID order, the indices trace.ProfileIndex
+// precomputes), and so is every synchronization object in the shared
+// object core (internal/syncobj), whose wait queues thread through its
+// own table with intrusive index links. The arenas never grow, so
+// pointers into them are stable and double as identities. The steady
+// state of the replay loop therefore allocates nothing per event: no
+// maps, no queue growth, and a pointer-free event queue the garbage
+// collector never has to scan.
 
 // nilIdx is the null arena index. Every index field must be initialized
 // explicitly: the zero value 0 is a valid slot.
-const nilIdx = int32(-1)
-
-// tqueue is an intrusive FIFO of threads linked by sthread.waitNext. A
-// thread is in at most one such queue at a time (it is blocked on exactly
-// one thing), so a single link per thread suffices.
-type tqueue struct{ head, tail int32 }
-
-func emptyTQ() tqueue { return tqueue{head: nilIdx, tail: nilIdx} }
-
-func (q *tqueue) empty() bool { return q.head == nilIdx }
-
-func (s *sim) pushQ(q *tqueue, ti int32) {
-	t := &s.threads[ti]
-	t.waitNext = nilIdx
-	if q.tail == nilIdx {
-		q.head = ti
-	} else {
-		s.threads[q.tail].waitNext = ti
-	}
-	q.tail = ti
-}
-
-func (s *sim) popQ(q *tqueue) int32 {
-	ti := q.head
-	if ti == nilIdx {
-		return nilIdx
-	}
-	t := &s.threads[ti]
-	q.head = t.waitNext
-	if q.head == nilIdx {
-		q.tail = nilIdx
-	}
-	t.waitNext = nilIdx
-	return ti
-}
-
-// removeQ unlinks a specific thread from the queue; false if absent.
-func (s *sim) removeQ(q *tqueue, ti int32) bool {
-	prev := nilIdx
-	for cur := q.head; cur != nilIdx; cur = s.threads[cur].waitNext {
-		if cur != ti {
-			prev = cur
-			continue
-		}
-		next := s.threads[cur].waitNext
-		if prev == nilIdx {
-			q.head = next
-		} else {
-			s.threads[prev].waitNext = next
-		}
-		if q.tail == cur {
-			q.tail = prev
-		}
-		s.threads[cur].waitNext = nilIdx
-		return true
-	}
-	return false
-}
+const nilIdx = syncobj.Nil
 
 // sthread replays one recorded thread. Slots live in the sim.threads
 // arena; ti is the slot's own index.
@@ -139,21 +83,15 @@ type sthread struct {
 	lwp     *slwp
 	lastCPU int
 
-	waitObj    *sobject
-	waitNext   int32 // intrusive link for the wait queue the thread is on
 	timerEpoch uint64
 	wakeEpoch  uint64
-
-	// joinQ holds the threads blocked joining this thread, FIFO.
-	joinQ tqueue
 
 	// thr_suspend bookkeeping (see the threadlib kernel for semantics).
 	suspended   bool
 	grantLater  bool // a wake arrived while suspended
 	parkedReady bool // was runnable/running when suspended
 
-	// join bookkeeping
-	reaped   bool
+	// joinedID is the thread the current thr_join reaped.
 	joinedID trace.ThreadID
 
 	// timed-wait outcome delivered at the After event
@@ -197,10 +135,8 @@ func (t *sthread) drec() *trace.DenseCall {
 // priority, quantum, slice epoch) is owned by the shared scheduler core.
 type slwp struct {
 	sched.LWPNode
-	thread    *sthread
-	cpu       *scpu
-	dedicated bool
-	dead      bool
+	thread *sthread
+	cpu    *scpu
 }
 
 func (l *slwp) Node() *sched.LWPNode      { return &l.LWPNode }
@@ -227,51 +163,6 @@ func (t *sthread) SchedBound() bool    { return t.bound }
 func (t *sthread) SchedBoundCPU() int  { return t.boundCPU }
 func (t *sthread) SchedLWP() *slwp     { return t.lwp }
 func (t *sthread) SetSchedLWP(l *slwp) { t.lwp = l }
-
-// sobject is the simulated state of a synchronization object. Slots live
-// in the sim.objects arena; oi is the slot's own index. Waiters are
-// intrusive thread queues, not slices.
-type sobject struct {
-	info trace.ObjectInfo
-	oi   int32
-
-	owner *sthread
-	// waitQ holds the mutex waiters, FIFO.
-	waitQ tqueue
-
-	count int
-	// semaQ holds the semaphore waiters, FIFO.
-	semaQ tqueue
-
-	// condQ holds the condition waiters, FIFO; condLen mirrors its length
-	// for the broadcast barrier-fix arithmetic.
-	condQ   tqueue
-	condLen int
-	// pendingBroadcasts are barrier-fix broadcasters waiting for their
-	// recorded number of arrivals (paper section 6), FIFO.
-	pendingBroadcasts []pendingBroadcast
-
-	// readers is the ordered set of threads holding the rwlock in read
-	// mode, in acquisition order. Readers are running (not blocked), so
-	// they may not carry the intrusive wait link; a dense-index slice
-	// keeps membership tests and diagnostics deterministic.
-	readers []int32
-	writer  *sthread
-	// rdWaitQ and wrWaitQ hold the blocked rwlock acquirers, FIFO.
-	rdWaitQ tqueue
-	wrWaitQ tqueue
-
-	// I/O device (FIFO service). A queued requester's service time is its
-	// current call record's Timeout, re-read when the device picks it up.
-	ioCurrent *sthread
-	ioQ       tqueue
-	ioEpoch   uint64
-}
-
-type pendingBroadcast struct {
-	broadcaster *sthread
-	needed      int
-}
 
 type sevKind uint8
 
@@ -392,18 +283,14 @@ type sim struct {
 	sliceArmed []bool
 
 	threads []sthread // arena, ascending recorded-ID order
-	objects []sobject // arena, Log.Objects order
+	so      *syncobj.Core
 	mainIdx int32
 	cpus    []*scpu
 	lwps    []*slwp
 	nextLWP int
 
-	zombieQ  tqueue // unreaped, exit order
-	anyJoinQ tqueue // wildcard joiners, arrival order
-
-	// inert is handed out for dangling object references after the run has
-	// already been failed, so the error path needs no nil checks.
-	inert *sobject
+	// pending holds the barrier-fix broadcasters, oldest first.
+	pending []pendingBroadcast
 
 	tb       *trace.TimelineBuilder
 	eventSeq int64
@@ -429,13 +316,10 @@ func newSim(prof *trace.Profile, m Machine) (*sim, error) {
 	dense := prof.Dense()
 	ids := prof.ThreadIDs()
 	s := &sim{
-		m:        m,
-		prof:     prof,
-		threads:  make([]sthread, len(ids)),
-		objects:  make([]sobject, len(prof.Log.Objects)),
-		mainIdx:  dense.ThreadIndex(trace.MainThread),
-		zombieQ:  emptyTQ(),
-		anyJoinQ: emptyTQ(),
+		m:       m,
+		prof:    prof,
+		threads: make([]sthread, len(ids)),
+		mainIdx: dense.ThreadIndex(trace.MainThread),
 	}
 	if s.mainIdx == nilIdx {
 		return nil, fmt.Errorf("core: recording has no main thread")
@@ -449,6 +333,7 @@ func newSim(prof *trace.Profile, m Machine) (*sim, error) {
 	}
 	nThreads := len(ids)
 	s.sc = sched.NewCore[*sthread, *slwp, *scpu](pol, (*sengine)(s), s.cpus, m.NoPreemption, nThreads)
+	s.so = syncobj.New((*sengine)(s), nThreads, len(prof.Log.Objects))
 	pool := m.LWPs
 	if pool <= 0 {
 		pool = m.CPUs
@@ -469,10 +354,8 @@ func newSim(prof *trace.Profile, m Machine) (*sim, error) {
 	// per-LWP slots, not the queue); reserving that up front keeps heap
 	// growth out of the replay loop.
 	s.events.Reserve(2*nThreads + 2*m.CPUs + 8)
-	for i, oi := range prof.Log.Objects {
-		o := &s.objects[i]
-		initObject(o, oi, int32(i))
-		o.count = int(oi.InitCount)
+	for _, oi := range prof.Log.Objects {
+		s.so.AddObject(oi.Kind, int(oi.InitCount))
 	}
 	// Instantiate every thread appearing in the profile, in the profile's
 	// precomputed ascending ID order. Threads other than main stay dormant
@@ -480,6 +363,7 @@ func newSim(prof *trace.Profile, m Machine) (*sim, error) {
 	for i, id := range ids {
 		tp := prof.Threads[id]
 		t := &s.threads[i]
+		s.so.AddThread()
 		*t = sthread{
 			info:     tp.Info,
 			calls:    tp.Calls,
@@ -490,8 +374,6 @@ func newSim(prof *trace.Profile, m Machine) (*sim, error) {
 			boundCPU: int(tp.Info.BoundCPU),
 			prio:     dispatch.Clamp(int(tp.Info.Prio)),
 			lastCPU:  -1,
-			waitNext: nilIdx,
-			joinQ:    emptyTQ(),
 			curState: trace.StateBlocked,
 			curCPU:   -1,
 			curLWP:   -1,
@@ -499,20 +381,6 @@ func newSim(prof *trace.Profile, m Machine) (*sim, error) {
 		s.applyOverride(t)
 	}
 	return s, nil
-}
-
-func initObject(o *sobject, oi trace.ObjectInfo, idx int32) {
-	o.info = oi
-	o.oi = idx
-	o.waitQ = emptyTQ()
-	o.semaQ = emptyTQ()
-	o.condQ = emptyTQ()
-	o.rdWaitQ = emptyTQ()
-	o.wrWaitQ = emptyTQ()
-	o.ioQ = emptyTQ()
-	if oi.Kind == trace.ObjRWLock {
-		o.readers = make([]int32, 0, 4)
-	}
 }
 
 func (s *sim) applyOverride(t *sthread) {
@@ -541,10 +409,7 @@ func (s *sim) applyOverride(t *sthread) {
 }
 
 func (s *sim) newLWP(dedicated bool) *slwp {
-	l := &slwp{
-		LWPNode:   sched.LWPNode{ID: s.nextLWP, Prio: dispatch.DefaultPriority},
-		dedicated: dedicated,
-	}
+	l := &slwp{LWPNode: sched.LWPNode{ID: s.nextLWP, Prio: dispatch.DefaultPriority, Dedicated: dedicated}}
 	l.QuantumLeft = s.sc.Quantum(l.Prio)
 	s.nextLWP++
 	s.lwps = append(s.lwps, l)
@@ -773,7 +638,6 @@ func (s *sim) wake(t *sthread, fromCPU int, boost bool) {
 
 func (s *sim) deliverWake(t *sthread, boost bool) {
 	t.state = tRunnable
-	t.waitObj = nil
 	s.sc.Wake(t, boost)
 }
 
@@ -834,6 +698,30 @@ func (e *sengine) Parked(t *sthread) {
 	s := (*sim)(e)
 	t.state = tRunnable
 	s.setTState(t, trace.StateRunnable, -1, -1)
+}
+
+// sengine also adapts sim to syncobj.Engine, receiving the object core's
+// grants.
+
+// Wake: a wake granted by another thread's call is cross-CPU when that
+// thread last ran on another CPU (the communication-delay rule).
+func (e *sengine) Wake(ti, by int32) {
+	s := (*sim)(e)
+	from := -1
+	if by != nilIdx {
+		from = s.threads[by].lastCPU
+	}
+	s.wake(&s.threads[ti], from, true)
+}
+
+func (e *sengine) Joined(ti, z int32) { e.threads[ti].joinedID = e.threads[z].id() }
+
+// StartIO: a queued requester is still parked on its I/O record, so its
+// recorded service time is re-read rather than stored.
+func (e *sengine) StartIO(oi, ti int32) {
+	s := (*sim)(e)
+	service := max(s.threads[ti].rec().Timeout, 0)
+	s.events.Push(s.now.Add(service), sevent{kind: evIODone, who: oi})
 }
 
 // completeOp finishes a call whose completion happened while the thread
@@ -922,7 +810,7 @@ func (s *sim) handle(ev sevent) {
 		s.advanceThread(cpu)
 	case evSlice:
 		l := s.lwps[ev.who]
-		if l.SliceEpoch != ev.epoch || l.cpu == nil || l.dead {
+		if l.SliceEpoch != ev.epoch || l.cpu == nil {
 			return
 		}
 		if !s.sc.SliceExpired(l) {
@@ -930,11 +818,12 @@ func (s *sim) handle(ev sevent) {
 			s.scheduleSlice(l)
 		}
 	case evTimer:
+		// A timed-out wait replayed as a delay ends: re-acquire the mutex.
 		t := &s.threads[ev.who]
 		if t.timerEpoch != ev.epoch {
 			return
 		}
-		s.timerExpired(t)
+		s.so.Reacquire(t.ti, t.drec().Mutex)
 	case evWake:
 		t := &s.threads[ev.who]
 		if t.wakeEpoch != ev.epoch || t.state != tWakePending {
@@ -947,10 +836,7 @@ func (s *sim) handle(ev sevent) {
 		}
 		s.deliverWake(t, true)
 	case evIODone:
-		if ev.who == nilIdx {
-			return
-		}
-		s.ioDone(&s.objects[ev.who], ev.epoch)
+		s.so.IODone(ev.who)
 	}
 }
 
@@ -1041,25 +927,11 @@ func (s *sim) callCost(t *sthread, r *trace.CallRecord) vtime.Duration {
 }
 
 // blockThread suspends the running thread.
-func (s *sim) blockThread(cpu *scpu, t *sthread, obj *sobject) {
+func (s *sim) blockThread(cpu *scpu, t *sthread) {
 	t.state = tSleeping
 	t.stage = stWaiting
-	t.waitObj = obj
 	s.setTState(t, trace.StateBlocked, -1, -1)
-	s.detachFromCPU(cpu, t)
-}
-
-func (s *sim) detachFromCPU(cpu *scpu, t *sthread) {
-	l := t.lwp
-	if t.bound {
-		// The dedicated LWP sleeps with its thread.
-		s.sc.Unlink(cpu, l)
-		return
-	}
-	cpu.Epoch++
-	l.thread = nil
-	t.lwp = nil
-	s.sc.NextThread(cpu, l)
+	s.sc.Detach(cpu, t)
 }
 
 // exitThread finalizes a simulated thread.
@@ -1076,36 +948,6 @@ func (s *sim) exitThread(cpu *scpu, t *sthread) {
 	s.endTimeline(t)
 	t.state = tZombie
 	s.live--
-
-	joined := false
-	for ji := s.popQ(&t.joinQ); ji != nilIdx; ji = s.popQ(&t.joinQ) {
-		j := &s.threads[ji]
-		j.joinedID = t.id()
-		s.wake(j, t.lastCPU, true)
-		joined = true
-	}
-	if !joined && !s.anyJoinQ.empty() {
-		j := &s.threads[s.popQ(&s.anyJoinQ)]
-		j.joinedID = t.id()
-		s.wake(j, t.lastCPU, true)
-		joined = true
-	}
-	if joined {
-		t.reaped = true
-	} else {
-		s.pushQ(&s.zombieQ, t.ti)
-	}
-
-	l := t.lwp
-	t.lwp = nil
-	cpu.Epoch++
-	if l != nil {
-		if l.dedicated {
-			l.dead = true
-			s.sc.Unlink(cpu, l)
-		} else {
-			l.thread = nil
-			s.sc.NextThread(cpu, l)
-		}
-	}
+	s.so.Exit(t.ti)
+	s.sc.Exit(cpu, t)
 }

@@ -1,6 +1,17 @@
 package sched
 
-import "vppb/internal/vtime"
+import (
+	"fmt"
+
+	"vppb/internal/vtime"
+)
+
+// MaxCPUs bounds every machine either engine runs: its CPU count, its LWP
+// pool and the pool a thr_setconcurrency may grow. The engines allocate
+// one struct per CPU and per LWP in one step, so an unbounded count from
+// a request, an uploaded log or a program could exhaust memory at once, a
+// fatal runtime error that recover cannot catch.
+const MaxCPUs = 4096
 
 // The Core is generic over the engines' own thread/LWP/CPU types: the
 // recording kernel schedules live goroutine-backed threads, the Simulator
@@ -18,6 +29,9 @@ type LWPNode struct {
 	// stamps each armed event with the current epoch and drops the event
 	// on mismatch.
 	SliceEpoch uint64
+	// Dedicated marks the LWP of one bound thread; it dies with the
+	// thread (Exit).
+	Dedicated bool
 }
 
 // CPUNode is the scheduler-owned state embedded in each engine's CPU
@@ -108,6 +122,10 @@ type Core[T Thread[L], L LWP[T, C], C CPU[L]] struct {
 	dispatchDirty bool
 	preemptDirty  bool
 
+	// pool counts the pool LWPs (the ones not dedicated to a bound
+	// thread); pool LWPs never die, so it only grows.
+	pool int
+
 	// idleCPUs counts CPUs with no linked LWP. All link changes funnel
 	// through Core (dispatch placement, Unlink, NextThread's idle branch),
 	// so the count is exact and DispatchAll can skip its CPU scan outright
@@ -159,7 +177,32 @@ func (c *Core[T, L, C]) UserRunQ() []T { return c.userRunQ }
 func (c *Core[T, L, C]) IdleLWPs() []L { return c.idleLWPs }
 
 // AddIdleLWP parks a fresh pool LWP on the idle list.
-func (c *Core[T, L, C]) AddIdleLWP(l L) { c.idleLWPs = append(c.idleLWPs, l) }
+func (c *Core[T, L, C]) AddIdleLWP(l L) {
+	c.pool++
+	c.idleLWPs = append(c.idleLWPs, l)
+}
+
+// CheckConcurrency rejects a thr_setconcurrency request for more than
+// MaxCPUs LWPs.
+func CheckConcurrency(n int) error {
+	if n > MaxCPUs {
+		return fmt.Errorf("thr_setconcurrency %d exceeds the limit of %d LWPs", n, MaxCPUs)
+	}
+	return nil
+}
+
+// SetConcurrency applies thr_setconcurrency(n) to a dynamic LWP pool: it
+// checks n with CheckConcurrency and grows the pool to n LWPs, each made
+// by newLWP(false). A smaller request leaves the pool as it is.
+func (c *Core[T, L, C]) SetConcurrency(n int, newLWP func(dedicated bool) L) error {
+	if err := CheckConcurrency(n); err != nil {
+		return err
+	}
+	for ; c.pool < n; c.pool++ {
+		c.ReassignOrIdle(newLWP(false))
+	}
+	return nil
+}
 
 // ---- queues ---------------------------------------------------------------
 
@@ -473,6 +516,80 @@ func (c *Core[T, L, C]) NextThread(cpu C, l L) {
 	l.SetSchedThread(next)
 	next.SetSchedLWP(l)
 	c.engine.Switched(cpu, l, next)
+}
+
+// ---- releasing a thread's LWP ---------------------------------------------
+//
+// The engines keep their own thread states and timeline spans; these
+// methods only move the LWP a thread leaves behind.
+
+// release unpairs a pool LWP and its thread.
+func (c *Core[T, L, C]) release(t T, l L) {
+	var zeroT T
+	var zeroL L
+	l.SetSchedThread(zeroT)
+	t.SetSchedLWP(zeroL)
+}
+
+// Detach takes a thread that stopped running (it blocked, or suspended
+// itself) off cpu: a bound thread's dedicated LWP sleeps with it, a pool
+// LWP moves on to its next thread.
+func (c *Core[T, L, C]) Detach(cpu C, t T) {
+	l := t.SchedLWP()
+	if t.SchedBound() {
+		c.Unlink(cpu, l)
+		return
+	}
+	cpu.Node().Epoch++
+	c.release(t, l)
+	c.NextThread(cpu, l)
+}
+
+// Evict takes a running thread off cpu without requeueing it (another
+// thread suspended it). Its progress stays with the engine; a pool LWP
+// moves on to other work and the thread reattaches when it is continued.
+func (c *Core[T, L, C]) Evict(cpu C, t T) {
+	l := t.SchedLWP()
+	c.Unlink(cpu, l)
+	if !t.SchedBound() {
+		c.release(t, l)
+		c.NextThread(cpu, l)
+	}
+}
+
+// Unqueue removes a runnable thread from whichever queue holds it,
+// freeing a pool LWP it was queued with.
+func (c *Core[T, L, C]) Unqueue(t T) {
+	l := t.SchedLWP()
+	var zeroL L
+	if l == zeroL {
+		c.RemoveUserRunQ(t)
+		return
+	}
+	c.RemoveKernelQ(l)
+	if !t.SchedBound() {
+		c.release(t, l)
+		c.ReassignOrIdle(l)
+	}
+}
+
+// Exit frees the LWP of a thread exiting on cpu: a bound thread's
+// dedicated LWP goes with it, a pool LWP moves on to its next thread.
+func (c *Core[T, L, C]) Exit(cpu C, t T) {
+	l := t.SchedLWP()
+	var zeroL L
+	t.SetSchedLWP(zeroL)
+	cpu.Node().Epoch++
+	if l == zeroL {
+		return
+	}
+	if l.Node().Dedicated {
+		c.Unlink(cpu, l)
+		return
+	}
+	var zeroT T
+	l.SetSchedThread(zeroT)
+	c.NextThread(cpu, l)
 }
 
 // ReassignOrIdle gives a free, unqueued pool LWP its next queued unbound

@@ -6,6 +6,7 @@ import (
 
 	"vppb/internal/dispatch"
 	"vppb/internal/sched"
+	"vppb/internal/syncobj"
 	"vppb/internal/trace"
 	"vppb/internal/vtime"
 )
@@ -33,7 +34,10 @@ const (
 
 // kthread is the kernel-side representation of a thread.
 type kthread struct {
-	id    trace.ThreadID
+	id trace.ThreadID
+	// ti is the thread's dense index: its position in Process.threads and
+	// its index in the object core.
+	ti    int32
 	name  string
 	fname string
 	prio  int // user-level priority
@@ -58,8 +62,6 @@ type kthread struct {
 	lwp     *klwp
 	lastCPU int
 
-	waitObj    *object
-	joiners    []*kthread
 	timerEpoch uint64
 	// suspended marks a thr_suspend'ed thread; wakePending remembers a
 	// resource grant that arrived while suspended; parkedReady marks a
@@ -68,9 +70,8 @@ type kthread struct {
 	suspended   bool
 	wakePending bool
 	parkedReady bool
-	// held is the stack of mutexes the thread currently owns; the top
-	// entry is stamped onto cond_broadcast events so the Simulator's
-	// barrier fix knows which mutex a blocked broadcaster must release.
+	// held is the stack of mutexes the thread currently owns (see
+	// pushHeld).
 	held []*object
 
 	cpuTime vtime.Duration
@@ -88,10 +89,8 @@ type kthread struct {
 // epoch) is owned by the shared scheduler core.
 type klwp struct {
 	sched.LWPNode
-	thread    *kthread
-	cpu       *kcpu
-	dedicated bool // created for (and owned by) one bound thread
-	dead      bool
+	thread *kthread
+	cpu    *kcpu
 }
 
 func (l *klwp) Node() *sched.LWPNode       { return &l.LWPNode }
@@ -135,7 +134,7 @@ type kevent struct {
 	cpu   *kcpu
 	lwp   *klwp
 	kt    *kthread
-	obj   *object
+	oi    int32 // the device of evIODone
 	epoch uint64
 }
 
@@ -149,16 +148,15 @@ type Process struct {
 	events vtime.EventQueue[kevent]
 	reqCh  chan reqEnvelope
 
-	threads    []*kthread
-	byID       map[trace.ThreadID]*kthread
-	nextTID    trace.ThreadID
-	nextOID    trace.ObjectID
-	objects    []*object
-	cpus       []*kcpu
-	lwps       []*klwp
-	nextLWP    int
-	zombies    []*kthread // exited, unreaped threads
-	anyJoiners []*kthread // threads blocked in wildcard thr_join
+	threads []*kthread // indexed by kthread.ti
+	byID    map[trace.ThreadID]*kthread
+	nextTID trace.ThreadID
+	nextOID trace.ObjectID
+	objects []*object // indexed by object.oi
+	so      *syncobj.Core
+	cpus    []*kcpu
+	lwps    []*klwp
+	nextLWP int
 
 	tb          *trace.TimelineBuilder
 	eventSeq    int64
@@ -192,6 +190,7 @@ func NewProcess(cfg Config) *Process {
 		pol, _ = sched.New(sched.Default)
 	}
 	p.sc = sched.NewCore[*kthread, *klwp, *kcpu](pol, (*kengine)(p), p.cpus, c.NoPreemption, 0)
+	p.so = syncobj.New((*kengine)(p), 0, 0)
 	p.sc.OnPushKernelQ = p.checkPushKernelQ
 	// A fixed LWP count is honoured exactly; the dynamic default starts
 	// with one LWP per CPU, standing in for Solaris's automatic pool
@@ -216,10 +215,7 @@ func (p *Process) Now() vtime.Time { return p.now }
 func (p *Process) Err() error { return p.err }
 
 func (p *Process) newLWP(dedicated bool) *klwp {
-	l := &klwp{
-		LWPNode:   sched.LWPNode{ID: p.nextLWP, Prio: dispatch.DefaultPriority},
-		dedicated: dedicated,
-	}
+	l := &klwp{LWPNode: sched.LWPNode{ID: p.nextLWP, Prio: dispatch.DefaultPriority, Dedicated: dedicated}}
 	l.QuantumLeft = p.sc.Quantum(l.Prio)
 	p.nextLWP++
 	p.lwps = append(p.lwps, l)
@@ -327,8 +323,8 @@ func (p *Process) deadlockError() error {
 			continue
 		}
 		obj := "?"
-		if kt.waitObj != nil {
-			obj = fmt.Sprintf("%s %q", kt.waitObj.kind, kt.waitObj.name)
+		if oi := p.so.WaitingOn(kt.ti); oi != syncobj.Nil {
+			obj = fmt.Sprintf("%s %q", p.objects[oi].kind, p.objects[oi].name)
 		} else if kt.req != nil && kt.req.kind == trace.CallThrJoin {
 			obj = fmt.Sprintf("thr_join T%d", kt.req.target)
 		}
@@ -368,6 +364,7 @@ func (p *Process) newThread(id trace.ThreadID, name, fname string, co createOpts
 	}
 	kt := &kthread{
 		id:       id,
+		ti:       p.so.AddThread(),
 		name:     name,
 		fname:    fname,
 		prio:     dispatch.Clamp(co.prio),
@@ -692,13 +689,26 @@ func (p *Process) wakeThread(kt *kthread, boost bool) {
 		return
 	}
 	kt.state = tRunnable
-	kt.waitObj = nil
 	p.sc.Wake(kt, boost)
+}
+
+// kengine also adapts Process to syncobj.Engine, receiving the object
+// core's grants.
+
+func (e *kengine) Wake(ti, by int32) { (*Process)(e).wakeThread(e.threads[ti], true) }
+
+func (e *kengine) Joined(ti, z int32) { e.threads[ti].resp.tid = e.threads[z].id }
+
+func (e *kengine) StartIO(oi, ti int32) {
+	p := (*Process)(e)
+	service := max(p.threads[ti].req.timeout, 0)
+	p.events.Push(p.now.Add(service), kevent{kind: evIODone, oi: oi})
 }
 
 // completeOp fires the After probe for the thread's suspended call, grants
 // the response, and fetches the next request.
 func (p *Process) completeOp(kt *kthread) {
+	pushHeld(kt)
 	ev := p.fireProbe(kt, p.afterEvent(kt))
 	p.emitPlaced(kt, ev)
 	p.grantAndFetch(kt, kt.resp)
@@ -764,7 +774,7 @@ func (p *Process) handle(ev kevent) {
 		p.advanceThread(cpu)
 	case evSlice:
 		l := ev.lwp
-		if l.SliceEpoch != ev.epoch || l.cpu == nil || l.dead {
+		if l.SliceEpoch != ev.epoch || l.cpu == nil {
 			return
 		}
 		if !p.sc.SliceExpired(l) {
@@ -778,7 +788,7 @@ func (p *Process) handle(ev kevent) {
 		}
 		p.timedWaitExpired(kt)
 	case evIODone:
-		p.ioDone(ev.obj, ev.epoch)
+		p.so.IODone(ev.oi)
 	}
 }
 
@@ -849,29 +859,12 @@ func (p *Process) callCost(kt *kthread) vtime.Duration {
 	return base
 }
 
-// blockThread suspends the running thread on obj (nil for joins) and hands
-// its LWP onward.
-func (p *Process) blockThread(cpu *kcpu, kt *kthread, obj *object) {
+// blockThread suspends the running thread and hands its LWP onward.
+func (p *Process) blockThread(cpu *kcpu, kt *kthread) {
 	kt.state = tSleeping
 	kt.stage = stWaiting
-	kt.waitObj = obj
 	p.setTState(kt, trace.StateBlocked, -1, -1)
-	p.detachFromCPU(cpu, kt)
-}
-
-// detachFromCPU removes a no-longer-running thread from its CPU, letting
-// the LWP pick up further work when possible.
-func (p *Process) detachFromCPU(cpu *kcpu, kt *kthread) {
-	l := kt.lwp
-	if kt.bound {
-		// The dedicated LWP sleeps with its thread.
-		p.sc.Unlink(cpu, l)
-		return
-	}
-	cpu.Epoch++
-	l.thread = nil
-	kt.lwp = nil
-	p.sc.NextThread(cpu, l)
+	p.sc.Detach(cpu, kt)
 }
 
 // exitThread finalizes a terminating thread: wake joiners, free the LWP,
@@ -882,37 +875,8 @@ func (p *Process) exitThread(cpu *kcpu, kt *kthread) {
 	p.endTimeline(kt)
 	kt.state = tZombie
 	p.liveThreads--
-
-	joined := false
-	for _, j := range kt.joiners {
-		j.resp = response{tid: kt.id}
-		p.wakeThread(j, true)
-		joined = true
-	}
-	kt.joiners = nil
-	if !joined && len(p.anyJoiners) > 0 {
-		j := p.anyJoiners[0]
-		p.anyJoiners = p.anyJoiners[1:]
-		j.resp = response{tid: kt.id}
-		p.wakeThread(j, true)
-		joined = true
-	}
-	if !joined {
-		p.zombies = append(p.zombies, kt)
-	}
-
-	l := kt.lwp
-	kt.lwp = nil
-	cpu.Epoch++
-	if l != nil {
-		if l.dedicated {
-			l.dead = true
-			p.sc.Unlink(cpu, l)
-		} else {
-			l.thread = nil
-			p.sc.NextThread(cpu, l)
-		}
-	}
+	p.so.Exit(kt.ti)
+	p.sc.Exit(cpu, kt)
 	if req.exitErr != nil {
 		p.fail(req.exitErr)
 	}
