@@ -1,0 +1,39 @@
+package threadlib
+
+import (
+	"testing"
+
+	"vppb/internal/vtime"
+)
+
+// TestSignalledTimedWaitOutlivesItsTimer: a cond_timedwait that a signal
+// ends early leaves its timer armed. When that timer fires the thread has
+// moved on to other calls, and the timer must be ignored.
+func TestSignalledTimedWaitOutlivesItsTimer(t *testing.T) {
+	p := NewProcess(Config{CPUs: 2, Costs: zeroCosts()})
+	m := p.NewMutex("m")
+	cv := p.NewCond("cv")
+	res, err := p.Run(func(th *Thread) {
+		w := th.Create(func(w *Thread) {
+			m.Lock(w)
+			if !cv.TimedWait(w, m, 10*vtime.Millisecond) {
+				t.Error("the signalled wait reported a timeout")
+			}
+			m.Unlock(w)
+			w.Compute(5 * vtime.Millisecond)
+			w.Yield() // a call without an object when the timer fires
+			w.Compute(20 * vtime.Millisecond)
+		})
+		th.Compute(1 * vtime.Millisecond)
+		m.Lock(th)
+		cv.Signal(th)
+		m.Unlock(th)
+		th.Join(w)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Duration != 26*vtime.Millisecond {
+		t.Fatalf("duration = %v, want 26ms", res.Duration)
+	}
+}
