@@ -6,11 +6,13 @@
 #
 # BASE_DIR and HEAD_DIR are two checkouts of the repository. Each side is
 # built from its own checkout by benchmark/run.sh. The script runs 6
-# alternating pairs of the predict-warm, optimize-warm and record-sweep
-# workloads (record-sweep is the only one that runs the recorder's
-# threadlib kernel), switching which side goes first every pair, and
-# writes old.jsonl, new.jsonl and compare.txt (the `benchmark -compare`
-# table) to the current directory.
+# alternating pairs of the predict-warm, optimize-warm, record-sweep and
+# upload-cold workloads (record-sweep is the only one that runs the
+# recorder's threadlib kernel; upload-cold the only one that runs the
+# ingest path: body read, decode, validate/repair, BuildProfile and
+# hb.Analyze), switching which side goes first every pair, and writes
+# old.jsonl, new.jsonl and compare.txt (the `benchmark -compare` table) to
+# the current directory.
 #
 # It exits 1 when
 #   - any run fails verification (set -e);
@@ -31,7 +33,7 @@ out="$(pwd)"
 for i in 1 2 3 4 5 6; do
   order="old new"
   [ $((i % 2)) = 0 ] && order="new old"
-  for workload in predict-warm optimize-warm record-sweep; do
+  for workload in predict-warm optimize-warm record-sweep upload-cold; do
     for side in $order; do
       dir="$base"
       [ "$side" = new ] && dir="$head"

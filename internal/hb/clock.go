@@ -21,14 +21,3 @@ func (v VectorClock) join(other VectorClock) {
 		}
 	}
 }
-
-// leq reports whether v ≤ other component-wise, i.e. the event clocked by v
-// is in the causal past of (or equal to) the event clocked by other.
-func (v VectorClock) leq(other VectorClock) bool {
-	for i, x := range v {
-		if x > other[i] {
-			return false
-		}
-	}
-	return true
-}

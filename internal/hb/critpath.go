@@ -49,21 +49,32 @@ func (a *Analysis) extractPath(dist []int64, backEv []int, cpuW, waitW []vtime.D
 			Loc:    ev.Loc,
 		}
 	}
+	// Both kinds of path are counted first, so Path is allocated once.
 	if a.Dominant != 0 {
 		// The serialized operations of the dominant object form the path:
 		// no schedule can overlap them, so together they are a chain.
+		onPath := func(i int) bool { return attr[i] == a.Dominant && cpuW[i]+waitW[i] > 0 }
+		n := 0
 		for i := range a.Log.Events {
-			if attr[i] == a.Dominant && cpuW[i]+waitW[i] > 0 {
+			if onPath(i) {
+				n++
+			}
+		}
+		a.Path = make([]PathNode, 0, n)
+		for i := range a.Log.Events {
+			if onPath(i) {
 				a.Path = append(a.Path, node(i))
 			}
 		}
 	} else if end >= 0 {
+		n := 0
 		for i := end; i >= 0; i = backEv[i] {
-			a.Path = append(a.Path, node(i))
+			n++
 		}
-		// The walk collected the path back-to-front.
-		for l, r := 0, len(a.Path)-1; l < r; l, r = l+1, r-1 {
-			a.Path[l], a.Path[r] = a.Path[r], a.Path[l]
+		// The back links run from the end of the chain to its start.
+		a.Path = make([]PathNode, n)
+		for i, k := end, n-1; i >= 0; i, k = backEv[i], k-1 {
+			a.Path[k] = node(i)
 		}
 	}
 	a.aggregate(serial)

@@ -47,8 +47,8 @@ func FuzzAnalyze(f *testing.F) {
 		if b := a.Bound(); b < 1 {
 			t.Fatalf("bound %v < 1", b)
 		}
-		if len(a.Clocks) != len(a.Log.Events) {
-			t.Fatalf("%d clocks for %d events", len(a.Clocks), len(a.Log.Events))
+		if n := len(a.Clocks()); n != len(a.Log.Events) {
+			t.Fatalf("%d clocks for %d events", n, len(a.Log.Events))
 		}
 		for _, n := range a.Path {
 			if n.Event < 0 || n.Event >= len(a.Log.Events) {

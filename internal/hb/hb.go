@@ -12,6 +12,11 @@
 // whose cycles flag potential deadlocks the recorded run happened not to
 // hit.
 //
+// A vector clock has one component per thread, so the clocks cost
+// O(events × threads). Analyze does not build them: nothing it reports
+// reads them, and it runs in O(events). HappensBefore, Concurrent and
+// Clocks build them on first use, by the same walk with clocks kept.
+//
 // The edge rules follow the trace-based vector-clock treatment of Sulzmann
 // and Stadtmüller ("Trace-Based Run-time Analysis of Message-Passing Go
 // Programs"); the lock-order cycle detection follows the classic lockset /
@@ -50,6 +55,7 @@ package hb
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"vppb/internal/source"
 	"vppb/internal/trace"
@@ -58,11 +64,9 @@ import (
 
 // Analysis is the result of happens-before analysis of one recording.
 type Analysis struct {
-	// Log is the analyzed recording.
+	// Log is the analyzed recording. The vector clocks are derived from
+	// it on first use, so it must not change after Analyze.
 	Log *trace.Log
-
-	// Clocks holds one vector clock per event, indexed like Log.Events.
-	Clocks []VectorClock
 
 	// Work is the total compute time of the recording: the sum over events
 	// of the attributed CPU burst (probe cost deducted), i.e. the
@@ -101,6 +105,10 @@ type Analysis struct {
 
 	// threadIdx maps ThreadID to the dense vector-clock component index.
 	threadIdx map[trace.ThreadID]int
+
+	// clocks holds one vector clock per event, built by Clocks.
+	clocksOnce sync.Once
+	clocks     []VectorClock
 }
 
 // PathNode is one event on the critical path.
@@ -163,9 +171,9 @@ type threadState struct {
 	records int // Before events seen so far = next call-record ordinal
 }
 
-// edgeSource is a potential cross-thread predecessor: the clock, distance
-// and event index of a release/post/signal/exit the current event may
-// synchronize with.
+// edgeSource is a potential cross-thread predecessor: the clock (nil
+// unless clocks are kept), distance and event index of a
+// release/post/signal/exit the current event may synchronize with.
 type edgeSource struct {
 	vc   VectorClock
 	dist int64
@@ -197,7 +205,13 @@ func Analyze(l *trace.Log) (*Analysis, error) {
 	if err := l.Validate(); err != nil {
 		return nil, fmt.Errorf("hb: %w", err)
 	}
+	return analyze(l, false), nil
+}
 
+// analyze walks a validated log once. Only a walk with clocks set keeps
+// one vector clock per event: that costs O(events × threads), and none of
+// the bounds, the path, the scores or the lock-order graph reads them.
+func analyze(l *trace.Log, clocks bool) *Analysis {
 	// Dense thread indices, in order of first appearance.
 	threadIdx := make(map[trace.ThreadID]int)
 	for _, ev := range l.Events {
@@ -207,17 +221,19 @@ func Analyze(l *trace.Log) (*Analysis, error) {
 	}
 	numT := len(threadIdx)
 
-	a := &Analysis{
-		Log:       l,
-		Clocks:    make([]VectorClock, len(l.Events)),
-		threadIdx: threadIdx,
+	a := &Analysis{Log: l, threadIdx: threadIdx}
+	if clocks {
+		a.clocks = make([]VectorClock, len(l.Events))
 	}
 
 	states := make(map[trace.ThreadID]*threadState, numT)
 	state := func(id trace.ThreadID) *threadState {
 		t := states[id]
 		if t == nil {
-			t = &threadState{idx: threadIdx[id], vc: make(VectorClock, numT), lastEv: -1}
+			t = &threadState{idx: threadIdx[id], lastEv: -1}
+			if clocks {
+				t.vc = make(VectorClock, numT)
+			}
 			states[id] = t
 		}
 		return t
@@ -315,13 +331,15 @@ func Analyze(l *trace.Log) (*Analysis, error) {
 		// sources this event synchronizes with. Hard edges (mandatory
 		// dataflow) advance the longest-path distance; soft edges (lock
 		// hand-offs, whose grant order is a schedule accident) only join
-		// the recorded run's vector clock.
+		// the recorded run's vector clock (when clocks are kept).
 		best, bestEv := t.dist, t.lastEv
 		join := func(src edgeSource, hard bool) {
 			if !src.ok {
 				return
 			}
-			t.vc.join(src.vc)
+			if clocks {
+				t.vc.join(src.vc)
+			}
 			if hard && src.dist > best {
 				best, bestEv = src.dist, src.ev
 			}
@@ -369,17 +387,20 @@ func Analyze(l *trace.Log) (*Analysis, error) {
 			}
 		}
 
-		t.vc[t.idx]++
 		d := best + int64(chainGap) + int64(wait)
 		t.dist, t.lastEv = d, i
 		dist[i], backEv[i] = d, bestEv
-		a.Clocks[i] = t.vc.clone()
 		a.Work += gap
 		if attr[i] != 0 {
 			serial[attr[i]] += gap + wait
 		}
 
-		cur := edgeSource{vc: a.Clocks[i], dist: d, ev: i, ok: true}
+		cur := edgeSource{dist: d, ev: i, ok: true}
+		if clocks {
+			t.vc[t.idx]++
+			a.clocks[i] = t.vc.clone()
+			cur.vc = a.clocks[i]
+		}
 
 		// Outgoing edges and lock-set maintenance.
 		switch ev.Class {
@@ -450,7 +471,7 @@ func Analyze(l *trace.Log) (*Analysis, error) {
 
 	a.LockOrder = lo.build()
 	a.extractPath(dist, backEv, cpuW, waitW, attr, recOf, serial)
-	return a, nil
+	return a
 }
 
 func (t *threadState) pushHeld(id trace.ObjectID, exclusive bool, loc source.Loc) {
@@ -484,14 +505,24 @@ func (t *threadState) dropHeld(id trace.ObjectID) {
 	}
 }
 
+// Clocks returns one vector clock per event, indexed like Log.Events.
+// The first call builds them by walking the log again with clocks kept;
+// later calls return the same slice. Safe for concurrent callers; the
+// result must not be modified.
+func (a *Analysis) Clocks() []VectorClock {
+	a.clocksOnce.Do(func() { a.clocks = analyze(a.Log, true).clocks })
+	return a.clocks
+}
+
 // HappensBefore reports whether event i happens before event j (indices
 // into Log.Events). Identical indices are not ordered.
 func (a *Analysis) HappensBefore(i, j int) bool {
 	if i == j {
 		return false
 	}
+	c := a.Clocks()
 	ti := a.threadIdx[a.Log.Events[i].Thread]
-	return a.Clocks[j][ti] >= a.Clocks[i][ti]
+	return c[j][ti] >= c[i][ti]
 }
 
 // Concurrent reports whether neither event happens before the other.

@@ -1,7 +1,9 @@
 package hb
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"vppb/internal/source"
@@ -326,5 +328,50 @@ func TestEmptyLogAnalyzes(t *testing.T) {
 	}
 	if s := a.FormatCritPath(5); !strings.Contains(s, "critical path") {
 		t.Errorf("format: %q", s)
+	}
+}
+
+// TestSharedAnalysisConcurrentQueries queries one Analysis from several
+// goroutines at once, as the server does with a cached entry: the clocks
+// are built once, on the first query, and every goroutine sees the
+// relation a private Analysis reports.
+func TestSharedAnalysisConcurrentQueries(t *testing.T) {
+	l := serializedCS(t)
+	want := mustAnalyze(t, l)
+	n := len(l.Events)
+	hbWant := make([]bool, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			hbWant[i*n+j] = want.HappensBefore(i, j)
+		}
+	}
+
+	shared := mustAnalyze(t, l)
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < n*n; k++ {
+				i, j := (k+g)%n, k/n
+				if got := shared.HappensBefore(i, j); got != hbWant[i*n+j] {
+					errs <- fmt.Sprintf("HappensBefore(%d, %d) = %v, want %v", i, j, got, hbWant[i*n+j])
+					return
+				}
+				if got, want := shared.Concurrent(i, j), i != j && !hbWant[i*n+j] && !hbWant[j*n+i]; got != want {
+					errs <- fmt.Sprintf("Concurrent(%d, %d) = %v, want %v", i, j, got, want)
+					return
+				}
+			}
+			if len(shared.Clocks()) != n {
+				errs <- fmt.Sprintf("%d clocks for %d events", len(shared.Clocks()), n)
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

@@ -415,10 +415,20 @@ func (s *Server) resolveEntry(w http.ResponseWriter, r *http.Request, strict boo
 }
 
 // readBody reads a request body under the upload size limit, mapping the
-// oversize and transport failures exactly like the ingestion path.
+// oversize and transport failures exactly like the ingestion path. A body
+// that declares its length within the limit is read into one buffer of
+// that size; a chunked body, or one declared too large, grows its buffer
+// until the limit stops it.
 func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, *httpError) {
 	body := http.MaxBytesReader(w, r.Body, limit)
-	raw, err := io.ReadAll(body)
+	var raw []byte
+	var err error
+	if n := r.ContentLength; n > 0 && n <= limit {
+		raw = make([]byte, n)
+		_, err = io.ReadFull(body, raw)
+	} else {
+		raw, err = io.ReadAll(body)
+	}
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -451,7 +461,11 @@ func (s *Server) ingest(digest string, raw []byte, strict bool) (*Entry, *httpEr
 		return nil, errf(http.StatusBadRequest, "invalid %s trace: %v", format, err)
 	}
 	e := &Entry{Digest: digest, Size: len(raw)}
-	if verr := log.Validate(); verr != nil {
+	// BuildProfile validates the log; only a log it rejects as invalid is
+	// repaired and profiled again.
+	prof, err := trace.BuildProfile(log)
+	var verr *trace.ValidationError
+	if errors.As(err, &verr) {
 		if strict {
 			return nil, errf(http.StatusUnprocessableEntity, "corrupt log rejected by strict=true: %v", verr)
 		}
@@ -462,8 +476,8 @@ func (s *Server) ingest(digest string, raw []byte, strict bool) (*Entry, *httpEr
 		log = repaired
 		e.Repaired = true
 		e.RepairSummary = rep.Summary()
+		prof, err = trace.BuildProfile(log)
 	}
-	prof, err := trace.BuildProfile(log)
 	if err != nil {
 		return nil, errf(http.StatusUnprocessableEntity, "%v", err)
 	}

@@ -400,16 +400,61 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
+// TestBodySizeLimit uploads one trace in both HTTP framings, with a
+// declared Content-Length and chunked with no length, to a server whose
+// limit is the trace's size and to one whose limit is a byte short.
 func TestBodySizeLimit(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxBodyBytes: 64, StoreDir: t.TempDir()})
 	raw := traceBytes(t, "example", 0.2)
-	resp, body := post(t, ts.URL+"/v1/predict", raw)
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized upload: %d %s", resp.StatusCode, body)
+	digests := map[string]string{}
+	for _, tc := range []struct {
+		framing string
+		body    func() io.Reader
+	}{
+		// bytes.Reader lets the client declare the length; a reader it
+		// cannot size makes it send the body chunked.
+		{"content-length", func() io.Reader { return bytes.NewReader(raw) }},
+		{"chunked", func() io.Reader { return struct{ io.Reader }{bytes.NewReader(raw)} }},
+	} {
+		for _, over := range []bool{false, true} {
+			limit := int64(len(raw))
+			if over {
+				limit--
+			}
+			t.Run(fmt.Sprintf("%s/over=%v", tc.framing, over), func(t *testing.T) {
+				s, ts := newTestServer(t, Config{MaxBodyBytes: limit, StoreDir: t.TempDir()})
+				req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/predict", tc.body())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if chunked := req.ContentLength <= 0; chunked != (tc.framing == "chunked") {
+					t.Fatalf("request ContentLength %d does not match framing %s", req.ContentLength, tc.framing)
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if over {
+					if resp.StatusCode != http.StatusRequestEntityTooLarge {
+						t.Fatalf("oversized upload: %d %s", resp.StatusCode, body)
+					}
+					// A rejected oversized body must never reach the
+					// durable store.
+					if n := s.Store().Len(); n != 0 {
+						t.Fatalf("store has %d entries after a rejected upload, want 0", n)
+					}
+					return
+				}
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("upload at the limit: %d %s", resp.StatusCode, body)
+				}
+				digests[tc.framing] = resp.Header.Get("X-Vppb-Trace")
+			})
+		}
 	}
-	// A rejected oversized body must never reach the durable store.
-	if n := s.Store().Len(); n != 0 {
-		t.Fatalf("store has %d entries after a rejected upload, want 0", n)
+	if digests["content-length"] == "" || digests["content-length"] != digests["chunked"] {
+		t.Fatalf("digests by framing = %v, want one non-empty digest", digests)
 	}
 }
 

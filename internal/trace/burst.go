@@ -174,7 +174,8 @@ func (p *Profile) ThreadIDs() []ThreadID {
 // BuildProfile derives the per-thread behaviour profile from a
 // uni-processor recording. It fails if the recording was not taken on one
 // CPU with one LWP (the Recorder's restriction, paper section 6) or if the
-// log is structurally invalid.
+// log is structurally invalid; the latter error is a *ValidationError, so
+// a caller need not run Validate first to decide on repair.
 func BuildProfile(l *Log) (*Profile, error) {
 	if l.Header.CPUs != 1 || l.Header.LWPs != 1 {
 		return nil, fmt.Errorf("trace: profile requires a 1-CPU/1-LWP recording, log has %d CPUs, %d LWPs",
@@ -182,7 +183,7 @@ func BuildProfile(l *Log) (*Profile, error) {
 	}
 	ix, _, err := l.validate()
 	if err != nil {
-		return nil, err
+		return nil, &ValidationError{Err: err}
 	}
 
 	// Every Before event becomes one call record, so validate's counts

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"testing"
 
 	"vppb/internal/vtime"
@@ -93,8 +94,14 @@ func TestBuildProfileClampsNegativeGaps(t *testing.T) {
 func TestBuildProfileRejectsMultiprocessorLogs(t *testing.T) {
 	l := exampleLog()
 	l.Header.CPUs = 4
-	if _, err := BuildProfile(l); err == nil {
+	_, err := BuildProfile(l)
+	if err == nil {
 		t.Fatal("expected rejection of 4-CPU log")
+	}
+	// Repair cannot make a multiprocessor log profilable.
+	var verr *ValidationError
+	if errors.As(err, &verr) {
+		t.Fatalf("4-CPU log reported as a validation error: %v", err)
 	}
 	l.Header.CPUs = 1
 	l.Header.LWPs = 2
@@ -106,8 +113,13 @@ func TestBuildProfileRejectsMultiprocessorLogs(t *testing.T) {
 func TestBuildProfileRejectsInvalidLog(t *testing.T) {
 	l := exampleLog()
 	l.Events[2].Time = 1 // break monotonicity
-	if _, err := BuildProfile(l); err == nil {
-		t.Fatal("expected validation error")
+	_, err := BuildProfile(l)
+	var verr *ValidationError
+	if !errors.As(err, &verr) {
+		t.Fatalf("BuildProfile error %v, want a *ValidationError", err)
+	}
+	if want := l.Validate(); err.Error() != want.Error() {
+		t.Fatalf("BuildProfile error %q, want Validate's %q", err, want)
 	}
 }
 

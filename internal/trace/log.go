@@ -143,6 +143,16 @@ func (l *Log) Validate() error {
 	return err
 }
 
+// ValidationError is how BuildProfile reports a log that fails Validate,
+// so a caller that builds the profile straight away can tell a log to
+// repair from one that cannot be profiled at all. Err is the error
+// Validate returns.
+type ValidationError struct{ Err error }
+
+func (e *ValidationError) Error() string { return e.Err.Error() }
+
+func (e *ValidationError) Unwrap() error { return e.Err }
+
 // logIndex resolves the thread and object IDs of one log in constant
 // time. validate builds it once per call, and BuildProfile reuses it.
 type logIndex struct {

@@ -403,9 +403,10 @@ func Analyze(tl *Timeline) (*ContentionReport, error) { return analysis.Analyze(
 
 // Happens-before analysis.
 type (
-	// HBAnalysis is the happens-before analysis of a recording: vector
-	// clocks, the critical-path speed-up bound, per-object serialization
-	// scores and the lock-order graph.
+	// HBAnalysis is the happens-before analysis of a recording: the
+	// critical-path speed-up bound, per-object serialization scores and
+	// the lock-order graph. Its vector clocks (Clocks, HappensBefore,
+	// Concurrent) are built on first use.
 	HBAnalysis = hb.Analysis
 	// LockOrderGraph is the lock-acquisition-order graph with cycle
 	// detection; its unsuppressed cycles are potential deadlocks.
