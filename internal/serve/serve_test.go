@@ -181,52 +181,79 @@ func TestPredictResponseShape(t *testing.T) {
 
 // TestPredictConcurrentClients hammers one server with concurrent clients
 // mixing two traces — the -race proof for the shared cache, the shared
-// profiles, and the metrics registry.
+// profiles, and the metrics registry. The store case adds cache churn over
+// the durable tier: with one cache entry, every client for trace A asks by
+// digest while every client for B uploads, so A only ever enters the cache
+// by a fault-in from the store and B uploads keep evicting it.
 func TestPredictConcurrentClients(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	rawA := traceBytes(t, "example", 0.2)
-	rawB := traceBytes(t, "prodcons", 0.2)
+	for _, tc := range []struct {
+		name  string
+		store bool
+	}{
+		{name: "memory"},
+		{name: "store-churn", store: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{}
+			if tc.store {
+				cfg = Config{StoreDir: t.TempDir(), CacheEntries: 1}
+			}
+			s, ts := newTestServer(t, cfg)
+			rawA := traceBytes(t, "example", 0.2)
+			rawB := traceBytes(t, "prodcons", 0.2)
 
-	// Prime both so every concurrent body can be compared to a reference.
-	_, wantA := post(t, ts.URL+"/v1/predict?cpus=1,2,4", rawA)
-	_, wantB := post(t, ts.URL+"/v1/predict?cpus=1,2,4", rawB)
+			// Prime both so every concurrent body can be compared to a
+			// reference. In the store case B's upload evicts A.
+			_, wantA := post(t, ts.URL+"/v1/predict?cpus=1,2,4", rawA)
+			_, wantB := post(t, ts.URL+"/v1/predict?cpus=1,2,4", rawB)
+			urlA, bodyA := ts.URL+"/v1/predict?cpus=1,2,4", rawA
+			if tc.store {
+				urlA, bodyA = urlA+"&trace="+Digest(rawA), nil
+			}
 
-	const clients = 12
-	var wg sync.WaitGroup
-	errs := make([]error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			raw, want := rawA, wantA
-			if c%2 == 1 {
-				raw, want = rawB, wantB
+			const clients = 12
+			var wg sync.WaitGroup
+			errs := make([]error, clients)
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					url, raw, want := urlA, bodyA, wantA
+					if c%2 == 1 {
+						url, raw, want = ts.URL+"/v1/predict?cpus=1,2,4", rawB, wantB
+					}
+					resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(raw))
+					if err != nil {
+						errs[c] = err
+						return
+					}
+					body, err := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if err != nil {
+						errs[c] = err
+						return
+					}
+					if resp.StatusCode != 200 {
+						errs[c] = fmt.Errorf("status %d: %s", resp.StatusCode, body)
+						return
+					}
+					if !bytes.Equal(body, want) {
+						errs[c] = fmt.Errorf("client %d body diverged from reference", c)
+					}
+				}(c)
 			}
-			resp, err := http.Post(ts.URL+"/v1/predict?cpus=1,2,4", "application/octet-stream", bytes.NewReader(raw))
-			if err != nil {
-				errs[c] = err
-				return
+			wg.Wait()
+			for c, err := range errs {
+				if err != nil {
+					t.Errorf("client %d: %v", c, err)
+				}
 			}
-			body, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				errs[c] = err
-				return
+			// The first digest request for A found only B cached, so it
+			// had to rebuild A from the store.
+			if tc.store && s.Cache().Faulted() < 1 {
+				t.Fatalf("cache fault-ins = %d, want >= 1", s.Cache().Faulted())
 			}
-			if resp.StatusCode != 200 {
-				errs[c] = fmt.Errorf("status %d: %s", resp.StatusCode, body)
-				return
-			}
-			if !bytes.Equal(body, want) {
-				errs[c] = fmt.Errorf("client %d body diverged from reference", c)
-			}
-		}(c)
-	}
-	wg.Wait()
-	for c, err := range errs {
-		if err != nil {
-			t.Errorf("client %d: %v", c, err)
-		}
+		})
 	}
 }
 
