@@ -30,7 +30,6 @@ import (
 var experimentNames = []string{
 	"table1", "bounds", "fig2", "fig4", "fig5", "case5", "overhead",
 	"logstats", "bound", "commdelay", "lwps", "io", "faults", "policies",
-	"chaos",
 }
 
 func main() {
@@ -239,12 +238,6 @@ func runExperiment(name string, opts experiments.Options) benchResult {
 		r.err = e
 		if e == nil {
 			r.report, r.payload = res.Report, res.Rows
-		}
-	case "chaos":
-		res, e := vppb.ExperimentChaos(opts)
-		r.err = e
-		if e == nil {
-			r.report, r.payload = res.Report, res
 		}
 	default:
 		r.err = fmt.Errorf("unknown experiment %q (want all | %s)", name, joinNames())

@@ -18,10 +18,11 @@ func runCmd(t *testing.T, args ...string) (string, string, error) {
 	return out.String(), errb.String(), err
 }
 
-// TestUnknownExperiment also covers the retired timing experiments: replay
-// and sweep speed are measured by the benchmark under benchmark/.
+// TestUnknownExperiment also covers the retired experiments: replay and
+// sweep speed are measured by the benchmark under benchmark/, and the
+// daemon's robustness by deterministic tests in internal/serve.
 func TestUnknownExperiment(t *testing.T) {
-	for _, name := range []string{"nope", "simspeed", "optimize"} {
+	for _, name := range []string{"nope", "simspeed", "optimize", "chaos"} {
 		if _, _, err := runCmd(t, "-experiment", name); err == nil {
 			t.Errorf("unknown experiment %q accepted", name)
 		}

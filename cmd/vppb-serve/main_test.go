@@ -15,7 +15,7 @@ import (
 	"time"
 
 	"vppb"
-	"vppb/internal/serveclient"
+	"vppb/internal/serve"
 )
 
 func traceBytes(t *testing.T) []byte {
@@ -223,7 +223,7 @@ func TestKillAndRestartReplaysFromStore(t *testing.T) {
 	}
 	storeDir := t.TempDir()
 	raw := traceBytes(t)
-	digest := serveclient.Digest(raw)
+	digest := serve.Digest(raw)
 
 	cmd1, addr1 := startDaemon(t, storeDir)
 	resp1, err := http.Post("http://"+addr1+"/v1/predict?cpus=1,2", "application/octet-stream", bytes.NewReader(raw))

@@ -91,9 +91,10 @@ type Config struct {
 	// for its digest before admitting a probe (0 = DefaultBreakerCooldown).
 	BreakerCooldown time.Duration
 	// Middleware, when set, wraps every instrumented handler inside the
-	// admission and panic-recovery layers. The chaos harness injects
-	// handler faults here; a panicking middleware is recovered, counted in
-	// vppb_panics_total and answered with 500 like any handler panic.
+	// admission and panic-recovery layers, so a test can stall or break a
+	// request where the daemon's own robustness code sees it. A panicking
+	// middleware is recovered, counted in vppb_panics_total and answered
+	// with 500 like any handler panic.
 	Middleware func(http.Handler) http.Handler
 }
 
@@ -233,12 +234,12 @@ func (s *Server) Cache() *Cache { return s.cache }
 // Store exposes the durable store, or nil for a memory-only daemon.
 func (s *Server) Store() *Store { return s.store }
 
-// Metrics exposes the metrics registry (for tests and the chaos harness).
+// Metrics exposes the metrics registry (for tests and the benchmark).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// BreakerTrips reports how often a per-digest circuit breaker has tripped
+// breakerTrips reports how often a per-digest circuit breaker has tripped
 // (0 when the breaker is disabled).
-func (s *Server) BreakerTrips() int64 {
+func (s *Server) breakerTrips() int64 {
 	if s.breakers == nil {
 		return 0
 	}
@@ -299,8 +300,8 @@ func (s *Server) route(pattern string, gated bool, h func(http.ResponseWriter, *
 }
 
 // httpError is a handler failure with its HTTP status. retryAfterSec > 0
-// stamps a Retry-After header so well-behaved clients (internal/serveclient)
-// back off instead of hammering an overloaded daemon.
+// stamps a Retry-After header: the server's promise that the request may
+// succeed if a client waits that long before sending it again.
 type httpError struct {
 	code          int
 	msg           string
@@ -851,7 +852,7 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request, contentType 
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.WritePrometheus(w, s.cache, s.store, s.BreakerTrips())
+	s.metrics.WritePrometheus(w, s.cache, s.store, s.breakerTrips())
 	return http.StatusOK
 }
 

@@ -65,7 +65,7 @@ func (s *Store) quarantineDir() string { return filepath.Join(s.root, "quarantin
 func (s *Store) tmpDir() string        { return filepath.Join(s.root, "tmp") }
 
 // ObjectPath returns where digest's bytes live on disk (whether or not
-// the entry exists). Test and chaos tooling uses it to corrupt entries.
+// the entry exists). Tests use it to corrupt entries on disk.
 func (s *Store) ObjectPath(digest string) string {
 	return filepath.Join(s.objectsDir(), digest)
 }

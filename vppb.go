@@ -501,7 +501,6 @@ var (
 	ExperimentFaults      = experiments.Faults
 	ExperimentBounds      = experiments.Bounds
 	ExperimentPolicySweep = experiments.PolicySweep
-	ExperimentChaos       = experiments.Chaos
 	AblationBound         = experiments.AblationBound
 	AblationCommDelay     = experiments.AblationCommDelay
 	AblationLWPs          = experiments.AblationLWPs
