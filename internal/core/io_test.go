@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"vppb/internal/threadlib"
@@ -125,5 +126,82 @@ func TestSuspendSleepingReplay(t *testing.T) {
 		pred := mustSim(t, log, Machine{CPUs: cpus})
 		ref := reference(t, prog, cpus, 0)
 		closeTo(t, pred.Duration, ref, 0.02, "suspend-sleeping prediction")
+	}
+}
+
+// suspendDelayedWakeProg: main posts the semaphore its worker sleeps on
+// and suspends the worker at once. Replayed on a multiprocessor with a
+// communication delay longer than the post and suspend calls, the suspend
+// lands while the cross-CPU wake is still in flight.
+func suspendDelayedWakeProg(p *threadlib.Process) func(*threadlib.Thread) {
+	gate := p.NewSema("gate", 0)
+	return func(th *threadlib.Thread) {
+		a := th.Create(func(w *threadlib.Thread) {
+			gate.Wait(w)
+			w.Compute(10 * ms)
+		}, threadlib.WithName("sleeper"))
+		th.Compute(5 * ms)
+		gate.Post(th)
+		th.Suspend(a)
+		th.Compute(20 * ms)
+		th.Continue(a)
+		th.Join(a)
+	}
+}
+
+// TestSuspendDuringDelayedWake: a thr_suspend that finds its target
+// wake-pending cancels the in-flight wake and keeps it for thr_continue,
+// so the sleeper runs again only after the continue, and replays of it
+// are deterministic.
+func TestSuspendDuringDelayedWake(t *testing.T) {
+	log := record(t, suspendDelayedWakeProg)
+	m := Machine{CPUs: 2, CommDelay: vtime.Millisecond}
+	res := mustSim(t, log, m)
+	var post, cont vtime.Time
+	main := res.Timeline.Thread(trace.MainThread)
+	for _, pe := range main.Events {
+		switch pe.Event.Call {
+		case trace.CallSemaPost:
+			post = pe.End
+		case trace.CallThrContinue:
+			cont = pe.End
+		}
+	}
+	if post == 0 || cont <= post {
+		t.Fatalf("post at %v, continue at %v", post, cont)
+	}
+	var sleeper *trace.ThreadTimeline
+	for i := range res.Timeline.Threads {
+		if res.Timeline.Threads[i].Info.Name == "sleeper" {
+			sleeper = &res.Timeline.Threads[i]
+		}
+	}
+	if sleeper == nil {
+		t.Fatal("no sleeper thread in the timeline")
+	}
+	ran := false
+	for _, s := range sleeper.Spans {
+		if s.State != trace.StateRunning || s.Start < post {
+			continue
+		}
+		ran = true
+		if s.Start < cont {
+			t.Fatalf("sleeper runs at %v, before its continue at %v", s.Start, cont)
+		}
+	}
+	if !ran {
+		t.Fatal("sleeper never ran after the post")
+	}
+	again := mustSim(t, log, m)
+	a, err := trace.MarshalTimeline(res.Timeline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := trace.MarshalTimeline(again.Timeline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("two replays differ")
 	}
 }
