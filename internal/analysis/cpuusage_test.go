@@ -12,14 +12,14 @@ import (
 // runnable 40..50, then runs 50..60 on CPU 0.
 func syntheticTimeline() *trace.Timeline {
 	b := trace.NewTimelineBuilder()
-	b.StartThread(trace.ThreadInfo{ID: 1, Name: "main", BoundCPU: -1}, 0)
-	b.AddSpan(1, trace.Span{Start: 0, End: 60, State: trace.StateRunning, CPU: 0})
-	b.StartThread(trace.ThreadInfo{ID: 2, Name: "worker", BoundCPU: -1}, 10)
-	b.AddSpan(2, trace.Span{Start: 10, End: 40, State: trace.StateRunning, CPU: 1})
-	b.AddSpan(2, trace.Span{Start: 40, End: 50, State: trace.StateRunnable, CPU: 1})
-	b.AddSpan(2, trace.Span{Start: 50, End: 60, State: trace.StateRunning, CPU: 0})
-	b.EndThread(2, 60)
-	b.EndThread(1, 60)
+	h1 := b.StartThread(trace.ThreadInfo{ID: 1, Name: "main", BoundCPU: -1}, 0)
+	b.AddSpan(h1, trace.Span{Start: 0, End: 60, State: trace.StateRunning, CPU: 0})
+	h2 := b.StartThread(trace.ThreadInfo{ID: 2, Name: "worker", BoundCPU: -1}, 10)
+	b.AddSpan(h2, trace.Span{Start: 10, End: 40, State: trace.StateRunning, CPU: 1})
+	b.AddSpan(h2, trace.Span{Start: 40, End: 50, State: trace.StateRunnable, CPU: 1})
+	b.AddSpan(h2, trace.Span{Start: 50, End: 60, State: trace.StateRunning, CPU: 0})
+	b.EndThread(h2, 60)
+	b.EndThread(h1, 60)
 	return b.Build("synthetic", 3, 3, 60)
 }
 

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 
+	"vppb/internal/sched"
 	"vppb/internal/trace"
 	"vppb/internal/vtime"
 )
@@ -129,17 +130,17 @@ func (s *sim) deadlockError() error {
 	e := &DeadlockError{At: s.now}
 	for i := range s.threads {
 		t := &s.threads[i]
-		if t.state == tZombie || t.state == tNotStarted {
+		if t.State == sched.Zombie || t.State == sched.NotStarted {
 			continue
 		}
-		w := WaitEdge{Thread: t.id(), State: t.state.String(), Call: "?"}
+		w := WaitEdge{Thread: t.id(), State: t.State.String(), Call: "?"}
 		r := t.rec()
 		if r != nil {
 			w.Call = r.Call.String()
 		}
 		switch {
-		case s.so.WaitingOn(t.ti) != nilIdx:
-			oi := s.so.WaitingOn(t.ti)
+		case s.so.WaitingOn(t.TI) != nilIdx:
+			oi := s.so.WaitingOn(t.TI)
 			info := s.prof.Log.Objects[oi]
 			w.Object = fmt.Sprintf("%s %q", info.Kind, info.Name)
 			for _, hi := range s.so.AppendHolders(nil, oi) {
@@ -153,7 +154,7 @@ func (s *sim) deadlockError() error {
 			} else {
 				w.Object = "thread <any>"
 			}
-		case t.suspended:
+		case t.Suspended:
 			w.Object = "thr_continue"
 		}
 		e.Edges = append(e.Edges, w)
@@ -173,14 +174,14 @@ func (s *sim) livelockError(counts [len(sevKindNames)]int64, window int) error {
 	}
 	for i := range s.threads {
 		t := &s.threads[i]
-		if t.state == tZombie || t.state == tNotStarted {
+		if t.State == sched.Zombie || t.State == sched.NotStarted {
 			continue
 		}
 		what := "?"
 		if r := t.rec(); r != nil {
 			what = r.Call.String()
 		}
-		e.Threads = append(e.Threads, fmt.Sprintf("T%d %s in %s", t.id(), t.state, what))
+		e.Threads = append(e.Threads, fmt.Sprintf("T%d %s in %s", t.id(), t.State, what))
 	}
 	return e
 }

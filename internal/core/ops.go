@@ -41,24 +41,26 @@ func (s *sim) applyOp(cpu *scpu, t *sthread, r *trace.CallRecord, dc *trace.Dens
 		// A wildcard join (dense target nilIdx) takes the first exit in
 		// the simulation, which "may not be the one that exited in the
 		// log" (paper section 6).
-		return s.wait(cpu, t, s.so.Join(t.ti, dc.Target))
+		return s.wait(cpu, t, s.so.Join(t.TI, dc.Target))
 	case trace.CallThrYield:
-		return s.opYield(cpu, t)
+		s.sc.Yield(cpu, t)
+		return true
 	case trace.CallThrSetPrio:
+		// The caller sets its own priority, so it is running, not queued.
 		if !t.prioPinned {
 			t.prio = dispatch.Clamp(int(r.Prio))
-			if s.sc.RemoveUserRunQ(t) {
-				s.sc.PushUserRunQ(t)
-			}
 		}
 		return false
 	case trace.CallThrSetConcurrency:
 		s.opSetConcurrency(int(r.Prio))
 		return false
 	case trace.CallThrSuspend:
-		return s.opSuspend(cpu, t, dc)
+		// A target that never ran in the recording has nothing to suspend.
+		return dc.Target != nilIdx && s.sc.Suspend(cpu, t, &s.threads[dc.Target])
 	case trace.CallThrContinue:
-		s.opContinue(t, dc)
+		if dc.Target != nilIdx {
+			s.sc.Continue(t, &s.threads[dc.Target])
+		}
 		return false
 	case trace.CallMutexTryLock, trace.CallSemaTryWait:
 		// Paper rule: a try that succeeded in the log is simulated as a
@@ -78,22 +80,22 @@ func (s *sim) applyOp(cpu *scpu, t *sthread, r *trace.CallRecord, dc *trace.Dens
 	}
 	switch r.Call {
 	case trace.CallMutexLock, trace.CallMutexTryLock:
-		if s.so.Owner(o) == t.ti {
+		if s.so.Owner(o) == t.TI {
 			s.fail(fmt.Errorf("core: thread T%d relocks mutex %q (replay diverged?)", t.id(), s.objName(o)))
 			return true
 		}
-		return s.wait(cpu, t, s.so.MutexLock(o, t.ti))
+		return s.wait(cpu, t, s.so.MutexLock(o, t.TI))
 	case trace.CallMutexUnlock:
-		if s.so.Owner(o) != t.ti {
+		if s.so.Owner(o) != t.TI {
 			s.fail(fmt.Errorf("core: thread T%d unlocks mutex %q it does not hold in the simulation", t.id(), s.objName(o)))
 			return true
 		}
-		s.so.MutexUnlock(o, t.ti)
+		s.so.MutexUnlock(o, t.TI)
 		return false
 	case trace.CallSemaWait, trace.CallSemaTryWait:
-		return s.wait(cpu, t, s.so.SemaWait(o, t.ti))
+		return s.wait(cpu, t, s.so.SemaWait(o, t.TI))
 	case trace.CallSemaPost:
-		s.so.SemaPost(o, t.ti)
+		s.so.SemaPost(o, t.TI)
 		return false
 	case trace.CallCondWait:
 		return s.opCondWait(cpu, t, o, dc.Mutex)
@@ -108,18 +110,18 @@ func (s *sim) applyOp(cpu *scpu, t *sthread, r *trace.CallRecord, dc *trace.Dens
 	case trace.CallCondBroadcast:
 		return s.opBroadcast(cpu, t, r, o, dc.Mutex)
 	case trace.CallRWRdLock:
-		return s.wait(cpu, t, s.so.RdLock(o, t.ti))
+		return s.wait(cpu, t, s.so.RdLock(o, t.TI))
 	case trace.CallRWWrLock:
-		return s.wait(cpu, t, s.so.WrLock(o, t.ti))
+		return s.wait(cpu, t, s.so.WrLock(o, t.TI))
 	case trace.CallRWUnlock:
-		if !s.so.RWUnlock(o, t.ti) {
+		if !s.so.RWUnlock(o, t.TI) {
 			s.fail(fmt.Errorf("core: thread T%d unlocks rwlock %q it does not hold in the simulation", t.id(), s.objName(o)))
 			return true
 		}
 		return false
 	default: // trace.CallIO
-		s.so.IO(o, t.ti)
-		s.blockThread(cpu, t)
+		s.so.IO(o, t.TI)
+		s.sc.Block(cpu, t)
 		return true
 	}
 }
@@ -129,21 +131,11 @@ func (s *sim) wait(cpu *scpu, t *sthread, granted bool) bool {
 	if granted {
 		return false
 	}
-	s.blockThread(cpu, t)
+	s.sc.Block(cpu, t)
 	return true
 }
 
 func (s *sim) objName(oi int32) string { return s.prof.Log.Objects[oi].Name }
-
-func (s *sim) opYield(cpu *scpu, t *sthread) bool {
-	l := t.lwp
-	t.stage = stWaiting
-	t.state = tRunnable
-	s.setTState(t, trace.StateRunnable, -1, int32(l.ID))
-	s.sc.Unlink(cpu, l)
-	s.sc.PushKernelQ(l)
-	return true
-}
 
 func (s *sim) opSetConcurrency(n int) {
 	if s.m.LWPs > 0 {
@@ -160,11 +152,11 @@ func (s *sim) opSetConcurrency(n int) {
 
 func (s *sim) opCondWait(cpu *scpu, t *sthread, cv, m int32) bool {
 	t.okResult = true
-	s.so.CondWait(cv, m, t.ti)
+	s.so.CondWait(cv, m, t.TI)
 	// Block first: a pending barrier broadcast may release this very
 	// arrival immediately (it was the last one needed), which requires
 	// the thread to be off-CPU before it is woken again.
-	s.blockThread(cpu, t)
+	s.sc.Block(cpu, t)
 	s.checkPendingBroadcast(cv)
 	return true
 }
@@ -172,12 +164,12 @@ func (s *sim) opCondWait(cpu *scpu, t *sthread, cv, m int32) bool {
 // opTimedOutWait replays a cond_timedwait that timed out in the log as a
 // delay of its timeout; the thread never joins the condition's queue.
 func (s *sim) opTimedOutWait(cpu *scpu, t *sthread, r *trace.CallRecord, cv, m int32) bool {
-	s.so.DropMutex(m, t.ti)
+	s.so.DropMutex(m, t.TI)
 	t.okResult = false
 	t.timerEpoch++
-	s.events.Push(s.now.Add(r.Timeout), sevent{kind: evTimer, who: t.ti, epoch: t.timerEpoch})
-	s.so.WaitOn(t.ti, cv)
-	s.blockThread(cpu, t)
+	s.events.Push(s.now.Add(r.Timeout), sevent{kind: evTimer, who: t.TI, epoch: t.timerEpoch})
+	s.so.WaitOn(t.TI, cv)
+	s.sc.Block(cpu, t)
 	return true
 }
 
@@ -202,10 +194,10 @@ func (s *sim) opBroadcast(cpu *scpu, t *sthread, r *trace.CallRecord, cv, m int3
 	// arrivals; like a cond_wait it must release the mutex it holds so
 	// that the other threads can reach the condition, and re-acquire it
 	// when released.
-	s.so.DropMutex(m, t.ti)
-	s.pending = append(s.pending, pendingBroadcast{cv: cv, broadcaster: t.ti, needed: needed})
-	s.so.WaitOn(t.ti, cv)
-	s.blockThread(cpu, t)
+	s.so.DropMutex(m, t.TI)
+	s.pending = append(s.pending, pendingBroadcast{cv: cv, broadcaster: t.TI, needed: needed})
+	s.so.WaitOn(t.TI, cv)
+	s.sc.Block(cpu, t)
 	return true
 }
 
@@ -224,67 +216,4 @@ func (s *sim) checkPendingBroadcast(cv int32) {
 	s.pending = slices.Delete(s.pending, i, i+1)
 	s.so.CondSignal(cv, n)
 	s.so.Reacquire(pb.broadcaster, s.threads[pb.broadcaster].drec().Mutex)
-}
-
-// ---- thr_suspend / thr_continue (replayed) ------------------------------------
-
-func (s *sim) opSuspend(cpu *scpu, t *sthread, dc *trace.DenseCall) bool {
-	if dc.Target == nilIdx {
-		return false
-	}
-	target := &s.threads[dc.Target]
-	if target.suspended || target.state == tZombie || target.state == tNotStarted {
-		return false
-	}
-	target.suspended = true
-	switch {
-	case target == t:
-		t.parkedReady = true
-		t.stage = stWaiting
-		t.state = tSleeping
-		s.setTState(t, trace.StateBlocked, -1, -1)
-		s.sc.Detach(cpu, t)
-		return true
-	case target.state == tRunning:
-		tcpu := target.lwp.cpu
-		s.account(tcpu)
-		target.state = tSleeping
-		s.setTState(target, trace.StateBlocked, -1, -1)
-		s.sc.Evict(tcpu, target)
-		target.parkedReady = true
-		return false
-	case target.state == tRunnable:
-		s.sc.Unqueue(target)
-		target.parkedReady = true
-		target.state = tSleeping
-		s.setTState(target, trace.StateBlocked, -1, -1)
-		return false
-	case target.state == tWakePending:
-		// The communication-delayed wake converts to a deferred grant.
-		target.state = tSleeping
-		target.grantLater = true
-		target.wakeEpoch++
-		return false
-	default:
-		return false
-	}
-}
-
-func (s *sim) opContinue(t *sthread, dc *trace.DenseCall) {
-	if dc.Target == nilIdx {
-		return
-	}
-	target := &s.threads[dc.Target]
-	if !target.suspended || target.state == tZombie {
-		return
-	}
-	target.suspended = false
-	switch {
-	case target.parkedReady:
-		target.parkedReady = false
-		s.wake(target, t.lastCPU, true)
-	case target.grantLater:
-		target.grantLater = false
-		s.wake(target, t.lastCPU, true)
-	}
 }

@@ -10,43 +10,6 @@ import (
 	"vppb/internal/vtime"
 )
 
-type tstate uint8
-
-const (
-	tNotStarted tstate = iota
-	tRunnable
-	tRunning
-	tSleeping
-	tWakePending // woken, communication delay in flight
-	tZombie
-)
-
-func (s tstate) String() string {
-	switch s {
-	case tNotStarted:
-		return "not-started"
-	case tRunnable:
-		return "runnable"
-	case tRunning:
-		return "running"
-	case tSleeping:
-		return "sleeping"
-	case tWakePending:
-		return "wake-pending"
-	case tZombie:
-		return "zombie"
-	}
-	return "?"
-}
-
-type opStage uint8
-
-const (
-	stCompute opStage = iota // burst preceding the call
-	stCall                   // the call's own cost
-	stWaiting                // suspended awaiting completion
-)
-
 // The simulation state lives in flat arenas: every thread is a slot in a
 // slice allocated once in newSim and addressed by its dense index
 // (ascending recorded-ID order, the indices trace.ProfileIndex
@@ -63,33 +26,26 @@ const (
 const nilIdx = syncobj.Nil
 
 // sthread replays one recorded thread. Slots live in the sim.threads
-// arena; ti is the slot's own index.
+// arena.
 type sthread struct {
+	// The embedded sched.ThreadNode (state, call stage, progress,
+	// thr_suspend flags, timeline span cursor) is shared with the
+	// recording kernel; TI is the slot's own index.
+	sched.ThreadNode
 	info   trace.ThreadInfo
 	calls  []trace.CallRecord
 	dcalls []trace.DenseCall // aligned with calls; precomputed arena indices
 	idx    int
-	ti     int32
-
-	state    tstate
-	stage    opStage
-	workLeft vtime.Duration
 
 	bound      bool
 	boundCPU   int
 	prio       int
 	prioPinned bool
 
-	lwp     *slwp
-	lastCPU int
+	lwp *slwp
 
 	timerEpoch uint64
 	wakeEpoch  uint64
-
-	// thr_suspend bookkeeping (see the threadlib kernel for semantics).
-	suspended   bool
-	grantLater  bool // a wake arrived while suspended
-	parkedReady bool // was runnable/running when suspended
 
 	// joinedID is the thread the current thr_join reaped.
 	joinedID trace.ThreadID
@@ -97,15 +53,6 @@ type sthread struct {
 	// timed-wait outcome delivered at the After event
 	okResult bool
 
-	cpuTime vtime.Duration
-
-	// timeline
-	tlh       int // TimelineBuilder handle
-	curState  trace.ThreadState
-	spanStart vtime.Time
-	curCPU    int32
-	curLWP    int32
-	inTL      bool
 	// beforeTime is when the current record's Before event fired; beforeEv
 	// holds the full event only for thr_exit records (the one case where
 	// placement reads the Before event back, in exitThread).
@@ -157,12 +104,14 @@ func (c *scpu) Node() *sched.CPUNode { return &c.CPUNode }
 func (c *scpu) SchedLWP() *slwp      { return c.lwp }
 func (c *scpu) SetSchedLWP(l *slwp)  { c.lwp = l }
 
-// sthread's scheduler view: effective priority, binding, carrying LWP.
-func (t *sthread) SchedPrio() int      { return t.prio }
-func (t *sthread) SchedBound() bool    { return t.bound }
-func (t *sthread) SchedBoundCPU() int  { return t.boundCPU }
-func (t *sthread) SchedLWP() *slwp     { return t.lwp }
-func (t *sthread) SetSchedLWP(l *slwp) { t.lwp = l }
+// sthread's scheduler view: node, effective priority, binding, carrying
+// LWP.
+func (t *sthread) Node() *sched.ThreadNode { return &t.ThreadNode }
+func (t *sthread) SchedPrio() int          { return t.prio }
+func (t *sthread) SchedBound() bool        { return t.bound }
+func (t *sthread) SchedBoundCPU() int      { return t.boundCPU }
+func (t *sthread) SchedLWP() *slwp         { return t.lwp }
+func (t *sthread) SetSchedLWP(l *slwp)     { t.lwp = l }
 
 type sevKind uint8
 
@@ -332,7 +281,7 @@ func newSim(prof *trace.Profile, m Machine) (*sim, error) {
 		s.cpus = append(s.cpus, &scpu{CPUNode: sched.CPUNode{ID: i}})
 	}
 	nThreads := len(ids)
-	s.sc = sched.NewCore[*sthread, *slwp, *scpu](pol, (*sengine)(s), s.cpus, m.NoPreemption, nThreads)
+	s.sc = sched.NewCore[*sthread, *slwp, *scpu](pol, (*sengine)(s), &s.now, s.cpus, m.NoPreemption, nThreads)
 	s.so = syncobj.New((*sengine)(s), nThreads, len(prof.Log.Objects))
 	pool := m.LWPs
 	if pool <= 0 {
@@ -365,18 +314,13 @@ func newSim(prof *trace.Profile, m Machine) (*sim, error) {
 		t := &s.threads[i]
 		s.so.AddThread()
 		*t = sthread{
-			info:     tp.Info,
-			calls:    tp.Calls,
-			dcalls:   dense.Calls[i],
-			ti:       int32(i),
-			state:    tNotStarted,
-			bound:    tp.Info.Bound,
-			boundCPU: int(tp.Info.BoundCPU),
-			prio:     dispatch.Clamp(int(tp.Info.Prio)),
-			lastCPU:  -1,
-			curState: trace.StateBlocked,
-			curCPU:   -1,
-			curLWP:   -1,
+			ThreadNode: sched.ThreadNode{TI: int32(i), LastCPU: -1},
+			info:       tp.Info,
+			calls:      tp.Calls,
+			dcalls:     dense.Calls[i],
+			bound:      tp.Info.Bound,
+			boundCPU:   int(tp.Info.BoundCPU),
+			prio:       dispatch.Clamp(int(tp.Info.Prio)),
 		}
 		s.applyOverride(t)
 	}
@@ -493,7 +437,7 @@ func (s *sim) run() (*Result, error) {
 	}
 	for i := range s.threads {
 		t := &s.threads[i]
-		res.PerThreadCPU[t.id()] = t.cpuTime
+		res.PerThreadCPU[t.id()] = t.CPUTime
 	}
 	if s.tb != nil {
 		res.Timeline = s.tb.Build(s.prof.Log.Header.Program, s.m.CPUs, len(s.lwps), res.Duration)
@@ -504,7 +448,7 @@ func (s *sim) run() (*Result, error) {
 
 // startThread activates a thread at the current time.
 func (s *sim) startThread(t *sthread) {
-	if t.state != tNotStarted {
+	if t.State != sched.NotStarted {
 		s.fail(fmt.Errorf("core: thread T%d started twice", t.id()))
 		return
 	}
@@ -515,53 +459,18 @@ func (s *sim) startThread(t *sthread) {
 		t.lwp = l
 	}
 	if s.tb != nil {
-		t.tlh = s.tb.StartThread(t.info, s.now)
-		t.inTL = true
+		t.StartTimeline(s.tb, t.info, s.now)
 		// The thread places exactly one event per call record plus at most
 		// one exit event. Span counts come out below the call count on
 		// real traces (adjacent same-state spans coalesce), so half the
 		// call count covers most threads and the rest grow amortized.
-		s.tb.Reserve(t.tlh, len(t.calls)/2+8, len(t.calls)+1)
+		s.tb.Reserve(t.TL, len(t.calls)/2+8, len(t.calls)+1)
 	}
-	t.spanStart = s.now
-	t.stage = stCompute
 	if r := t.rec(); r != nil {
-		t.workLeft = r.CPUBefore
-	} else {
-		// A thread with no recorded events exits immediately.
-		t.workLeft = 0
+		t.WorkLeft = r.CPUBefore
 	}
-	t.state = tSleeping // wake() requires a non-runnable state
+	// A thread with no recorded events exits as soon as it runs.
 	s.wake(t, -1, false)
-}
-
-// ---- timeline --------------------------------------------------------------
-
-func (s *sim) setTState(t *sthread, st trace.ThreadState, cpu, lwp int32) {
-	if s.tb == nil {
-		return
-	}
-	if t.inTL {
-		s.tb.AddSpanH(t.tlh, trace.Span{
-			Start: t.spanStart, End: s.now,
-			State: t.curState, CPU: t.curCPU, LWP: t.curLWP,
-		})
-	}
-	t.curState = st
-	t.curCPU = cpu
-	t.curLWP = lwp
-	t.spanStart = s.now
-}
-
-func (s *sim) endTimeline(t *sthread) {
-	if s.tb != nil && t.inTL {
-		s.tb.AddSpanH(t.tlh, trace.Span{
-			Start: t.spanStart, End: s.now,
-			State: t.curState, CPU: t.curCPU, LWP: t.curLWP,
-		})
-		s.tb.EndThreadH(t.tlh, s.now)
-		t.inTL = false
-	}
 }
 
 // fillEvent synthesizes the simulated probe event for the thread's
@@ -607,9 +516,9 @@ func (s *sim) placeAfter(t *sthread) {
 		s.eventSeq++
 		return
 	}
-	pe := s.tb.NextEventH(t.tlh)
+	pe := s.tb.AddEvent(t.TL)
 	s.fillEvent(&pe.Event, t, trace.After)
-	pe.CPU = int32(t.lastCPU)
+	pe.CPU = int32(t.LastCPU)
 	pe.Start = t.beforeTime
 	pe.End = pe.Event.Time
 }
@@ -619,33 +528,24 @@ func (s *sim) placeAfter(t *sthread) {
 // wake makes a thread runnable. fromCPU identifies where the waking event
 // happened; a cross-CPU wake is delayed by the machine's communication
 // delay. boost applies the TS sleep-return priority lift.
+// A suspended thread is never delayed: sched.Core.Wake keeps its wake for
+// thr_continue.
 func (s *sim) wake(t *sthread, fromCPU int, boost bool) {
-	if t.suspended {
-		t.grantLater = true
-		return
-	}
-	if t.state == tWakePending {
-		return
-	}
-	if s.m.CommDelay > 0 && fromCPU >= 0 && t.lastCPU >= 0 && fromCPU != t.lastCPU {
-		t.state = tWakePending
+	if s.m.CommDelay > 0 && fromCPU >= 0 && t.LastCPU >= 0 && fromCPU != t.LastCPU && !t.Suspended {
+		t.To(sched.WakePending, s.now, -1, -1)
 		t.wakeEpoch++
-		s.events.Push(s.now.Add(s.m.CommDelay), sevent{kind: evWake, who: t.ti, epoch: t.wakeEpoch})
+		s.events.Push(s.now.Add(s.m.CommDelay), sevent{kind: evWake, who: t.TI, epoch: t.wakeEpoch})
 		return
 	}
-	s.deliverWake(t, boost)
-}
-
-func (s *sim) deliverWake(t *sthread, boost bool) {
-	t.state = tRunnable
 	s.sc.Wake(t, boost)
 }
 
-// The queueing, dispatch, preemption and time-slice machinery lives in
-// internal/sched — the same core the recording kernel drives, so the
-// Simulator cannot drift from the machine the trace was recorded on. The
-// sengine adapter below receives the core's decisions and applies this
-// engine's specifics: record replay, simulated probes and timeline spans.
+// The queueing, dispatch, preemption and time-slice machinery and the
+// thread state machine live in internal/sched — the same core the
+// recording kernel drives, so the Simulator cannot drift from the machine
+// the trace was recorded on. The sengine adapter below receives the core's
+// decisions and applies this engine's specifics: record replay and
+// simulated probes.
 
 // sengine adapts sim to sched.Engine.
 type sengine sim
@@ -658,10 +558,8 @@ func (e *sengine) Placed(cpu *scpu, l *slwp) {
 	s := (*sim)(e)
 	t := l.thread
 	cpu.lastAccounted = s.now
-	t.lastCPU = cpu.ID
-	t.state = tRunning
-	s.setTState(t, trace.StateRunning, int32(cpu.ID), int32(l.ID))
-	if t.stage == stWaiting {
+	t.LastCPU = cpu.ID
+	if t.Stage == sched.StageWaiting {
 		s.completeOp(cpu, t)
 		if s.err != nil || cpu.lwp != l || l.thread != t {
 			return
@@ -675,10 +573,8 @@ func (e *sengine) Placed(cpu *scpu, l *slwp) {
 // run-to-next-thread path that skips the kernel queue).
 func (e *sengine) Switched(cpu *scpu, l *slwp, next *sthread) {
 	s := (*sim)(e)
-	next.lastCPU = cpu.ID
-	next.state = tRunning
-	s.setTState(next, trace.StateRunning, int32(cpu.ID), int32(l.ID))
-	if next.stage == stWaiting {
+	next.LastCPU = cpu.ID
+	if next.Stage == sched.StageWaiting {
 		s.completeOp(cpu, next)
 		if s.err != nil || cpu.lwp != l || l.thread != next {
 			return
@@ -688,28 +584,17 @@ func (e *sengine) Switched(cpu *scpu, l *slwp, next *sthread) {
 	s.scheduleSlice(l)
 }
 
-func (e *sengine) Runnable(t *sthread, l *slwp) {
-	s := (*sim)(e)
-	t.state = tRunnable
-	s.setTState(t, trace.StateRunnable, -1, int32(l.ID))
-}
-
-func (e *sengine) Parked(t *sthread) {
-	s := (*sim)(e)
-	t.state = tRunnable
-	s.setTState(t, trace.StateRunnable, -1, -1)
-}
-
 // sengine also adapts sim to syncobj.Engine, receiving the object core's
 // grants.
 
-// Wake: a wake granted by another thread's call is cross-CPU when that
-// thread last ran on another CPU (the communication-delay rule).
+// Wake: a wake granted by another thread's call (or thr_continue) is
+// cross-CPU when that thread last ran on another CPU (the
+// communication-delay rule).
 func (e *sengine) Wake(ti, by int32) {
 	s := (*sim)(e)
 	from := -1
 	if by != nilIdx {
-		from = s.threads[by].lastCPU
+		from = s.threads[by].LastCPU
 	}
 	s.wake(&s.threads[ti], from, true)
 }
@@ -734,9 +619,9 @@ func (s *sim) completeOp(cpu *scpu, t *sthread) {
 // advanceRecord moves the thread to its next call record.
 func (s *sim) advanceRecord(cpu *scpu, t *sthread) {
 	t.idx++
-	t.stage = stCompute
+	t.Stage = sched.StageCompute
 	if r := t.rec(); r != nil {
-		t.workLeft = r.CPUBefore
+		t.WorkLeft = r.CPUBefore
 		return
 	}
 	// Recording exhausted without thr_exit: treat as exit (collection
@@ -750,7 +635,7 @@ func (s *sim) scheduleBurst(cpu *scpu) {
 	if l == nil || l.thread == nil {
 		return
 	}
-	s.events.Push(s.now.Add(l.thread.workLeft), sevent{kind: evBurst, who: int32(cpu.ID), epoch: cpu.Epoch})
+	s.events.Push(s.now.Add(l.thread.WorkLeft), sevent{kind: evBurst, who: int32(cpu.ID), epoch: cpu.Epoch})
 }
 
 func (s *sim) scheduleSlice(l *slwp) {
@@ -792,11 +677,11 @@ func (s *sim) account(cpu *scpu) {
 	if t == nil {
 		return
 	}
-	if dt > t.workLeft {
-		dt = t.workLeft
+	if dt > t.WorkLeft {
+		dt = t.WorkLeft
 	}
-	t.workLeft -= dt
-	t.cpuTime += dt
+	t.WorkLeft -= dt
+	t.CPUTime += dt
 }
 
 func (s *sim) handle(ev sevent) {
@@ -823,18 +708,17 @@ func (s *sim) handle(ev sevent) {
 		if t.timerEpoch != ev.epoch {
 			return
 		}
-		s.so.Reacquire(t.ti, t.drec().Mutex)
+		s.so.Reacquire(t.TI, t.drec().Mutex)
 	case evWake:
+		// thr_suspend moves a wake-pending thread to sleeping, and a
+		// suspended thread is never made wake-pending, so a delivery that
+		// finds its thread wake-pending at its epoch has an unsuspended
+		// thread to wake.
 		t := &s.threads[ev.who]
-		if t.wakeEpoch != ev.epoch || t.state != tWakePending {
+		if t.wakeEpoch != ev.epoch || t.State != sched.WakePending {
 			return
 		}
-		if t.suspended {
-			t.grantLater = true
-			t.state = tSleeping
-			return
-		}
-		s.deliverWake(t, true)
+		s.sc.Wake(t, true)
 	case evIODone:
 		s.so.IODone(ev.who)
 	}
@@ -851,7 +735,7 @@ func (s *sim) advanceThread(cpu *scpu) {
 		if t == nil {
 			return
 		}
-		if t.workLeft > 0 {
+		if t.WorkLeft > 0 {
 			s.scheduleBurst(cpu)
 			return
 		}
@@ -860,8 +744,8 @@ func (s *sim) advanceThread(cpu *scpu) {
 			s.exitThread(cpu, t)
 			return
 		}
-		switch t.stage {
-		case stCompute:
+		switch t.Stage {
+		case sched.StageCompute:
 			t.beforeTime = s.now
 			if s.tb != nil && r.Call == trace.CallThrExit {
 				s.fillEvent(&t.beforeEv, t, trace.Before)
@@ -871,22 +755,22 @@ func (s *sim) advanceThread(cpu *scpu) {
 				// except for thr_exit. The sequence number is still consumed.
 				s.eventSeq++
 			}
-			t.stage = stCall
-			t.workLeft = s.callCost(t, r)
-		case stCall:
+			t.Stage = sched.StageCall
+			t.WorkLeft = s.callCost(t, r)
+		case sched.StageCall:
 			blocked := s.applyOp(cpu, t, r, t.drec())
 			if blocked || s.err != nil {
 				return
 			}
-			if t.state == tZombie {
+			if t.State == sched.Zombie {
 				return
 			}
 			s.placeAfter(t)
 			s.advanceRecord(cpu, t)
-			if t.state == tZombie {
+			if t.State == sched.Zombie {
 				return
 			}
-		case stWaiting:
+		case sched.StageWaiting:
 			return
 		}
 	}
@@ -926,28 +810,19 @@ func (s *sim) callCost(t *sthread, r *trace.CallRecord) vtime.Duration {
 	return cost
 }
 
-// blockThread suspends the running thread.
-func (s *sim) blockThread(cpu *scpu, t *sthread) {
-	t.state = tSleeping
-	t.stage = stWaiting
-	s.setTState(t, trace.StateBlocked, -1, -1)
-	s.sc.Detach(cpu, t)
-}
-
 // exitThread finalizes a simulated thread.
 func (s *sim) exitThread(cpu *scpu, t *sthread) {
 	// Place the exit event if the thread ended on a thr_exit record.
 	if r := t.rec(); r != nil && r.Call == trace.CallThrExit && s.tb != nil {
-		s.tb.AddEventH(t.tlh, trace.PlacedEvent{
+		*s.tb.AddEvent(t.TL) = trace.PlacedEvent{
 			Event: t.beforeEv,
-			CPU:   int32(t.lastCPU),
+			CPU:   int32(t.LastCPU),
 			Start: t.beforeEv.Time,
 			End:   s.now,
-		})
+		}
 	}
-	s.endTimeline(t)
-	t.state = tZombie
+	t.To(sched.Zombie, s.now, -1, -1)
 	s.live--
-	s.so.Exit(t.ti)
+	s.so.Exit(t.TI)
 	s.sc.Exit(cpu, t)
 }

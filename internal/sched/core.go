@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"vppb/internal/vtime"
 )
@@ -46,6 +47,7 @@ type CPUNode struct {
 // Thread is the scheduler's view of an engine thread.
 type Thread[L any] interface {
 	comparable
+	Node() *ThreadNode
 	SchedPrio() int
 	SchedBound() bool
 	SchedBoundCPU() int
@@ -78,20 +80,18 @@ type Engine[T Thread[L], L LWP[T, C], C CPU[L]] interface {
 	// Account charges elapsed virtual time on the CPU before a
 	// scheduling decision changes what it runs.
 	Account(cpu C)
-	// Placed runs after the Core links l to a previously idle cpu: apply
-	// dispatch overheads, mark the thread running, finish an off-CPU
-	// completed call, and arm the burst and slice events.
+	// Placed runs after the Core links l to a previously idle cpu and
+	// marks its thread running: apply dispatch overheads, finish an
+	// off-CPU completed call, and arm the burst and slice events.
 	Placed(cpu C, l L)
 	// Switched runs after the Core hands a still-linked pool LWP its
-	// next thread (the run-to-next-thread path, no trip through the
-	// kernel queue).
+	// next thread and marks it running (the run-to-next-thread path, no
+	// trip through the kernel queue).
 	Switched(cpu C, l L, next T)
-	// Runnable marks a thread runnable on its LWP l, just before the
-	// Core requeues l on the kernel queue.
-	Runnable(t T, l L)
-	// Parked marks a thread runnable but LWP-less, just before the Core
-	// pushes it on the user run queue.
-	Parked(t T)
+	// Wake is the engine's grant path, which thr_continue takes: it
+	// wakes the thread with dense index ti as if thread by had granted
+	// it (the same method as syncobj.Engine's).
+	Wake(ti, by int32)
 }
 
 // Core is the shared two-level scheduler state machine: the user run
@@ -101,6 +101,7 @@ type Engine[T Thread[L], L LWP[T, C], C CPU[L]] interface {
 type Core[T Thread[L], L LWP[T, C], C CPU[L]] struct {
 	policy    Policy
 	engine    Engine[T, L, C]
+	now       *vtime.Time // the engine's clock
 	cpus      []C
 	noPreempt bool
 
@@ -144,12 +145,14 @@ type Core[T Thread[L], L LWP[T, C], C CPU[L]] struct {
 }
 
 // NewCore builds a scheduler over the given CPUs, where cpus[i] must have
-// ID i (a CPU-bound thread names its CPU by ID). hint preallocates the
+// ID i (a CPU-bound thread names its CPU by ID). now is the engine's
+// clock, which times the threads' state changes. hint preallocates the
 // queues (the Simulator knows its thread count up front).
-func NewCore[T Thread[L], L LWP[T, C], C CPU[L]](policy Policy, engine Engine[T, L, C], cpus []C, noPreemption bool, hint int) *Core[T, L, C] {
+func NewCore[T Thread[L], L LWP[T, C], C CPU[L]](policy Policy, engine Engine[T, L, C], now *vtime.Time, cpus []C, noPreemption bool, hint int) *Core[T, L, C] {
 	return &Core[T, L, C]{
 		policy:        policy,
 		engine:        engine,
+		now:           now,
 		cpus:          cpus,
 		noPreempt:     noPreemption,
 		userRunQ:      make([]T, 0, hint),
@@ -236,15 +239,11 @@ func (c *Core[T, L, C]) PopUserRunQ() T {
 	return t
 }
 
-// RemoveUserRunQ unqueues a specific thread; false if it was not queued.
-func (c *Core[T, L, C]) RemoveUserRunQ(t T) bool {
-	for i, q := range c.userRunQ {
-		if q == t {
-			c.userRunQ = append(c.userRunQ[:i], c.userRunQ[i+1:]...)
-			return true
-		}
+// removeUserRunQ unqueues a specific thread, if it is queued.
+func (c *Core[T, L, C]) removeUserRunQ(t T) {
+	if i := slices.Index(c.userRunQ, t); i >= 0 {
+		c.userRunQ = slices.Delete(c.userRunQ, i, i+1)
 	}
-	return false
 }
 
 // PushKernelQ inserts a runnable LWP in policy order, FIFO within a
@@ -265,8 +264,8 @@ func (c *Core[T, L, C]) PushKernelQ(l L) {
 	c.kernelQ[i] = l
 }
 
-// RemoveKernelQ unqueues a specific LWP; false if it was not queued.
-func (c *Core[T, L, C]) RemoveKernelQ(l L) bool {
+// removeKernelQ unqueues a specific LWP; false if it was not queued.
+func (c *Core[T, L, C]) removeKernelQ(l L) bool {
 	for i, q := range c.kernelQ {
 		if q == l {
 			c.kernelQ = append(c.kernelQ[:i], c.kernelQ[i+1:]...)
@@ -308,14 +307,19 @@ func (c *Core[T, L, C]) peekKernelQ(cpu C) (int, bool) {
 
 // ---- scheduling -----------------------------------------------------------
 
-// Wake makes a (non-suspended) thread runnable: requeue its dedicated
-// LWP, attach an idle pool LWP, or park it on the user run queue. boost
-// applies the policy's sleep-return priority lift.
+// Wake makes a thread runnable: requeue its dedicated LWP, attach an idle
+// pool LWP, or park it on the user run queue. boost applies the policy's
+// sleep-return priority lift. A suspended thread keeps the wake for
+// thr_continue.
 func (c *Core[T, L, C]) Wake(t T, boost bool) {
+	if n := t.Node(); n.Suspended {
+		n.WakeDeferred = true
+		return
+	}
 	if t.SchedBound() {
 		l := t.SchedLWP()
 		c.refreshWake(l, boost)
-		c.engine.Runnable(t, l)
+		c.set(t, Runnable, -1, l.Node().ID)
 		c.PushKernelQ(l)
 		return
 	}
@@ -331,11 +335,11 @@ func (c *Core[T, L, C]) Wake(t T, boost bool) {
 		l.SetSchedThread(t)
 		t.SetSchedLWP(l)
 		c.refreshWake(l, boost)
-		c.engine.Runnable(t, l)
+		c.set(t, Runnable, -1, l.Node().ID)
 		c.PushKernelQ(l)
 		return
 	}
-	c.engine.Parked(t)
+	c.set(t, Runnable, -1, -1)
 	c.PushUserRunQ(t)
 }
 
@@ -378,7 +382,7 @@ func (c *Core[T, L, C]) Undispatch(cpu C) {
 	c.Unlink(cpu, l)
 	var zeroT T
 	if t != zeroT {
-		c.engine.Runnable(t, l)
+		c.set(t, Runnable, -1, l.Node().ID)
 	}
 	c.PushKernelQ(l)
 }
@@ -390,6 +394,7 @@ func (c *Core[T, L, C]) DispatchAll() {
 		return
 	}
 	var zeroL L
+	var zeroT T
 	for {
 		// DispatchAll runs after every simulated event; an empty kernel
 		// queue or a fully busy machine (the two common steady states) must
@@ -413,6 +418,9 @@ func (c *Core[T, L, C]) DispatchAll() {
 			cpu.SetSchedLWP(l)
 			l.SetSchedCPU(cpu)
 			c.idleCPUs--
+			if t := l.SchedThread(); t != zeroT {
+				c.set(t, Running, cpu.Node().ID, l.Node().ID)
+			}
 			c.engine.Placed(cpu, l)
 			progress = true
 		}
@@ -515,13 +523,14 @@ func (c *Core[T, L, C]) NextThread(cpu C, l L) {
 	}
 	l.SetSchedThread(next)
 	next.SetSchedLWP(l)
+	c.set(next, Running, cpu.Node().ID, l.Node().ID)
 	c.engine.Switched(cpu, l, next)
 }
 
 // ---- releasing a thread's LWP ---------------------------------------------
 //
-// The engines keep their own thread states and timeline spans; these
-// methods only move the LWP a thread leaves behind.
+// These methods only move the LWP a thread leaves behind; the thread's
+// own state changes are made by their callers.
 
 // release unpairs a pool LWP and its thread.
 func (c *Core[T, L, C]) release(t T, l L) {
@@ -531,10 +540,10 @@ func (c *Core[T, L, C]) release(t T, l L) {
 	t.SetSchedLWP(zeroL)
 }
 
-// Detach takes a thread that stopped running (it blocked, or suspended
+// detach takes a thread that stopped running (it blocked, or suspended
 // itself) off cpu: a bound thread's dedicated LWP sleeps with it, a pool
 // LWP moves on to its next thread.
-func (c *Core[T, L, C]) Detach(cpu C, t T) {
+func (c *Core[T, L, C]) detach(cpu C, t T) {
 	l := t.SchedLWP()
 	if t.SchedBound() {
 		c.Unlink(cpu, l)
@@ -545,10 +554,10 @@ func (c *Core[T, L, C]) Detach(cpu C, t T) {
 	c.NextThread(cpu, l)
 }
 
-// Evict takes a running thread off cpu without requeueing it (another
-// thread suspended it). Its progress stays with the engine; a pool LWP
-// moves on to other work and the thread reattaches when it is continued.
-func (c *Core[T, L, C]) Evict(cpu C, t T) {
+// evict takes a running thread off cpu without requeueing it (another
+// thread suspended it). A pool LWP moves on to other work and the thread
+// reattaches when it is continued.
+func (c *Core[T, L, C]) evict(cpu C, t T) {
 	l := t.SchedLWP()
 	c.Unlink(cpu, l)
 	if !t.SchedBound() {
@@ -557,16 +566,16 @@ func (c *Core[T, L, C]) Evict(cpu C, t T) {
 	}
 }
 
-// Unqueue removes a runnable thread from whichever queue holds it,
+// unqueue removes a runnable thread from whichever queue holds it,
 // freeing a pool LWP it was queued with.
-func (c *Core[T, L, C]) Unqueue(t T) {
+func (c *Core[T, L, C]) unqueue(t T) {
 	l := t.SchedLWP()
 	var zeroL L
 	if l == zeroL {
-		c.RemoveUserRunQ(t)
+		c.removeUserRunQ(t)
 		return
 	}
-	c.RemoveKernelQ(l)
+	c.removeKernelQ(l)
 	if !t.SchedBound() {
 		c.release(t, l)
 		c.ReassignOrIdle(l)

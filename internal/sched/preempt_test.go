@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"vppb/internal/vtime"
 )
 
 // TestPolicyContract checks, for every registered policy over the TS
@@ -122,7 +124,7 @@ func (g *preemptGen) state(policy string) (*Core[*fakeThread, *fakeLWP, *fakeCPU
 		cpus[i] = &fakeCPU{CPUNode: CPUNode{ID: i}}
 	}
 	eng := &victimEngine{}
-	c := NewCore[*fakeThread, *fakeLWP, *fakeCPU](pol, eng, cpus, false, 0)
+	c := NewCore[*fakeThread, *fakeLWP, *fakeCPU](pol, eng, new(vtime.Time), cpus, false, 0)
 	for _, cpu := range cpus {
 		if g.rng.Intn(5) == 0 {
 			continue

@@ -11,6 +11,7 @@ import (
 // ---- fake engine -----------------------------------------------------------
 
 type fakeThread struct {
+	ThreadNode
 	id       int
 	prio     int
 	bound    bool
@@ -18,6 +19,7 @@ type fakeThread struct {
 	lwp      *fakeLWP
 }
 
+func (t *fakeThread) Node() *ThreadNode      { return &t.ThreadNode }
 func (t *fakeThread) SchedPrio() int         { return t.prio }
 func (t *fakeThread) SchedBound() bool       { return t.bound }
 func (t *fakeThread) SchedBoundCPU() int     { return t.boundCPU }
@@ -49,8 +51,7 @@ func (c *fakeCPU) SetSchedLWP(l *fakeLWP) { c.lwp = l }
 type fakeEngine struct {
 	placed   []int // LWP IDs, in Placed order
 	switched []int // thread IDs, in Switched order
-	runnable []int // thread IDs
-	parked   []int // thread IDs
+	woken    []int32
 	accounts int
 }
 
@@ -61,10 +62,7 @@ func (e *fakeEngine) Placed(_ *fakeCPU, l *fakeLWP) {
 func (e *fakeEngine) Switched(_ *fakeCPU, _ *fakeLWP, t *fakeThread) {
 	e.switched = append(e.switched, t.id)
 }
-func (e *fakeEngine) Runnable(t *fakeThread, _ *fakeLWP) {
-	e.runnable = append(e.runnable, t.id)
-}
-func (e *fakeEngine) Parked(t *fakeThread) { e.parked = append(e.parked, t.id) }
+func (e *fakeEngine) Wake(ti, _ int32) { e.woken = append(e.woken, ti) }
 
 func newFakeCore(t *testing.T, policy string, nCPUs int, noPreempt bool) (*Core[*fakeThread, *fakeLWP, *fakeCPU], *fakeEngine, []*fakeCPU) {
 	t.Helper()
@@ -77,7 +75,7 @@ func newFakeCore(t *testing.T, policy string, nCPUs int, noPreempt bool) (*Core[
 		cpus[i] = &fakeCPU{CPUNode: CPUNode{ID: i}}
 	}
 	eng := &fakeEngine{}
-	return NewCore[*fakeThread, *fakeLWP, *fakeCPU](pol, eng, cpus, noPreempt, 0), eng, cpus
+	return NewCore[*fakeThread, *fakeLWP, *fakeCPU](pol, eng, new(vtime.Time), cpus, noPreempt, 0), eng, cpus
 }
 
 func newLWP(id, prio int) *fakeLWP {
@@ -224,8 +222,8 @@ func TestKernelQueueOrder(t *testing.T) {
 			t.Fatalf("kernel queue order = %v, want %v", ids, want)
 		}
 	}
-	if !c.RemoveKernelQ(b) || c.RemoveKernelQ(b) {
-		t.Fatal("RemoveKernelQ must remove exactly once")
+	if !c.removeKernelQ(b) || c.removeKernelQ(b) {
+		t.Fatal("removeKernelQ must remove exactly once")
 	}
 }
 
@@ -253,7 +251,7 @@ func TestUserRunQueueOrder(t *testing.T) {
 // (the pool is a queue, not a stack), and with no idle LWP the thread
 // parks on the user run queue.
 func TestWakePaths(t *testing.T) {
-	c, eng, _ := newFakeCore(t, "ts", 1, false)
+	c, _, _ := newFakeCore(t, "ts", 1, false)
 
 	bound := newLWP(1, 29)
 	bound.thread.bound = true
@@ -261,7 +259,7 @@ func TestWakePaths(t *testing.T) {
 	if len(c.KernelQ()) != 1 || c.KernelQ()[0] != bound {
 		t.Fatal("bound wake must requeue the dedicated LWP")
 	}
-	c.RemoveKernelQ(bound)
+	c.removeKernelQ(bound)
 
 	idleA := &fakeLWP{LWPNode: LWPNode{ID: 10, Prio: 29}}
 	idleB := &fakeLWP{LWPNode: LWPNode{ID: 11, Prio: 29}}
@@ -278,13 +276,13 @@ func TestWakePaths(t *testing.T) {
 
 	p := &fakeThread{id: 3, prio: 29, boundCPU: -1}
 	c.Wake(p, false) // idleB is still idle... but taken below
-	c.Wake(&fakeThread{id: 4, prio: 29, boundCPU: -1}, false)
-	if len(c.UserRunQ()) != 1 || c.UserRunQ()[0].id != 4 {
-		t.Fatalf("with the pool empty the thread must park on the user run queue (runq=%v parked=%v)",
-			c.UserRunQ(), eng.parked)
+	parked := &fakeThread{id: 4, prio: 29, boundCPU: -1}
+	c.Wake(parked, false)
+	if len(c.UserRunQ()) != 1 || c.UserRunQ()[0] != parked {
+		t.Fatalf("with the pool empty the thread must park on the user run queue (runq=%v)", c.UserRunQ())
 	}
-	if len(eng.parked) != 1 || eng.parked[0] != 4 {
-		t.Fatalf("engine.Parked calls = %v, want [4]", eng.parked)
+	if parked.State != Runnable {
+		t.Fatalf("parked thread is %v, want runnable", parked.State)
 	}
 }
 

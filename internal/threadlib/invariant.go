@@ -1,6 +1,10 @@
 package threadlib
 
-import "fmt"
+import (
+	"fmt"
+
+	"vppb/internal/sched"
+)
 
 // debugChecks enables exhaustive internal invariant checking in tests.
 var debugChecks = false
@@ -76,13 +80,13 @@ func (p *Process) checkInvariants(where string) {
 		}
 	}
 	for _, kt := range p.threads {
-		if kt.state == tZombie {
+		if kt.State == sched.Zombie {
 			continue
 		}
 		if kt.lwp != nil && kt.lwp.thread != kt {
 			die("T%d points to LWP %d which runs another thread", kt.id, kt.lwp.ID)
 		}
-		if kt.state == tRunning {
+		if kt.State == sched.Running {
 			if kt.lwp == nil || kt.lwp.cpu == nil {
 				die("running T%d has no LWP/CPU", kt.id)
 			}
@@ -92,7 +96,7 @@ func (p *Process) checkInvariants(where string) {
 		if kt.lwp != nil {
 			die("T%d in userRunQ but attached to LWP %d", kt.id, kt.lwp.ID)
 		}
-		if kt.state != tRunnable {
+		if kt.State != sched.Runnable {
 			die("T%d in userRunQ in wrong state", kt.id)
 		}
 	}

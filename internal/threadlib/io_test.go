@@ -192,12 +192,20 @@ func TestSelfSuspend(t *testing.T) {
 }
 
 func TestSuspendUnknownFails(t *testing.T) {
-	p := NewProcess(Config{CPUs: 1, Costs: zeroCosts()})
-	_, err := p.Run(func(th *Thread) {
-		th.Suspend(99)
-	})
-	if err == nil || !strings.Contains(err.Error(), "unknown thread") {
-		t.Fatalf("err = %v", err)
+	for _, tc := range []struct {
+		name string
+		call func(*Thread)
+	}{
+		{"suspend", func(th *Thread) { th.Suspend(99) }},
+		{"continue", func(th *Thread) { th.Continue(99) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewProcess(Config{CPUs: 1, Costs: zeroCosts()})
+			_, err := p.Run(tc.call)
+			if err == nil || !strings.Contains(err.Error(), "unknown thread") {
+				t.Fatalf("err = %v", err)
+			}
+		})
 	}
 }
 

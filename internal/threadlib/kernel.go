@@ -13,31 +13,13 @@ import (
 
 const defaultUserPrio = 29
 
-// tstate is a thread's scheduling state.
-type tstate uint8
-
-const (
-	tRunnable tstate = iota
-	tRunning
-	tSleeping
-	tZombie
-)
-
-// opStage tracks where a thread is within its current request.
-type opStage uint8
-
-const (
-	stCompute opStage = iota // consuming the burst preceding the call
-	stCall                   // consuming the call's own cost
-	stWaiting                // suspended (or requeued) awaiting completion
-)
-
 // kthread is the kernel-side representation of a thread.
 type kthread struct {
-	id trace.ThreadID
-	// ti is the thread's dense index: its position in Process.threads and
-	// its index in the object core.
-	ti    int32
+	// The embedded sched.ThreadNode (state, call stage, progress,
+	// thr_suspend flags, timeline span cursor) is shared with the
+	// Simulator; TI is the thread's position in Process.threads.
+	sched.ThreadNode
+	id    trace.ThreadID
 	name  string
 	fname string
 	prio  int // user-level priority
@@ -50,38 +32,18 @@ type kthread struct {
 	start chan struct{}
 	began bool
 
-	state    tstate
-	stage    opStage
-	req      *request
-	resp     response
-	workLeft vtime.Duration
+	req  *request
+	resp response
 	// extraWork folds probe costs into the next work phase.
 	extraWork vtime.Duration
 	beforeEv  trace.Event
 
-	lwp     *klwp
-	lastCPU int
+	lwp *klwp
 
 	timerEpoch uint64
-	// suspended marks a thr_suspend'ed thread; wakePending remembers a
-	// resource grant that arrived while suspended; parkedReady marks a
-	// thread that was runnable or running when suspended and needs no
-	// further wake.
-	suspended   bool
-	wakePending bool
-	parkedReady bool
 	// held is the stack of mutexes the thread currently owns (see
 	// pushHeld).
 	held []*object
-
-	cpuTime vtime.Duration
-
-	// timeline bookkeeping
-	curState  trace.ThreadState
-	spanStart vtime.Time
-	curCPU    int32
-	curLWP    int32
-	inTL      bool
 }
 
 // klwp is a lightweight process: the schedulable kernel entity. The
@@ -113,12 +75,13 @@ func (c *kcpu) Node() *sched.CPUNode { return &c.CPUNode }
 func (c *kcpu) SchedLWP() *klwp      { return c.lwp }
 func (c *kcpu) SetSchedLWP(l *klwp)  { c.lwp = l }
 
-// kthread's scheduler view: user priority, binding, carrying LWP.
-func (kt *kthread) SchedPrio() int      { return kt.prio }
-func (kt *kthread) SchedBound() bool    { return kt.bound }
-func (kt *kthread) SchedBoundCPU() int  { return kt.boundCPU }
-func (kt *kthread) SchedLWP() *klwp     { return kt.lwp }
-func (kt *kthread) SetSchedLWP(l *klwp) { kt.lwp = l }
+// kthread's scheduler view: node, user priority, binding, carrying LWP.
+func (kt *kthread) Node() *sched.ThreadNode { return &kt.ThreadNode }
+func (kt *kthread) SchedPrio() int          { return kt.prio }
+func (kt *kthread) SchedBound() bool        { return kt.bound }
+func (kt *kthread) SchedBoundCPU() int      { return kt.boundCPU }
+func (kt *kthread) SchedLWP() *klwp         { return kt.lwp }
+func (kt *kthread) SetSchedLWP(l *klwp)     { kt.lwp = l }
 
 type kevKind uint8
 
@@ -148,7 +111,7 @@ type Process struct {
 	events vtime.EventQueue[kevent]
 	reqCh  chan reqEnvelope
 
-	threads []*kthread // indexed by kthread.ti
+	threads []*kthread // indexed by kthread.TI
 	byID    map[trace.ThreadID]*kthread
 	nextTID trace.ThreadID
 	nextOID trace.ObjectID
@@ -189,7 +152,7 @@ func NewProcess(cfg Config) *Process {
 		p.err = fmt.Errorf("threadlib: %w", err)
 		pol, _ = sched.New(sched.Default)
 	}
-	p.sc = sched.NewCore[*kthread, *klwp, *kcpu](pol, (*kengine)(p), p.cpus, c.NoPreemption, 0)
+	p.sc = sched.NewCore[*kthread, *klwp, *kcpu](pol, (*kengine)(p), &p.now, p.cpus, c.NoPreemption, 0)
 	p.so = syncobj.New((*kengine)(p), 0, 0)
 	p.sc.OnPushKernelQ = p.checkPushKernelQ
 	// A fixed LWP count is honoured exactly; the dynamic default starts
@@ -256,7 +219,7 @@ func (p *Process) Run(main func(*Thread)) (*Result, error) {
 	p.fireMarker(mt, trace.CallStartCollect)
 	p.spawn(mt, main)
 	p.fetchInto(mt)
-	p.wakeThread(mt, false)
+	p.sc.Wake(mt, false)
 	p.sc.DispatchAll()
 	p.sc.PreemptPass()
 
@@ -296,7 +259,7 @@ func (p *Process) Run(main func(*Thread)) (*Result, error) {
 		PerThreadCPU: make(map[trace.ThreadID]vtime.Duration, len(p.threads)),
 	}
 	for _, kt := range p.threads {
-		res.PerThreadCPU[kt.id] = kt.cpuTime
+		res.PerThreadCPU[kt.id] = kt.CPUTime
 	}
 	if p.tb != nil {
 		res.Timeline = p.tb.Build(p.cfg.Program, p.cfg.CPUs, len(p.lwps), res.Duration)
@@ -319,40 +282,28 @@ func (p *Process) deadlockError() error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "threadlib: deadlock at %v:", p.now)
 	for _, kt := range p.threads {
-		if kt.state == tZombie {
+		if kt.State == sched.Zombie {
 			continue
 		}
 		obj := "?"
-		if oi := p.so.WaitingOn(kt.ti); oi != syncobj.Nil {
+		if oi := p.so.WaitingOn(kt.TI); oi != syncobj.Nil {
 			obj = fmt.Sprintf("%s %q", p.objects[oi].kind, p.objects[oi].name)
 		} else if kt.req != nil && kt.req.kind == trace.CallThrJoin {
 			obj = fmt.Sprintf("thr_join T%d", kt.req.target)
 		}
-		fmt.Fprintf(&b, " T%d(%s) %s on %s at %s;", kt.id, kt.name, kt.state.String(), obj, kt.req.loc)
+		fmt.Fprintf(&b, " T%d(%s) %s on %s at %s;", kt.id, kt.name, kt.State, obj, kt.req.loc)
 	}
 	return fmt.Errorf("%s", b.String())
 }
 
-func (s tstate) String() string {
-	switch s {
-	case tRunnable:
-		return "runnable"
-	case tRunning:
-		return "running"
-	case tSleeping:
-		return "sleeping"
-	case tZombie:
-		return "zombie"
-	}
-	return "?"
-}
-
 // abortAll releases every live goroutine with an abort response so the host
-// process does not leak them after a failed run.
+// process does not leak them after a failed run. Its teardown is the one
+// state change that bypasses sched.ThreadNode.To: the run is over, and
+// threads in any state go straight to zombie.
 func (p *Process) abortAll() {
 	for _, kt := range p.threads {
-		if kt.state != tZombie {
-			kt.state = tZombie
+		if kt.State != sched.Zombie {
+			kt.State = sched.Zombie
 			kt.grant <- response{abort: true}
 		}
 	}
@@ -363,21 +314,15 @@ func (p *Process) newThread(id trace.ThreadID, name, fname string, co createOpts
 		name = fmt.Sprintf("T%d", id)
 	}
 	kt := &kthread{
-		id:       id,
-		ti:       p.so.AddThread(),
-		name:     name,
-		fname:    fname,
-		prio:     dispatch.Clamp(co.prio),
-		bound:    co.bound,
-		boundCPU: co.boundCPU,
-		grant:    make(chan response),
-		start:    make(chan struct{}),
-		state:    tSleeping,
-		stage:    stCompute,
-		lastCPU:  -1,
-		curState: trace.StateBlocked,
-		curCPU:   -1,
-		curLWP:   -1,
+		ThreadNode: sched.ThreadNode{TI: p.so.AddThread(), LastCPU: -1},
+		id:         id,
+		name:       name,
+		fname:      fname,
+		prio:       dispatch.Clamp(co.prio),
+		bound:      co.bound,
+		boundCPU:   co.boundCPU,
+		grant:      make(chan response),
+		start:      make(chan struct{}),
 	}
 	if kt.boundCPU >= p.cfg.CPUs {
 		kt.boundCPU = p.cfg.CPUs - 1
@@ -395,9 +340,7 @@ func (p *Process) newThread(id trace.ThreadID, name, fname string, co createOpts
 		p.cfg.Hook.HandleThread(info)
 	}
 	if p.tb != nil {
-		p.tb.StartThread(info, p.now)
-		kt.spanStart = p.now
-		kt.inTL = true
+		kt.StartTimeline(p.tb, info, p.now)
 	}
 	return kt
 }
@@ -479,8 +422,8 @@ func (p *Process) receive(kt *kthread) {
 	}
 	kt.req = req
 	kt.resp = response{}
-	kt.stage = stCompute
-	kt.workLeft = req.burst + kt.extraWork
+	kt.Stage = sched.StageCompute
+	kt.WorkLeft = req.burst + kt.extraWork
 	kt.extraWork = 0
 }
 
@@ -572,50 +515,22 @@ func (p *Process) emitPlaced(kt *kthread, ev trace.Event) {
 	if p.tb == nil {
 		return
 	}
-	p.tb.AddEvent(kt.id, trace.PlacedEvent{
+	*p.tb.AddEvent(kt.TL) = trace.PlacedEvent{
 		Event: ev,
-		CPU:   int32(kt.lastCPU),
+		CPU:   int32(kt.LastCPU),
 		Start: kt.beforeEv.Time,
 		End:   p.now,
-	})
-}
-
-// setTState updates timeline spans when a thread changes state.
-func (p *Process) setTState(kt *kthread, st trace.ThreadState, cpu, lwp int32) {
-	if p.tb != nil && kt.inTL {
-		p.tb.AddSpan(kt.id, trace.Span{
-			Start: kt.spanStart, End: p.now,
-			State: kt.curState, CPU: kt.curCPU, LWP: kt.curLWP,
-		})
-	}
-	kt.curState = st
-	kt.curCPU = cpu
-	kt.curLWP = lwp
-	kt.spanStart = p.now
-}
-
-func (p *Process) endTimeline(kt *kthread) {
-	if p.tb != nil && kt.inTL {
-		p.tb.AddSpan(kt.id, trace.Span{
-			Start: kt.spanStart, End: p.now,
-			State: kt.curState, CPU: kt.curCPU, LWP: kt.curLWP,
-		})
-		p.tb.EndThread(kt.id, p.now)
-		kt.inTL = false
 	}
 }
 
-// ---- run queues -----------------------------------------------------------
-
-// pushUserRunQ inserts an unbound runnable thread by descending user
-// priority, FIFO within a priority.
 // ---- scheduling -----------------------------------------------------------
 //
-// The queueing, dispatch, preemption and time-slice machinery lives in
-// internal/sched — the same core the Simulator drives, so the recorder
-// and the replay engine cannot drift apart. The kengine adapter below
+// The queueing, dispatch, preemption and time-slice machinery and the
+// thread state machine live in internal/sched — the same core the
+// Simulator drives, so the recorder and the replay engine cannot drift
+// apart. The kengine adapter below
 // receives the core's decisions and applies this engine's specifics:
-// dispatch overheads, probes, grants and timeline spans.
+// dispatch overheads, probes and grants.
 
 // kengine adapts Process to sched.Engine.
 type kengine Process
@@ -633,14 +548,11 @@ func (e *kengine) Placed(cpu *kcpu, l *klwp) {
 		cpu.overheadLeft += p.cfg.Costs.ContextSwitch
 	}
 	cpu.lastLWP = l
-	if kt.lastCPU >= 0 && kt.lastCPU != cpu.ID {
+	if kt.LastCPU >= 0 && kt.LastCPU != cpu.ID {
 		cpu.overheadLeft += p.cfg.Costs.Migration
 	}
-	kt.lastCPU = cpu.ID
-	kt.state = tRunning
-	p.setTState(kt, trace.StateRunning, int32(cpu.ID), int32(l.ID))
-
-	if kt.stage == stWaiting {
+	kt.LastCPU = cpu.ID
+	if kt.Stage == sched.StageWaiting {
 		// The thread's call completed while it was off-CPU; finish it now
 		// that it is running again: After probe, grant, next request.
 		p.completeOp(kt)
@@ -654,48 +566,21 @@ func (e *kengine) Placed(cpu *kcpu, l *klwp) {
 func (e *kengine) Switched(cpu *kcpu, l *klwp, next *kthread) {
 	p := (*Process)(e)
 	cpu.overheadLeft += p.cfg.Costs.ContextSwitch
-	if next.lastCPU >= 0 && next.lastCPU != cpu.ID {
+	if next.LastCPU >= 0 && next.LastCPU != cpu.ID {
 		cpu.overheadLeft += p.cfg.Costs.Migration
 	}
-	next.lastCPU = cpu.ID
-	next.state = tRunning
-	p.setTState(next, trace.StateRunning, int32(cpu.ID), int32(l.ID))
-	if next.stage == stWaiting {
+	next.LastCPU = cpu.ID
+	if next.Stage == sched.StageWaiting {
 		p.completeOp(next)
 	}
 	p.scheduleBurst(cpu)
 	p.scheduleSlice(l)
 }
 
-func (e *kengine) Runnable(kt *kthread, l *klwp) {
-	p := (*Process)(e)
-	kt.state = tRunnable
-	p.setTState(kt, trace.StateRunnable, -1, int32(l.ID))
-}
-
-func (e *kengine) Parked(kt *kthread) {
-	p := (*Process)(e)
-	kt.state = tRunnable
-	p.setTState(kt, trace.StateRunnable, -1, -1)
-}
-
-// wakeThread makes a sleeping (or brand new) thread runnable. boost applies
-// the policy's sleep-return priority lift to the carrying LWP.
-func (p *Process) wakeThread(kt *kthread, boost bool) {
-	if kt.suspended {
-		// The grant arrived while the thread is thr_suspend'ed: deliver
-		// it when thr_continue runs.
-		kt.wakePending = true
-		return
-	}
-	kt.state = tRunnable
-	p.sc.Wake(kt, boost)
-}
-
 // kengine also adapts Process to syncobj.Engine, receiving the object
-// core's grants.
+// core's grants (and thr_continue's wakes).
 
-func (e *kengine) Wake(ti, by int32) { (*Process)(e).wakeThread(e.threads[ti], true) }
+func (e *kengine) Wake(ti, by int32) { e.sc.Wake(e.threads[ti], true) }
 
 func (e *kengine) Joined(ti, z int32) { e.threads[ti].resp.tid = e.threads[z].id }
 
@@ -720,7 +605,7 @@ func (p *Process) scheduleBurst(cpu *kcpu) {
 	if l == nil || l.thread == nil {
 		return
 	}
-	at := p.now.Add(cpu.overheadLeft + l.thread.workLeft)
+	at := p.now.Add(cpu.overheadLeft + l.thread.WorkLeft)
 	p.events.Push(at, kevent{kind: evBurst, cpu: cpu, epoch: cpu.Epoch})
 }
 
@@ -755,11 +640,11 @@ func (p *Process) account(cpu *kcpu) {
 	if kt == nil {
 		return
 	}
-	if dt > kt.workLeft {
-		dt = kt.workLeft
+	if dt > kt.WorkLeft {
+		dt = kt.WorkLeft
 	}
-	kt.workLeft -= dt
-	kt.cpuTime += dt
+	kt.WorkLeft -= dt
+	kt.CPUTime += dt
 }
 
 // handle processes one kernel event.
@@ -804,7 +689,7 @@ func (p *Process) advanceThread(cpu *kcpu) {
 		if kt == nil {
 			return
 		}
-		if cpu.overheadLeft > 0 || kt.workLeft > 0 {
+		if cpu.overheadLeft > 0 || kt.WorkLeft > 0 {
 			p.scheduleBurst(cpu)
 			return
 		}
@@ -812,24 +697,24 @@ func (p *Process) advanceThread(cpu *kcpu) {
 		if p.err != nil {
 			return
 		}
-		switch kt.stage {
-		case stCompute:
+		switch kt.Stage {
+		case sched.StageCompute:
 			// The thread reached its library call.
 			kt.beforeEv = p.fireProbe(kt, p.beforeEvent(kt))
-			kt.stage = stCall
-			kt.workLeft = p.callCost(kt) + kt.extraWork
+			kt.Stage = sched.StageCall
+			kt.WorkLeft = p.callCost(kt) + kt.extraWork
 			kt.extraWork = 0
-		case stCall:
+		case sched.StageCall:
 			blocked := p.applyOp(cpu, kt)
 			if blocked || p.err != nil {
 				return
 			}
 			// Completed on-CPU: After probe, grant, next request.
-			if kt.state == tZombie {
+			if kt.State == sched.Zombie {
 				return
 			}
 			p.completeOp(kt)
-		case stWaiting:
+		case sched.StageWaiting:
 			// Placed back on CPU by runOn; nothing to do here.
 			return
 		}
@@ -859,23 +744,14 @@ func (p *Process) callCost(kt *kthread) vtime.Duration {
 	return base
 }
 
-// blockThread suspends the running thread and hands its LWP onward.
-func (p *Process) blockThread(cpu *kcpu, kt *kthread) {
-	kt.state = tSleeping
-	kt.stage = stWaiting
-	p.setTState(kt, trace.StateBlocked, -1, -1)
-	p.sc.Detach(cpu, kt)
-}
-
 // exitThread finalizes a terminating thread: wake joiners, free the LWP,
 // account the zombie.
 func (p *Process) exitThread(cpu *kcpu, kt *kthread) {
 	req := kt.req
 	p.emitPlaced(kt, kt.beforeEv)
-	p.endTimeline(kt)
-	kt.state = tZombie
+	kt.To(sched.Zombie, p.now, -1, -1)
 	p.liveThreads--
-	p.so.Exit(kt.ti)
+	p.so.Exit(kt.TI)
 	p.sc.Exit(cpu, kt)
 	if req.exitErr != nil {
 		p.fail(req.exitErr)

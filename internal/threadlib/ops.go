@@ -52,33 +52,32 @@ func (p *Process) applyOp(cpu *kcpu, kt *kthread) (blocked bool) {
 	case trace.CallThrJoin:
 		return p.opJoin(cpu, kt)
 	case trace.CallThrYield:
-		return p.opYield(cpu, kt)
+		p.sc.Yield(cpu, kt)
+		return true
 	case trace.CallThrSetPrio:
+		// The caller sets its own priority, so it is running, not queued.
 		kt.prio = dispatch.Clamp(req.prio)
-		if p.sc.RemoveUserRunQ(kt) {
-			p.sc.PushUserRunQ(kt)
-		}
 		return false
 	case trace.CallThrSetConcurrency:
 		return p.opSetConcurrency(kt)
 	case trace.CallMutexLock:
-		if p.so.Owner(req.obj.oi) == kt.ti {
+		if p.so.Owner(req.obj.oi) == kt.TI {
 			p.fail(fmt.Errorf("threadlib: thread T%d relocked mutex %q it already holds at %s", kt.id, req.obj.name, req.loc))
 			return true
 		}
-		return p.wait(cpu, kt, p.so.MutexLock(req.obj.oi, kt.ti))
+		return p.wait(cpu, kt, p.so.MutexLock(req.obj.oi, kt.TI))
 	case trace.CallMutexTryLock:
-		kt.resp.ok = p.so.MutexTryLock(req.obj.oi, kt.ti)
+		kt.resp.ok = p.so.MutexTryLock(req.obj.oi, kt.TI)
 		return false
 	case trace.CallMutexUnlock:
 		return p.opMutexUnlock(kt)
 	case trace.CallSemaWait:
-		return p.wait(cpu, kt, p.so.SemaWait(req.obj.oi, kt.ti))
+		return p.wait(cpu, kt, p.so.SemaWait(req.obj.oi, kt.TI))
 	case trace.CallSemaTryWait:
 		kt.resp.ok = p.so.SemaTryWait(req.obj.oi)
 		return false
 	case trace.CallSemaPost:
-		p.so.SemaPost(req.obj.oi, kt.ti)
+		p.so.SemaPost(req.obj.oi, kt.TI)
 		return false
 	case trace.CallCondWait, trace.CallCondTimedWait:
 		return p.opCondWait(cpu, kt)
@@ -89,28 +88,33 @@ func (p *Process) applyOp(cpu *kcpu, kt *kthread) (blocked bool) {
 		p.so.CondSignal(req.obj.oi, p.so.CondLen(req.obj.oi))
 		return false
 	case trace.CallRWRdLock, trace.CallRWWrLock:
-		if p.so.RWHolds(req.obj.oi, kt.ti) {
+		if p.so.RWHolds(req.obj.oi, kt.TI) {
 			p.fail(fmt.Errorf("threadlib: thread T%d re-entered rwlock %q at %s", kt.id, req.obj.name, req.loc))
 			return true
 		}
 		if req.kind == trace.CallRWRdLock {
-			return p.wait(cpu, kt, p.so.RdLock(req.obj.oi, kt.ti))
+			return p.wait(cpu, kt, p.so.RdLock(req.obj.oi, kt.TI))
 		}
-		return p.wait(cpu, kt, p.so.WrLock(req.obj.oi, kt.ti))
+		return p.wait(cpu, kt, p.so.WrLock(req.obj.oi, kt.TI))
 	case trace.CallRWUnlock:
-		if !p.so.RWUnlock(req.obj.oi, kt.ti) {
+		if !p.so.RWUnlock(req.obj.oi, kt.TI) {
 			p.fail(fmt.Errorf("threadlib: thread T%d unlocked rwlock %q it does not hold at %s", kt.id, req.obj.name, req.loc))
 			return true
 		}
 		return false
 	case trace.CallIO:
-		p.so.IO(req.obj.oi, kt.ti)
-		p.blockThread(cpu, kt)
+		p.so.IO(req.obj.oi, kt.TI)
+		p.sc.Block(cpu, kt)
 		return true
 	case trace.CallThrSuspend:
-		return p.opSuspend(cpu, kt)
+		target, ok := p.lookupTarget(kt, "suspended")
+		return !ok || p.sc.Suspend(cpu, kt, target)
 	case trace.CallThrContinue:
-		return p.opContinue(kt)
+		target, ok := p.lookupTarget(kt, "continued")
+		if ok {
+			p.sc.Continue(kt, target)
+		}
+		return !ok
 	}
 	p.fail(fmt.Errorf("threadlib: thread T%d issued unknown call %v", kt.id, req.kind))
 	return true
@@ -121,7 +125,7 @@ func (p *Process) wait(cpu *kcpu, kt *kthread, granted bool) bool {
 	if granted {
 		return false
 	}
-	p.blockThread(cpu, kt)
+	p.sc.Block(cpu, kt)
 	return true
 }
 
@@ -138,7 +142,7 @@ func (p *Process) opCreate(kt *kthread) bool {
 	child := p.newThread(req.reservedTID, co.name, req.fname, co)
 	p.spawn(child, req.body)
 	p.fetchInto(child)
-	p.wakeThread(child, false)
+	p.sc.Wake(child, false)
 	kt.resp.tid = child.id
 	return false
 }
@@ -156,29 +160,16 @@ func (p *Process) opJoin(cpu *kcpu, kt *kthread) bool {
 			p.fail(fmt.Errorf("threadlib: thread T%d joined unknown thread T%d at %s", kt.id, req.target, req.loc))
 			return true
 		}
-		target = t.ti
+		target = t.TI
 	}
-	if p.so.Join(kt.ti, target) {
+	if p.so.Join(kt.TI, target) {
 		return false
 	}
 	if target == syncobj.Nil && p.liveThreads == 1 {
 		p.fail(fmt.Errorf("threadlib: thread T%d wildcard-joined with no other threads at %s", kt.id, req.loc))
 		return true
 	}
-	p.blockThread(cpu, kt)
-	return true
-}
-
-func (p *Process) opYield(cpu *kcpu, kt *kthread) bool {
-	// The thread surrenders its CPU but stays runnable: its LWP is
-	// requeued behind equal-priority LWPs, and the After probe fires when
-	// the thread is dispatched again.
-	l := kt.lwp
-	kt.stage = stWaiting
-	kt.state = tRunnable
-	p.setTState(kt, trace.StateRunnable, -1, int32(l.ID))
-	p.sc.Unlink(cpu, l)
-	p.sc.PushKernelQ(l)
+	p.sc.Block(cpu, kt)
 	return true
 }
 
@@ -232,7 +223,7 @@ func dropHeld(kt *kthread, o *object) {
 
 func (p *Process) opMutexUnlock(kt *kthread) bool {
 	o := kt.req.obj
-	if owner := p.so.Owner(o.oi); owner != kt.ti {
+	if owner := p.so.Owner(o.oi); owner != kt.TI {
 		holder := "nobody"
 		if owner != syncobj.Nil {
 			holder = fmt.Sprintf("T%d", p.threads[owner].id)
@@ -241,7 +232,7 @@ func (p *Process) opMutexUnlock(kt *kthread) bool {
 		return true
 	}
 	dropHeld(kt, o)
-	p.so.MutexUnlock(o.oi, kt.ti)
+	p.so.MutexUnlock(o.oi, kt.TI)
 	return false
 }
 
@@ -254,13 +245,13 @@ func (p *Process) opCondWait(cpu *kcpu, kt *kthread) bool {
 		p.fail(fmt.Errorf("threadlib: cond_wait on %q without a mutex at %s", cv.name, req.loc))
 		return true
 	}
-	if p.so.Owner(m.oi) != kt.ti {
+	if p.so.Owner(m.oi) != kt.TI {
 		p.fail(fmt.Errorf("threadlib: thread T%d cond_wait on %q without holding mutex %q at %s", kt.id, cv.name, m.name, req.loc))
 		return true
 	}
 	// Atomically release the mutex and sleep on the condition.
 	dropHeld(kt, m)
-	p.so.CondWait(cv.oi, m.oi, kt.ti)
+	p.so.CondWait(cv.oi, m.oi, kt.TI)
 	kt.resp.ok = true
 	// Every wait takes a fresh timer epoch, so the timeout of an earlier
 	// wait can never end this one.
@@ -268,7 +259,7 @@ func (p *Process) opCondWait(cpu *kcpu, kt *kthread) bool {
 	if req.kind == trace.CallCondTimedWait {
 		p.events.Push(p.now.Add(req.timeout), kevent{kind: evTimer, kt: kt, epoch: kt.timerEpoch})
 	}
-	p.blockThread(cpu, kt)
+	p.sc.Block(cpu, kt)
 	return true
 }
 
@@ -278,74 +269,23 @@ func (p *Process) opCondWait(cpu *kcpu, kt *kthread) bool {
 // so no later wait has begun, but a signalled thread may have moved on to
 // calls that have no condition.
 func (p *Process) timedWaitExpired(kt *kthread) {
-	if kt.req.kind != trace.CallCondTimedWait || !p.so.CondCancel(kt.req.obj.oi, kt.ti) {
+	if kt.req.kind != trace.CallCondTimedWait || !p.so.CondCancel(kt.req.obj.oi, kt.TI) {
 		return
 	}
 	kt.resp.ok = false
-	p.so.Reacquire(kt.ti, kt.req.mutex.oi)
+	p.so.Reacquire(kt.TI, kt.req.mutex.oi)
 }
 
 // ---- thr_suspend / thr_continue ----------------------------------------------
+//
+// The state machine is sched.Core's; this engine resolves the target and
+// reports a misuse with its source location.
 
-func (p *Process) opSuspend(cpu *kcpu, kt *kthread) bool {
+// lookupTarget resolves the target of kt's thr_suspend or thr_continue.
+func (p *Process) lookupTarget(kt *kthread, verb string) (*kthread, bool) {
 	target, ok := p.byID[kt.req.target]
 	if !ok {
-		p.fail(fmt.Errorf("threadlib: thread T%d suspended unknown thread T%d at %s", kt.id, kt.req.target, kt.req.loc))
-		return true
+		p.fail(fmt.Errorf("threadlib: thread T%d %s unknown thread T%d at %s", kt.id, verb, kt.req.target, kt.req.loc))
 	}
-	if target.suspended || target.state == tZombie {
-		return false
-	}
-	target.suspended = true
-	switch {
-	case target == kt:
-		// Self-suspend: park until thr_continue from another thread.
-		kt.parkedReady = true
-		kt.stage = stWaiting
-		kt.state = tSleeping
-		p.setTState(kt, trace.StateBlocked, -1, -1)
-		p.sc.Detach(cpu, kt)
-		return true
-	case target.state == tRunning:
-		// Strip the target off its CPU mid-burst; progress is preserved
-		// in workLeft and resumes at thr_continue.
-		tcpu := target.lwp.cpu
-		p.account(tcpu)
-		target.state = tSleeping
-		p.setTState(target, trace.StateBlocked, -1, -1)
-		p.sc.Evict(tcpu, target)
-		target.parkedReady = true
-		return false
-	case target.state == tRunnable:
-		p.sc.Unqueue(target)
-		target.parkedReady = true
-		target.state = tSleeping
-		p.setTState(target, trace.StateBlocked, -1, -1)
-		return false
-	default:
-		// Sleeping on an object: the wake, when it comes, is deferred by
-		// the wakePending flag.
-		return false
-	}
-}
-
-func (p *Process) opContinue(kt *kthread) bool {
-	target, ok := p.byID[kt.req.target]
-	if !ok {
-		p.fail(fmt.Errorf("threadlib: thread T%d continued unknown thread T%d at %s", kt.id, kt.req.target, kt.req.loc))
-		return true
-	}
-	if !target.suspended || target.state == tZombie {
-		return false
-	}
-	target.suspended = false
-	switch {
-	case target.parkedReady:
-		target.parkedReady = false
-		p.wakeThread(target, true)
-	case target.wakePending:
-		target.wakePending = false
-		p.wakeThread(target, true)
-	}
-	return false
+	return target, ok
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"vppb/internal/dispatch"
+	"vppb/internal/sched"
 )
 
 // TestStaleSliceEventDropped pins the epoch-invalidation protocol the
@@ -15,7 +16,7 @@ import (
 // current-epoch event applies the policy's quantum-expiry rules.
 func TestStaleSliceEventDropped(t *testing.T) {
 	p := NewProcess(Config{CPUs: 1})
-	kt := &kthread{id: 100, prio: dispatch.DefaultPriority, boundCPU: -1, state: tRunning}
+	kt := &kthread{ThreadNode: sched.ThreadNode{State: sched.Running}, id: 100, prio: dispatch.DefaultPriority, boundCPU: -1}
 	l := p.newLWP(false)
 	cpu := p.cpus[0]
 	l.thread, kt.lwp = kt, l

@@ -105,9 +105,9 @@ func FuzzDecodeBinary(f *testing.F) {
 
 func FuzzUnmarshalTimeline(f *testing.F) {
 	tb := NewTimelineBuilder()
-	tb.StartThread(ThreadInfo{ID: 1, Name: "main", BoundCPU: -1}, 0)
-	tb.AddSpan(1, Span{Start: 0, End: 100, State: StateRunning, CPU: 0, LWP: 0})
-	tb.EndThread(1, 100)
+	h1 := tb.StartThread(ThreadInfo{ID: 1, Name: "main", BoundCPU: -1}, 0)
+	tb.AddSpan(h1, Span{Start: 0, End: 100, State: StateRunning, CPU: 0, LWP: 0})
+	tb.EndThread(h1, 100)
 	data, err := MarshalTimeline(tb.Build("fuzz", 1, 1, 100))
 	if err != nil {
 		f.Fatal(err)

@@ -227,34 +227,24 @@ func (tl *Timeline) Validate() error {
 
 // TimelineBuilder incrementally assembles per-thread timelines, coalescing
 // adjacent spans that share a state and CPU. StartThread returns a dense
-// handle; the *H methods take that handle and skip the per-call map
-// lookup, which is what the Simulator's hot loop uses (one span or placed
-// event per simulated state change adds up).
+// handle that the other methods take, so recording a span or a placed
+// event costs no lookup.
 type TimelineBuilder struct {
-	index map[ThreadID]int
-	tls   []*ThreadTimeline
+	tls []*ThreadTimeline
 }
 
 // NewTimelineBuilder returns an empty builder.
-func NewTimelineBuilder() *TimelineBuilder {
-	return &TimelineBuilder{index: make(map[ThreadID]int)}
-}
+func NewTimelineBuilder() *TimelineBuilder { return &TimelineBuilder{} }
 
 // StartThread registers a thread and its creation time, returning the
-// thread's dense handle for the *H fast paths. Registering a thread twice
-// returns the original handle.
+// thread's handle.
 func (b *TimelineBuilder) StartThread(info ThreadInfo, at vtime.Time) int {
-	if h, ok := b.index[info.ID]; ok {
-		return h
-	}
-	h := len(b.tls)
-	b.index[info.ID] = h
 	b.tls = append(b.tls, &ThreadTimeline{Info: info, Created: at, Ended: at})
-	return h
+	return len(b.tls) - 1
 }
 
 // Reserve preallocates a thread's span and event storage. events is an
-// upper bound on AddEvent calls (the Simulator knows it exactly: one per
+// upper bound on placed events (the Simulator knows it exactly: one per
 // call record plus the exit); spans is a hint.
 func (b *TimelineBuilder) Reserve(h int, spans, events int) {
 	th := b.tls[h]
@@ -268,16 +258,7 @@ func (b *TimelineBuilder) Reserve(h int, spans, events int) {
 
 // AddSpan appends a state span for a thread. Zero-length spans are
 // dropped; spans adjacent to an identical-state span merge.
-func (b *TimelineBuilder) AddSpan(id ThreadID, s Span) {
-	h, ok := b.index[id]
-	if !ok {
-		panic(fmt.Sprintf("trace: AddSpan for unregistered thread %d", id))
-	}
-	b.AddSpanH(h, s)
-}
-
-// AddSpanH is AddSpan by dense handle.
-func (b *TimelineBuilder) AddSpanH(h int, s Span) {
+func (b *TimelineBuilder) AddSpan(h int, s Span) {
 	th := b.tls[h]
 	if s.End <= s.Start {
 		return
@@ -298,40 +279,18 @@ func (b *TimelineBuilder) AddSpanH(h int, s Span) {
 	}
 }
 
-// AddEvent appends a placed event for a thread.
-func (b *TimelineBuilder) AddEvent(id ThreadID, pe PlacedEvent) {
-	h, ok := b.index[id]
-	if !ok {
-		panic(fmt.Sprintf("trace: AddEvent for unregistered thread %d", id))
-	}
-	b.AddEventH(h, pe)
-}
-
-// AddEventH is AddEvent by dense handle.
-func (b *TimelineBuilder) AddEventH(h int, pe PlacedEvent) {
-	th := b.tls[h]
-	th.Events = append(th.Events, pe)
-}
-
-// NextEventH appends a zeroed placed event for the thread and returns a
-// pointer to the slot, valid until the thread's next append. The hot path
-// fills the slot in place instead of copying a fully built PlacedEvent
-// twice.
-func (b *TimelineBuilder) NextEventH(h int) *PlacedEvent {
+// AddEvent appends a zeroed placed event for the thread and returns its
+// slot, valid until the thread's next append, for the caller to fill in
+// place: the Simulator's hot path builds each event there instead of
+// copying a finished PlacedEvent.
+func (b *TimelineBuilder) AddEvent(h int) *PlacedEvent {
 	th := b.tls[h]
 	th.Events = append(th.Events, PlacedEvent{})
 	return &th.Events[len(th.Events)-1]
 }
 
 // EndThread records a thread's end time.
-func (b *TimelineBuilder) EndThread(id ThreadID, at vtime.Time) {
-	if h, ok := b.index[id]; ok {
-		b.EndThreadH(h, at)
-	}
-}
-
-// EndThreadH is EndThread by dense handle.
-func (b *TimelineBuilder) EndThreadH(h int, at vtime.Time) {
+func (b *TimelineBuilder) EndThread(h int, at vtime.Time) {
 	if th := b.tls[h]; at > th.Ended {
 		th.Ended = at
 	}

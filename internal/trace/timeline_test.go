@@ -8,19 +8,19 @@ import (
 
 func buildSmallTimeline() *Timeline {
 	b := NewTimelineBuilder()
-	b.StartThread(ThreadInfo{ID: 1, Name: "main", BoundCPU: -1}, 0)
-	b.StartThread(ThreadInfo{ID: 4, Name: "w", BoundCPU: -1}, 10)
-	b.AddSpan(1, Span{Start: 0, End: 100, State: StateRunning, CPU: 0, LWP: 0})
-	b.AddSpan(1, Span{Start: 100, End: 200, State: StateBlocked, CPU: -1, LWP: -1})
-	b.AddSpan(1, Span{Start: 200, End: 300, State: StateRunning, CPU: 0, LWP: 0})
-	b.AddSpan(4, Span{Start: 10, End: 100, State: StateRunnable, CPU: -1, LWP: -1})
-	b.AddSpan(4, Span{Start: 100, End: 200, State: StateRunning, CPU: 1, LWP: 1})
-	b.AddEvent(4, PlacedEvent{
+	h1 := b.StartThread(ThreadInfo{ID: 1, Name: "main", BoundCPU: -1}, 0)
+	h4 := b.StartThread(ThreadInfo{ID: 4, Name: "w", BoundCPU: -1}, 10)
+	b.AddSpan(h1, Span{Start: 0, End: 100, State: StateRunning, CPU: 0, LWP: 0})
+	b.AddSpan(h1, Span{Start: 100, End: 200, State: StateBlocked, CPU: -1, LWP: -1})
+	b.AddSpan(h1, Span{Start: 200, End: 300, State: StateRunning, CPU: 0, LWP: 0})
+	b.AddSpan(h4, Span{Start: 10, End: 100, State: StateRunnable, CPU: -1, LWP: -1})
+	b.AddSpan(h4, Span{Start: 100, End: 200, State: StateRunning, CPU: 1, LWP: 1})
+	*b.AddEvent(h4) = PlacedEvent{
 		Event: Event{Thread: 4, Call: CallThrExit, Time: 200},
 		CPU:   1, Start: 200, End: 200,
-	})
-	b.EndThread(4, 200)
-	b.EndThread(1, 300)
+	}
+	b.EndThread(h4, 200)
+	b.EndThread(h1, 300)
 	return b.Build("t", 2, 2, 300)
 }
 
@@ -72,11 +72,11 @@ func TestStateAt(t *testing.T) {
 
 func TestSpanCoalescing(t *testing.T) {
 	b := NewTimelineBuilder()
-	b.StartThread(ThreadInfo{ID: 1, BoundCPU: -1}, 0)
-	b.AddSpan(1, Span{Start: 0, End: 10, State: StateRunning, CPU: 0})
-	b.AddSpan(1, Span{Start: 10, End: 20, State: StateRunning, CPU: 0})
-	b.AddSpan(1, Span{Start: 20, End: 30, State: StateRunning, CPU: 1}) // CPU change: no merge
-	b.AddSpan(1, Span{Start: 30, End: 30, State: StateBlocked})         // zero length: dropped
+	h1 := b.StartThread(ThreadInfo{ID: 1, BoundCPU: -1}, 0)
+	b.AddSpan(h1, Span{Start: 0, End: 10, State: StateRunning, CPU: 0})
+	b.AddSpan(h1, Span{Start: 10, End: 20, State: StateRunning, CPU: 0})
+	b.AddSpan(h1, Span{Start: 20, End: 30, State: StateRunning, CPU: 1}) // CPU change: no merge
+	b.AddSpan(h1, Span{Start: 30, End: 30, State: StateBlocked})         // zero length: dropped
 	tl := b.Build("t", 2, 2, 30)
 	spans := tl.Thread(1).Spans
 	if len(spans) != 2 {
@@ -125,10 +125,10 @@ func TestParallelismNeverNegative(t *testing.T) {
 
 func TestValidateDetectsOverlapOnCPU(t *testing.T) {
 	b := NewTimelineBuilder()
-	b.StartThread(ThreadInfo{ID: 1, BoundCPU: -1}, 0)
-	b.StartThread(ThreadInfo{ID: 2, BoundCPU: -1}, 0)
-	b.AddSpan(1, Span{Start: 0, End: 100, State: StateRunning, CPU: 0})
-	b.AddSpan(2, Span{Start: 50, End: 150, State: StateRunning, CPU: 0})
+	h1 := b.StartThread(ThreadInfo{ID: 1, BoundCPU: -1}, 0)
+	h2 := b.StartThread(ThreadInfo{ID: 2, BoundCPU: -1}, 0)
+	b.AddSpan(h1, Span{Start: 0, End: 100, State: StateRunning, CPU: 0})
+	b.AddSpan(h2, Span{Start: 50, End: 150, State: StateRunning, CPU: 0})
 	tl := b.Build("t", 1, 1, 150)
 	if err := tl.Validate(); err == nil {
 		t.Fatal("overlap on CPU 0 not detected")
@@ -137,8 +137,8 @@ func TestValidateDetectsOverlapOnCPU(t *testing.T) {
 
 func TestValidateDetectsRunningWithoutCPU(t *testing.T) {
 	b := NewTimelineBuilder()
-	b.StartThread(ThreadInfo{ID: 1, BoundCPU: -1}, 0)
-	b.AddSpan(1, Span{Start: 0, End: 10, State: StateRunning, CPU: -1})
+	h1 := b.StartThread(ThreadInfo{ID: 1, BoundCPU: -1}, 0)
+	b.AddSpan(h1, Span{Start: 0, End: 10, State: StateRunning, CPU: -1})
 	tl := b.Build("t", 1, 1, 10)
 	if err := tl.Validate(); err == nil {
 		t.Fatal("running without CPU not detected")
@@ -147,9 +147,9 @@ func TestValidateDetectsRunningWithoutCPU(t *testing.T) {
 
 func TestValidateDetectsThreadSpanOverlap(t *testing.T) {
 	b := NewTimelineBuilder()
-	b.StartThread(ThreadInfo{ID: 1, BoundCPU: -1}, 0)
-	b.AddSpan(1, Span{Start: 0, End: 100, State: StateRunning, CPU: 0})
-	b.AddSpan(1, Span{Start: 50, End: 60, State: StateBlocked, CPU: -1})
+	h1 := b.StartThread(ThreadInfo{ID: 1, BoundCPU: -1}, 0)
+	b.AddSpan(h1, Span{Start: 0, End: 100, State: StateRunning, CPU: 0})
+	b.AddSpan(h1, Span{Start: 50, End: 60, State: StateBlocked, CPU: -1})
 	tl := b.Build("t", 1, 1, 100)
 	if err := tl.Validate(); err == nil {
 		t.Fatal("per-thread span overlap not detected")
@@ -158,8 +158,8 @@ func TestValidateDetectsThreadSpanOverlap(t *testing.T) {
 
 func TestValidateDetectsCPUOutOfRange(t *testing.T) {
 	b := NewTimelineBuilder()
-	b.StartThread(ThreadInfo{ID: 1, BoundCPU: -1}, 0)
-	b.AddSpan(1, Span{Start: 0, End: 10, State: StateRunning, CPU: 5})
+	h1 := b.StartThread(ThreadInfo{ID: 1, BoundCPU: -1}, 0)
+	b.AddSpan(h1, Span{Start: 0, End: 10, State: StateRunning, CPU: 5})
 	tl := b.Build("t", 2, 2, 10)
 	if err := tl.Validate(); err == nil {
 		t.Fatal("CPU out of range not detected")
