@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"vppb/internal/dispatch"
+	"vppb/internal/sched"
 	"vppb/internal/trace"
 )
 
@@ -167,7 +168,7 @@ func (s *sim) opTimedOutWait(cpu *scpu, t *sthread, r *trace.CallRecord, cv, m i
 	s.so.DropMutex(m, t.TI)
 	t.okResult = false
 	t.timerEpoch++
-	s.events.Push(s.now.Add(r.Timeout), sevent{kind: evTimer, who: t.TI, epoch: t.timerEpoch})
+	s.sc.Push(s.now.Add(r.Timeout), sched.Event{Kind: evTimer, Who: t.TI, Epoch: t.timerEpoch})
 	s.so.WaitOn(t.TI, cv)
 	s.sc.Block(cpu, t)
 	return true

@@ -93,11 +93,10 @@ func (l *slwp) SchedCPU() *scpu           { return l.cpu }
 func (l *slwp) SetSchedCPU(c *scpu)       { l.cpu = c }
 
 // scpu is a simulated processor. The embedded sched.CPUNode (identity,
-// burst epoch) is owned by the shared scheduler core.
+// burst epoch, accounting) is owned by the shared scheduler core.
 type scpu struct {
 	sched.CPUNode
-	lwp           *slwp
-	lastAccounted vtime.Time
+	lwp *slwp
 }
 
 func (c *scpu) Node() *sched.CPUNode { return &c.CPUNode }
@@ -113,109 +112,14 @@ func (t *sthread) SchedBoundCPU() int      { return t.boundCPU }
 func (t *sthread) SchedLWP() *slwp         { return t.lwp }
 func (t *sthread) SetSchedLWP(l *slwp)     { t.lwp = l }
 
-type sevKind uint8
-
+// The engine's own event kinds follow the scheduler core's burst and
+// slice kinds; an event's Who is the arena index of a thread for evTimer
+// and evWake and of an object for evIODone.
 const (
-	evBurst sevKind = iota
-	evSlice
-	evTimer  // cond_timedwait delay expiry
-	evWake   // delayed (cross-CPU) wake delivery
-	evIODone // device completes its current request
+	evTimer  = sched.EvEngine + iota // cond_timedwait delay expiry
+	evWake                           // delayed (cross-CPU) wake delivery
+	evIODone                         // device completes its current request
 )
-
-// sevent is a pointer-free queue entry: who is the arena index of the
-// event's subject — a CPU for evBurst, an LWP for evSlice, a thread for
-// evTimer/evWake, an object for evIODone. Keeping pointers out of the
-// event queue means the collector never scans it and pushing an event
-// never emits write barriers.
-type sevent struct {
-	kind  sevKind
-	who   int32
-	epoch uint64
-}
-
-// sliceEnt is one armed slice timer. Slice expirations are the dominant
-// event traffic of compute-heavy replays (a burst that spans many quanta
-// re-arms its slice on every expiry), and each LWP has at most one live
-// timer, so they bypass the shared event queue. seq is reserved from the
-// event queue's insertion counter at arm time, which keeps the merged
-// delivery order byte-for-byte identical to pushing the timer through the
-// heap — ties at the same instant still resolve by insertion order. The
-// scheduler core's OnSliceInvalidated hook disarms eagerly, so every
-// listed entry is valid and peeking needs no revalidation.
-type sliceEnt struct {
-	at  vtime.Time
-	seq uint64
-	who int32 // LWP index
-}
-
-func entKeyBefore(a, b *sliceEnt) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// sliceRing keeps the armed timers in a ring sorted ascending by
-// (at, seq): the earliest is at head, so peek and pop are O(1). A fresh
-// arm usually carries the latest deadline of all (it starts now with a
-// full quantum while the others have been burning theirs down), so the
-// common insert is an O(1) append at the tail; out-of-order arms shift
-// only their displacement.
-type sliceRing struct {
-	buf  []sliceEnt // capacity is a power of two
-	head int
-	n    int
-}
-
-func (r *sliceRing) peek() *sliceEnt { return &r.buf[r.head] }
-
-func (r *sliceRing) pop() sliceEnt {
-	e := r.buf[r.head]
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return e
-}
-
-func (r *sliceRing) insert(ent sliceEnt) {
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	mask := len(r.buf) - 1
-	i := r.n
-	for i > 0 {
-		prev := &r.buf[(r.head+i-1)&mask]
-		if !entKeyBefore(&ent, prev) {
-			break
-		}
-		r.buf[(r.head+i)&mask] = *prev
-		i--
-	}
-	r.buf[(r.head+i)&mask] = ent
-	r.n++
-}
-
-func (r *sliceRing) removeWho(who int32) {
-	mask := len(r.buf) - 1
-	for i := 0; i < r.n; i++ {
-		if r.buf[(r.head+i)&mask].who == who {
-			for j := i; j < r.n-1; j++ {
-				r.buf[(r.head+j)&mask] = r.buf[(r.head+j+1)&mask]
-			}
-			r.n--
-			return
-		}
-	}
-}
-
-func (r *sliceRing) grow() {
-	next := make([]sliceEnt, max(2*len(r.buf), 8))
-	for i := 0; i < r.n; i++ {
-		next[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-	}
-	r.buf = next
-	r.head = 0
-}
 
 // sim is one simulation run.
 type sim struct {
@@ -223,19 +127,12 @@ type sim struct {
 	prof *trace.Profile
 	sc   *sched.Core[*sthread, *slwp, *scpu]
 
-	now    vtime.Time
-	events vtime.EventQueue[sevent]
-
-	// slices holds the armed slice timers; sliceArmed (parallel to lwps)
-	// marks which LWPs have a listed entry.
-	slices     sliceRing
-	sliceArmed []bool
+	now vtime.Time
 
 	threads []sthread // arena, ascending recorded-ID order
 	so      *syncobj.Core
 	mainIdx int32
 	cpus    []*scpu
-	lwps    []*slwp
 	nextLWP int
 
 	// pending holds the barrier-fix broadcasters, oldest first.
@@ -281,28 +178,15 @@ func newSim(prof *trace.Profile, m Machine) (*sim, error) {
 		s.cpus = append(s.cpus, &scpu{CPUNode: sched.CPUNode{ID: i}})
 	}
 	nThreads := len(ids)
-	s.sc = sched.NewCore[*sthread, *slwp, *scpu](pol, (*sengine)(s), &s.now, s.cpus, m.NoPreemption, nThreads)
+	s.sc = sched.NewCore[*sthread, *slwp, *scpu](pol, (*sengine)(s), &s.now, s.cpus, m.NoPreemption, sched.Overheads{}, nThreads)
 	s.so = syncobj.New((*sengine)(s), nThreads, len(prof.Log.Objects))
 	pool := m.LWPs
 	if pool <= 0 {
 		pool = m.CPUs
 	}
-	s.lwps = make([]*slwp, 0, pool)
-	s.sliceArmed = make([]bool, 0, pool)
-	ringCap := 8
-	for ringCap < pool {
-		ringCap *= 2
-	}
-	s.slices.buf = make([]sliceEnt, ringCap)
-	s.sc.OnSliceInvalidated = func(l *slwp) { s.disarmSlice(int32(l.ID)) }
 	for i := 0; i < pool; i++ {
 		s.sc.AddIdleLWP(s.newLWP(false))
 	}
-	// The queue's steady state holds at most one burst event per CPU plus
-	// one timer, wake or I/O event per thread (slice timers live in the
-	// per-LWP slots, not the queue); reserving that up front keeps heap
-	// growth out of the replay loop.
-	s.events.Reserve(2*nThreads + 2*m.CPUs + 8)
 	for _, oi := range prof.Log.Objects {
 		s.so.AddObject(oi.Kind, int(oi.InitCount))
 	}
@@ -356,8 +240,6 @@ func (s *sim) newLWP(dedicated bool) *slwp {
 	l := &slwp{LWPNode: sched.LWPNode{ID: s.nextLWP, Prio: dispatch.DefaultPriority, Dedicated: dedicated}}
 	l.QuantumLeft = s.sc.Quantum(l.Prio)
 	s.nextLWP++
-	s.lwps = append(s.lwps, l)
-	s.sliceArmed = append(s.sliceArmed, false)
 	return l
 }
 
@@ -377,29 +259,10 @@ func (s *sim) run() (*Result, error) {
 	var stuck int
 	var stuckKinds [len(sevKindNames)]int64
 	for s.live > 0 && s.err == nil {
-		// Take the earlier of the heap head and the earliest armed slice
-		// timer, comparing full (time, seq) keys so delivery order is
-		// byte-for-byte what a single combined queue would produce.
-		var at vtime.Time
-		var ev sevent
-		if s.slices.n == 0 && s.events.Len() == 0 {
+		at, ev, ok := s.sc.Pop()
+		if !ok {
 			s.fail(s.deadlockError())
 			break
-		}
-		fireSlice := s.slices.n > 0
-		if fireSlice && s.events.Len() > 0 {
-			ent := s.slices.peek()
-			if hat, hseq := s.events.PeekKey(); hat < ent.at || (hat == ent.at && hseq < ent.seq) {
-				fireSlice = false
-			}
-		}
-		if fireSlice {
-			ent := s.slices.pop()
-			s.sliceArmed[ent.who] = false
-			at = ent.at
-			ev = sevent{kind: evSlice, who: ent.who, epoch: s.lwps[ent.who].SliceEpoch}
-		} else {
-			at, ev = s.events.Pop()
 		}
 		if at > s.now {
 			s.now = at
@@ -415,8 +278,8 @@ func (s *sim) run() (*Result, error) {
 			break
 		}
 		stuck++
-		if int(ev.kind) < len(stuckKinds) {
-			stuckKinds[ev.kind]++
+		if int(ev.Kind) < len(stuckKinds) {
+			stuckKinds[ev.Kind]++
 		}
 		if s.m.LivelockWindow > 0 && stuck > s.m.LivelockWindow {
 			s.fail(s.livelockError(stuckKinds, s.m.LivelockWindow))
@@ -440,7 +303,7 @@ func (s *sim) run() (*Result, error) {
 		res.PerThreadCPU[t.id()] = t.CPUTime
 	}
 	if s.tb != nil {
-		res.Timeline = s.tb.Build(s.prof.Log.Header.Program, s.m.CPUs, len(s.lwps), res.Duration)
+		res.Timeline = s.tb.Build(s.prof.Log.Header.Program, s.m.CPUs, s.nextLWP, res.Duration)
 		res.Timeline.Objects = append([]trace.ObjectInfo(nil), s.prof.Log.Objects...)
 	}
 	return res, nil
@@ -534,54 +397,28 @@ func (s *sim) wake(t *sthread, fromCPU int, boost bool) {
 	if s.m.CommDelay > 0 && fromCPU >= 0 && t.LastCPU >= 0 && fromCPU != t.LastCPU && !t.Suspended {
 		t.To(sched.WakePending, s.now, -1, -1)
 		t.wakeEpoch++
-		s.events.Push(s.now.Add(s.m.CommDelay), sevent{kind: evWake, who: t.TI, epoch: t.wakeEpoch})
+		s.sc.Push(s.now.Add(s.m.CommDelay), sched.Event{Kind: evWake, Who: t.TI, Epoch: t.wakeEpoch})
 		return
 	}
 	s.sc.Wake(t, boost)
 }
 
-// The queueing, dispatch, preemption and time-slice machinery and the
-// thread state machine live in internal/sched — the same core the
-// recording kernel drives, so the Simulator cannot drift from the machine
-// the trace was recorded on. The sengine adapter below receives the core's
-// decisions and applies this engine's specifics: record replay and
-// simulated probes.
+// The queueing, dispatch, preemption and time-slice machinery, the CPU
+// accounting and its timers, and the thread state machine live in
+// internal/sched — the same core the recording kernel drives, so the
+// Simulator cannot drift from the machine the trace was recorded on. The
+// sengine adapter below receives the core's decisions and applies this
+// engine's specifics: record replay and simulated probes.
 
 // sengine adapts sim to sched.Engine.
 type sengine sim
 
-func (e *sengine) Account(cpu *scpu) { (*sim)(e).account(cpu) }
-
-// Placed: the core linked l to a previously idle cpu (the kernel-queue
-// dispatch path).
-func (e *sengine) Placed(cpu *scpu, l *slwp) {
+// Complete: the thread's call completed while it was off-CPU; emit the
+// After event and advance to the next record.
+func (e *sengine) Complete(cpu *scpu, t *sthread) {
 	s := (*sim)(e)
-	t := l.thread
-	cpu.lastAccounted = s.now
-	t.LastCPU = cpu.ID
-	if t.Stage == sched.StageWaiting {
-		s.completeOp(cpu, t)
-		if s.err != nil || cpu.lwp != l || l.thread != t {
-			return
-		}
-	}
-	s.scheduleBurst(cpu)
-	s.scheduleSlice(l)
-}
-
-// Switched: the core handed a still-linked pool LWP its next thread (the
-// run-to-next-thread path that skips the kernel queue).
-func (e *sengine) Switched(cpu *scpu, l *slwp, next *sthread) {
-	s := (*sim)(e)
-	next.LastCPU = cpu.ID
-	if next.Stage == sched.StageWaiting {
-		s.completeOp(cpu, next)
-		if s.err != nil || cpu.lwp != l || l.thread != next {
-			return
-		}
-	}
-	s.scheduleBurst(cpu)
-	s.scheduleSlice(l)
+	s.placeAfter(t)
+	s.advanceRecord(cpu, t)
 }
 
 // sengine also adapts sim to syncobj.Engine, receiving the object core's
@@ -606,14 +443,7 @@ func (e *sengine) Joined(ti, z int32) { e.threads[ti].joinedID = e.threads[z].id
 func (e *sengine) StartIO(oi, ti int32) {
 	s := (*sim)(e)
 	service := max(s.threads[ti].rec().Timeout, 0)
-	s.events.Push(s.now.Add(service), sevent{kind: evIODone, who: oi})
-}
-
-// completeOp finishes a call whose completion happened while the thread
-// was off-CPU: emit the After event and advance to the next record.
-func (s *sim) completeOp(cpu *scpu, t *sthread) {
-	s.placeAfter(t)
-	s.advanceRecord(cpu, t)
+	s.sc.Push(s.now.Add(service), sched.Event{Kind: evIODone, Who: oi})
 }
 
 // advanceRecord moves the thread to its next call record.
@@ -629,83 +459,16 @@ func (s *sim) advanceRecord(cpu *scpu, t *sthread) {
 	s.exitThread(cpu, t)
 }
 
-func (s *sim) scheduleBurst(cpu *scpu) {
-	cpu.Epoch++
-	l := cpu.lwp
-	if l == nil || l.thread == nil {
-		return
-	}
-	s.events.Push(s.now.Add(l.thread.WorkLeft), sevent{kind: evBurst, who: int32(cpu.ID), epoch: cpu.Epoch})
-}
-
-func (s *sim) scheduleSlice(l *slwp) {
-	delay, epoch, ok := s.sc.ArmSlice(l)
-	if !ok {
-		// The policy runs threads to block: no slice event.
-		return
-	}
-	_ = epoch // the fire path reads the LWP's live epoch
-	i := int32(l.ID)
-	if s.sliceArmed[i] {
-		// Re-arm of a still-listed timer (run-to-next-thread keeps the
-		// LWP linked): drop the old entry first.
-		s.slices.removeWho(i)
-	}
-	s.sliceArmed[i] = true
-	s.slices.insert(sliceEnt{at: s.now.Add(delay), seq: s.events.ReserveSeq(), who: i})
-}
-
-// disarmSlice drops an LWP's listed timer; the scheduler core invokes it
-// (via OnSliceInvalidated) whenever the LWP leaves its CPU.
-func (s *sim) disarmSlice(i int32) {
-	if i >= int32(len(s.sliceArmed)) || !s.sliceArmed[i] {
-		return
-	}
-	s.slices.removeWho(i)
-	s.sliceArmed[i] = false
-}
-
-func (s *sim) account(cpu *scpu) {
-	dt := s.now.Sub(cpu.lastAccounted)
-	cpu.lastAccounted = s.now
-	l := cpu.lwp
-	if l == nil || dt <= 0 {
-		return
-	}
-	l.QuantumLeft -= dt
-	t := l.thread
-	if t == nil {
-		return
-	}
-	if dt > t.WorkLeft {
-		dt = t.WorkLeft
-	}
-	t.WorkLeft -= dt
-	t.CPUTime += dt
-}
-
-func (s *sim) handle(ev sevent) {
-	switch ev.kind {
-	case evBurst:
-		cpu := s.cpus[ev.who]
-		if cpu.Epoch != ev.epoch || cpu.lwp == nil {
-			return
-		}
-		s.account(cpu)
-		s.advanceThread(cpu)
-	case evSlice:
-		l := s.lwps[ev.who]
-		if l.SliceEpoch != ev.epoch || l.cpu == nil {
-			return
-		}
-		if !s.sc.SliceExpired(l) {
-			// The LWP keeps its CPU; re-arm the next slice.
-			s.scheduleSlice(l)
+func (s *sim) handle(ev sched.Event) {
+	switch ev.Kind {
+	case sched.EvBurst, sched.EvSlice:
+		if cpu, ended := s.sc.Handle(ev); ended {
+			s.advanceThread(cpu, cpu.lwp.thread)
 		}
 	case evTimer:
 		// A timed-out wait replayed as a delay ends: re-acquire the mutex.
-		t := &s.threads[ev.who]
-		if t.timerEpoch != ev.epoch {
+		t := &s.threads[ev.Who]
+		if t.timerEpoch != ev.Epoch {
 			return
 		}
 		s.so.Reacquire(t.TI, t.drec().Mutex)
@@ -714,31 +477,20 @@ func (s *sim) handle(ev sevent) {
 		// suspended thread is never made wake-pending, so a delivery that
 		// finds its thread wake-pending at its epoch has an unsuspended
 		// thread to wake.
-		t := &s.threads[ev.who]
-		if t.wakeEpoch != ev.epoch || t.State != sched.WakePending {
+		t := &s.threads[ev.Who]
+		if t.wakeEpoch != ev.Epoch || t.State != sched.WakePending {
 			return
 		}
 		s.sc.Wake(t, true)
 	case evIODone:
-		s.so.IODone(ev.who)
+		s.so.IODone(ev.Who)
 	}
 }
 
-// advanceThread drives the running thread through its record phases.
-func (s *sim) advanceThread(cpu *scpu) {
-	for {
-		l := cpu.lwp
-		if l == nil {
-			return
-		}
-		t := l.thread
-		if t == nil {
-			return
-		}
-		if t.WorkLeft > 0 {
-			s.scheduleBurst(cpu)
-			return
-		}
+// advanceThread drives the thread running on cpu through its record
+// phases until it needs CPU time again, blocks or exits.
+func (s *sim) advanceThread(cpu *scpu, t *sthread) {
+	for !s.sc.Burst(&cpu.CPUNode, &t.ThreadNode) {
 		r := t.rec()
 		if r == nil {
 			s.exitThread(cpu, t)

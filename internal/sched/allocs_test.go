@@ -4,8 +4,9 @@ import "testing"
 
 // TestCoreSteadyStateAllocs pins the zero-allocation contract of the
 // scheduler hot path: once the queues have reached their peak size, a full
-// undispatch → requeue → dispatch → slice-expiry cycle must not touch the
-// heap. The simulator drives these entry points once or more per simulated
+// undispatch → requeue → dispatch → slice-expiry cycle, with the burst and
+// slice timers it arms delivered through Pop, must not touch the heap.
+// The simulator drives these entry points once or more per simulated
 // event, so a single allocation here is a per-event allocation for every
 // prediction.
 func TestCoreSteadyStateAllocs(t *testing.T) {
@@ -15,31 +16,32 @@ func TestCoreSteadyStateAllocs(t *testing.T) {
 		lwps[i] = newLWP(i, 30)
 		core.PushKernelQ(lwps[i])
 	}
-	// Warm up: queues and idle list grow to their steady-state capacity.
-	core.DispatchAll()
-	for r := 0; r < 3; r++ {
-		for _, cpu := range cpus {
-			core.Undispatch(cpu)
-		}
-		core.DispatchAll()
-		core.PreemptPass()
-	}
-
-	allocs := testing.AllocsPerRun(100, func() {
+	cycle := func() {
 		for _, cpu := range cpus {
 			core.Undispatch(cpu)
 		}
 		core.DispatchAll()
 		core.PreemptPass()
 		for _, cpu := range cpus {
-			if l := cpu.SchedLWP(); l != nil {
-				core.SliceExpired(l)
+			if cpu.SchedLWP() != nil {
+				core.sliceExpired(cpu)
 			}
 		}
 		core.DispatchAll()
 		core.PreemptPass()
-	})
-	if allocs != 0 {
+		for {
+			if _, _, ok := core.Pop(); !ok {
+				break
+			}
+		}
+	}
+	// Warm up: queues and idle list grow to their steady-state capacity.
+	core.DispatchAll()
+	for r := 0; r < 3; r++ {
+		cycle()
+	}
+
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Fatalf("steady-state scheduler cycle allocates: %v allocs/cycle", allocs)
 	}
 }

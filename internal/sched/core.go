@@ -26,9 +26,9 @@ type LWPNode struct {
 	ID          int
 	Prio        int
 	QuantumLeft vtime.Duration
-	// SliceEpoch invalidates pending slice-expiry events: the engine
-	// stamps each armed event with the current epoch and drops the event
-	// on mismatch.
+	// SliceEpoch invalidates a slice timer armed for the LWP: the timer
+	// carries the epoch it was armed at, and an EvSlice event whose epoch
+	// lags is dropped.
 	SliceEpoch uint64
 	// Dedicated marks the LWP of one bound thread; it dies with the
 	// thread (Exit).
@@ -42,6 +42,29 @@ type CPUNode struct {
 	// Epoch invalidates pending burst events, same protocol as
 	// LWPNode.SliceEpoch.
 	Epoch uint64
+
+	// lwp and thread are the nodes of the LWP the CPU runs and of its
+	// thread, lwp nil while the CPU idles. The Core sets them wherever it
+	// links the engine's CPU, so the per-event paths reach the nodes
+	// without a call through the engine's types.
+	lwp    *LWPNode
+	thread *ThreadNode
+	// accounted is when the CPU's time was last charged (account);
+	// overhead is the dispatch overhead it owes before its thread's work;
+	// lastLWP is the ID of the LWP it last placed, -1 before the first.
+	accounted vtime.Time
+	overhead  vtime.Duration
+	lastLWP   int
+}
+
+// Overheads are the dispatch costs a CPU pays before it runs a thread's
+// work: a context switch when it runs another LWP than the one it last
+// ran, or another thread on the same LWP, and a migration when the
+// thread last ran on another CPU. The recording kernel takes them from
+// its cost model; the Simulator passes zero, as the paper leaves both
+// unmodelled.
+type Overheads struct {
+	ContextSwitch, Migration vtime.Duration
 }
 
 // Thread is the scheduler's view of an engine thread.
@@ -74,20 +97,15 @@ type CPU[L any] interface {
 }
 
 // Engine receives the scheduling decisions the Core makes. The Core owns
-// the queues and the who-runs-where choice; the engine owns time,
-// events, costs and probes.
+// the queues, the who-runs-where choice, the CPU accounting with its
+// dispatch overheads and the burst and slice timers; the engine owns its
+// calls' stages, its own events, probes and grants.
 type Engine[T Thread[L], L LWP[T, C], C CPU[L]] interface {
-	// Account charges elapsed virtual time on the CPU before a
-	// scheduling decision changes what it runs.
-	Account(cpu C)
-	// Placed runs after the Core links l to a previously idle cpu and
-	// marks its thread running: apply dispatch overheads, finish an
-	// off-CPU completed call, and arm the burst and slice events.
-	Placed(cpu C, l L)
-	// Switched runs after the Core hands a still-linked pool LWP its
-	// next thread and marks it running (the run-to-next-thread path, no
-	// trip through the kernel queue).
-	Switched(cpu C, l L, next T)
+	// Complete finishes t's call, which completed while t was off-CPU,
+	// now that the Core runs t on cpu again. It may end t (a replay whose
+	// records are exhausted exits); the Core arms t's timers only if t
+	// still runs on cpu afterwards.
+	Complete(cpu C, t T)
 	// Wake is the engine's grant path, which thr_continue takes: it
 	// wakes the thread with dense index ti as if thread by had granted
 	// it (the same method as syncobj.Engine's).
@@ -103,7 +121,14 @@ type Core[T Thread[L], L LWP[T, C], C CPU[L]] struct {
 	engine    Engine[T, L, C]
 	now       *vtime.Time // the engine's clock
 	cpus      []C
+	nodes     []*CPUNode // cpus[i].Node()
 	noPreempt bool
+	costs     Overheads
+
+	// events holds the burst timers and the engine's own events; slices
+	// holds the slice timers (see Pop).
+	events vtime.EventQueue[Event]
+	slices sliceRing
 
 	userRunQ []T
 	kernelQ  []L
@@ -136,25 +161,22 @@ type Core[T Thread[L], L LWP[T, C], C CPU[L]] struct {
 	// OnPushKernelQ, when non-nil, runs before every kernel-queue
 	// insertion — the engines' debug-invariant hook.
 	OnPushKernelQ func(L)
-
-	// OnSliceInvalidated, when non-nil, runs whenever a running LWP's
-	// slice epoch advances outside ArmSlice (it leaves its CPU), so an
-	// engine keeping its own timer bookkeeping can disarm eagerly instead
-	// of re-validating epochs on every delivery.
-	OnSliceInvalidated func(L)
 }
 
 // NewCore builds a scheduler over the given CPUs, where cpus[i] must have
-// ID i (a CPU-bound thread names its CPU by ID). now is the engine's
-// clock, which times the threads' state changes. hint preallocates the
+// ID i (a CPU-bound thread and a burst or slice event name a CPU by ID).
+// now is the engine's clock, which times the threads' state changes and
+// the timers. costs are the dispatch overheads. hint preallocates the
 // queues (the Simulator knows its thread count up front).
-func NewCore[T Thread[L], L LWP[T, C], C CPU[L]](policy Policy, engine Engine[T, L, C], now *vtime.Time, cpus []C, noPreemption bool, hint int) *Core[T, L, C] {
-	return &Core[T, L, C]{
+func NewCore[T Thread[L], L LWP[T, C], C CPU[L]](policy Policy, engine Engine[T, L, C], now *vtime.Time, cpus []C, noPreemption bool, costs Overheads, hint int) *Core[T, L, C] {
+	c := &Core[T, L, C]{
 		policy:        policy,
 		engine:        engine,
 		now:           now,
 		cpus:          cpus,
 		noPreempt:     noPreemption,
+		costs:         costs,
+		slices:        newSliceRing(len(cpus)),
 		userRunQ:      make([]T, 0, hint),
 		kernelQ:       make([]L, 0, hint),
 		idleLWPs:      make([]L, 0, hint),
@@ -162,6 +184,16 @@ func NewCore[T Thread[L], L LWP[T, C], C CPU[L]](policy Policy, engine Engine[T,
 		preemptDirty:  true,
 		idleCPUs:      len(cpus),
 	}
+	c.nodes = make([]*CPUNode, len(cpus))
+	for i, cpu := range cpus {
+		c.nodes[i] = cpu.Node()
+		c.nodes[i].lastLWP = -1
+	}
+	// The queue's steady state holds at most one burst event per CPU plus
+	// one engine event per thread; reserving that up front keeps heap
+	// growth out of the event loop.
+	c.events.Reserve(2*hint + 2*len(cpus) + 8)
+	return c
 }
 
 // Policy returns the active scheduling policy.
@@ -276,11 +308,10 @@ func (c *Core[T, L, C]) removeKernelQ(l L) bool {
 }
 
 // eligible reports whether the LWP may run on the CPU (bound-thread CPU
-// affinity).
+// affinity). A queued LWP always carries a thread.
 func (c *Core[T, L, C]) eligible(cpu C, l L) bool {
-	t := l.SchedThread()
-	var zero T
-	return t == zero || t.SchedBoundCPU() < 0 || t.SchedBoundCPU() == cpu.Node().ID
+	b := l.SchedThread().SchedBoundCPU()
+	return b < 0 || b == cpu.Node().ID
 }
 
 // takeKernelQ removes and returns the best LWP runnable on cpu.
@@ -352,17 +383,18 @@ func (c *Core[T, L, C]) refreshWake(l L, boost bool) {
 	n.QuantumLeft = c.policy.Quantum(n.Prio)
 }
 
-// Unlink detaches an LWP from its CPU and invalidates both pending event
-// streams — the CPU's burst epoch and the LWP's slice epoch. Every
-// requeue or park of a running LWP funnels through here.
+// Unlink detaches an LWP from its CPU and invalidates both of the CPU's
+// timers — the CPU's burst epoch and the LWP's slice epoch, whose listed
+// timer leaves the ring. Every requeue or park of a running LWP funnels
+// through here.
 func (c *Core[T, L, C]) Unlink(cpu C, l L) {
 	c.dispatchDirty = true // the CPU goes idle
 	c.idleCPUs++
-	cpu.Node().Epoch++
+	cn := cpu.Node()
+	cn.Epoch++
+	cn.lwp = nil
 	l.Node().SliceEpoch++
-	if c.OnSliceInvalidated != nil {
-		c.OnSliceInvalidated(l)
-	}
+	c.slices.remove(int32(cn.ID))
 	var zeroL L
 	var zeroC C
 	cpu.SetSchedLWP(zeroL)
@@ -372,34 +404,29 @@ func (c *Core[T, L, C]) Unlink(cpu C, l L) {
 // Undispatch evicts the running LWP from a CPU, preserving its thread's
 // progress, and requeues it on the kernel queue.
 func (c *Core[T, L, C]) Undispatch(cpu C) {
-	c.engine.Account(cpu)
+	c.account(cpu.Node())
 	l := cpu.SchedLWP()
 	var zeroL L
 	if l == zeroL {
 		return
 	}
-	t := l.SchedThread()
 	c.Unlink(cpu, l)
-	var zeroT T
-	if t != zeroT {
-		c.set(t, Runnable, -1, l.Node().ID)
-	}
+	c.set(l.SchedThread(), Runnable, -1, l.Node().ID)
 	c.PushKernelQ(l)
 }
 
 // DispatchAll assigns runnable LWPs to idle CPUs until no assignment is
-// possible, invoking the engine's Placed hook for each.
+// possible, and starts each placed LWP's thread (run).
 func (c *Core[T, L, C]) DispatchAll() {
 	if !c.dispatchDirty {
 		return
 	}
 	var zeroL L
-	var zeroT T
 	for {
 		// DispatchAll runs after every simulated event; an empty kernel
 		// queue or a fully busy machine (the two common steady states) must
 		// cost nothing. Clearing the flag on exit is sound because the loop
-		// runs to quiescence: any insertion or CPU release a Placed hook
+		// runs to quiescence: any insertion or CPU release a placement
 		// triggers mid-pass is observed by the final no-progress scan, and
 		// every future CPU release re-sets the flag.
 		if len(c.kernelQ) == 0 || c.idleCPUs == 0 {
@@ -418,10 +445,7 @@ func (c *Core[T, L, C]) DispatchAll() {
 			cpu.SetSchedLWP(l)
 			l.SetSchedCPU(cpu)
 			c.idleCPUs--
-			if t := l.SchedThread(); t != zeroT {
-				c.set(t, Running, cpu.Node().ID, l.Node().ID)
-			}
-			c.engine.Placed(cpu, l)
+			c.run(cpu, l, l.SchedThread(), true)
 			progress = true
 		}
 		if !progress {
@@ -468,13 +492,12 @@ func (c *Core[T, L, C]) PreemptPass() {
 //     with the queued priority, so if that LWP cannot preempt the lowest
 //     runner, no LWP behind it can preempt any runner (see Policy).
 func (c *Core[T, L, C]) preemptVictim() (C, bool) {
-	var zeroT T
 	var zeroL L
 	var zeroC C
 	for _, l := range c.kernelQ {
 		q := l.Node().Prio
-		if t := l.SchedThread(); t != zeroT && t.SchedBoundCPU() >= 0 {
-			if b := t.SchedBoundCPU(); b < len(c.cpus) {
+		if b := l.SchedThread().SchedBoundCPU(); b >= 0 {
+			if b < len(c.cpus) {
 				cpu := c.cpus[b]
 				if rl := cpu.SchedLWP(); rl != zeroL && c.policy.ShouldPreempt(q, rl.Node().Prio) {
 					return cpu, true
@@ -499,32 +522,19 @@ func (c *Core[T, L, C]) preemptVictim() (C, bool) {
 }
 
 // NextThread hands a pool LWP — still linked to cpu — its next queued
-// unbound thread via the engine's Switched hook, or unlinks and idles
-// it. This is the fast run-to-next-thread path that skips the kernel
-// queue.
+// unbound thread and starts it (run), or unlinks and idles it. This is
+// the fast run-to-next-thread path that skips the kernel queue.
 func (c *Core[T, L, C]) NextThread(cpu C, l L) {
 	next := c.PopUserRunQ()
 	var zeroT T
 	if next == zeroT {
-		// No cpu-epoch bump here: the caller already invalidated the
-		// burst stream when it detached the previous thread.
-		c.dispatchDirty = true // the CPU goes idle
-		c.idleCPUs++
-		l.Node().SliceEpoch++
-		if c.OnSliceInvalidated != nil {
-			c.OnSliceInvalidated(l)
-		}
-		var zeroL L
-		var zeroC C
-		l.SetSchedCPU(zeroC)
-		cpu.SetSchedLWP(zeroL)
+		c.Unlink(cpu, l)
 		c.idleLWPs = append(c.idleLWPs, l)
 		return
 	}
 	l.SetSchedThread(next)
 	next.SetSchedLWP(l)
-	c.set(next, Running, cpu.Node().ID, l.Node().ID)
-	c.engine.Switched(cpu, l, next)
+	c.run(cpu, l, next, false)
 }
 
 // ---- releasing a thread's LWP ---------------------------------------------
@@ -616,32 +626,14 @@ func (c *Core[T, L, C]) ReassignOrIdle(l L) {
 	c.PushKernelQ(l)
 }
 
-// ArmSlice advances the LWP's slice epoch (invalidating any pending
-// slice event), refills an exhausted quantum from the policy, and
-// returns the delay and epoch for the engine's timer event. ok is false
-// when the policy disables time slicing — then no event is armed and the
-// LWP runs to block.
-func (c *Core[T, L, C]) ArmSlice(l L) (delay vtime.Duration, epoch uint64, ok bool) {
-	n := l.Node()
-	n.SliceEpoch++
-	if n.QuantumLeft <= 0 {
-		n.QuantumLeft = c.policy.Quantum(n.Prio)
-	}
-	if n.QuantumLeft <= 0 {
-		return 0, n.SliceEpoch, false
-	}
-	return n.QuantumLeft, n.SliceEpoch, true
-}
-
-// SliceExpired applies the policy's quantum-expiry rules to a running
-// LWP. It returns true when the LWP yielded the CPU (the engine must not
-// re-arm its slice event) and false when it keeps running (the engine
-// re-arms via ArmSlice).
-func (c *Core[T, L, C]) SliceExpired(l L) bool {
-	cpu := l.SchedCPU()
-	c.engine.Account(cpu)
+// sliceExpired applies the policy's quantum-expiry rules to the LWP
+// running on cpu. It returns true when the LWP yielded the CPU and false
+// when it keeps running (the caller re-arms its slice).
+func (c *Core[T, L, C]) sliceExpired(cpu C) bool {
+	cn := cpu.Node()
+	c.account(cn)
 	waiting, has := c.peekKernelQ(cpu)
-	n := l.Node()
+	n := cn.lwp
 	newPrio, yield := c.policy.OnSliceExpiry(n.Prio, waiting, has)
 	if newPrio < n.Prio {
 		// A running LWP's priority dropped: queued LWPs may now preempt it.

@@ -1,0 +1,263 @@
+package sched
+
+import "vppb/internal/vtime"
+
+// This file is the CPU half of the Core, shared by both engines: starting
+// a thread on a CPU with its dispatch overheads, charging elapsed time,
+// and the two timers every running CPU has — the burst, which ends when
+// its thread's CPU work (after the overhead) is done, and the slice,
+// which ends its LWP's quantum. Both engines take their events from Pop
+// and hand the Core's own kinds to Handle.
+
+// EventKind says what an Event is about. The Core owns EvBurst and
+// EvSlice; each engine numbers its own kinds from EvEngine on.
+type EventKind uint8
+
+const (
+	// EvBurst: the burst of the CPU Who ends.
+	EvBurst EventKind = iota
+	// EvSlice: the quantum of the LWP running on CPU Who ends.
+	EvSlice
+	// EvEngine is the first kind an engine may define (its timers, wakes
+	// and I/O completions).
+	EvEngine
+)
+
+// Event is a pointer-free queue entry. Who is the dense index of its
+// subject: a CPU for the Core's kinds, an engine's thread or object for
+// the engine's own. Epoch is the subject's epoch when the event was
+// armed; an event whose epoch lags is stale and dropped. Keeping pointers
+// out of the queue means the collector never scans it and a push emits
+// no write barriers.
+type Event struct {
+	Kind  EventKind
+	Who   int32
+	Epoch uint64
+}
+
+// Push queues an engine event for delivery at time at.
+func (c *Core[T, L, C]) Push(at vtime.Time, ev Event) { c.events.Push(at, ev) }
+
+// Pop removes and returns the next event: the earlier of the queue's head
+// and the earliest slice timer, comparing full (time, insertion order)
+// keys, so the order is exactly the one a single queue holding both would
+// deliver. ok is false when neither holds an event.
+func (c *Core[T, L, C]) Pop() (at vtime.Time, ev Event, ok bool) {
+	if r := &c.slices; r.n > 0 && (c.events.Len() == 0 || r.peek().before(c.events.PeekKey())) {
+		e := r.pop()
+		return e.at, Event{Kind: EvSlice, Who: e.cpu, Epoch: e.epoch}, true
+	}
+	if c.events.Len() == 0 {
+		return 0, Event{}, false
+	}
+	at, ev = c.events.Pop()
+	return at, ev, true
+}
+
+// Handle delivers one of the Core's own events. A slice that ends applies
+// the policy's quantum-expiry rules and re-arms the slice unless the LWP
+// yielded its CPU. A burst that ends charges its CPU, which Handle
+// returns with ended true: the engine then takes the thread running there
+// through its call stages until it needs CPU time again (Burst), blocks
+// or exits. A stale event is dropped.
+func (c *Core[T, L, C]) Handle(ev Event) (cpu C, ended bool) {
+	cpu, cn := c.cpus[ev.Who], c.nodes[ev.Who]
+	if cn.lwp == nil {
+		return cpu, false
+	}
+	switch ev.Kind {
+	case EvBurst:
+		if cn.Epoch != ev.Epoch {
+			return cpu, false
+		}
+		c.account(cn)
+		return cpu, true
+	case EvSlice:
+		if cn.lwp.SliceEpoch == ev.Epoch && !c.sliceExpired(cpu) {
+			c.armSlice(cn, cn.lwp)
+		}
+	}
+	return cpu, false
+}
+
+// run starts t, which l carries, on cpu and marks it running. It charges
+// the dispatch overheads, lets the engine finish a call that completed
+// while t was off-CPU, and arms the CPU's burst and slice timers. placed
+// is true when cpu was idle (DispatchAll) and false when l, still on
+// cpu, moves on to its next thread (NextThread).
+func (c *Core[T, L, C]) run(cpu C, l L, t T, placed bool) {
+	cn, ln, tn := cpu.Node(), l.Node(), t.Node()
+	cn.lwp, cn.thread = ln, tn
+	tn.To(Running, *c.now, int32(cn.ID), int32(ln.ID))
+	if placed {
+		cn.accounted = *c.now
+		cn.overhead = 0
+		if cn.lastLWP != ln.ID {
+			cn.overhead = c.costs.ContextSwitch
+		}
+		cn.lastLWP = ln.ID
+	} else {
+		cn.overhead += c.costs.ContextSwitch
+	}
+	if tn.LastCPU >= 0 && tn.LastCPU != cn.ID {
+		cn.overhead += c.costs.Migration
+	}
+	tn.LastCPU = cn.ID
+	if tn.Stage == StageWaiting {
+		c.engine.Complete(cpu, t)
+		if cn.lwp != ln || cn.thread != tn {
+			return
+		}
+	}
+	c.armBurst(cn, tn)
+	c.armSlice(cn, ln)
+}
+
+// account charges the time since the CPU with node cn was last accounted:
+// all of it to the running LWP's quantum, and to the dispatch overhead the
+// CPU owes first and the thread's work after, which becomes its CPU time.
+// It is the one place either engine charges elapsed CPU time.
+func (c *Core[T, L, C]) account(cn *CPUNode) {
+	dt := c.now.Sub(cn.accounted)
+	cn.accounted = *c.now
+	if cn.lwp == nil || dt <= 0 {
+		return
+	}
+	cn.lwp.QuantumLeft -= dt
+	if cn.overhead > 0 {
+		if dt <= cn.overhead {
+			cn.overhead -= dt
+			return
+		}
+		dt -= cn.overhead
+		cn.overhead = 0
+	}
+	tn := cn.thread
+	dt = min(dt, tn.WorkLeft)
+	tn.WorkLeft -= dt
+	tn.CPUTime += dt
+}
+
+// Burst arms the burst timer of the CPU with node cn if tn, the node of
+// the thread running there, still owes dispatch overhead or CPU work, and
+// reports whether it did. An engine asks it before each of the thread's
+// call stages.
+func (c *Core[T, L, C]) Burst(cn *CPUNode, tn *ThreadNode) bool {
+	if cn.overhead > 0 || tn.WorkLeft > 0 {
+		c.armBurst(cn, tn)
+		return true
+	}
+	return false
+}
+
+// armBurst arms the CPU's burst timer for the overhead it owes and its
+// thread's work, invalidating the one armed before.
+func (c *Core[T, L, C]) armBurst(cn *CPUNode, tn *ThreadNode) {
+	cn.Epoch++
+	c.events.Push(c.now.Add(cn.overhead+tn.WorkLeft), Event{Kind: EvBurst, Who: int32(cn.ID), Epoch: cn.Epoch})
+}
+
+// armSlice arms the slice timer of the LWP running on the CPU for what is
+// left of its quantum, refilling an exhausted one from the policy, and
+// drops the timer armed before. A policy without time slicing arms none:
+// the LWP runs to block.
+func (c *Core[T, L, C]) armSlice(cn *CPUNode, ln *LWPNode) {
+	c.slices.remove(int32(cn.ID))
+	ln.SliceEpoch++
+	if ln.QuantumLeft <= 0 {
+		ln.QuantumLeft = c.policy.Quantum(ln.Prio)
+	}
+	if ln.QuantumLeft <= 0 {
+		return
+	}
+	c.slices.insert(sliceEnt{at: c.now.Add(ln.QuantumLeft), seq: c.events.ReserveSeq(), epoch: ln.SliceEpoch, cpu: int32(cn.ID)})
+}
+
+// ---- slice ring -----------------------------------------------------------
+
+// sliceEnt is one armed slice timer. Slice expirations are the dominant
+// event traffic of compute-heavy runs (a burst that spans many quanta
+// re-arms its slice on every expiry), and each CPU has at most one live
+// slice timer, so they bypass the event queue. seq is reserved from the
+// queue's insertion counter at arm time, which keeps the merged delivery
+// order exactly that of pushing the timer through the queue: ties at the
+// same instant still resolve by insertion order. A timer leaves the ring
+// when it is re-armed or its LWP leaves the CPU, so every listed entry is
+// live and Pop needs no revalidation.
+type sliceEnt struct {
+	at    vtime.Time
+	seq   uint64
+	epoch uint64
+	cpu   int32
+}
+
+// before orders the entry against the queue head's (time, seq) key.
+func (e *sliceEnt) before(at vtime.Time, seq uint64) bool {
+	return e.at < at || (e.at == at && e.seq < seq)
+}
+
+// sliceRing keeps the armed timers in a ring sorted ascending by
+// (at, seq): the earliest is at head, so peek and pop are O(1). A fresh
+// arm usually carries the latest deadline of all (it starts now with a
+// full quantum while the others have been burning theirs down), so the
+// common insert is an O(1) append at the tail; out-of-order arms shift
+// only their displacement. It holds at most one entry per CPU, so it
+// never grows.
+type sliceRing struct {
+	buf   []sliceEnt // capacity is a power of two, at least the CPU count
+	head  int
+	n     int
+	armed []bool // by CPU: the CPU has a listed entry
+}
+
+func newSliceRing(cpus int) sliceRing {
+	size := 1
+	for size < cpus {
+		size *= 2
+	}
+	return sliceRing{buf: make([]sliceEnt, size), armed: make([]bool, cpus)}
+}
+
+func (r *sliceRing) peek() *sliceEnt { return &r.buf[r.head] }
+
+func (r *sliceRing) pop() sliceEnt {
+	e := r.buf[r.head]
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	r.armed[e.cpu] = false
+	return e
+}
+
+func (r *sliceRing) insert(e sliceEnt) {
+	mask := len(r.buf) - 1
+	i := r.n
+	for i > 0 {
+		prev := &r.buf[(r.head+i-1)&mask]
+		if !e.before(prev.at, prev.seq) {
+			break
+		}
+		r.buf[(r.head+i)&mask] = *prev
+		i--
+	}
+	r.buf[(r.head+i)&mask] = e
+	r.n++
+	r.armed[e.cpu] = true
+}
+
+// remove drops the CPU's listed entry, if it has one.
+func (r *sliceRing) remove(cpu int32) {
+	if !r.armed[cpu] {
+		return
+	}
+	r.armed[cpu] = false
+	mask := len(r.buf) - 1
+	for i := 0; i < r.n; i++ {
+		if r.buf[(r.head+i)&mask].cpu == cpu {
+			for j := i; j < r.n-1; j++ {
+				r.buf[(r.head+j)&mask] = r.buf[(r.head+j+1)&mask]
+			}
+			r.n--
+			return
+		}
+	}
+}

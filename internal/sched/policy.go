@@ -4,8 +4,9 @@
 // invariant — the Simulator schedules exactly like the machine the trace
 // was recorded on — is enforced by construction: there is one
 // implementation of the run queues, the preemption pass, the time-slice
-// rules and the wake boosting, and both engines drive their state
-// machines through it.
+// rules, the wake boosting, the CPU accounting with its dispatch
+// overheads and the burst and slice timers, and both engines drive their
+// state machines through it.
 //
 // The Policy interface isolates the few decisions that distinguish one
 // scheduling discipline from another. The default "ts" policy reproduces

@@ -75,15 +75,6 @@ func refPreemptPass(c *Core[*fakeThread, *fakeLWP, *fakeCPU]) {
 	}
 }
 
-// victimEngine records the CPU of every Account call: Undispatch accounts
-// exactly the evicted CPU, and SliceExpired its runner's CPU.
-type victimEngine struct {
-	fakeEngine
-	accounted []int
-}
-
-func (e *victimEngine) Account(cpu *fakeCPU) { e.accounted = append(e.accounted, cpu.ID) }
-
 // preemptGen builds random scheduler states. Two generators from the same
 // seed driven through the same calls build identical, unshared states.
 type preemptGen struct {
@@ -94,37 +85,37 @@ type preemptGen struct {
 
 // lwp makes a queued or running LWP of random priority and placement
 // rule: CPU-bound (sometimes to a CPU the machine lacks), bound to its LWP
-// only, threadless, or unbound. All but the first may run on any CPU.
+// only, or unbound. All but the first may run on any CPU. Every LWP
+// carries a thread, as a queued or running LWP does in both engines, with
+// more work than any test charges, so its CPU time shows each charge.
 func (g *preemptGen) lwp() *fakeLWP {
 	g.id++
 	l := newLWP(g.id, g.rng.Intn(60))
+	l.thread.WorkLeft = 1000 * vtime.Second
 	switch g.rng.Intn(6) {
 	case 0, 1:
 		l.thread.bound = true
 		l.thread.boundCPU = g.rng.Intn(g.nCPU + 1)
 	case 2:
 		l.thread.bound = true
-	case 3:
-		l.thread = nil
 	}
 	return l
 }
 
-func cpuBound(l *fakeLWP) bool { return l.thread != nil && l.thread.boundCPU >= 0 }
+func cpuBound(l *fakeLWP) bool { return l.thread.boundCPU >= 0 }
 
 // state builds a Core with 1-8 CPUs, most of them running an LWP, and up to
 // a dozen LWPs on the kernel queue.
-func (g *preemptGen) state(policy string) (*Core[*fakeThread, *fakeLWP, *fakeCPU], *victimEngine, error) {
+func (g *preemptGen) state(policy string) (*Core[*fakeThread, *fakeLWP, *fakeCPU], error) {
 	pol, err := New(policy)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cpus := make([]*fakeCPU, g.nCPU)
 	for i := range cpus {
 		cpus[i] = &fakeCPU{CPUNode: CPUNode{ID: i}}
 	}
-	eng := &victimEngine{}
-	c := NewCore[*fakeThread, *fakeLWP, *fakeCPU](pol, eng, new(vtime.Time), cpus, false, 0)
+	c := NewCore[*fakeThread, *fakeLWP, *fakeCPU](pol, &fakeEngine{}, new(vtime.Time), cpus, false, Overheads{}, 0)
 	for _, cpu := range cpus {
 		if g.rng.Intn(5) == 0 {
 			continue
@@ -133,30 +124,41 @@ func (g *preemptGen) state(policy string) (*Core[*fakeThread, *fakeLWP, *fakeCPU
 		if cpuBound(l) {
 			l.thread.boundCPU = cpu.ID
 		}
-		cpu.lwp, l.cpu = l, cpu
-		c.idleCPUs--
+		link(c, cpu, l)
 	}
 	for n := g.rng.Intn(13); n > 0; n-- {
 		c.PushKernelQ(g.lwp())
 	}
-	return c, eng, nil
+	return c, nil
 }
 
 // perturb applies one random scheduling step: a slice expiry on a random
 // runner (which may demote or yield it) or a fresh LWP arriving.
 func (g *preemptGen) perturb(c *Core[*fakeThread, *fakeLWP, *fakeCPU]) {
 	cpu := c.cpus[g.rng.Intn(len(c.cpus))]
-	if l := cpu.lwp; l != nil && g.rng.Intn(2) == 0 {
-		c.SliceExpired(l)
+	if cpu.lwp != nil && g.rng.Intn(2) == 0 {
+		c.sliceExpired(cpu)
 		return
 	}
 	c.PushKernelQ(g.lwp())
 }
 
-// snapshot renders everything a preemption decision can change.
-func snapshot(c *Core[*fakeThread, *fakeLWP, *fakeCPU], eng *victimEngine) string {
+// runners lists the LWP each CPU runs, nil for an idle CPU.
+func runners(c *Core[*fakeThread, *fakeLWP, *fakeCPU]) []*fakeLWP {
+	ls := make([]*fakeLWP, len(c.cpus))
+	for i, cpu := range c.cpus {
+		ls[i] = cpu.lwp
+	}
+	return ls
+}
+
+// snapshot renders everything a preemption decision can change, with the
+// time each CPU was last accounted.
+func snapshot(c *Core[*fakeThread, *fakeLWP, *fakeCPU]) string {
+	accounted := make([]vtime.Time, len(c.cpus))
 	running := make([]int, len(c.cpus))
 	for i, cpu := range c.cpus {
+		accounted[i] = cpu.accounted
 		running[i] = -1
 		if cpu.lwp != nil {
 			running[i] = cpu.lwp.ID
@@ -166,14 +168,17 @@ func snapshot(c *Core[*fakeThread, *fakeLWP, *fakeCPU], eng *victimEngine) strin
 	for i, l := range c.kernelQ {
 		queued[i] = l.ID
 	}
-	return fmt.Sprintf("accounted %v placed %v running %v queued %v dirty %v",
-		eng.accounted, eng.placed, running, queued, c.preemptDirty)
+	return fmt.Sprintf("accounted %v running %v queued %v dirty %v",
+		accounted, running, queued, c.preemptDirty)
 }
 
 // TestPreemptPassDifferential drives PreemptPass and the full-scan
 // reference through identical random states and scheduling steps, under
 // every policy, and requires the same victims in the same order and the
-// same resulting placement.
+// same resulting placement. Each pass runs at a time of its own, and the
+// runners it charges CPU time, read from their threads' nodes, must be
+// exactly the ones it evicted: an evicted runner is charged before it
+// leaves its CPU, and no other is.
 func TestPreemptPassDifferential(t *testing.T) {
 	const seeds = 3000
 	var headBound, boundBehindAny, preempted int
@@ -184,11 +189,11 @@ func TestPreemptPassDifferential(t *testing.T) {
 				return &preemptGen{rng: rng, nCPU: 1 + rng.Intn(8)}
 			}
 			gGot, gWant := newGen(), newGen()
-			got, gotEng, err := gGot.state(policy)
+			got, err := gGot.state(policy)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, wantEng, _ := gWant.state(policy)
+			want, _ := gWant.state(policy)
 
 			if q := got.kernelQ; len(q) > 0 && cpuBound(q[0]) {
 				headBound++
@@ -206,15 +211,40 @@ func TestPreemptPassDifferential(t *testing.T) {
 			}
 
 			for step := 0; step < 4; step++ {
+				now := vtime.Time(2*step + 1)
+				*got.now, *want.now = now, now
 				got.DispatchAll()
-				before := len(gotEng.accounted)
+				want.DispatchAll()
+				now++
+				*got.now, *want.now = now, now
+				before := runners(got)
+				spent := make([]vtime.Duration, len(before))
+				for i, l := range before {
+					if l != nil {
+						spent[i] = l.thread.CPUTime
+					}
+				}
 				got.PreemptPass()
-				if len(gotEng.accounted) > before {
+				after := runners(got)
+				evictions := 0
+				for i, l := range before {
+					if l == nil {
+						continue
+					}
+					evicted, charged := after[i] != l, l.thread.CPUTime != spent[i]
+					if evicted != charged {
+						t.Fatalf("%s seed %d step %d: LWP %d on CPU %d: evicted %v, charged %v",
+							policy, seed, step, l.ID, i, evicted, charged)
+					}
+					if evicted {
+						evictions++
+					}
+				}
+				if evictions > 0 {
 					preempted++
 				}
-				want.DispatchAll()
 				refPreemptPass(want)
-				g, w := snapshot(got, gotEng), snapshot(want, wantEng)
+				g, w := snapshot(got), snapshot(want)
 				if g != w {
 					t.Fatalf("%s seed %d step %d:\n got  %s\n want %s", policy, seed, step, g, w)
 				}

@@ -49,22 +49,20 @@ func (c *fakeCPU) SetSchedLWP(l *fakeLWP) { c.lwp = l }
 
 // fakeEngine records the callback sequence the Core drives.
 type fakeEngine struct {
-	placed   []int // LWP IDs, in Placed order
-	switched []int // thread IDs, in Switched order
-	woken    []int32
-	accounts int
+	completed []int // thread IDs, in Complete order
+	woken     []int32
 }
 
-func (e *fakeEngine) Account(*fakeCPU) { e.accounts++ }
-func (e *fakeEngine) Placed(_ *fakeCPU, l *fakeLWP) {
-	e.placed = append(e.placed, l.ID)
-}
-func (e *fakeEngine) Switched(_ *fakeCPU, _ *fakeLWP, t *fakeThread) {
-	e.switched = append(e.switched, t.id)
-}
-func (e *fakeEngine) Wake(ti, _ int32) { e.woken = append(e.woken, ti) }
+func (e *fakeEngine) Complete(_ *fakeCPU, t *fakeThread) { e.completed = append(e.completed, t.id) }
+func (e *fakeEngine) Wake(ti, _ int32)                   { e.woken = append(e.woken, ti) }
 
 func newFakeCore(t *testing.T, policy string, nCPUs int, noPreempt bool) (*Core[*fakeThread, *fakeLWP, *fakeCPU], *fakeEngine, []*fakeCPU) {
+	t.Helper()
+	return newFakeCoreCosts(t, policy, nCPUs, noPreempt, Overheads{})
+}
+
+// newFakeCoreCosts is newFakeCore with dispatch overheads.
+func newFakeCoreCosts(t *testing.T, policy string, nCPUs int, noPreempt bool, costs Overheads) (*Core[*fakeThread, *fakeLWP, *fakeCPU], *fakeEngine, []*fakeCPU) {
 	t.Helper()
 	pol, err := New(policy)
 	if err != nil {
@@ -75,7 +73,15 @@ func newFakeCore(t *testing.T, policy string, nCPUs int, noPreempt bool) (*Core[
 		cpus[i] = &fakeCPU{CPUNode: CPUNode{ID: i}}
 	}
 	eng := &fakeEngine{}
-	return NewCore[*fakeThread, *fakeLWP, *fakeCPU](pol, eng, new(vtime.Time), cpus, noPreempt, 0), eng, cpus
+	return NewCore[*fakeThread, *fakeLWP, *fakeCPU](pol, eng, new(vtime.Time), cpus, noPreempt, costs, 0), eng, cpus
+}
+
+// link runs l on the idle cpu without starting its thread (no overheads,
+// no timers), the way a test sets up a running machine.
+func link(c *Core[*fakeThread, *fakeLWP, *fakeCPU], cpu *fakeCPU, l *fakeLWP) {
+	cpu.lwp, l.cpu = l, cpu
+	cpu.CPUNode.lwp, cpu.thread = &l.LWPNode, &l.thread.ThreadNode
+	c.idleCPUs--
 }
 
 func newLWP(id, prio int) *fakeLWP {
@@ -381,24 +387,28 @@ func TestBoundCPUAffinity(t *testing.T) {
 }
 
 // TestArmSlice: ts arms a table-quantum timer, fifo arms nothing
-// (run-to-block), and each call invalidates the previous epoch.
+// (run-to-block), and each arm invalidates the previous epoch and
+// replaces the CPU's listed timer.
 func TestArmSlice(t *testing.T) {
-	c, _, _ := newFakeCore(t, "ts", 1, false)
+	c, _, cpus := newFakeCore(t, "ts", 1, false)
 	l := newLWP(1, dispatch.DefaultPriority)
 	l.QuantumLeft = c.Quantum(l.Prio)
-	delay, epoch1, ok := c.ArmSlice(l)
-	if !ok || delay != c.Quantum(dispatch.DefaultPriority) {
-		t.Fatalf("ts ArmSlice = (%v, ok=%v), want the table quantum", delay, ok)
+	c.armSlice(&cpus[0].CPUNode, &l.LWPNode)
+	first := *c.slices.peek()
+	if c.slices.n != 1 || first.at != vtime.Time(0).Add(c.Quantum(dispatch.DefaultPriority)) {
+		t.Fatalf("ts armSlice listed %d timers, first at %v, want one at the table quantum", c.slices.n, first.at)
 	}
-	_, epoch2, _ := c.ArmSlice(l)
-	if epoch2 != epoch1+1 {
-		t.Fatalf("ArmSlice epochs %d -> %d, want an increment", epoch1, epoch2)
+	c.armSlice(&cpus[0].CPUNode, &l.LWPNode)
+	if c.slices.n != 1 || c.slices.peek().epoch != first.epoch+1 || l.SliceEpoch != first.epoch+1 {
+		t.Fatalf("re-arm: %d timers, epoch %d -> %d, want one timer at an incremented epoch",
+			c.slices.n, first.epoch, c.slices.peek().epoch)
 	}
 
-	cf, _, _ := newFakeCore(t, "fifo", 1, false)
+	cf, _, cpusf := newFakeCore(t, "fifo", 1, false)
 	lf := newLWP(1, 29)
-	if _, _, ok := cf.ArmSlice(lf); ok {
-		t.Fatal("fifo ArmSlice must not arm a timer")
+	cf.armSlice(&cpusf[0].CPUNode, &lf.LWPNode)
+	if cf.slices.n != 0 {
+		t.Fatal("fifo armSlice must not arm a timer")
 	}
 }
 
@@ -406,14 +416,16 @@ func TestArmSlice(t *testing.T) {
 // core: the ts policy demotes the runner and yields to an equal-priority
 // waiter, re-dispatching the waiter onto the CPU.
 func TestSliceExpiredDemotesAndYields(t *testing.T) {
-	c, eng, cpus := newFakeCore(t, "ts", 1, false)
+	c, _, cpus := newFakeCore(t, "ts", 1, false)
 	runner := newLWP(1, 29)
 	c.PushKernelQ(runner)
 	c.DispatchAll()
 	waiter := newLWP(2, 19) // matches 29's post-expiry priority
 	c.PushKernelQ(waiter)
 
-	if !c.SliceExpired(runner) {
+	runner.thread.WorkLeft = 100
+	*c.now = 5
+	if !c.sliceExpired(cpus[0]) {
 		t.Fatal("expiry with an equal-priority waiter must yield")
 	}
 	if runner.Prio != 19 {
@@ -423,8 +435,8 @@ func TestSliceExpiredDemotesAndYields(t *testing.T) {
 	if cpus[0].lwp != waiter {
 		t.Error("waiter should take over the CPU after the yield")
 	}
-	if eng.accounts == 0 {
-		t.Error("expiry must account CPU time before rescheduling")
+	if runner.thread.CPUTime != 5 {
+		t.Errorf("runner CPUTime = %v, want 5: expiry must account CPU time before rescheduling", runner.thread.CPUTime)
 	}
 
 	// Without a waiter the runner is demoted but keeps the CPU.
@@ -432,7 +444,7 @@ func TestSliceExpiredDemotesAndYields(t *testing.T) {
 	solo := newLWP(1, 29)
 	c2.PushKernelQ(solo)
 	c2.DispatchAll()
-	if c2.SliceExpired(solo) {
+	if c2.sliceExpired(cpus2[0]) {
 		t.Fatal("expiry without a waiter must not yield")
 	}
 	if cpus2[0].lwp != solo || solo.Prio != 19 {
@@ -449,15 +461,19 @@ func TestNextThreadFastPath(t *testing.T) {
 	c.PushKernelQ(l)
 	c.DispatchAll()
 
-	next := &fakeThread{id: 7, prio: 29, boundCPU: -1}
+	// The next thread's call completed while it waited for an LWP.
+	next := &fakeThread{ThreadNode: ThreadNode{Stage: StageWaiting, LastCPU: -1}, id: 7, prio: 29, boundCPU: -1}
 	c.PushUserRunQ(next)
 	l.thread = nil
 	c.NextThread(cpus[0], l)
 	if l.thread != next || next.lwp != l {
 		t.Fatal("NextThread did not attach the queued thread")
 	}
-	if len(eng.switched) != 1 || eng.switched[0] != 7 {
-		t.Fatalf("engine.Switched calls = %v, want [7]", eng.switched)
+	if next.State != Running || next.LastCPU != 0 {
+		t.Fatalf("next thread is %v on CPU %d, want running on CPU 0", next.State, next.LastCPU)
+	}
+	if len(eng.completed) != 1 || eng.completed[0] != 7 {
+		t.Fatalf("engine.Complete calls = %v, want [7]", eng.completed)
 	}
 
 	// Queue empty: the LWP unlinks and idles.

@@ -200,7 +200,7 @@ func (c *Core[T, L, C]) Suspend(cpu C, t, target T) bool {
 		// Strip the target off its CPU mid-burst; WorkLeft keeps its
 		// progress for thr_continue.
 		tcpu := target.SchedLWP().SchedCPU()
-		c.engine.Account(tcpu)
+		c.account(tcpu.Node())
 		c.set(target, Sleeping, -1, -1)
 		c.evict(tcpu, target)
 	case Runnable:

@@ -62,13 +62,11 @@ func (l *klwp) SchedCPU() *kcpu            { return l.cpu }
 func (l *klwp) SetSchedCPU(c *kcpu)        { l.cpu = c }
 
 // kcpu is one simulated processor. The embedded sched.CPUNode (identity,
-// burst epoch) is owned by the shared scheduler core.
+// burst epoch, accounting and dispatch overheads) is owned by the shared
+// scheduler core.
 type kcpu struct {
 	sched.CPUNode
-	lwp           *klwp
-	overheadLeft  vtime.Duration
-	lastAccounted vtime.Time
-	lastLWP       *klwp
+	lwp *klwp
 }
 
 func (c *kcpu) Node() *sched.CPUNode { return &c.CPUNode }
@@ -83,23 +81,13 @@ func (kt *kthread) SchedBoundCPU() int      { return kt.boundCPU }
 func (kt *kthread) SchedLWP() *klwp         { return kt.lwp }
 func (kt *kthread) SetSchedLWP(l *klwp)     { kt.lwp = l }
 
-type kevKind uint8
-
+// The kernel's own event kinds follow the scheduler core's burst and
+// slice kinds; an event's Who is a thread's TI for evTimer and an
+// object's oi for evIODone.
 const (
-	evBurst kevKind = iota
-	evSlice
-	evTimer
-	evIODone
+	evTimer  = sched.EvEngine + iota // cond_timedwait timeout
+	evIODone                         // device completes its current request
 )
-
-type kevent struct {
-	kind  kevKind
-	cpu   *kcpu
-	lwp   *klwp
-	kt    *kthread
-	oi    int32 // the device of evIODone
-	epoch uint64
-}
 
 // Process is one run of a multithreaded program on the virtual machine.
 type Process struct {
@@ -107,9 +95,8 @@ type Process struct {
 	sc  *sched.Core[*kthread, *klwp, *kcpu]
 	rng *vtime.Rand
 
-	now    vtime.Time
-	events vtime.EventQueue[kevent]
-	reqCh  chan reqEnvelope
+	now   vtime.Time
+	reqCh chan reqEnvelope
 
 	threads []*kthread // indexed by kthread.TI
 	byID    map[trace.ThreadID]*kthread
@@ -118,7 +105,6 @@ type Process struct {
 	objects []*object // indexed by object.oi
 	so      *syncobj.Core
 	cpus    []*kcpu
-	lwps    []*klwp
 	nextLWP int
 
 	tb          *trace.TimelineBuilder
@@ -152,7 +138,8 @@ func NewProcess(cfg Config) *Process {
 		p.err = fmt.Errorf("threadlib: %w", err)
 		pol, _ = sched.New(sched.Default)
 	}
-	p.sc = sched.NewCore[*kthread, *klwp, *kcpu](pol, (*kengine)(p), &p.now, p.cpus, c.NoPreemption, 0)
+	costs := sched.Overheads{ContextSwitch: c.Costs.ContextSwitch, Migration: c.Costs.Migration}
+	p.sc = sched.NewCore[*kthread, *klwp, *kcpu](pol, (*kengine)(p), &p.now, p.cpus, c.NoPreemption, costs, 0)
 	p.so = syncobj.New((*kengine)(p), 0, 0)
 	p.sc.OnPushKernelQ = p.checkPushKernelQ
 	// A fixed LWP count is honoured exactly; the dynamic default starts
@@ -181,7 +168,6 @@ func (p *Process) newLWP(dedicated bool) *klwp {
 	l := &klwp{LWPNode: sched.LWPNode{ID: p.nextLWP, Prio: dispatch.DefaultPriority, Dedicated: dedicated}}
 	l.QuantumLeft = p.sc.Quantum(l.Prio)
 	p.nextLWP++
-	p.lwps = append(p.lwps, l)
 	return l
 }
 
@@ -224,11 +210,11 @@ func (p *Process) Run(main func(*Thread)) (*Result, error) {
 	p.sc.PreemptPass()
 
 	for p.liveThreads > 0 && p.err == nil {
-		if p.events.Len() == 0 {
+		at, ev, ok := p.sc.Pop()
+		if !ok {
 			p.fail(p.deadlockError())
 			break
 		}
-		at, ev := p.events.Pop()
 		if at > p.now {
 			p.now = at
 			p.opsNoTime = 0
@@ -262,7 +248,7 @@ func (p *Process) Run(main func(*Thread)) (*Result, error) {
 		res.PerThreadCPU[kt.id] = kt.CPUTime
 	}
 	if p.tb != nil {
-		res.Timeline = p.tb.Build(p.cfg.Program, p.cfg.CPUs, len(p.lwps), res.Duration)
+		res.Timeline = p.tb.Build(p.cfg.Program, p.cfg.CPUs, p.nextLWP, res.Duration)
 		for _, o := range p.objects {
 			res.Timeline.Objects = append(res.Timeline.Objects, trace.ObjectInfo{
 				ID: o.id, Kind: o.kind, Name: o.name, InitCount: int32(o.initCount),
@@ -525,57 +511,19 @@ func (p *Process) emitPlaced(kt *kthread, ev trace.Event) {
 
 // ---- scheduling -----------------------------------------------------------
 //
-// The queueing, dispatch, preemption and time-slice machinery and the
-// thread state machine live in internal/sched — the same core the
-// Simulator drives, so the recorder and the replay engine cannot drift
-// apart. The kengine adapter below
-// receives the core's decisions and applies this engine's specifics:
-// dispatch overheads, probes and grants.
+// The queueing, dispatch, preemption and time-slice machinery, the CPU
+// accounting with its dispatch overheads and timers, and the thread state
+// machine live in internal/sched — the same core the Simulator drives, so
+// the recorder and the replay engine cannot drift apart. The kengine
+// adapter below receives the core's decisions and applies this engine's
+// specifics: probes and grants.
 
 // kengine adapts Process to sched.Engine.
 type kengine Process
 
-func (e *kengine) Account(cpu *kcpu) { (*Process)(e).account(cpu) }
-
-// Placed: the core linked l to a previously idle cpu (the kernel-queue
-// dispatch path).
-func (e *kengine) Placed(cpu *kcpu, l *klwp) {
-	p := (*Process)(e)
-	kt := l.thread
-	cpu.lastAccounted = p.now
-	cpu.overheadLeft = 0
-	if cpu.lastLWP != l {
-		cpu.overheadLeft += p.cfg.Costs.ContextSwitch
-	}
-	cpu.lastLWP = l
-	if kt.LastCPU >= 0 && kt.LastCPU != cpu.ID {
-		cpu.overheadLeft += p.cfg.Costs.Migration
-	}
-	kt.LastCPU = cpu.ID
-	if kt.Stage == sched.StageWaiting {
-		// The thread's call completed while it was off-CPU; finish it now
-		// that it is running again: After probe, grant, next request.
-		p.completeOp(kt)
-	}
-	p.scheduleBurst(cpu)
-	p.scheduleSlice(l)
-}
-
-// Switched: the core handed a still-linked pool LWP its next thread (the
-// run-to-next-thread path that skips the kernel queue).
-func (e *kengine) Switched(cpu *kcpu, l *klwp, next *kthread) {
-	p := (*Process)(e)
-	cpu.overheadLeft += p.cfg.Costs.ContextSwitch
-	if next.LastCPU >= 0 && next.LastCPU != cpu.ID {
-		cpu.overheadLeft += p.cfg.Costs.Migration
-	}
-	next.LastCPU = cpu.ID
-	if next.Stage == sched.StageWaiting {
-		p.completeOp(next)
-	}
-	p.scheduleBurst(cpu)
-	p.scheduleSlice(l)
-}
+// Complete: the thread's call completed while it was off-CPU; finish it
+// now that it runs again: After probe, grant, next request.
+func (e *kengine) Complete(_ *kcpu, kt *kthread) { (*Process)(e).completeOp(kt) }
 
 // kengine also adapts Process to syncobj.Engine, receiving the object
 // core's grants (and thr_continue's wakes).
@@ -587,7 +535,7 @@ func (e *kengine) Joined(ti, z int32) { e.threads[ti].resp.tid = e.threads[z].id
 func (e *kengine) StartIO(oi, ti int32) {
 	p := (*Process)(e)
 	service := max(p.threads[ti].req.timeout, 0)
-	p.events.Push(p.now.Add(service), kevent{kind: evIODone, oi: oi})
+	p.sc.Push(p.now.Add(service), sched.Event{Kind: evIODone, Who: oi})
 }
 
 // completeOp fires the After probe for the thread's suspended call, grants
@@ -599,100 +547,28 @@ func (p *Process) completeOp(kt *kthread) {
 	p.grantAndFetch(kt, kt.resp)
 }
 
-func (p *Process) scheduleBurst(cpu *kcpu) {
-	cpu.Epoch++
-	l := cpu.lwp
-	if l == nil || l.thread == nil {
-		return
-	}
-	at := p.now.Add(cpu.overheadLeft + l.thread.WorkLeft)
-	p.events.Push(at, kevent{kind: evBurst, cpu: cpu, epoch: cpu.Epoch})
-}
-
-func (p *Process) scheduleSlice(l *klwp) {
-	delay, epoch, ok := p.sc.ArmSlice(l)
-	if !ok {
-		// The policy runs threads to block: no slice event.
-		return
-	}
-	p.events.Push(p.now.Add(delay), kevent{kind: evSlice, lwp: l, epoch: epoch})
-}
-
-// account charges elapsed time on a CPU to its current overhead, thread
-// work and LWP quantum.
-func (p *Process) account(cpu *kcpu) {
-	dt := p.now.Sub(cpu.lastAccounted)
-	cpu.lastAccounted = p.now
-	l := cpu.lwp
-	if l == nil || dt <= 0 {
-		return
-	}
-	l.QuantumLeft -= dt
-	if cpu.overheadLeft > 0 {
-		if dt <= cpu.overheadLeft {
-			cpu.overheadLeft -= dt
-			return
-		}
-		dt -= cpu.overheadLeft
-		cpu.overheadLeft = 0
-	}
-	kt := l.thread
-	if kt == nil {
-		return
-	}
-	if dt > kt.WorkLeft {
-		dt = kt.WorkLeft
-	}
-	kt.WorkLeft -= dt
-	kt.CPUTime += dt
-}
-
 // handle processes one kernel event.
-func (p *Process) handle(ev kevent) {
-	switch ev.kind {
-	case evBurst:
-		cpu := ev.cpu
-		if cpu.Epoch != ev.epoch || cpu.lwp == nil {
-			return
-		}
-		p.account(cpu)
-		p.advanceThread(cpu)
-	case evSlice:
-		l := ev.lwp
-		if l.SliceEpoch != ev.epoch || l.cpu == nil {
-			return
-		}
-		if !p.sc.SliceExpired(l) {
-			// The LWP keeps its CPU; re-arm the next slice.
-			p.scheduleSlice(l)
+func (p *Process) handle(ev sched.Event) {
+	switch ev.Kind {
+	case sched.EvBurst, sched.EvSlice:
+		if cpu, ended := p.sc.Handle(ev); ended {
+			p.advanceThread(cpu, cpu.lwp.thread)
 		}
 	case evTimer:
-		kt := ev.kt
-		if kt.timerEpoch != ev.epoch {
+		kt := p.threads[ev.Who]
+		if kt.timerEpoch != ev.Epoch {
 			return
 		}
 		p.timedWaitExpired(kt)
 	case evIODone:
-		p.so.IODone(ev.oi)
+		p.so.IODone(ev.Who)
 	}
 }
 
-// advanceThread drives a running thread through its request phases until it
-// schedules future work, blocks, or exits.
-func (p *Process) advanceThread(cpu *kcpu) {
-	for {
-		l := cpu.lwp
-		if l == nil {
-			return
-		}
-		kt := l.thread
-		if kt == nil {
-			return
-		}
-		if cpu.overheadLeft > 0 || kt.WorkLeft > 0 {
-			p.scheduleBurst(cpu)
-			return
-		}
+// advanceThread drives the thread running on cpu through its request
+// phases until it needs CPU time again, blocks, or exits.
+func (p *Process) advanceThread(cpu *kcpu, kt *kthread) {
+	for !p.sc.Burst(&cpu.CPUNode, &kt.ThreadNode) {
 		p.guardProgress(kt)
 		if p.err != nil {
 			return
@@ -715,7 +591,8 @@ func (p *Process) advanceThread(cpu *kcpu) {
 			}
 			p.completeOp(kt)
 		case sched.StageWaiting:
-			// Placed back on CPU by runOn; nothing to do here.
+			// The scheduler core completes a waiting call before the thread
+			// runs again (Complete); nothing to do here.
 			return
 		}
 	}

@@ -257,7 +257,7 @@ func (p *Process) opCondWait(cpu *kcpu, kt *kthread) bool {
 	// wait can never end this one.
 	kt.timerEpoch++
 	if req.kind == trace.CallCondTimedWait {
-		p.events.Push(p.now.Add(req.timeout), kevent{kind: evTimer, kt: kt, epoch: kt.timerEpoch})
+		p.sc.Push(p.now.Add(req.timeout), sched.Event{Kind: evTimer, Who: kt.TI, Epoch: kt.timerEpoch})
 	}
 	p.sc.Block(cpu, kt)
 	return true
