@@ -301,8 +301,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 // runOptimize answers "what should I deploy on?": it sweeps every
 // (policy × CPU count) configuration, pruning configurations whose
-// happens-before lower bound already loses to the incumbent, and prints
-// the ranked grid plus the winner. Non-nil sizes override the CPU grid.
+// happens-before lower bound already loses to the incumbent and reusing
+// replays that stand for later configurations, and prints the ranked grid
+// plus the winner. Non-nil sizes override the CPU grid.
 func runOptimize(stdout, stderr io.Writer, log *vppb.Log, prof *vppb.TraceProfile, sizes []int) error {
 	hbA, err := vppb.AnalyzeHB(log)
 	if err != nil {
@@ -316,8 +317,11 @@ func runOptimize(stdout, stderr io.Writer, log *vppb.Log, prof *vppb.TraceProfil
 	fmt.Fprintf(stdout, "%-8s %6s %16s %16s %8s\n", "policy", "CPUs", "predicted time", "lower bound", "")
 	for _, c := range res.Candidates {
 		note := ""
-		if c.Pruned {
+		switch {
+		case c.Pruned:
 			note = "pruned"
+		case c.Reused:
+			note = "reused"
 		}
 		dur := "-"
 		if !c.Pruned {
@@ -325,8 +329,8 @@ func runOptimize(stdout, stderr io.Writer, log *vppb.Log, prof *vppb.TraceProfil
 		}
 		fmt.Fprintf(stdout, "%-8s %6d %16s %16s %8s\n", c.Policy, c.CPUs, dur, c.LowerBound, note)
 	}
-	fmt.Fprintf(stdout, "\nwinner: %s on %d CPUs (predicted %s); %d of %d configurations simulated, %d pruned\n",
-		res.Winner.Policy, res.Winner.CPUs, res.Winner.Duration, res.Simulated, len(res.Candidates), res.Pruned)
+	fmt.Fprintf(stdout, "\nwinner: %s on %d CPUs (predicted %s); %d of %d configurations simulated (%d reused), %d pruned\n",
+		res.Winner.Policy, res.Winner.CPUs, res.Winner.Duration, res.Simulated, len(res.Candidates), res.Reused, res.Pruned)
 	return nil
 }
 

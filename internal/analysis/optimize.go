@@ -3,6 +3,7 @@ package analysis
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"vppb/internal/core"
@@ -34,6 +35,13 @@ import (
 // duration exceeds the incumbent's strictly, so it neither beats nor ties
 // any earlier candidate. TestOptimizeMatchesExhaustive verifies winner
 // equality against the exhaustive sweep differentially.
+//
+// A candidate that survives the bound is replayed only when no replay
+// already made in the sweep stands for it (core.Result.StandsFor): a
+// replay in which nothing ever waited for a CPU or an LWP gives the same
+// result under every policy and on every CPU count down to its peak, so
+// the first such replay is reused and the candidate marked Reused. The
+// exhaustive sweep replays every candidate; it is the reference.
 
 // DefaultOptimizeCPUs is the CPU grid when OptimizeOptions.CPUCounts is
 // empty — the paper's Table 1 processor counts.
@@ -47,8 +55,8 @@ type OptimizeOptions struct {
 	// Policies is the scheduling-policy grid; empty means every registered
 	// policy (sched.Names()).
 	Policies []string
-	// Exhaustive disables bound pruning: every candidate is simulated.
-	// It is the reference the pruned sweep must agree with
+	// Exhaustive disables bound pruning and replay reuse: every candidate
+	// is replayed. It is the reference the pruned sweep must agree with
 	// (TestOptimizeMatchesExhaustive, ?exhaustive=true on the daemon).
 	Exhaustive bool
 	// MaxSimEvents bounds each candidate simulation (0 = unlimited); a
@@ -66,6 +74,9 @@ type Candidate struct {
 	// candidate cannot win (zero when no analysis was supplied).
 	LowerBound vtime.Duration `json:"lower_bound"`
 	Pruned     bool           `json:"pruned"`
+	// Reused marks a candidate whose result is an earlier candidate's
+	// replay, which stands for it (core.Result.StandsFor).
+	Reused bool `json:"reused,omitempty"`
 	// Events is the simulation's probe-event count; zero when Pruned.
 	Events int64 `json:"events"`
 }
@@ -79,8 +90,11 @@ type OptimizeResult struct {
 	// resolved by sweep order.
 	Winner Candidate `json:"winner"`
 	// Simulated and Pruned count the grid points that were simulated
-	// versus proven hopeless by their lower bound.
+	// versus proven hopeless by their lower bound. Simulated counts every
+	// candidate with a duration; Reused counts those of them whose result
+	// is an earlier candidate's replay.
 	Simulated int `json:"simulated"`
+	Reused    int `json:"reused"`
 	Pruned    int `json:"pruned"`
 	// Work and SerialDemand echo the pruning inputs (zero when no analysis
 	// was supplied).
@@ -119,7 +133,8 @@ func Optimize(ctx context.Context, prof *trace.Profile, hbA *hb.Analysis, opts O
 		res.SerialDemand = hbA.SerialDemand
 	}
 
-	var incumbent *Candidate // best simulated so far, in sweep order
+	var incumbent *Candidate   // best simulated so far, in sweep order
+	var replays []*core.Result // the sweep's replays, in sweep order
 	for _, policy := range policies {
 		for _, c := range cpus {
 			if err := ctx.Err(); err != nil {
@@ -132,9 +147,21 @@ func Optimize(ctx context.Context, prof *trace.Profile, hbA *hb.Analysis, opts O
 				res.Candidates = append(res.Candidates, cand)
 				continue
 			}
-			r, err := core.SimulateProfile(prof, core.Machine{CPUs: c, Policy: policy, DiscardTimeline: true, MaxSimEvents: opts.MaxSimEvents})
-			if err != nil {
-				return nil, err
+			m := core.Machine{CPUs: c, Policy: policy, DiscardTimeline: true, MaxSimEvents: opts.MaxSimEvents}
+			var r *core.Result
+			if !opts.Exhaustive {
+				if i := slices.IndexFunc(replays, func(p *core.Result) bool { return p.StandsFor(m) }); i >= 0 {
+					r = replays[i]
+					cand.Reused = true
+					res.Reused++
+				}
+			}
+			if r == nil {
+				var err error
+				if r, err = core.SimulateProfile(prof, m); err != nil {
+					return nil, err
+				}
+				replays = append(replays, r)
 			}
 			cand.Duration = r.Duration
 			cand.Events = r.Events

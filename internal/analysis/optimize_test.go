@@ -121,23 +121,27 @@ func TestOptimizeMatchesExhaustive(t *testing.T) {
 					}
 					continue
 				}
-				if pc.Duration != ec.Duration {
-					t.Fatalf("candidate %s@%d duration mismatch: %v vs %v", pc.Policy, pc.CPUs, pc.Duration, ec.Duration)
+				if pc.Duration != ec.Duration || pc.Events != ec.Events {
+					t.Fatalf("candidate %s@%d (reused %v) mismatch: %v/%d events vs %v/%d",
+						pc.Policy, pc.CPUs, pc.Reused, pc.Duration, pc.Events, ec.Duration, ec.Events)
 				}
 			}
-			if pruned.Simulated+pruned.Pruned != len(pruned.Candidates) {
-				t.Fatalf("accounting broken: %d simulated + %d pruned != %d candidates",
-					pruned.Simulated, pruned.Pruned, len(pruned.Candidates))
+			if pruned.Simulated+pruned.Pruned != len(pruned.Candidates) || pruned.Reused > pruned.Simulated {
+				t.Fatalf("accounting broken: %d simulated (%d reused) + %d pruned != %d candidates",
+					pruned.Simulated, pruned.Reused, pruned.Pruned, len(pruned.Candidates))
 			}
-			t.Logf("%s: winner %s@%d in %v; %d simulated, %d pruned",
+			if exh.Reused != 0 {
+				t.Fatalf("the exhaustive sweep reused %d replays", exh.Reused)
+			}
+			t.Logf("%s: winner %s@%d in %v; %d simulated (%d reused), %d pruned",
 				tc.name, pruned.Winner.Policy, pruned.Winner.CPUs, pruned.Winner.Duration,
-				pruned.Simulated, pruned.Pruned)
+				pruned.Simulated, pruned.Reused, pruned.Pruned)
 			if !tc.golden {
 				return
 			}
-			got := fmt.Sprintf("winner=%s@%d duration_us=%d candidates=%d simulated=%d pruned=%d",
+			got := fmt.Sprintf("winner=%s@%d duration_us=%d candidates=%d simulated=%d pruned=%d reused=%d",
 				pruned.Winner.Policy, pruned.Winner.CPUs, int64(pruned.Winner.Duration),
-				len(pruned.Candidates), pruned.Simulated, pruned.Pruned)
+				len(pruned.Candidates), pruned.Simulated, pruned.Pruned, pruned.Reused)
 			if *update {
 				golden[tc.name] = got
 			} else if want := golden[tc.name]; got != want {

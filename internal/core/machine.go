@@ -27,6 +27,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"vppb/internal/par"
 	"vppb/internal/sched"
@@ -158,6 +159,55 @@ type Result struct {
 	PerThreadCPU map[trace.ThreadID]vtime.Duration
 	// Events is the number of simulated probe events placed.
 	Events int64
+	// PeakRunning is the most CPUs the replay kept busy at once; a thread
+	// bound to a CPU counts every CPU up to its own (sched.Core.PeakRunning).
+	PeakRunning int
+	// Contended reports whether anything in the replay waited for a CPU or
+	// an LWP, or was evicted from its CPU by preemption or at slice expiry
+	// (sched.Core.Contended).
+	Contended bool
+}
+
+// StandsFor reports whether r is also the replay of machine m, so that m
+// need not be replayed. It holds when r never contended, m has at least
+// PeakRunning CPUs, and m differs from r's machine only in its policy and
+// CPU count, on a machine with no communication delay, no overrides and
+// no timeline.
+//
+// A replay that never contended placed every runnable LWP the instant it
+// became runnable, on the lowest idle CPU it may run on, so neither the
+// policy's priorities and quanta nor CPUs past the peak decided when any
+// thread ran. The policy does decide the order in which several LWPs made
+// runnable in one instant take their CPUs. Without a communication delay
+// which CPU a thread runs on changes nothing, but with one it moves later
+// wake times, so a delay rules reuse out (TestReuseMatchesReplay pins a
+// program where it would be wrong). The timeline and the overrides name
+// CPUs and LWPs, which may differ.
+func (r *Result) StandsFor(m Machine) bool {
+	rm := r.Machine
+	if r.Contended || rm.CommDelay != 0 || len(rm.Overrides) > 0 || !rm.DiscardTimeline {
+		return false
+	}
+	m = m.withDefaults()
+	if m.CPUs < r.PeakRunning || m.CPUs > MaxCPUs || !sched.Known(m.Policy) {
+		return false
+	}
+	m.CPUs, m.Policy = rm.CPUs, rm.Policy
+	return m.identical(rm)
+}
+
+// identical reports whether m and o configure the same replay: neither
+// overrides a thread and every other field is equal once defaults apply.
+func (m Machine) identical(o Machine) bool {
+	if len(m.Overrides) > 0 || len(o.Overrides) > 0 {
+		return false
+	}
+	m, o = m.withDefaults(), o.withDefaults()
+	return m.CPUs == o.CPUs && m.LWPs == o.LWPs && m.CommDelay == o.CommDelay &&
+		m.NoPreemption == o.NoPreemption && m.Policy == o.Policy &&
+		m.BoundCreateFactor == o.BoundCreateFactor && m.BoundSyncFactor == o.BoundSyncFactor &&
+		m.DiscardTimeline == o.DiscardTimeline && m.MaxSimEvents == o.MaxSimEvents &&
+		m.MaxVirtualTime == o.MaxVirtualTime && m.LivelockWindow == o.LivelockWindow
 }
 
 // Uniprocessor returns the one-processor variant of m that serves as the
@@ -195,7 +245,10 @@ func SimulateProfile(prof *trace.Profile, m Machine) (*Result, error) {
 // using a bounded worker pool (one worker per available processor).
 // Results arrive in machine order regardless of completion order, and the
 // returned error is the lowest-index failure, so output is byte-for-byte
-// what a sequential loop would produce.
+// what a sequential loop would produce. Identical machines (equal in every
+// field once defaults apply, neither with overrides) replay once and share
+// one *Result: a speed-up grid's uniprocessor baseline and its 1-CPU point
+// are one replay.
 func SimulateMany(prof *trace.Profile, machines []Machine) ([]*Result, error) {
 	return SimulateManyCtx(context.Background(), prof, machines)
 }
@@ -206,17 +259,34 @@ func SimulateMany(prof *trace.Profile, machines []Machine) ([]*Result, error) {
 // bound its worst case with Machine.MaxSimEvents / MaxVirtualTime, which
 // cap simulated work independently of wall-clock time.
 func SimulateManyCtx(ctx context.Context, prof *trace.Profile, machines []Machine) ([]*Result, error) {
-	results := make([]*Result, len(machines))
-	err := par.ForEachCtx(ctx, len(machines), 0, func(i int) error {
-		res, err := SimulateProfile(prof, machines[i])
+	// distinct holds the first index of each distinct machine, ascending,
+	// and machine i takes the replay of distinct[class[i]]. A failing
+	// machine's first index is its lowest, so the lowest-index failure
+	// among the distinct replays is the lowest-index failure overall.
+	class := make([]int, len(machines))
+	var distinct []int
+	for i, m := range machines {
+		class[i] = slices.IndexFunc(distinct, func(j int) bool { return machines[j].identical(m) })
+		if class[i] < 0 {
+			class[i] = len(distinct)
+			distinct = append(distinct, i)
+		}
+	}
+	replays := make([]*Result, len(distinct))
+	err := par.ForEachCtx(ctx, len(distinct), 0, func(k int) error {
+		res, err := SimulateProfile(prof, machines[distinct[k]])
 		if err != nil {
 			return err
 		}
-		results[i] = res
+		replays[k] = res
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	results := make([]*Result, len(machines))
+	for i, k := range class {
+		results[i] = replays[k]
 	}
 	return results, nil
 }

@@ -79,7 +79,7 @@ func (t *sthread) drec() *trace.DenseCall {
 }
 
 // slwp is a simulated LWP. The embedded sched.LWPNode (identity, kernel
-// priority, quantum, slice epoch) is owned by the shared scheduler core.
+// priority, quantum) is owned by the shared scheduler core.
 type slwp struct {
 	sched.LWPNode
 	thread *sthread
@@ -297,6 +297,8 @@ func (s *sim) run() (*Result, error) {
 		Duration:     s.now.Sub(0),
 		PerThreadCPU: make(map[trace.ThreadID]vtime.Duration, len(s.threads)),
 		Events:       s.eventSeq,
+		PeakRunning:  s.sc.PeakRunning(),
+		Contended:    s.sc.Contended(),
 	}
 	for i := range s.threads {
 		t := &s.threads[i]
@@ -489,6 +491,8 @@ func (s *sim) handle(ev sched.Event) {
 
 // advanceThread drives the thread running on cpu through its record
 // phases until it needs CPU time again, blocks or exits.
+// The thread is never at sched.StageWaiting here: the Core completes a
+// waiting call (Complete) before it arms the burst that ends here.
 func (s *sim) advanceThread(cpu *scpu, t *sthread) {
 	for !s.sc.Burst(&cpu.CPUNode, &t.ThreadNode) {
 		r := t.rec()
@@ -522,8 +526,6 @@ func (s *sim) advanceThread(cpu *scpu, t *sthread) {
 			if t.State == sched.Zombie {
 				return
 			}
-		case sched.StageWaiting:
-			return
 		}
 	}
 }

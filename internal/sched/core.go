@@ -26,10 +26,6 @@ type LWPNode struct {
 	ID          int
 	Prio        int
 	QuantumLeft vtime.Duration
-	// SliceEpoch invalidates a slice timer armed for the LWP: the timer
-	// carries the epoch it was armed at, and an EvSlice event whose epoch
-	// lags is dropped.
-	SliceEpoch uint64
 	// Dedicated marks the LWP of one bound thread; it dies with the
 	// thread (Exit).
 	Dedicated bool
@@ -39,8 +35,9 @@ type LWPNode struct {
 // struct.
 type CPUNode struct {
 	ID int
-	// Epoch invalidates pending burst events, same protocol as
-	// LWPNode.SliceEpoch.
+	// Epoch invalidates pending burst events: a burst timer carries the
+	// epoch it was armed at, and an EvBurst event whose epoch lags is
+	// dropped.
 	Epoch uint64
 
 	// lwp and thread are the nodes of the LWP the CPU runs and of its
@@ -158,6 +155,11 @@ type Core[T Thread[L], L LWP[T, C], C CPU[L]] struct {
 	// while every CPU is busy — the steady state of a contended replay.
 	idleCPUs int
 
+	// peak and contended are what the run so far proved about its
+	// machine (PeakRunning, Contended).
+	peak      int
+	contended bool
+
 	// OnPushKernelQ, when non-nil, runs before every kernel-queue
 	// insertion — the engines' debug-invariant hook.
 	OnPushKernelQ func(L)
@@ -201,6 +203,20 @@ func (c *Core[T, L, C]) Policy() Policy { return c.policy }
 
 // Quantum is the policy's time slice at priority p.
 func (c *Core[T, L, C]) Quantum(p int) vtime.Duration { return c.policy.Quantum(p) }
+
+// PeakRunning is one more than the highest CPU the run has placed an LWP
+// on. A placement takes the lowest idle CPU its LWP may run on, so
+// without threads bound to CPUs this is the most CPUs busy at once; a
+// thread bound to a CPU counts every CPU up to its own.
+func (c *Core[T, L, C]) PeakRunning() int { return c.peak }
+
+// Contended reports whether anything in the run so far waited for a CPU
+// or an LWP: an LWP left in the kernel queue or a thread left in the user
+// run queue after a dispatch-and-preempt pass, or an LWP evicted by
+// preemption or at slice expiry. A run that never contended placed every
+// runnable LWP the instant it became runnable, so its priorities and
+// quanta never decided who ran.
+func (c *Core[T, L, C]) Contended() bool { return c.contended }
 
 // KernelQ exposes the kernel queue for invariant checks. Read-only.
 func (c *Core[T, L, C]) KernelQ() []L { return c.kernelQ }
@@ -383,17 +399,15 @@ func (c *Core[T, L, C]) refreshWake(l L, boost bool) {
 	n.QuantumLeft = c.policy.Quantum(n.Prio)
 }
 
-// Unlink detaches an LWP from its CPU and invalidates both of the CPU's
-// timers — the CPU's burst epoch and the LWP's slice epoch, whose listed
-// timer leaves the ring. Every requeue or park of a running LWP funnels
-// through here.
+// Unlink detaches an LWP from its CPU and drops both of the CPU's timers:
+// the burst by its epoch, the slice by taking it out of the ring. Every
+// requeue or park of a running LWP funnels through here.
 func (c *Core[T, L, C]) Unlink(cpu C, l L) {
 	c.dispatchDirty = true // the CPU goes idle
 	c.idleCPUs++
 	cn := cpu.Node()
 	cn.Epoch++
 	cn.lwp = nil
-	l.Node().SliceEpoch++
 	c.slices.remove(int32(cn.ID))
 	var zeroL L
 	var zeroC C
@@ -410,6 +424,7 @@ func (c *Core[T, L, C]) Undispatch(cpu C) {
 	if l == zeroL {
 		return
 	}
+	c.contended = true
 	c.Unlink(cpu, l)
 	c.set(l.SchedThread(), Runnable, -1, l.Node().ID)
 	c.PushKernelQ(l)
@@ -445,6 +460,7 @@ func (c *Core[T, L, C]) DispatchAll() {
 			cpu.SetSchedLWP(l)
 			l.SetSchedCPU(cpu)
 			c.idleCPUs--
+			c.peak = max(c.peak, cpu.Node().ID+1)
 			c.run(cpu, l, l.SchedThread(), true)
 			progress = true
 		}
@@ -455,25 +471,27 @@ func (c *Core[T, L, C]) DispatchAll() {
 	}
 }
 
-// PreemptPass runs after each event: as long as a queued LWP may preempt
-// a running one on an eligible CPU (per the policy), evict the victim
-// with the lowest priority and re-dispatch. Preemption happens only at
-// event boundaries, never in the middle of an operation.
+// PreemptPass runs after each event, following DispatchAll: as long as a
+// queued LWP may preempt a running one on an eligible CPU (per the
+// policy), evict the victim with the lowest priority and re-dispatch.
+// Preemption happens only at event boundaries, never in the middle of an
+// operation. It ends the dispatch-and-preempt pass, so it also notes
+// whether the pass left anything waiting (Contended).
 func (c *Core[T, L, C]) PreemptPass() {
-	if c.noPreempt || !c.preemptDirty {
-		return
-	}
-	for {
+	for !c.noPreempt && c.preemptDirty {
 		victim, ok := c.preemptVictim()
 		if !ok {
 			// Quiescent: no queued LWP can preempt any runner, so the pass
 			// stays a no-op until the next insertion or priority drop sets
 			// the flag again.
 			c.preemptDirty = false
-			return
+			break
 		}
 		c.Undispatch(victim)
 		c.DispatchAll()
+	}
+	if len(c.kernelQ) > 0 || len(c.userRunQ) > 0 {
+		c.contended = true
 	}
 }
 

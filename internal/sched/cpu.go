@@ -26,9 +26,10 @@ const (
 // Event is a pointer-free queue entry. Who is the dense index of its
 // subject: a CPU for the Core's kinds, an engine's thread or object for
 // the engine's own. Epoch is the subject's epoch when the event was
-// armed; an event whose epoch lags is stale and dropped. Keeping pointers
-// out of the queue means the collector never scans it and a push emits
-// no write barriers.
+// armed; an event whose epoch lags is stale and dropped. A slice event
+// carries none, as its timer leaves the ring the moment it goes stale.
+// Keeping pointers out of the queue means the collector never scans it
+// and a push emits no write barriers.
 type Event struct {
 	Kind  EventKind
 	Who   int32
@@ -45,7 +46,7 @@ func (c *Core[T, L, C]) Push(at vtime.Time, ev Event) { c.events.Push(at, ev) }
 func (c *Core[T, L, C]) Pop() (at vtime.Time, ev Event, ok bool) {
 	if r := &c.slices; r.n > 0 && (c.events.Len() == 0 || r.peek().before(c.events.PeekKey())) {
 		e := r.pop()
-		return e.at, Event{Kind: EvSlice, Who: e.cpu, Epoch: e.epoch}, true
+		return e.at, Event{Kind: EvSlice, Who: e.cpu}, true
 	}
 	if c.events.Len() == 0 {
 		return 0, Event{}, false
@@ -59,7 +60,7 @@ func (c *Core[T, L, C]) Pop() (at vtime.Time, ev Event, ok bool) {
 // yielded its CPU. A burst that ends charges its CPU, which Handle
 // returns with ended true: the engine then takes the thread running there
 // through its call stages until it needs CPU time again (Burst), blocks
-// or exits. A stale event is dropped.
+// or exits. A stale burst is dropped.
 func (c *Core[T, L, C]) Handle(ev Event) (cpu C, ended bool) {
 	cpu, cn := c.cpus[ev.Who], c.nodes[ev.Who]
 	if cn.lwp == nil {
@@ -73,7 +74,7 @@ func (c *Core[T, L, C]) Handle(ev Event) (cpu C, ended bool) {
 		c.account(cn)
 		return cpu, true
 	case EvSlice:
-		if cn.lwp.SliceEpoch == ev.Epoch && !c.sliceExpired(cpu) {
+		if !c.sliceExpired(cpu) {
 			c.armSlice(cn, cn.lwp)
 		}
 	}
@@ -163,14 +164,13 @@ func (c *Core[T, L, C]) armBurst(cn *CPUNode, tn *ThreadNode) {
 // the LWP runs to block.
 func (c *Core[T, L, C]) armSlice(cn *CPUNode, ln *LWPNode) {
 	c.slices.remove(int32(cn.ID))
-	ln.SliceEpoch++
 	if ln.QuantumLeft <= 0 {
 		ln.QuantumLeft = c.policy.Quantum(ln.Prio)
 	}
 	if ln.QuantumLeft <= 0 {
 		return
 	}
-	c.slices.insert(sliceEnt{at: c.now.Add(ln.QuantumLeft), seq: c.events.ReserveSeq(), epoch: ln.SliceEpoch, cpu: int32(cn.ID)})
+	c.slices.insert(sliceEnt{at: c.now.Add(ln.QuantumLeft), seq: c.events.ReserveSeq(), cpu: int32(cn.ID)})
 }
 
 // ---- slice ring -----------------------------------------------------------
@@ -185,10 +185,9 @@ func (c *Core[T, L, C]) armSlice(cn *CPUNode, ln *LWPNode) {
 // when it is re-armed or its LWP leaves the CPU, so every listed entry is
 // live and Pop needs no revalidation.
 type sliceEnt struct {
-	at    vtime.Time
-	seq   uint64
-	epoch uint64
-	cpu   int32
+	at  vtime.Time
+	seq uint64
+	cpu int32
 }
 
 // before orders the entry against the queue head's (time, seq) key.

@@ -8,49 +8,40 @@ import (
 	"vppb/internal/vtime"
 )
 
-// TestStaleSliceEventDropped pins the epoch-invalidation protocol of the
-// slice timer: a slice event stamped with an outdated epoch is dropped
-// without touching the LWP, a current-epoch event applies the policy's
-// quantum-expiry rules and re-arms the slice, and Unlink (the single
-// requeue helper) invalidates the timer armed before it.
+// TestStaleSliceEventDropped pins how a slice timer goes stale without an
+// epoch: a slice event applies the policy's quantum-expiry rules and
+// re-arms the slice in place of the delivered one, and Unlink (the single
+// requeue helper) takes the CPU's timer out of the ring, so a slice
+// event that has gone stale is never delivered.
 func TestStaleSliceEventDropped(t *testing.T) {
 	c, _, cpus := newFakeCore(t, "ts", 1, false)
 	l := newLWP(1, dispatch.DefaultPriority)
 	cpu := cpus[0]
 	link(c, cpu, l)
 
-	// A stale event — its epoch lags the LWP's — must be ignored.
-	l.SliceEpoch = 5
-	c.Handle(Event{Kind: EvSlice, Who: 0, Epoch: 4})
-	if l.Prio != dispatch.DefaultPriority {
-		t.Fatalf("stale slice event demoted the LWP to %d", l.Prio)
-	}
-
-	// The current epoch applies: tqexp demotion 29 -> 19, no yield with an
-	// empty kernel queue, and the next slice re-armed.
+	// tqexp demotion 29 -> 19, no yield with an empty kernel queue, and
+	// the next slice re-armed.
 	want := dispatch.NewTable().AfterQuantumExpiry(dispatch.DefaultPriority)
-	c.Handle(Event{Kind: EvSlice, Who: 0, Epoch: 5})
+	c.Handle(Event{Kind: EvSlice, Who: 0})
 	if l.Prio != want {
-		t.Fatalf("current slice event: Prio = %d, want the tqexp demotion to %d", l.Prio, want)
+		t.Fatalf("slice event: Prio = %d, want the tqexp demotion to %d", l.Prio, want)
 	}
 	if cpu.lwp != l {
 		t.Fatal("runner with no competitor must keep its CPU")
 	}
-	if c.slices.n != 1 || c.slices.peek().epoch != l.SliceEpoch {
-		t.Fatal("next slice event not re-armed")
+	if c.slices.n != 1 || c.slices.peek().at != vtime.Time(0).Add(c.Quantum(want)) {
+		t.Fatal("next slice event not re-armed for the demoted quantum")
 	}
 
-	// Unlink invalidates the event armed above and drops its timer: even
-	// relinked to the CPU, the LWP must ignore it.
-	armed := l.SliceEpoch
+	// Unlink drops the timer armed above: relinked to the CPU, the LWP
+	// has no slice event left to receive.
 	c.Unlink(cpu, l)
 	if c.slices.n != 0 {
 		t.Fatal("Unlink left the slice timer listed")
 	}
 	link(c, cpu, l)
-	c.Handle(Event{Kind: EvSlice, Who: 0, Epoch: armed})
-	if l.Prio != want {
-		t.Fatalf("slice event from before Unlink applied: Prio = %d", l.Prio)
+	if at, ev, ok := c.Pop(); ok {
+		t.Fatalf("Pop delivered %+v at %v after Unlink", ev, at)
 	}
 }
 
@@ -158,7 +149,11 @@ func TestMergedPopMatchesOneQueue(t *testing.T) {
 			lwps[i] = newLWP(i, 29)
 			link(c, cpu, lwps[i])
 		}
+		// The reference queue keeps every armed slice timer, stamped with
+		// a per-CPU arm count, and skips the ones re-armed or unlinked
+		// since.
 		var ref vtime.EventQueue[Event]
+		armed := make([]uint64, len(cpus))
 		var last vtime.Time
 		pop := func() bool {
 			at, ev, ok := c.Pop()
@@ -167,7 +162,12 @@ func TestMergedPopMatchesOneQueue(t *testing.T) {
 			wantOK := false
 			for ref.Len() > 0 {
 				wantAt, want = ref.Pop()
-				if want.Kind != EvSlice || want.Epoch == lwps[want.Who].SliceEpoch {
+				if want.Kind != EvSlice {
+					wantOK = true
+					break
+				}
+				if want.Epoch == armed[want.Who] {
+					want.Epoch = 0
 					wantOK = true
 					break
 				}
@@ -197,9 +197,11 @@ func TestMergedPopMatchesOneQueue(t *testing.T) {
 					l.QuantumLeft = -1 // exhausted: refilled from the policy
 				}
 				c.armSlice(&cpus[i].CPUNode, &l.LWPNode)
-				ref.Push(now.Add(l.QuantumLeft), Event{Kind: EvSlice, Who: int32(i), Epoch: l.SliceEpoch})
+				armed[i]++
+				ref.Push(now.Add(l.QuantumLeft), Event{Kind: EvSlice, Who: int32(i), Epoch: armed[i]})
 			case 2: // CPU i's LWP leaves and comes back
 				c.Unlink(cpus[i], lwps[i])
+				armed[i]++
 				link(c, cpus[i], lwps[i])
 			case 3: // an engine event
 				ev := Event{Kind: EvEngine, Who: int32(rng.Intn(8)), Epoch: uint64(op)}
@@ -215,5 +217,62 @@ func TestMergedPopMatchesOneQueue(t *testing.T) {
 	}
 	if slices == 0 || ties == 0 {
 		t.Fatalf("coverage: %d slice deliveries, %d deliveries tied with the one before", slices, ties)
+	}
+}
+
+// TestPeakAndContended pins what a run proves about its machine. Each
+// placement raises PeakRunning to one more than its CPU's index, so a
+// thread bound to a high CPU counts the CPUs below it. Contended turns on
+// when a pass leaves an LWP in the kernel queue or a thread in the user
+// run queue, and on any eviction, even one whose LWP finds another CPU in
+// the same pass.
+func TestPeakAndContended(t *testing.T) {
+	c, _, _ := newFakeCore(t, "ts", 4, true)
+	pass := func() { c.DispatchAll(); c.PreemptPass() }
+	a, b := newLWP(1, 29), newLWP(2, 29)
+	c.PushKernelQ(a)
+	c.PushKernelQ(b)
+	pass()
+	if c.PeakRunning() != 2 || c.Contended() {
+		t.Fatalf("two LWPs on four CPUs: peak %d, contended %v; want 2, false", c.PeakRunning(), c.Contended())
+	}
+	pinned := newLWP(3, 29)
+	pinned.thread.boundCPU = 3
+	c.PushKernelQ(pinned)
+	pass()
+	if c.PeakRunning() != 4 || c.Contended() {
+		t.Fatalf("an LWP bound to CPU 3: peak %d, contended %v; want 4, false", c.PeakRunning(), c.Contended())
+	}
+
+	// A thread left waiting for an LWP.
+	c2, _, _ := newFakeCore(t, "ts", 2, false)
+	c2.PushUserRunQ(&fakeThread{id: 9, prio: 29, boundCPU: -1})
+	c2.DispatchAll()
+	c2.PreemptPass()
+	if !c2.Contended() {
+		t.Fatal("a pass that leaves the user run queue non-empty must mark the run contended")
+	}
+
+	// An LWP left waiting for a CPU, with preemption off.
+	c3, _, _ := newFakeCore(t, "fifo", 1, true)
+	c3.PushKernelQ(newLWP(1, 29))
+	c3.PushKernelQ(newLWP(2, 29))
+	c3.DispatchAll()
+	c3.PreemptPass()
+	if !c3.Contended() || c3.PeakRunning() != 1 {
+		t.Fatalf("two LWPs on one CPU: contended %v, peak %d; want true, 1", c3.Contended(), c3.PeakRunning())
+	}
+
+	// An eviction counts though the pass places the LWP again at once.
+	c4, _, cpus4 := newFakeCore(t, "ts", 2, false)
+	l := newLWP(1, 29)
+	c4.PushKernelQ(l)
+	c4.DispatchAll()
+	c4.PreemptPass()
+	c4.Undispatch(cpus4[0])
+	c4.DispatchAll()
+	c4.PreemptPass()
+	if !c4.Contended() || len(c4.KernelQ()) != 0 {
+		t.Fatalf("eviction: contended %v with %d queued; want true with none queued", c4.Contended(), len(c4.KernelQ()))
 	}
 }

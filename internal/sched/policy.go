@@ -16,6 +16,7 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -89,6 +90,12 @@ func New(name string) (Policy, error) {
 			name, strings.Join(Names(), ", "))
 	}
 	return factory(), nil
+}
+
+// Known reports whether New resolves name, without building the policy.
+func Known(name string) bool {
+	_, ok := registry[cmp.Or(name, Default)]
+	return ok
 }
 
 // Names returns the registered policy names in sorted order.

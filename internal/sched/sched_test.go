@@ -387,8 +387,7 @@ func TestBoundCPUAffinity(t *testing.T) {
 }
 
 // TestArmSlice: ts arms a table-quantum timer, fifo arms nothing
-// (run-to-block), and each arm invalidates the previous epoch and
-// replaces the CPU's listed timer.
+// (run-to-block), and each arm replaces the CPU's listed timer.
 func TestArmSlice(t *testing.T) {
 	c, _, cpus := newFakeCore(t, "ts", 1, false)
 	l := newLWP(1, dispatch.DefaultPriority)
@@ -399,9 +398,9 @@ func TestArmSlice(t *testing.T) {
 		t.Fatalf("ts armSlice listed %d timers, first at %v, want one at the table quantum", c.slices.n, first.at)
 	}
 	c.armSlice(&cpus[0].CPUNode, &l.LWPNode)
-	if c.slices.n != 1 || c.slices.peek().epoch != first.epoch+1 || l.SliceEpoch != first.epoch+1 {
-		t.Fatalf("re-arm: %d timers, epoch %d -> %d, want one timer at an incremented epoch",
-			c.slices.n, first.epoch, c.slices.peek().epoch)
+	if c.slices.n != 1 || c.slices.peek().seq <= first.seq {
+		t.Fatalf("re-arm: %d timers, seq %d -> %d, want the one listed timer replaced",
+			c.slices.n, first.seq, c.slices.peek().seq)
 	}
 
 	cf, _, cpusf := newFakeCore(t, "fifo", 1, false)
@@ -488,17 +487,21 @@ func TestNextThreadFastPath(t *testing.T) {
 }
 
 // TestUnlinkInvalidatesEpochs: Unlink is the single requeue helper both
-// engines funnel through; it must bump both event-invalidation epochs.
+// engines funnel through; it must bump the CPU's burst epoch and drop
+// its slice timer.
 func TestUnlinkInvalidatesEpochs(t *testing.T) {
 	c, _, cpus := newFakeCore(t, "ts", 1, false)
 	l := newLWP(1, 29)
 	c.PushKernelQ(l)
 	c.DispatchAll()
-	ce, le := cpus[0].Epoch, l.SliceEpoch
+	ce := cpus[0].Epoch
+	if c.slices.n != 1 {
+		t.Fatalf("placement listed %d slice timers, want 1", c.slices.n)
+	}
 	c.Unlink(cpus[0], l)
-	if cpus[0].Epoch != ce+1 || l.SliceEpoch != le+1 {
-		t.Errorf("Unlink epochs: cpu %d->%d lwp %d->%d, want both incremented",
-			ce, cpus[0].Epoch, le, l.SliceEpoch)
+	if cpus[0].Epoch != ce+1 || c.slices.n != 0 {
+		t.Errorf("Unlink: cpu epoch %d->%d, %d slice timers listed; want the epoch incremented and none listed",
+			ce, cpus[0].Epoch, c.slices.n)
 	}
 	if cpus[0].lwp != nil || l.cpu != nil {
 		t.Error("Unlink must clear both links")

@@ -30,6 +30,7 @@ type Metrics struct {
 	panics   atomic.Int64
 
 	optimizeSimulated  atomic.Int64
+	optimizeReused     atomic.Int64
 	optimizePruned     atomic.Int64
 	singleflightShared atomic.Int64
 }
@@ -91,8 +92,12 @@ func (m *Metrics) Shed() *atomic.Int64 { return &m.shed }
 func (m *Metrics) Panics() *atomic.Int64 { return &m.panics }
 
 // OptimizeSimulated counts grid candidates /v1/optimize actually
-// simulated.
+// simulated, reused replays included.
 func (m *Metrics) OptimizeSimulated() *atomic.Int64 { return &m.optimizeSimulated }
+
+// OptimizeReused counts the simulated candidates /v1/optimize answered
+// with an earlier candidate's replay instead of replaying them.
+func (m *Metrics) OptimizeReused() *atomic.Int64 { return &m.optimizeReused }
 
 // OptimizePruned counts grid candidates /v1/optimize skipped because
 // their happens-before lower bound already lost to the incumbent.
@@ -196,6 +201,9 @@ func (m *Metrics) WritePrometheus(w io.Writer, cache *Cache, store *Store, break
 	fmt.Fprintln(w, "# HELP vppb_optimize_simulated_total Optimize grid candidates simulated.")
 	fmt.Fprintln(w, "# TYPE vppb_optimize_simulated_total counter")
 	fmt.Fprintf(w, "vppb_optimize_simulated_total %d\n", m.optimizeSimulated.Load())
+	fmt.Fprintln(w, "# HELP vppb_optimize_reused_total Simulated optimize grid candidates answered by an earlier candidate's replay.")
+	fmt.Fprintln(w, "# TYPE vppb_optimize_reused_total counter")
+	fmt.Fprintf(w, "vppb_optimize_reused_total %d\n", m.optimizeReused.Load())
 	fmt.Fprintln(w, "# HELP vppb_optimize_pruned_total Optimize grid candidates pruned by the happens-before lower bound.")
 	fmt.Fprintln(w, "# TYPE vppb_optimize_pruned_total counter")
 	fmt.Fprintf(w, "vppb_optimize_pruned_total %d\n", m.optimizePruned.Load())

@@ -88,6 +88,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, mapSimFailure(err, deadlineBudget))
 	}
 	s.metrics.OptimizeSimulated().Add(int64(res.Simulated))
+	s.metrics.OptimizeReused().Add(int64(res.Reused))
 	s.metrics.OptimizePruned().Add(int64(res.Pruned))
 
 	entryHeaders(w, e, cached)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"sync"
@@ -30,6 +31,7 @@ type optimizeBody struct {
 		Duration int64  `json:"duration"`
 	} `json:"winner"`
 	Simulated int `json:"simulated"`
+	Reused    int `json:"reused"`
 	Pruned    int `json:"pruned"`
 }
 
@@ -71,8 +73,11 @@ func TestOptimizeEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body2, &exh); err != nil {
 		t.Fatal(err)
 	}
-	if exh.Pruned != 0 {
-		t.Fatalf("exhaustive sweep pruned %d candidates", exh.Pruned)
+	if exh.Pruned != 0 || exh.Reused != 0 {
+		t.Fatalf("exhaustive sweep pruned %d and reused %d candidates", exh.Pruned, exh.Reused)
+	}
+	if opt.Reused == 0 {
+		t.Fatal("the pruned sweep reused no replay; prodcons at 8 CPUs never waits for a CPU")
 	}
 	if opt.Winner != exh.Winner {
 		t.Fatalf("winner mismatch: optimized %+v vs exhaustive %+v", opt.Winner, exh.Winner)
@@ -81,6 +86,7 @@ func TestOptimizeEndpoint(t *testing.T) {
 	_, metricsBody := get(t, ts.URL+"/metrics")
 	for _, want := range []string{
 		"vppb_optimize_simulated_total",
+		fmt.Sprintf("vppb_optimize_reused_total %d\n", opt.Reused),
 		"vppb_optimize_pruned_total",
 		`vppb_requests_total{route="/v1/optimize",code="200"} 2`,
 	} {

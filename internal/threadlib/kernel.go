@@ -567,6 +567,8 @@ func (p *Process) handle(ev sched.Event) {
 
 // advanceThread drives the thread running on cpu through its request
 // phases until it needs CPU time again, blocks, or exits.
+// The thread is never at sched.StageWaiting here: the Core completes a
+// waiting call (Complete) before it arms the burst that ends here.
 func (p *Process) advanceThread(cpu *kcpu, kt *kthread) {
 	for !p.sc.Burst(&cpu.CPUNode, &kt.ThreadNode) {
 		p.guardProgress(kt)
@@ -590,10 +592,6 @@ func (p *Process) advanceThread(cpu *kcpu, kt *kthread) {
 				return
 			}
 			p.completeOp(kt)
-		case sched.StageWaiting:
-			// The scheduler core completes a waiting call before the thread
-			// runs again (Complete); nothing to do here.
-			return
 		}
 	}
 }

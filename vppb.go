@@ -345,22 +345,19 @@ func PredictionError(real, predicted float64) float64 {
 // using a one-processor replay of the same recording as baseline. The
 // baseline shares every non-CPU parameter of m (LWPs, communication delay,
 // overrides), so the ratio isolates the processor count. The profile is
-// derived once and shared by both replays, which build no timeline.
+// derived once and shared by both replays, which build no timeline and
+// are one replay when m has one CPU.
 func PredictSpeedup(log *Log, m Machine) (float64, error) {
 	prof, err := trace.BuildProfile(log)
 	if err != nil {
 		return 0, err
 	}
 	m.DiscardTimeline = true
-	uni, err := core.SimulateProfile(prof, m.Uniprocessor())
+	res, err := core.SimulateMany(prof, []Machine{m.Uniprocessor(), m})
 	if err != nil {
 		return 0, err
 	}
-	multi, err := core.SimulateProfile(prof, m)
-	if err != nil {
-		return 0, err
-	}
-	return metrics.Speedup(uni.Duration, multi.Duration), nil
+	return metrics.Speedup(res[0].Duration, res[1].Duration), nil
 }
 
 // Visualizer.
