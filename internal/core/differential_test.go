@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"vppb/internal/hb"
@@ -34,9 +35,19 @@ func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 // genProgram builds a random fork-join program with mutexes, semaphores
 // and a barrier. All decisions derive from the seed, so the recording and
 // every reference run execute identical logic.
-func genProgram(seed uint64) func(p *threadlib.Process) func(*threadlib.Thread) {
+//
+// A plain program asks for one LWP per worker. An oversubscribed one asks
+// for fewer or none, so on a machine with a dynamic pool smaller than the
+// worker count its threads wait for an LWP in the user run queue; its
+// workers change their priorities (thr_setprio), which orders that queue;
+// and in half the programs one worker is bound to CPU 0, where under ts
+// its boosted LWP preempts a demoted runner that may move on to an idle
+// CPU at once. The oversubscribed choices come from a stream of their
+// own, so both variants of a seed share every other decision.
+func genProgram(seed uint64, oversubscribed bool) func(p *threadlib.Process) func(*threadlib.Thread) {
 	return func(p *threadlib.Process) func(*threadlib.Thread) {
 		r := &rng{s: seed}
+		o := &rng{s: ^seed}
 		nWorkers := 2 + r.intn(6)
 		nMutexes := 1 + r.intn(3)
 		mutexes := make([]*threadlib.Mutex, nMutexes)
@@ -71,7 +82,7 @@ func genProgram(seed uint64) func(p *threadlib.Process) func(*threadlib.Thread) 
 		// Pre-draw each worker's script so goroutine scheduling cannot
 		// perturb the random stream.
 		type step struct {
-			kind   int // 0 compute, 1 lock, 2 sema wait, 3 sema post, 4 yield, 5 trylock
+			kind   int // 0 compute, 1 lock, 2 sema wait, 3 sema post, 4 yield, 5 trylock, 6 setprio
 			arg    int
 			amount vtime.Duration
 			inside vtime.Duration
@@ -91,18 +102,35 @@ func genProgram(seed uint64) func(p *threadlib.Process) func(*threadlib.Thread) 
 				scripts[i] = append(scripts[i], st)
 			}
 		}
+		concurrency, pinned := nWorkers, -1
+		if oversubscribed {
+			concurrency = o.intn(nWorkers) // 0: no thr_setconcurrency call
+			for i, script := range scripts {
+				at := o.intn(len(script) + 1)
+				scripts[i] = slices.Insert(script, at, step{kind: 6, arg: o.intn(60)})
+			}
+			if o.intn(2) == 0 {
+				pinned = o.intn(nWorkers)
+			}
+		}
 		// Main pre-posts one token per wait so no circular wait chain can
 		// form regardless of the workers' post/wait interleaving (worker
 		// posts then only add slack).
 		topUp := waits
 		return func(main *threadlib.Thread) {
-			main.SetConcurrency(nWorkers)
+			if concurrency > 0 {
+				main.SetConcurrency(concurrency)
+			}
 			for i := 0; i < topUp; i++ {
 				sem.Post(main)
 			}
 			var ids []trace.ThreadID
 			for i := 0; i < nWorkers; i++ {
 				script := scripts[i]
+				opts := []threadlib.CreateOption{threadlib.WithName(fmt.Sprintf("w%d", i))}
+				if i == pinned {
+					opts = append(opts, threadlib.BoundToCPU(0))
+				}
 				ids = append(ids, main.Create(func(w *threadlib.Thread) {
 					for _, st := range script {
 						switch st.kind {
@@ -128,12 +156,14 @@ func genProgram(seed uint64) func(p *threadlib.Process) func(*threadlib.Thread) 
 							} else {
 								w.Compute(st.inside / 2)
 							}
+						case 6:
+							w.SetPriority(st.arg)
 						}
 					}
 					if useBarrier {
 						barrier(w)
 					}
-				}, threadlib.WithName(fmt.Sprintf("w%d", i))))
+				}, opts...))
 			}
 			for _, id := range ids {
 				main.Join(id)
@@ -146,7 +176,7 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 	seeds := []uint64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233}
 	worst := 0.0
 	for _, seed := range seeds {
-		prog := genProgram(seed)
+		prog := genProgram(seed, false)
 		log, _, err := recorder.Record(prog, recorder.Options{Program: fmt.Sprintf("rand-%d", seed)})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -208,7 +238,7 @@ func relGap(a, b vtime.Duration) float64 {
 func TestDifferentialPolicyIdentity(t *testing.T) {
 	for _, policy := range sched.Names() {
 		for _, seed := range []uint64{3, 21, 89} {
-			prog := genProgram(seed)
+			prog := genProgram(seed, false)
 			costs := threadlib.DefaultCosts()
 			costs.Probe = 0
 			log, res, err := recorder.Record(prog, recorder.Options{
@@ -238,7 +268,7 @@ func TestDifferentialPolicyIdentity(t *testing.T) {
 func TestDifferentialPoliciesApproximate(t *testing.T) {
 	for _, policy := range []string{"fifo", "rr"} {
 		for _, seed := range []uint64{5, 34} {
-			prog := genProgram(seed)
+			prog := genProgram(seed, false)
 			log, _, err := recorder.Record(prog, recorder.Options{
 				Program: fmt.Sprintf("rand-%s-%d", policy, seed),
 				Policy:  policy,
@@ -282,7 +312,7 @@ func referencePolicy(t *testing.T, prog func(p *threadlib.Process) func(*threadl
 // (for these lock/semaphore/barrier programs with FIFO queueing).
 func TestDifferentialSpeedupMonotone(t *testing.T) {
 	for _, seed := range []uint64{7, 11, 19, 27} {
-		prog := genProgram(seed)
+		prog := genProgram(seed, false)
 		log, _, err := recorder.Record(prog, recorder.Options{Program: "mono"})
 		if err != nil {
 			t.Fatal(err)
@@ -310,7 +340,7 @@ func TestDifferentialSpeedupMonotone(t *testing.T) {
 // differently from the recording and beat the recorded chain.
 func TestLowerBoundOnGeneratedPrograms(t *testing.T) {
 	for seed := uint64(1); seed <= 300; seed++ {
-		log, _, err := recorder.Record(genProgram(seed), recorder.Options{Program: fmt.Sprintf("rand-%d", seed)})
+		log, _, err := recorder.Record(genProgram(seed, false), recorder.Options{Program: fmt.Sprintf("rand-%d", seed)})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

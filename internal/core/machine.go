@@ -163,8 +163,9 @@ type Result struct {
 	// bound to a CPU counts every CPU up to its own (sched.Core.PeakRunning).
 	PeakRunning int
 	// Contended reports whether anything in the replay waited for a CPU or
-	// an LWP, or was evicted from its CPU by preemption or at slice expiry
-	// (sched.Core.Contended).
+	// an LWP, was evicted from its CPU by preemption or at slice expiry, or
+	// took the CPU it is bound to ahead of another queued LWP that may run
+	// there (sched.Core.Contended).
 	Contended bool
 }
 
@@ -177,8 +178,12 @@ type Result struct {
 // A replay that never contended placed every runnable LWP the instant it
 // became runnable, on the lowest idle CPU it may run on, so neither the
 // policy's priorities and quanta nor CPUs past the peak decided when any
-// thread ran. The policy does decide the order in which several LWPs made
-// runnable in one instant take their CPUs. Without a communication delay
+// thread ran. A thread bound to a CPU that took it ahead of another
+// queued LWP counts as contention: with other LWP priorities, from
+// another policy or from a dynamic pool of another size, the other LWP
+// takes the CPU and the bound thread waits. The policy does decide the
+// order in which several LWPs made runnable in one instant take their
+// CPUs. Without a communication delay
 // which CPU a thread runs on changes nothing, but with one it moves later
 // wake times, so a delay rules reuse out (TestReuseMatchesReplay pins a
 // program where it would be wrong). The timeline and the overrides name

@@ -18,7 +18,7 @@ import (
 // record's precomputed arena indices (trace.ProfileIndex), so the hot path
 // resolves objects and target threads without a map lookup. It returns
 // true when the thread can no longer continue on this CPU.
-func (s *sim) applyOp(cpu *scpu, t *sthread, r *trace.CallRecord, dc *trace.DenseCall) (blocked bool) {
+func (s *sim) applyOp(cpu int32, t *sthread, r *trace.CallRecord, dc *trace.DenseCall) (blocked bool) {
 	switch r.Call {
 	case trace.CallStartCollect, trace.CallEndCollect:
 		return false
@@ -44,12 +44,12 @@ func (s *sim) applyOp(cpu *scpu, t *sthread, r *trace.CallRecord, dc *trace.Dens
 		// log" (paper section 6).
 		return s.wait(cpu, t, s.so.Join(t.TI, dc.Target))
 	case trace.CallThrYield:
-		s.sc.Yield(cpu, t)
+		s.sc.Yield(cpu, t.TI)
 		return true
 	case trace.CallThrSetPrio:
 		// The caller sets its own priority, so it is running, not queued.
 		if !t.prioPinned {
-			t.prio = dispatch.Clamp(int(r.Prio))
+			t.Prio = dispatch.Clamp(int(r.Prio))
 		}
 		return false
 	case trace.CallThrSetConcurrency:
@@ -57,10 +57,10 @@ func (s *sim) applyOp(cpu *scpu, t *sthread, r *trace.CallRecord, dc *trace.Dens
 		return false
 	case trace.CallThrSuspend:
 		// A target that never ran in the recording has nothing to suspend.
-		return dc.Target != nilIdx && s.sc.Suspend(cpu, t, &s.threads[dc.Target])
+		return dc.Target != nilIdx && s.sc.Suspend(cpu, t.TI, dc.Target)
 	case trace.CallThrContinue:
 		if dc.Target != nilIdx {
-			s.sc.Continue(t, &s.threads[dc.Target])
+			s.sc.Continue(t.TI, dc.Target)
 		}
 		return false
 	case trace.CallMutexTryLock, trace.CallSemaTryWait:
@@ -122,17 +122,17 @@ func (s *sim) applyOp(cpu *scpu, t *sthread, r *trace.CallRecord, dc *trace.Dens
 		return false
 	default: // trace.CallIO
 		s.so.IO(o, t.TI)
-		s.sc.Block(cpu, t)
+		s.sc.Block(cpu, t.TI)
 		return true
 	}
 }
 
 // wait blocks the thread unless its object call was granted at once.
-func (s *sim) wait(cpu *scpu, t *sthread, granted bool) bool {
+func (s *sim) wait(cpu int32, t *sthread, granted bool) bool {
 	if granted {
 		return false
 	}
-	s.sc.Block(cpu, t)
+	s.sc.Block(cpu, t.TI)
 	return true
 }
 
@@ -144,33 +144,33 @@ func (s *sim) opSetConcurrency(n int) {
 		// (paper section 3.2).
 		return
 	}
-	if err := s.sc.SetConcurrency(n, s.newLWP); err != nil {
+	if err := s.sc.SetConcurrency(n); err != nil {
 		s.fail(fmt.Errorf("core: %w", err))
 	}
 }
 
 // ---- condition variable -------------------------------------------------------
 
-func (s *sim) opCondWait(cpu *scpu, t *sthread, cv, m int32) bool {
+func (s *sim) opCondWait(cpu int32, t *sthread, cv, m int32) bool {
 	t.okResult = true
 	s.so.CondWait(cv, m, t.TI)
 	// Block first: a pending barrier broadcast may release this very
 	// arrival immediately (it was the last one needed), which requires
 	// the thread to be off-CPU before it is woken again.
-	s.sc.Block(cpu, t)
+	s.sc.Block(cpu, t.TI)
 	s.checkPendingBroadcast(cv)
 	return true
 }
 
 // opTimedOutWait replays a cond_timedwait that timed out in the log as a
 // delay of its timeout; the thread never joins the condition's queue.
-func (s *sim) opTimedOutWait(cpu *scpu, t *sthread, r *trace.CallRecord, cv, m int32) bool {
+func (s *sim) opTimedOutWait(cpu int32, t *sthread, r *trace.CallRecord, cv, m int32) bool {
 	s.so.DropMutex(m, t.TI)
 	t.okResult = false
 	t.timerEpoch++
 	s.sc.Push(s.now.Add(r.Timeout), sched.Event{Kind: evTimer, Who: t.TI, Epoch: t.timerEpoch})
 	s.so.WaitOn(t.TI, cv)
-	s.sc.Block(cpu, t)
+	s.sc.Block(cpu, t.TI)
 	return true
 }
 
@@ -185,7 +185,7 @@ type pendingBroadcast struct {
 // wait on the condition than the recording released, the broadcaster
 // blocks until the recorded number have arrived; the last arrival releases
 // everybody, including the broadcaster.
-func (s *sim) opBroadcast(cpu *scpu, t *sthread, r *trace.CallRecord, cv, m int32) bool {
+func (s *sim) opBroadcast(cpu int32, t *sthread, r *trace.CallRecord, cv, m int32) bool {
 	needed := int(r.Released)
 	if n := s.so.CondLen(cv); n >= needed {
 		s.so.CondSignal(cv, n)
@@ -198,7 +198,7 @@ func (s *sim) opBroadcast(cpu *scpu, t *sthread, r *trace.CallRecord, cv, m int3
 	s.so.DropMutex(m, t.TI)
 	s.pending = append(s.pending, pendingBroadcast{cv: cv, broadcaster: t.TI, needed: needed})
 	s.so.WaitOn(t.TI, cv)
-	s.sc.Block(cpu, t)
+	s.sc.Block(cpu, t.TI)
 	return true
 }
 

@@ -11,10 +11,11 @@ import (
 	"vppb/internal/vtime"
 )
 
-// genProfile records generated program seed and builds its profile.
-func genProfile(t *testing.T, seed uint64) *trace.Profile {
+// genProfile records generated program seed, oversubscribed or not, and
+// builds its profile.
+func genProfile(t *testing.T, seed uint64, oversubscribed bool) *trace.Profile {
 	t.Helper()
-	log, _, err := recorder.Record(genProgram(seed), recorder.Options{Program: fmt.Sprintf("rand-%d", seed)})
+	log, _, err := recorder.Record(genProgram(seed, oversubscribed), recorder.Options{Program: fmt.Sprintf("rand-%d", seed)})
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
@@ -28,9 +29,11 @@ func genProfile(t *testing.T, seed uint64) *trace.Profile {
 // TestReuseMatchesReplay is the differential check behind replay reuse:
 // whenever a replay claims to stand for another machine (StandsFor), it
 // must equal a real replay of that machine in duration, event count and
-// per-thread CPU time. It covers generated programs under every policy,
-// CPU count, LWP pool and communication delay of the grid below, and
-// every pair of their replays.
+// per-thread CPU time. It covers generated programs, plain and
+// oversubscribed (genProgram), under every policy, CPU count, LWP pool and
+// communication delay of the grid below, and every pair of their replays.
+// The oversubscribed programs are the ones whose threads wait for an LWP
+// in the user run queue while no LWP waits for a CPU.
 func TestReuseMatchesReplay(t *testing.T) {
 	var machines []Machine
 	for _, delay := range []vtime.Duration{0, vtime.Millisecond} {
@@ -42,38 +45,40 @@ func TestReuseMatchesReplay(t *testing.T) {
 			}
 		}
 	}
-	covered := 0
-	for seed := uint64(1); seed <= 300; seed++ {
-		results, err := SimulateMany(genProfile(t, seed), machines)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		for _, r := range results {
-			for j, m := range machines {
-				if results[j] == r || !r.StandsFor(m) {
-					continue
-				}
-				covered++
-				got := results[j]
-				if got.Duration != r.Duration || got.Events != r.Events || !maps.Equal(got.PerThreadCPU, r.PerThreadCPU) {
-					rm := r.Machine
-					t.Errorf("seed %d: %s@%d (lwps %d, peak %d) stands for %s@%d, but gives %v/%d events where a replay gives %v/%d",
-						seed, rm.Policy, rm.CPUs, rm.LWPs, r.PeakRunning, m.Policy, m.CPUs, r.Duration, r.Events, got.Duration, got.Events)
+	for _, oversubscribed := range []bool{false, true} {
+		covered := 0
+		for seed := uint64(1); seed <= 300; seed++ {
+			results, err := SimulateMany(genProfile(t, seed, oversubscribed), machines)
+			if err != nil {
+				t.Fatalf("seed %d (oversubscribed %v): %v", seed, oversubscribed, err)
+			}
+			for _, r := range results {
+				for j, m := range machines {
+					if results[j] == r || !r.StandsFor(m) {
+						continue
+					}
+					covered++
+					got := results[j]
+					if got.Duration != r.Duration || got.Events != r.Events || !maps.Equal(got.PerThreadCPU, r.PerThreadCPU) {
+						rm := r.Machine
+						t.Errorf("seed %d (oversubscribed %v): %s@%d (lwps %d, peak %d) stands for %s@%d, but gives %v/%d events where a replay gives %v/%d",
+							seed, oversubscribed, rm.Policy, rm.CPUs, rm.LWPs, r.PeakRunning, m.Policy, m.CPUs, r.Duration, r.Events, got.Duration, got.Events)
+					}
 				}
 			}
 		}
+		if covered == 0 {
+			t.Fatalf("oversubscribed %v: no replay stood for another machine", oversubscribed)
+		}
+		t.Logf("oversubscribed %v: %d (replay, machine) pairs covered", oversubscribed, covered)
 	}
-	if covered == 0 {
-		t.Fatal("no replay stood for another machine")
-	}
-	t.Logf("%d (replay, machine) pairs covered", covered)
 
 	// Why a communication delay rules reuse out: on seed 9 at 1 ms, ts@5
 	// never contended and peaked within 5 CPUs, yet fifo@5 finishes
 	// sooner. Several LWPs made runnable in one instant take their CPUs in
 	// policy order, and the delay makes the CPU a thread runs on move its
 	// later wakes.
-	prof := genProfile(t, 9)
+	prof := genProfile(t, 9, false)
 	ts5, err := SimulateProfile(prof, Machine{CPUs: 5, Policy: "ts", CommDelay: vtime.Millisecond, DiscardTimeline: true})
 	if err != nil {
 		t.Fatal(err)

@@ -28,21 +28,17 @@ const nilIdx = syncobj.Nil
 // sthread replays one recorded thread. Slots live in the sim.threads
 // arena.
 type sthread struct {
-	// The embedded sched.ThreadNode (state, call stage, progress,
-	// thr_suspend flags, timeline span cursor) is shared with the
-	// recording kernel; TI is the slot's own index.
+	// The embedded sched.ThreadNode (priority, binding, state, call
+	// stage, progress, thr_suspend flags, carrying LWP, timeline span
+	// cursor) is shared with the recording kernel; TI is the slot's own
+	// index.
 	sched.ThreadNode
 	info   trace.ThreadInfo
 	calls  []trace.CallRecord
 	dcalls []trace.DenseCall // aligned with calls; precomputed arena indices
 	idx    int
 
-	bound      bool
-	boundCPU   int
-	prio       int
 	prioPinned bool
-
-	lwp *slwp
 
 	timerEpoch uint64
 	wakeEpoch  uint64
@@ -78,40 +74,6 @@ func (t *sthread) drec() *trace.DenseCall {
 	return &t.dcalls[t.idx]
 }
 
-// slwp is a simulated LWP. The embedded sched.LWPNode (identity, kernel
-// priority, quantum) is owned by the shared scheduler core.
-type slwp struct {
-	sched.LWPNode
-	thread *sthread
-	cpu    *scpu
-}
-
-func (l *slwp) Node() *sched.LWPNode      { return &l.LWPNode }
-func (l *slwp) SchedThread() *sthread     { return l.thread }
-func (l *slwp) SetSchedThread(t *sthread) { l.thread = t }
-func (l *slwp) SchedCPU() *scpu           { return l.cpu }
-func (l *slwp) SetSchedCPU(c *scpu)       { l.cpu = c }
-
-// scpu is a simulated processor. The embedded sched.CPUNode (identity,
-// burst epoch, accounting) is owned by the shared scheduler core.
-type scpu struct {
-	sched.CPUNode
-	lwp *slwp
-}
-
-func (c *scpu) Node() *sched.CPUNode { return &c.CPUNode }
-func (c *scpu) SchedLWP() *slwp      { return c.lwp }
-func (c *scpu) SetSchedLWP(l *slwp)  { c.lwp = l }
-
-// sthread's scheduler view: node, effective priority, binding, carrying
-// LWP.
-func (t *sthread) Node() *sched.ThreadNode { return &t.ThreadNode }
-func (t *sthread) SchedPrio() int          { return t.prio }
-func (t *sthread) SchedBound() bool        { return t.bound }
-func (t *sthread) SchedBoundCPU() int      { return t.boundCPU }
-func (t *sthread) SchedLWP() *slwp         { return t.lwp }
-func (t *sthread) SetSchedLWP(l *slwp)     { t.lwp = l }
-
 // The engine's own event kinds follow the scheduler core's burst and
 // slice kinds; an event's Who is the arena index of a thread for evTimer
 // and evWake and of an object for evIODone.
@@ -125,15 +87,13 @@ const (
 type sim struct {
 	m    Machine
 	prof *trace.Profile
-	sc   *sched.Core[*sthread, *slwp, *scpu]
+	sc   *sched.Core
 
 	now vtime.Time
 
 	threads []sthread // arena, ascending recorded-ID order
 	so      *syncobj.Core
 	mainIdx int32
-	cpus    []*scpu
-	nextLWP int
 
 	// pending holds the barrier-fix broadcasters, oldest first.
 	pending []pendingBroadcast
@@ -173,20 +133,9 @@ func newSim(prof *trace.Profile, m Machine) (*sim, error) {
 	if !m.DiscardTimeline {
 		s.tb = trace.NewTimelineBuilder()
 	}
-	s.cpus = make([]*scpu, 0, m.CPUs)
-	for i := 0; i < m.CPUs; i++ {
-		s.cpus = append(s.cpus, &scpu{CPUNode: sched.CPUNode{ID: i}})
-	}
 	nThreads := len(ids)
-	s.sc = sched.NewCore[*sthread, *slwp, *scpu](pol, (*sengine)(s), &s.now, s.cpus, m.NoPreemption, sched.Overheads{}, nThreads)
+	s.sc = sched.NewCore(pol, (*sengine)(s), &s.now, sched.Config{CPUs: m.CPUs, LWPs: m.LWPs, NoPreemption: m.NoPreemption, Threads: nThreads})
 	s.so = syncobj.New((*sengine)(s), nThreads, len(prof.Log.Objects))
-	pool := m.LWPs
-	if pool <= 0 {
-		pool = m.CPUs
-	}
-	for i := 0; i < pool; i++ {
-		s.sc.AddIdleLWP(s.newLWP(false))
-	}
 	for _, oi := range prof.Log.Objects {
 		s.so.AddObject(oi.Kind, int(oi.InitCount))
 	}
@@ -198,15 +147,18 @@ func newSim(prof *trace.Profile, m Machine) (*sim, error) {
 		t := &s.threads[i]
 		s.so.AddThread()
 		*t = sthread{
-			ThreadNode: sched.ThreadNode{TI: int32(i), LastCPU: -1},
-			info:       tp.Info,
-			calls:      tp.Calls,
-			dcalls:     dense.Calls[i],
-			bound:      tp.Info.Bound,
-			boundCPU:   int(tp.Info.BoundCPU),
-			prio:       dispatch.Clamp(int(tp.Info.Prio)),
+			ThreadNode: sched.ThreadNode{
+				TI:       int32(i),
+				Prio:     dispatch.Clamp(int(tp.Info.Prio)),
+				Bound:    tp.Info.Bound,
+				BoundCPU: int(tp.Info.BoundCPU),
+			},
+			info:   tp.Info,
+			calls:  tp.Calls,
+			dcalls: dense.Calls[i],
 		}
 		s.applyOverride(t)
+		s.sc.AddThread(&t.ThreadNode)
 	}
 	return s, nil
 }
@@ -218,29 +170,22 @@ func (s *sim) applyOverride(t *sthread) {
 	}
 	switch ov.Binding {
 	case BindUnbound:
-		t.bound = false
-		t.boundCPU = -1
+		t.Bound = false
+		t.BoundCPU = -1
 	case BindLWP:
-		t.bound = true
-		t.boundCPU = -1
+		t.Bound = true
+		t.BoundCPU = -1
 	case BindCPU:
-		t.bound = true
-		t.boundCPU = ov.CPU
-		if t.boundCPU >= s.m.CPUs || t.boundCPU < 0 {
-			t.boundCPU = s.m.CPUs - 1
+		t.Bound = true
+		t.BoundCPU = ov.CPU
+		if t.BoundCPU >= s.m.CPUs || t.BoundCPU < 0 {
+			t.BoundCPU = s.m.CPUs - 1
 		}
 	}
 	if ov.Priority != nil {
-		t.prio = dispatch.Clamp(*ov.Priority)
+		t.Prio = dispatch.Clamp(*ov.Priority)
 		t.prioPinned = true
 	}
-}
-
-func (s *sim) newLWP(dedicated bool) *slwp {
-	l := &slwp{LWPNode: sched.LWPNode{ID: s.nextLWP, Prio: dispatch.DefaultPriority, Dedicated: dedicated}}
-	l.QuantumLeft = s.sc.Quantum(l.Prio)
-	s.nextLWP++
-	return l
 }
 
 func (s *sim) fail(err error) {
@@ -305,7 +250,7 @@ func (s *sim) run() (*Result, error) {
 		res.PerThreadCPU[t.id()] = t.CPUTime
 	}
 	if s.tb != nil {
-		res.Timeline = s.tb.Build(s.prof.Log.Header.Program, s.m.CPUs, s.nextLWP, res.Duration)
+		res.Timeline = s.tb.Build(s.prof.Log.Header.Program, s.m.CPUs, s.sc.LWPs(), res.Duration)
 		res.Timeline.Objects = append([]trace.ObjectInfo(nil), s.prof.Log.Objects...)
 	}
 	return res, nil
@@ -318,10 +263,8 @@ func (s *sim) startThread(t *sthread) {
 		return
 	}
 	s.live++
-	if t.bound {
-		l := s.newLWP(true)
-		l.thread = t
-		t.lwp = l
+	if t.Bound {
+		s.sc.Dedicate(t.TI)
 	}
 	if s.tb != nil {
 		t.StartTimeline(s.tb, t.info, s.now)
@@ -402,7 +345,7 @@ func (s *sim) wake(t *sthread, fromCPU int, boost bool) {
 		s.sc.Push(s.now.Add(s.m.CommDelay), sched.Event{Kind: evWake, Who: t.TI, Epoch: t.wakeEpoch})
 		return
 	}
-	s.sc.Wake(t, boost)
+	s.sc.Wake(t.TI, boost)
 }
 
 // The queueing, dispatch, preemption and time-slice machinery, the CPU
@@ -417,8 +360,9 @@ type sengine sim
 
 // Complete: the thread's call completed while it was off-CPU; emit the
 // After event and advance to the next record.
-func (e *sengine) Complete(cpu *scpu, t *sthread) {
+func (e *sengine) Complete(cpu, ti int32) {
 	s := (*sim)(e)
+	t := &s.threads[ti]
 	s.placeAfter(t)
 	s.advanceRecord(cpu, t)
 }
@@ -449,7 +393,7 @@ func (e *sengine) StartIO(oi, ti int32) {
 }
 
 // advanceRecord moves the thread to its next call record.
-func (s *sim) advanceRecord(cpu *scpu, t *sthread) {
+func (s *sim) advanceRecord(cpu int32, t *sthread) {
 	t.idx++
 	t.Stage = sched.StageCompute
 	if r := t.rec(); r != nil {
@@ -464,8 +408,8 @@ func (s *sim) advanceRecord(cpu *scpu, t *sthread) {
 func (s *sim) handle(ev sched.Event) {
 	switch ev.Kind {
 	case sched.EvBurst, sched.EvSlice:
-		if cpu, ended := s.sc.Handle(ev); ended {
-			s.advanceThread(cpu, cpu.lwp.thread)
+		if ti, ended := s.sc.Handle(ev); ended {
+			s.advanceThread(ev.Who, &s.threads[ti])
 		}
 	case evTimer:
 		// A timed-out wait replayed as a delay ends: re-acquire the mutex.
@@ -483,7 +427,7 @@ func (s *sim) handle(ev sched.Event) {
 		if t.wakeEpoch != ev.Epoch || t.State != sched.WakePending {
 			return
 		}
-		s.sc.Wake(t, true)
+		s.sc.Wake(t.TI, true)
 	case evIODone:
 		s.so.IODone(ev.Who)
 	}
@@ -493,8 +437,8 @@ func (s *sim) handle(ev sched.Event) {
 // phases until it needs CPU time again, blocks or exits.
 // The thread is never at sched.StageWaiting here: the Core completes a
 // waiting call (Complete) before it arms the burst that ends here.
-func (s *sim) advanceThread(cpu *scpu, t *sthread) {
-	for !s.sc.Burst(&cpu.CPUNode, &t.ThreadNode) {
+func (s *sim) advanceThread(cpu int32, t *sthread) {
+	for !s.sc.Burst(cpu, &t.ThreadNode) {
 		r := t.rec()
 		if r == nil {
 			s.exitThread(cpu, t)
@@ -542,7 +486,7 @@ func (s *sim) callCost(t *sthread, r *trace.CallRecord) vtime.Duration {
 		}
 		child := &s.threads[dc.Target]
 		recBound := child.info.Bound
-		effBound := child.bound
+		effBound := child.Bound
 		if recBound == effBound {
 			return cost
 		}
@@ -552,7 +496,7 @@ func (s *sim) callCost(t *sthread, r *trace.CallRecord) vtime.Duration {
 		return vtime.Duration(float64(cost) / s.m.BoundCreateFactor)
 	case r.Call.Sync():
 		recBound := t.info.Bound
-		effBound := t.bound
+		effBound := t.Bound
 		if recBound == effBound {
 			return cost
 		}
@@ -565,7 +509,7 @@ func (s *sim) callCost(t *sthread, r *trace.CallRecord) vtime.Duration {
 }
 
 // exitThread finalizes a simulated thread.
-func (s *sim) exitThread(cpu *scpu, t *sthread) {
+func (s *sim) exitThread(cpu int32, t *sthread) {
 	// Place the exit event if the thread ended on a thr_exit record.
 	if r := t.rec(); r != nil && r.Call == trace.CallThrExit && s.tb != nil {
 		*s.tb.AddEvent(t.TL) = trace.PlacedEvent{
@@ -578,5 +522,5 @@ func (s *sim) exitThread(cpu *scpu, t *sthread) {
 	t.To(sched.Zombie, s.now, -1, -1)
 	s.live--
 	s.so.Exit(t.TI)
-	s.sc.Exit(cpu, t)
+	s.sc.Exit(cpu, t.TI)
 }

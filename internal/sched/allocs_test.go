@@ -10,21 +10,19 @@ import "testing"
 // event, so a single allocation here is a per-event allocation for every
 // prediction.
 func TestCoreSteadyStateAllocs(t *testing.T) {
-	core, _, cpus := newFakeCore(t, "ts", 2, false)
-	lwps := make([]*fakeLWP, 4)
-	for i := range lwps {
-		lwps[i] = newLWP(i, 30)
-		core.PushKernelQ(lwps[i])
+	core, _ := newFakeCore(t, "ts", 2, false)
+	for range 4 {
+		core.pushKernelQ(newLWP(core, 30))
 	}
 	cycle := func() {
-		for _, cpu := range cpus {
-			core.Undispatch(cpu)
+		for cpu := range core.cpus {
+			core.undispatch(int32(cpu))
 		}
 		core.DispatchAll()
 		core.PreemptPass()
-		for _, cpu := range cpus {
-			if cpu.SchedLWP() != nil {
-				core.sliceExpired(cpu)
+		for cpu, cn := range core.cpus {
+			if cn.lwp != nilIdx {
+				core.sliceExpired(int32(cpu))
 			}
 		}
 		core.DispatchAll()
@@ -50,25 +48,25 @@ func TestCoreSteadyStateAllocs(t *testing.T) {
 // parking and reclaiming threads through the user run queue must reuse the
 // backing array once it has grown.
 func TestUserRunQSteadyStateAllocs(t *testing.T) {
-	core, _, _ := newFakeCore(t, "ts", 1, false)
-	threads := make([]*fakeThread, 8)
+	core, _ := newFakeCore(t, "ts", 1, false)
+	threads := make([]int32, 8)
 	for i := range threads {
-		threads[i] = &fakeThread{id: i, prio: 20 + i, boundCPU: -1}
+		threads[i] = addThread(core, 20+i)
 	}
 	for r := 0; r < 3; r++ {
 		for _, th := range threads {
-			core.PushUserRunQ(th)
+			core.pushUserRunQ(th)
 		}
 		for range threads {
-			core.PopUserRunQ()
+			core.popUserRunQ()
 		}
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, th := range threads {
-			core.PushUserRunQ(th)
+			core.pushUserRunQ(th)
 		}
 		for range threads {
-			core.PopUserRunQ()
+			core.popUserRunQ()
 		}
 	})
 	if allocs != 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"vppb/internal/dispatch"
 	"vppb/internal/vtime"
 )
 
@@ -14,44 +15,42 @@ import (
 // fatal runtime error that recover cannot catch.
 const MaxCPUs = 4096
 
-// The Core is generic over the engines' own thread/LWP/CPU types: the
-// recording kernel schedules live goroutine-backed threads, the Simulator
-// schedules trace records, and neither pays an interface allocation per
-// entity. The three type parameters reference each other, so the
-// constraint interfaces are parameterized the same way.
+// nilIdx is the null index of a queue entry or link: no thread, LWP or
+// CPU. Every link must be set explicitly, as the zero value 0 is a valid
+// index.
+const nilIdx int32 = -1
 
-// LWPNode is the scheduler-owned state embedded in each engine's LWP
-// struct.
+// The Core keeps its own tables of LWPs and CPUs and reaches each thread
+// by its dense index (TI) through the nodes the engines register, so its
+// queues and links are int32 indices, as in the object core
+// (internal/syncobj). An LWP's index is its ID and a CPU's index its ID.
+
+// LWPNode is the Core's state of one LWP.
 type LWPNode struct {
-	ID          int
 	Prio        int
 	QuantumLeft vtime.Duration
 	// Dedicated marks the LWP of one bound thread; it dies with the
 	// thread (Exit).
 	Dedicated bool
+	// thread is the TI of the thread the LWP carries and cpu the CPU it
+	// runs on, nilIdx for none.
+	thread, cpu int32
 }
 
-// CPUNode is the scheduler-owned state embedded in each engine's CPU
-// struct.
+// CPUNode is the Core's state of one CPU.
 type CPUNode struct {
-	ID int
 	// Epoch invalidates pending burst events: a burst timer carries the
 	// epoch it was armed at, and an EvBurst event whose epoch lags is
 	// dropped.
 	Epoch uint64
-
-	// lwp and thread are the nodes of the LWP the CPU runs and of its
-	// thread, lwp nil while the CPU idles. The Core sets them wherever it
-	// links the engine's CPU, so the per-event paths reach the nodes
-	// without a call through the engine's types.
-	lwp    *LWPNode
-	thread *ThreadNode
+	// lwp is the LWP the CPU runs, nilIdx while it idles.
+	lwp int32
 	// accounted is when the CPU's time was last charged (account);
 	// overhead is the dispatch overhead it owes before its thread's work;
-	// lastLWP is the ID of the LWP it last placed, -1 before the first.
+	// lastLWP is the LWP it last placed, nilIdx before the first.
 	accounted vtime.Time
 	overhead  vtime.Duration
-	lastLWP   int
+	lastLWP   int32
 }
 
 // Overheads are the dispatch costs a CPU pays before it runs a thread's
@@ -64,48 +63,35 @@ type Overheads struct {
 	ContextSwitch, Migration vtime.Duration
 }
 
-// Thread is the scheduler's view of an engine thread.
-type Thread[L any] interface {
-	comparable
-	Node() *ThreadNode
-	SchedPrio() int
-	SchedBound() bool
-	SchedBoundCPU() int
-	SchedLWP() L
-	SetSchedLWP(L)
-}
-
-// LWP is the scheduler's view of an engine LWP.
-type LWP[T, C any] interface {
-	comparable
-	Node() *LWPNode
-	SchedThread() T
-	SetSchedThread(T)
-	SchedCPU() C
-	SetSchedCPU(C)
-}
-
-// CPU is the scheduler's view of an engine CPU.
-type CPU[L any] interface {
-	comparable
-	Node() *CPUNode
-	SchedLWP() L
-	SetSchedLWP(L)
+// Config is the machine a Core schedules.
+type Config struct {
+	CPUs int
+	// LWPs fixes the LWP pool at that many LWPs; 0 or less gives a
+	// dynamic pool that starts with one LWP per CPU and grows by
+	// SetConcurrency.
+	LWPs         int
+	NoPreemption bool
+	Costs        Overheads
+	// Threads preallocates for that many threads (the Simulator knows its
+	// thread count up front).
+	Threads int
 }
 
 // Engine receives the scheduling decisions the Core makes. The Core owns
 // the queues, the who-runs-where choice, the CPU accounting with its
 // dispatch overheads and the burst and slice timers; the engine owns its
-// calls' stages, its own events, probes and grants.
-type Engine[T Thread[L], L LWP[T, C], C CPU[L]] interface {
-	// Complete finishes t's call, which completed while t was off-CPU,
-	// now that the Core runs t on cpu again. It may end t (a replay whose
-	// records are exhausted exits); the Core arms t's timers only if t
-	// still runs on cpu afterwards.
-	Complete(cpu C, t T)
+// calls' stages, its own events, probes and grants. Both methods name
+// threads and CPUs by index, as syncobj.Engine does.
+type Engine interface {
+	// Complete finishes the call of thread ti, which completed while the
+	// thread was off-CPU, now that the Core runs it on cpu again. It may
+	// end the thread (a replay whose records are exhausted exits); the
+	// Core arms the thread's timers only if it still runs on cpu
+	// afterwards.
+	Complete(cpu, ti int32)
 	// Wake is the engine's grant path, which thr_continue takes: it
-	// wakes the thread with dense index ti as if thread by had granted
-	// it (the same method as syncobj.Engine's).
+	// wakes thread ti as if thread by had granted it (the same method as
+	// syncobj.Engine's).
 	Wake(ti, by int32)
 }
 
@@ -113,23 +99,25 @@ type Engine[T Thread[L], L LWP[T, C], C CPU[L]] interface {
 // queue (threads waiting for an LWP), the kernel queue (LWPs waiting for
 // a CPU), the idle-LWP pool, and the policy-driven dispatch, preemption
 // and time-slice rules.
-type Core[T Thread[L], L LWP[T, C], C CPU[L]] struct {
+type Core struct {
 	policy    Policy
-	engine    Engine[T, L, C]
+	engine    Engine
 	now       *vtime.Time // the engine's clock
-	cpus      []C
-	nodes     []*CPUNode // cpus[i].Node()
 	noPreempt bool
 	costs     Overheads
+
+	threads []*ThreadNode // by TI
+	lwps    []LWPNode     // by LWP ID
+	cpus    []CPUNode     // by CPU ID
 
 	// events holds the burst timers and the engine's own events; slices
 	// holds the slice timers (see Pop).
 	events vtime.EventQueue[Event]
 	slices sliceRing
 
-	userRunQ []T
-	kernelQ  []L
-	idleLWPs []L
+	userRunQ []int32 // TIs
+	kernelQ  []int32 // LWP IDs
+	idleLWPs []int32 // LWP IDs
 
 	// dispatchDirty and preemptDirty record whether any state change since
 	// the last DispatchAll / PreemptPass could possibly let the pass do
@@ -146,207 +134,201 @@ type Core[T Thread[L], L LWP[T, C], C CPU[L]] struct {
 	preemptDirty  bool
 
 	// pool counts the pool LWPs (the ones not dedicated to a bound
-	// thread); pool LWPs never die, so it only grows.
-	pool int
+	// thread); pool LWPs never die, so it only grows, and only when the
+	// pool is not fixed.
+	pool  int
+	fixed bool
 
 	// idleCPUs counts CPUs with no linked LWP. All link changes funnel
-	// through Core (dispatch placement, Unlink, NextThread's idle branch),
-	// so the count is exact and DispatchAll can skip its CPU scan outright
-	// while every CPU is busy — the steady state of a contended replay.
+	// through Core (dispatch placement, unlink), so the count is exact and
+	// DispatchAll can skip its CPU scan outright while every CPU is busy —
+	// the steady state of a contended replay.
 	idleCPUs int
 
 	// peak and contended are what the run so far proved about its
 	// machine (PeakRunning, Contended).
 	peak      int
 	contended bool
-
-	// OnPushKernelQ, when non-nil, runs before every kernel-queue
-	// insertion — the engines' debug-invariant hook.
-	OnPushKernelQ func(L)
 }
 
-// NewCore builds a scheduler over the given CPUs, where cpus[i] must have
-// ID i (a CPU-bound thread and a burst or slice event name a CPU by ID).
+// NewCore builds a scheduler for the machine m with its initial LWP pool.
 // now is the engine's clock, which times the threads' state changes and
-// the timers. costs are the dispatch overheads. hint preallocates the
-// queues (the Simulator knows its thread count up front).
-func NewCore[T Thread[L], L LWP[T, C], C CPU[L]](policy Policy, engine Engine[T, L, C], now *vtime.Time, cpus []C, noPreemption bool, costs Overheads, hint int) *Core[T, L, C] {
-	c := &Core[T, L, C]{
+// the timers.
+func NewCore(policy Policy, engine Engine, now *vtime.Time, m Config) *Core {
+	pool := m.LWPs
+	if pool <= 0 {
+		pool = m.CPUs
+	}
+	c := &Core{
 		policy:        policy,
 		engine:        engine,
 		now:           now,
-		cpus:          cpus,
-		noPreempt:     noPreemption,
-		costs:         costs,
-		slices:        newSliceRing(len(cpus)),
-		userRunQ:      make([]T, 0, hint),
-		kernelQ:       make([]L, 0, hint),
-		idleLWPs:      make([]L, 0, hint),
+		noPreempt:     m.NoPreemption,
+		costs:         m.Costs,
+		threads:       make([]*ThreadNode, 0, m.Threads),
+		lwps:          make([]LWPNode, 0, pool),
+		cpus:          make([]CPUNode, m.CPUs),
+		slices:        newSliceRing(m.CPUs),
+		userRunQ:      make([]int32, 0, m.Threads),
+		kernelQ:       make([]int32, 0, m.Threads),
+		idleLWPs:      make([]int32, 0, pool),
 		dispatchDirty: true,
 		preemptDirty:  true,
-		idleCPUs:      len(cpus),
+		pool:          pool,
+		fixed:         m.LWPs > 0,
+		idleCPUs:      m.CPUs,
 	}
-	c.nodes = make([]*CPUNode, len(cpus))
-	for i, cpu := range cpus {
-		c.nodes[i] = cpu.Node()
-		c.nodes[i].lastLWP = -1
+	for i := range c.cpus {
+		c.cpus[i] = CPUNode{lwp: nilIdx, lastLWP: nilIdx}
+	}
+	for range pool {
+		c.idleLWPs = append(c.idleLWPs, c.newLWP(false))
 	}
 	// The queue's steady state holds at most one burst event per CPU plus
 	// one engine event per thread; reserving that up front keeps heap
 	// growth out of the event loop.
-	c.events.Reserve(2*hint + 2*len(cpus) + 8)
+	c.events.Reserve(2*m.Threads + 2*m.CPUs + 8)
 	return c
 }
-
-// Policy returns the active scheduling policy.
-func (c *Core[T, L, C]) Policy() Policy { return c.policy }
-
-// Quantum is the policy's time slice at priority p.
-func (c *Core[T, L, C]) Quantum(p int) vtime.Duration { return c.policy.Quantum(p) }
 
 // PeakRunning is one more than the highest CPU the run has placed an LWP
 // on. A placement takes the lowest idle CPU its LWP may run on, so
 // without threads bound to CPUs this is the most CPUs busy at once; a
 // thread bound to a CPU counts every CPU up to its own.
-func (c *Core[T, L, C]) PeakRunning() int { return c.peak }
+func (c *Core) PeakRunning() int { return c.peak }
 
 // Contended reports whether anything in the run so far waited for a CPU
-// or an LWP: an LWP left in the kernel queue or a thread left in the user
-// run queue after a dispatch-and-preempt pass, or an LWP evicted by
-// preemption or at slice expiry. A run that never contended placed every
-// runnable LWP the instant it became runnable, so its priorities and
-// quanta never decided who ran.
-func (c *Core[T, L, C]) Contended() bool { return c.contended }
+// or an LWP, or could have: an LWP left in the kernel queue or a thread
+// left in the user run queue after a dispatch-and-preempt pass, an LWP
+// evicted by preemption or at slice expiry, or an LWP bound to a CPU that
+// took it ahead of another queued LWP that may run there. A run that never
+// contended placed every runnable LWP the instant it became runnable, in
+// an order no priority decided, so its priorities and quanta never decided
+// who ran.
+func (c *Core) Contended() bool { return c.contended }
 
-// KernelQ exposes the kernel queue for invariant checks. Read-only.
-func (c *Core[T, L, C]) KernelQ() []L { return c.kernelQ }
+// LWPs is the number of LWPs the run has created, dead dedicated ones
+// included: the LWP IDs are 0 to LWPs()-1.
+func (c *Core) LWPs() int { return len(c.lwps) }
 
-// UserRunQ exposes the user run queue for invariant checks. Read-only.
-func (c *Core[T, L, C]) UserRunQ() []T { return c.userRunQ }
-
-// IdleLWPs exposes the idle pool for invariant checks. Read-only.
-func (c *Core[T, L, C]) IdleLWPs() []L { return c.idleLWPs }
-
-// AddIdleLWP parks a fresh pool LWP on the idle list.
-func (c *Core[T, L, C]) AddIdleLWP(l L) {
-	c.pool++
-	c.idleLWPs = append(c.idleLWPs, l)
+// AddThread registers the node of the thread with dense index n.TI, which
+// must be the number of threads registered before it. The node must stay
+// where it is for the rest of the run. The thread starts without an LWP
+// and without a last CPU.
+func (c *Core) AddThread(n *ThreadNode) {
+	n.LastCPU = -1
+	n.lwp = nilIdx
+	c.threads = append(c.threads, n)
 }
 
-// CheckConcurrency rejects a thr_setconcurrency request for more than
-// MaxCPUs LWPs.
-func CheckConcurrency(n int) error {
+// Dedicate creates the LWP of bound thread ti, which dies with it.
+func (c *Core) Dedicate(ti int32) {
+	c.pair(ti, c.newLWP(true))
+}
+
+// newLWP creates an LWP at the default priority with a full quantum and
+// returns its ID, the next in creation order.
+func (c *Core) newLWP(dedicated bool) int32 {
+	l := int32(len(c.lwps))
+	c.lwps = append(c.lwps, LWPNode{
+		Prio:        dispatch.DefaultPriority,
+		QuantumLeft: c.policy.Quantum(dispatch.DefaultPriority),
+		Dedicated:   dedicated,
+		thread:      nilIdx,
+		cpu:         nilIdx,
+	})
+	return l
+}
+
+// SetConcurrency applies thr_setconcurrency(n): it rejects a request for
+// more than MaxCPUs LWPs and grows a dynamic pool to n LWPs. A smaller
+// request, or any request on a fixed pool, leaves the pool as it is.
+func (c *Core) SetConcurrency(n int) error {
 	if n > MaxCPUs {
 		return fmt.Errorf("thr_setconcurrency %d exceeds the limit of %d LWPs", n, MaxCPUs)
 	}
-	return nil
-}
-
-// SetConcurrency applies thr_setconcurrency(n) to a dynamic LWP pool: it
-// checks n with CheckConcurrency and grows the pool to n LWPs, each made
-// by newLWP(false). A smaller request leaves the pool as it is.
-func (c *Core[T, L, C]) SetConcurrency(n int, newLWP func(dedicated bool) L) error {
-	if err := CheckConcurrency(n); err != nil {
-		return err
-	}
-	for ; c.pool < n; c.pool++ {
-		c.ReassignOrIdle(newLWP(false))
+	for ; !c.fixed && c.pool < n; c.pool++ {
+		c.reassignOrIdle(c.newLWP(false))
 	}
 	return nil
 }
 
 // ---- queues ---------------------------------------------------------------
 
-// PushUserRunQ inserts a runnable LWP-less thread in policy order, FIFO
+// pushUserRunQ inserts a runnable LWP-less thread in policy order, FIFO
 // within a priority.
-func (c *Core[T, L, C]) PushUserRunQ(t T) {
+func (c *Core) pushUserRunQ(ti int32) {
+	prio := c.threads[ti].Prio
 	i := len(c.userRunQ)
-	for i > 0 && c.policy.Precedes(t.SchedPrio(), c.userRunQ[i-1].SchedPrio()) {
+	for i > 0 && c.policy.Precedes(prio, c.threads[c.userRunQ[i-1]].Prio) {
 		i--
 	}
-	var zero T
-	c.userRunQ = append(c.userRunQ, zero)
-	copy(c.userRunQ[i+1:], c.userRunQ[i:])
-	c.userRunQ[i] = t
+	c.userRunQ = slices.Insert(c.userRunQ, i, ti)
 }
 
-// PopUserRunQ removes and returns the best queued thread, or the zero
-// value. The pop copies down rather than re-slicing from the front: a
-// front re-slice slides the live window along the backing array, forcing
-// a fresh allocation every cap-many pushes in steady state.
-func (c *Core[T, L, C]) PopUserRunQ() T {
+// popUserRunQ removes and returns the best queued thread, or nilIdx. The
+// pop copies down rather than re-slicing from the front: a front
+// re-slice slides the live window along the backing array, forcing a
+// fresh allocation every cap-many pushes in steady state.
+func (c *Core) popUserRunQ() int32 {
 	if len(c.userRunQ) == 0 {
-		var zero T
-		return zero
+		return nilIdx
 	}
-	t := c.userRunQ[0]
-	n := copy(c.userRunQ, c.userRunQ[1:])
-	var zero T
-	c.userRunQ[n] = zero
-	c.userRunQ = c.userRunQ[:n]
-	return t
+	ti := c.userRunQ[0]
+	c.userRunQ = slices.Delete(c.userRunQ, 0, 1)
+	return ti
 }
 
 // removeUserRunQ unqueues a specific thread, if it is queued.
-func (c *Core[T, L, C]) removeUserRunQ(t T) {
-	if i := slices.Index(c.userRunQ, t); i >= 0 {
+func (c *Core) removeUserRunQ(ti int32) {
+	if i := slices.Index(c.userRunQ, ti); i >= 0 {
 		c.userRunQ = slices.Delete(c.userRunQ, i, i+1)
 	}
 }
 
-// PushKernelQ inserts a runnable LWP in policy order, FIFO within a
+// pushKernelQ inserts a runnable LWP in policy order, FIFO within a
 // priority.
-func (c *Core[T, L, C]) PushKernelQ(l L) {
-	if c.OnPushKernelQ != nil {
-		c.OnPushKernelQ(l)
-	}
+func (c *Core) pushKernelQ(l int32) {
 	c.dispatchDirty = true
 	c.preemptDirty = true
+	prio := c.lwps[l].Prio
 	i := len(c.kernelQ)
-	for i > 0 && c.policy.Precedes(l.Node().Prio, c.kernelQ[i-1].Node().Prio) {
+	for i > 0 && c.policy.Precedes(prio, c.lwps[c.kernelQ[i-1]].Prio) {
 		i--
 	}
-	var zero L
-	c.kernelQ = append(c.kernelQ, zero)
-	copy(c.kernelQ[i+1:], c.kernelQ[i:])
-	c.kernelQ[i] = l
+	c.kernelQ = slices.Insert(c.kernelQ, i, l)
 }
 
-// removeKernelQ unqueues a specific LWP; false if it was not queued.
-func (c *Core[T, L, C]) removeKernelQ(l L) bool {
-	for i, q := range c.kernelQ {
-		if q == l {
-			c.kernelQ = append(c.kernelQ[:i], c.kernelQ[i+1:]...)
-			return true
-		}
+// removeKernelQ unqueues a specific LWP, if it is queued.
+func (c *Core) removeKernelQ(l int32) {
+	if i := slices.Index(c.kernelQ, l); i >= 0 {
+		c.kernelQ = slices.Delete(c.kernelQ, i, i+1)
 	}
-	return false
 }
 
-// eligible reports whether the LWP may run on the CPU (bound-thread CPU
+// eligible reports whether LWP l may run on the CPU (bound-thread CPU
 // affinity). A queued LWP always carries a thread.
-func (c *Core[T, L, C]) eligible(cpu C, l L) bool {
-	b := l.SchedThread().SchedBoundCPU()
-	return b < 0 || b == cpu.Node().ID
+func (c *Core) eligible(cpu, l int32) bool {
+	b := c.threads[c.lwps[l].thread].BoundCPU
+	return b < 0 || b == int(cpu)
 }
 
-// takeKernelQ removes and returns the best LWP runnable on cpu.
-func (c *Core[T, L, C]) takeKernelQ(cpu C) (L, bool) {
+// takeKernelQ removes and returns the best LWP runnable on cpu, or nilIdx.
+func (c *Core) takeKernelQ(cpu int32) int32 {
 	for i, l := range c.kernelQ {
 		if c.eligible(cpu, l) {
-			c.kernelQ = append(c.kernelQ[:i], c.kernelQ[i+1:]...)
-			return l, true
+			c.kernelQ = slices.Delete(c.kernelQ, i, i+1)
+			return l
 		}
 	}
-	var zero L
-	return zero, false
+	return nilIdx
 }
 
 // peekKernelQ reports the priority of the best LWP runnable on cpu.
-func (c *Core[T, L, C]) peekKernelQ(cpu C) (int, bool) {
+func (c *Core) peekKernelQ(cpu int32) (int, bool) {
 	for _, l := range c.kernelQ {
 		if c.eligible(cpu, l) {
-			return l.Node().Prio, true
+			return c.lwps[l].Prio, true
 		}
 	}
 	return 0, false
@@ -354,89 +336,85 @@ func (c *Core[T, L, C]) peekKernelQ(cpu C) (int, bool) {
 
 // ---- scheduling -----------------------------------------------------------
 
-// Wake makes a thread runnable: requeue its dedicated LWP, attach an idle
-// pool LWP, or park it on the user run queue. boost applies the policy's
-// sleep-return priority lift. A suspended thread keeps the wake for
-// thr_continue.
-func (c *Core[T, L, C]) Wake(t T, boost bool) {
-	if n := t.Node(); n.Suspended {
+// Wake makes thread ti runnable: requeue its dedicated LWP, attach an
+// idle pool LWP, or park it on the user run queue. boost applies the
+// policy's sleep-return priority lift. A suspended thread keeps the wake
+// for thr_continue.
+func (c *Core) Wake(ti int32, boost bool) {
+	n := c.threads[ti]
+	if n.Suspended {
 		n.WakeDeferred = true
 		return
 	}
-	if t.SchedBound() {
-		l := t.SchedLWP()
-		c.refreshWake(l, boost)
-		c.set(t, Runnable, -1, l.Node().ID)
-		c.PushKernelQ(l)
-		return
-	}
-	if len(c.idleLWPs) > 0 {
-		// FIFO, with the same copy-down pop as PopUserRunQ: the oldest
+	if !n.Bound {
+		if len(c.idleLWPs) == 0 {
+			c.set(n, Runnable, -1, -1)
+			c.pushUserRunQ(ti)
+			return
+		}
+		// FIFO, with the same copy-down pop as popUserRunQ: the oldest
 		// idle LWP is reused first (LIFO would change LWP assignment and
 		// with it recorded LWP ids), and the backing array never slides.
 		l := c.idleLWPs[0]
-		n := copy(c.idleLWPs, c.idleLWPs[1:])
-		var zeroL L
-		c.idleLWPs[n] = zeroL
-		c.idleLWPs = c.idleLWPs[:n]
-		l.SetSchedThread(t)
-		t.SetSchedLWP(l)
-		c.refreshWake(l, boost)
-		c.set(t, Runnable, -1, l.Node().ID)
-		c.PushKernelQ(l)
-		return
+		c.idleLWPs = slices.Delete(c.idleLWPs, 0, 1)
+		c.pair(ti, l)
 	}
-	c.set(t, Runnable, -1, -1)
-	c.PushUserRunQ(t)
-}
-
-// refreshWake applies the wake boost and grants a fresh quantum.
-func (c *Core[T, L, C]) refreshWake(l L, boost bool) {
-	n := l.Node()
+	l := n.lwp
+	ln := &c.lwps[l]
 	if boost {
-		n.Prio = c.policy.OnWake(n.Prio)
+		ln.Prio = c.policy.OnWake(ln.Prio)
 	}
-	n.QuantumLeft = c.policy.Quantum(n.Prio)
+	ln.QuantumLeft = c.policy.Quantum(ln.Prio)
+	c.set(n, Runnable, -1, l)
+	c.pushKernelQ(l)
 }
 
-// Unlink detaches an LWP from its CPU and drops both of the CPU's timers:
-// the burst by its epoch, the slice by taking it out of the ring. Every
-// requeue or park of a running LWP funnels through here.
-func (c *Core[T, L, C]) Unlink(cpu C, l L) {
+// pair makes LWP l carry thread ti.
+func (c *Core) pair(ti, l int32) {
+	c.lwps[l].thread = ti
+	c.threads[ti].lwp = l
+}
+
+// release unpairs thread n and its pool LWP.
+func (c *Core) release(n *ThreadNode) {
+	c.lwps[n.lwp].thread = nilIdx
+	n.lwp = nilIdx
+}
+
+// unlink detaches the LWP running on cpu and drops both of the CPU's
+// timers: the burst by its epoch, the slice by taking it out of the ring.
+// Every requeue or park of a running LWP funnels through here.
+func (c *Core) unlink(cpu int32) {
 	c.dispatchDirty = true // the CPU goes idle
 	c.idleCPUs++
-	cn := cpu.Node()
+	cn := &c.cpus[cpu]
 	cn.Epoch++
-	cn.lwp = nil
-	c.slices.remove(int32(cn.ID))
-	var zeroL L
-	var zeroC C
-	cpu.SetSchedLWP(zeroL)
-	l.SetSchedCPU(zeroC)
+	c.lwps[cn.lwp].cpu = nilIdx
+	cn.lwp = nilIdx
+	c.slices.remove(cpu)
 }
 
-// Undispatch evicts the running LWP from a CPU, preserving its thread's
+// undispatch evicts the running LWP from a CPU, preserving its thread's
 // progress, and requeues it on the kernel queue.
-func (c *Core[T, L, C]) Undispatch(cpu C) {
-	c.account(cpu.Node())
-	l := cpu.SchedLWP()
-	var zeroL L
-	if l == zeroL {
+func (c *Core) undispatch(cpu int32) {
+	cn := &c.cpus[cpu]
+	c.account(cn)
+	l := cn.lwp
+	if l == nilIdx {
 		return
 	}
 	c.contended = true
-	c.Unlink(cpu, l)
-	c.set(l.SchedThread(), Runnable, -1, l.Node().ID)
-	c.PushKernelQ(l)
+	c.unlink(cpu)
+	c.set(c.threads[c.lwps[l].thread], Runnable, -1, l)
+	c.pushKernelQ(l)
 }
 
 // DispatchAll assigns runnable LWPs to idle CPUs until no assignment is
 // possible, and starts each placed LWP's thread (run).
-func (c *Core[T, L, C]) DispatchAll() {
+func (c *Core) DispatchAll() {
 	if !c.dispatchDirty {
 		return
 	}
-	var zeroL L
 	for {
 		// DispatchAll runs after every simulated event; an empty kernel
 		// queue or a fully busy machine (the two common steady states) must
@@ -449,19 +427,30 @@ func (c *Core[T, L, C]) DispatchAll() {
 			return
 		}
 		progress := false
-		for _, cpu := range c.cpus {
-			if cpu.SchedLWP() != zeroL {
+		for i := range c.cpus {
+			if c.cpus[i].lwp != nilIdx {
 				continue
 			}
-			l, ok := c.takeKernelQ(cpu)
-			if !ok {
+			cpu := int32(i)
+			l := c.takeKernelQ(cpu)
+			if l == nilIdx {
 				continue
 			}
-			cpu.SetSchedLWP(l)
-			l.SetSchedCPU(cpu)
+			if !c.contended && c.threads[c.lwps[l].thread].BoundCPU >= 0 {
+				// A CPU-bound LWP placed ahead of another that may run
+				// here won the CPU by queue order, which LWP priorities
+				// decide: under another policy, or with the LWPs of a
+				// pool of another size, the other takes the CPU and the
+				// bound one waits.
+				if _, rival := c.peekKernelQ(cpu); rival {
+					c.contended = true
+				}
+			}
+			c.cpus[i].lwp = l
+			c.lwps[l].cpu = cpu
 			c.idleCPUs--
-			c.peak = max(c.peak, cpu.Node().ID+1)
-			c.run(cpu, l, l.SchedThread(), true)
+			c.peak = max(c.peak, i+1)
+			c.run(cpu, true)
 			progress = true
 		}
 		if !progress {
@@ -477,17 +466,17 @@ func (c *Core[T, L, C]) DispatchAll() {
 // Preemption happens only at event boundaries, never in the middle of an
 // operation. It ends the dispatch-and-preempt pass, so it also notes
 // whether the pass left anything waiting (Contended).
-func (c *Core[T, L, C]) PreemptPass() {
+func (c *Core) PreemptPass() {
 	for !c.noPreempt && c.preemptDirty {
-		victim, ok := c.preemptVictim()
-		if !ok {
+		victim := c.preemptVictim()
+		if victim == nilIdx {
 			// Quiescent: no queued LWP can preempt any runner, so the pass
 			// stays a no-op until the next insertion or priority drop sets
 			// the flag again.
 			c.preemptDirty = false
 			break
 		}
-		c.Undispatch(victim)
+		c.undispatch(victim)
 		c.DispatchAll()
 	}
 	if len(c.kernelQ) > 0 || len(c.userRunQ) > 0 {
@@ -495,11 +484,11 @@ func (c *Core[T, L, C]) PreemptPass() {
 	}
 }
 
-// preemptVictim finds the CPU the best preempting queued LWP evicts: the
-// first queued LWP, best first, that may preempt a runner on a CPU it is
-// eligible for, and among those runners the lowest-priority one (the
-// first in CPU order on a tie). It costs O(CPUs + queued CPU-bound LWPs)
-// instead of O(kernelQ x CPUs):
+// preemptVictim finds the CPU the best preempting queued LWP evicts, or
+// nilIdx: the first queued LWP, best first, that may preempt a runner on
+// a CPU it is eligible for, and among those runners the lowest-priority
+// one (the first in CPU order on a tie). It costs O(CPUs + queued
+// CPU-bound LWPs) instead of O(kernelQ x CPUs):
 //
 //   - a CPU-bound LWP is eligible on one CPU only, so it is tested against
 //     that CPU's runner alone;
@@ -509,159 +498,216 @@ func (c *Core[T, L, C]) PreemptPass() {
 //     answer: the queue is priority-descending and ShouldPreempt rises
 //     with the queued priority, so if that LWP cannot preempt the lowest
 //     runner, no LWP behind it can preempt any runner (see Policy).
-func (c *Core[T, L, C]) preemptVictim() (C, bool) {
-	var zeroL L
-	var zeroC C
+func (c *Core) preemptVictim() int32 {
 	for _, l := range c.kernelQ {
-		q := l.Node().Prio
-		if b := l.SchedThread().SchedBoundCPU(); b >= 0 {
+		q := c.lwps[l].Prio
+		if b := c.threads[c.lwps[l].thread].BoundCPU; b >= 0 {
 			if b < len(c.cpus) {
-				cpu := c.cpus[b]
-				if rl := cpu.SchedLWP(); rl != zeroL && c.policy.ShouldPreempt(q, rl.Node().Prio) {
-					return cpu, true
+				if rl := c.cpus[b].lwp; rl != nilIdx && c.policy.ShouldPreempt(q, c.lwps[rl].Prio) {
+					return int32(b)
 				}
 			}
 			continue
 		}
-		low, lowPrio := zeroC, 0
-		for _, cpu := range c.cpus {
-			if rl := cpu.SchedLWP(); rl != zeroL {
-				if p := rl.Node().Prio; low == zeroC || p < lowPrio {
-					low, lowPrio = cpu, p
+		low, lowPrio := nilIdx, 0
+		for i := range c.cpus {
+			if rl := c.cpus[i].lwp; rl != nilIdx {
+				if p := c.lwps[rl].Prio; low == nilIdx || p < lowPrio {
+					low, lowPrio = int32(i), p
 				}
 			}
 		}
-		if low != zeroC && c.policy.ShouldPreempt(q, lowPrio) {
-			return low, true
+		if low != nilIdx && c.policy.ShouldPreempt(q, lowPrio) {
+			return low
 		}
 		break
 	}
-	return zeroC, false
+	return nilIdx
 }
 
-// NextThread hands a pool LWP — still linked to cpu — its next queued
-// unbound thread and starts it (run), or unlinks and idles it. This is
-// the fast run-to-next-thread path that skips the kernel queue.
-func (c *Core[T, L, C]) NextThread(cpu C, l L) {
-	next := c.PopUserRunQ()
-	var zeroT T
-	if next == zeroT {
-		c.Unlink(cpu, l)
+// nextThread hands the pool LWP running on cpu, which carries no thread,
+// its next queued unbound thread and starts it (run), or unlinks and
+// idles it. This is the fast run-to-next-thread path that skips the
+// kernel queue.
+func (c *Core) nextThread(cpu int32) {
+	l := c.cpus[cpu].lwp
+	next := c.popUserRunQ()
+	if next == nilIdx {
+		c.unlink(cpu)
 		c.idleLWPs = append(c.idleLWPs, l)
 		return
 	}
-	l.SetSchedThread(next)
-	next.SetSchedLWP(l)
-	c.run(cpu, l, next, false)
+	c.pair(next, l)
+	c.run(cpu, false)
 }
 
-// ---- releasing a thread's LWP ---------------------------------------------
-//
-// These methods only move the LWP a thread leaves behind; the thread's
-// own state changes are made by their callers.
-
-// release unpairs a pool LWP and its thread.
-func (c *Core[T, L, C]) release(t T, l L) {
-	var zeroT T
-	var zeroL L
-	l.SetSchedThread(zeroT)
-	t.SetSchedLWP(zeroL)
-}
-
-// detach takes a thread that stopped running (it blocked, or suspended
-// itself) off cpu: a bound thread's dedicated LWP sleeps with it, a pool
-// LWP moves on to its next thread.
-func (c *Core[T, L, C]) detach(cpu C, t T) {
-	l := t.SchedLWP()
-	if t.SchedBound() {
-		c.Unlink(cpu, l)
+// detach takes thread ti, which stopped running on cpu (it blocked, or a
+// thr_suspend stopped it), off the CPU: a bound thread's dedicated LWP
+// sleeps with it, a pool LWP moves on to its next thread and the thread
+// reattaches to an LWP when it is woken.
+func (c *Core) detach(cpu, ti int32) {
+	n := c.threads[ti]
+	if n.Bound {
+		c.unlink(cpu)
 		return
 	}
-	cpu.Node().Epoch++
-	c.release(t, l)
-	c.NextThread(cpu, l)
-}
-
-// evict takes a running thread off cpu without requeueing it (another
-// thread suspended it). A pool LWP moves on to other work and the thread
-// reattaches when it is continued.
-func (c *Core[T, L, C]) evict(cpu C, t T) {
-	l := t.SchedLWP()
-	c.Unlink(cpu, l)
-	if !t.SchedBound() {
-		c.release(t, l)
-		c.NextThread(cpu, l)
-	}
+	c.cpus[cpu].Epoch++
+	c.release(n)
+	c.nextThread(cpu)
 }
 
 // unqueue removes a runnable thread from whichever queue holds it,
 // freeing a pool LWP it was queued with.
-func (c *Core[T, L, C]) unqueue(t T) {
-	l := t.SchedLWP()
-	var zeroL L
-	if l == zeroL {
-		c.removeUserRunQ(t)
+func (c *Core) unqueue(n *ThreadNode) {
+	l := n.lwp
+	if l == nilIdx {
+		c.removeUserRunQ(n.TI)
 		return
 	}
 	c.removeKernelQ(l)
-	if !t.SchedBound() {
-		c.release(t, l)
-		c.ReassignOrIdle(l)
+	if !n.Bound {
+		c.release(n)
+		c.reassignOrIdle(l)
 	}
 }
 
-// Exit frees the LWP of a thread exiting on cpu: a bound thread's
+// Exit frees the LWP of thread ti, exiting on cpu: a bound thread's
 // dedicated LWP goes with it, a pool LWP moves on to its next thread.
-func (c *Core[T, L, C]) Exit(cpu C, t T) {
-	l := t.SchedLWP()
-	var zeroL L
-	t.SetSchedLWP(zeroL)
-	cpu.Node().Epoch++
-	if l == zeroL {
+func (c *Core) Exit(cpu, ti int32) {
+	n := c.threads[ti]
+	l := n.lwp
+	c.cpus[cpu].Epoch++
+	if l == nilIdx {
 		return
 	}
-	if l.Node().Dedicated {
-		c.Unlink(cpu, l)
+	n.lwp = nilIdx
+	if c.lwps[l].Dedicated {
+		c.unlink(cpu)
 		return
 	}
-	var zeroT T
-	l.SetSchedThread(zeroT)
-	c.NextThread(cpu, l)
+	c.lwps[l].thread = nilIdx
+	c.nextThread(cpu)
 }
 
-// ReassignOrIdle gives a free, unqueued pool LWP its next queued unbound
+// reassignOrIdle gives a free, unqueued pool LWP its next queued unbound
 // thread (requeuing the LWP on the kernel queue) or parks it on the idle
 // list.
-func (c *Core[T, L, C]) ReassignOrIdle(l L) {
-	next := c.PopUserRunQ()
-	var zeroT T
-	if next == zeroT {
+func (c *Core) reassignOrIdle(l int32) {
+	next := c.popUserRunQ()
+	if next == nilIdx {
 		c.idleLWPs = append(c.idleLWPs, l)
 		return
 	}
-	l.SetSchedThread(next)
-	next.SetSchedLWP(l)
-	c.PushKernelQ(l)
+	c.pair(next, l)
+	c.pushKernelQ(l)
 }
 
 // sliceExpired applies the policy's quantum-expiry rules to the LWP
 // running on cpu. It returns true when the LWP yielded the CPU and false
 // when it keeps running (the caller re-arms its slice).
-func (c *Core[T, L, C]) sliceExpired(cpu C) bool {
-	cn := cpu.Node()
+func (c *Core) sliceExpired(cpu int32) bool {
+	cn := &c.cpus[cpu]
 	c.account(cn)
 	waiting, has := c.peekKernelQ(cpu)
-	n := cn.lwp
-	newPrio, yield := c.policy.OnSliceExpiry(n.Prio, waiting, has)
-	if newPrio < n.Prio {
+	ln := &c.lwps[cn.lwp]
+	newPrio, yield := c.policy.OnSliceExpiry(ln.Prio, waiting, has)
+	if newPrio < ln.Prio {
 		// A running LWP's priority dropped: queued LWPs may now preempt it.
 		c.preemptDirty = true
 	}
-	n.Prio = newPrio
-	n.QuantumLeft = c.policy.Quantum(newPrio)
+	ln.Prio = newPrio
+	ln.QuantumLeft = c.policy.Quantum(newPrio)
 	if yield {
-		c.Undispatch(cpu)
+		c.undispatch(cpu)
 		return true
 	}
 	return false
+}
+
+// ---- link check -----------------------------------------------------------
+
+// CheckLinks verifies that the CPUs, LWPs, threads and queues link to one
+// another consistently, and returns the first violation it finds. Every
+// running or queued LWP sits in exactly one place (on a CPU, in the
+// kernel queue or in the idle pool), a CPU and its LWP point at each
+// other, a running or queued LWP carries a thread that points back at it,
+// an idle or queued LWP is on no CPU, a thread in the user run queue is
+// runnable and carries no LWP, and idleCPUs counts the idle CPUs. Tests
+// call it after every event; it allocates, so the run loops do not.
+func (c *Core) CheckLinks() error {
+	where := make([]string, len(c.lwps))
+	place := func(l int32, at string) error {
+		if where[l] != "" {
+			return fmt.Errorf("LWP %d both %s and %s", l, where[l], at)
+		}
+		where[l] = at
+		return nil
+	}
+	idle := 0
+	for i, cn := range c.cpus {
+		l := cn.lwp
+		if l == nilIdx {
+			idle++
+			continue
+		}
+		if err := place(l, fmt.Sprintf("on cpu %d", i)); err != nil {
+			return err
+		}
+		if c.lwps[l].cpu != int32(i) {
+			return fmt.Errorf("cpu %d runs LWP %d but LWP points elsewhere", i, l)
+		}
+		if c.lwps[l].thread == nilIdx {
+			return fmt.Errorf("cpu %d runs threadless LWP %d", i, l)
+		}
+	}
+	if idle != c.idleCPUs {
+		return fmt.Errorf("%d cpus idle, counted %d", idle, c.idleCPUs)
+	}
+	for _, l := range c.kernelQ {
+		if err := place(l, "in kernelQ"); err != nil {
+			return err
+		}
+		if c.lwps[l].thread == nilIdx {
+			return fmt.Errorf("threadless LWP %d in kernelQ", l)
+		}
+		if cpu := c.lwps[l].cpu; cpu != nilIdx {
+			return fmt.Errorf("queued LWP %d claims cpu %d", l, cpu)
+		}
+	}
+	for _, l := range c.idleLWPs {
+		if err := place(l, "idle"); err != nil {
+			return err
+		}
+		if ti := c.lwps[l].thread; ti != nilIdx {
+			return fmt.Errorf("idle LWP %d has thread %d", l, ti)
+		}
+		if cpu := c.lwps[l].cpu; cpu != nilIdx {
+			return fmt.Errorf("idle LWP %d claims cpu %d", l, cpu)
+		}
+	}
+	for l, ln := range c.lwps {
+		if where[l] != "" && ln.thread != nilIdx && c.threads[ln.thread].lwp != int32(l) {
+			return fmt.Errorf("LWP %d %s carries thread %d, which points elsewhere", l, where[l], ln.thread)
+		}
+	}
+	for _, n := range c.threads {
+		if n.State == Zombie {
+			continue
+		}
+		if l := n.lwp; l != nilIdx && c.lwps[l].thread != n.TI {
+			return fmt.Errorf("thread %d points to LWP %d which carries another thread", n.TI, l)
+		}
+		if n.State == Running && (n.lwp == nilIdx || c.lwps[n.lwp].cpu == nilIdx) {
+			return fmt.Errorf("running thread %d has no LWP/CPU", n.TI)
+		}
+	}
+	for _, ti := range c.userRunQ {
+		if l := c.threads[ti].lwp; l != nilIdx {
+			return fmt.Errorf("thread %d in userRunQ but attached to LWP %d", ti, l)
+		}
+		if st := c.threads[ti].State; st != Runnable {
+			return fmt.Errorf("thread %d in userRunQ is %v", ti, st)
+		}
+	}
+	return nil
 }

@@ -37,13 +37,13 @@ type Event struct {
 }
 
 // Push queues an engine event for delivery at time at.
-func (c *Core[T, L, C]) Push(at vtime.Time, ev Event) { c.events.Push(at, ev) }
+func (c *Core) Push(at vtime.Time, ev Event) { c.events.Push(at, ev) }
 
 // Pop removes and returns the next event: the earlier of the queue's head
 // and the earliest slice timer, comparing full (time, insertion order)
 // keys, so the order is exactly the one a single queue holding both would
 // deliver. ok is false when neither holds an event.
-func (c *Core[T, L, C]) Pop() (at vtime.Time, ev Event, ok bool) {
+func (c *Core) Pop() (at vtime.Time, ev Event, ok bool) {
 	if r := &c.slices; r.n > 0 && (c.events.Len() == 0 || r.peek().before(c.events.PeekKey())) {
 		e := r.pop()
 		return e.at, Event{Kind: EvSlice, Who: e.cpu}, true
@@ -57,74 +57,78 @@ func (c *Core[T, L, C]) Pop() (at vtime.Time, ev Event, ok bool) {
 
 // Handle delivers one of the Core's own events. A slice that ends applies
 // the policy's quantum-expiry rules and re-arms the slice unless the LWP
-// yielded its CPU. A burst that ends charges its CPU, which Handle
-// returns with ended true: the engine then takes the thread running there
-// through its call stages until it needs CPU time again (Burst), blocks
-// or exits. A stale burst is dropped.
-func (c *Core[T, L, C]) Handle(ev Event) (cpu C, ended bool) {
-	cpu, cn := c.cpus[ev.Who], c.nodes[ev.Who]
-	if cn.lwp == nil {
-		return cpu, false
+// yielded its CPU. A burst that ends charges its CPU and returns the
+// thread running there with ended true: the engine then takes that
+// thread through its call stages until it needs CPU time again (Burst),
+// blocks or exits. A stale burst is dropped.
+func (c *Core) Handle(ev Event) (ti int32, ended bool) {
+	cpu := ev.Who
+	cn := &c.cpus[cpu]
+	if cn.lwp == nilIdx {
+		return nilIdx, false
 	}
 	switch ev.Kind {
 	case EvBurst:
 		if cn.Epoch != ev.Epoch {
-			return cpu, false
+			return nilIdx, false
 		}
 		c.account(cn)
-		return cpu, true
+		return c.lwps[cn.lwp].thread, true
 	case EvSlice:
 		if !c.sliceExpired(cpu) {
-			c.armSlice(cn, cn.lwp)
+			c.armSlice(cpu, &c.lwps[cn.lwp])
 		}
 	}
-	return cpu, false
+	return nilIdx, false
 }
 
-// run starts t, which l carries, on cpu and marks it running. It charges
-// the dispatch overheads, lets the engine finish a call that completed
-// while t was off-CPU, and arms the CPU's burst and slice timers. placed
-// is true when cpu was idle (DispatchAll) and false when l, still on
-// cpu, moves on to its next thread (NextThread).
-func (c *Core[T, L, C]) run(cpu C, l L, t T, placed bool) {
-	cn, ln, tn := cpu.Node(), l.Node(), t.Node()
-	cn.lwp, cn.thread = ln, tn
-	tn.To(Running, *c.now, int32(cn.ID), int32(ln.ID))
+// run starts the thread that the LWP linked to cpu carries and marks it
+// running. It charges the dispatch overheads, lets the engine finish a
+// call that completed while the thread was off-CPU, and arms the CPU's
+// burst and slice timers. placed is true when cpu was idle (DispatchAll)
+// and false when its LWP moves on to its next thread (nextThread).
+func (c *Core) run(cpu int32, placed bool) {
+	cn := &c.cpus[cpu]
+	l := cn.lwp
+	ti := c.lwps[l].thread
+	tn := c.threads[ti]
+	tn.To(Running, *c.now, cpu, l)
 	if placed {
 		cn.accounted = *c.now
 		cn.overhead = 0
-		if cn.lastLWP != ln.ID {
+		if cn.lastLWP != l {
 			cn.overhead = c.costs.ContextSwitch
 		}
-		cn.lastLWP = ln.ID
+		cn.lastLWP = l
 	} else {
 		cn.overhead += c.costs.ContextSwitch
 	}
-	if tn.LastCPU >= 0 && tn.LastCPU != cn.ID {
+	if tn.LastCPU >= 0 && tn.LastCPU != int(cpu) {
 		cn.overhead += c.costs.Migration
 	}
-	tn.LastCPU = cn.ID
+	tn.LastCPU = int(cpu)
 	if tn.Stage == StageWaiting {
-		c.engine.Complete(cpu, t)
-		if cn.lwp != ln || cn.thread != tn {
+		c.engine.Complete(cpu, ti)
+		if cn.lwp != l || c.lwps[l].thread != ti {
 			return
 		}
 	}
-	c.armBurst(cn, tn)
-	c.armSlice(cn, ln)
+	c.armBurst(cpu, tn)
+	c.armSlice(cpu, &c.lwps[l])
 }
 
 // account charges the time since the CPU with node cn was last accounted:
 // all of it to the running LWP's quantum, and to the dispatch overhead the
 // CPU owes first and the thread's work after, which becomes its CPU time.
 // It is the one place either engine charges elapsed CPU time.
-func (c *Core[T, L, C]) account(cn *CPUNode) {
+func (c *Core) account(cn *CPUNode) {
 	dt := c.now.Sub(cn.accounted)
 	cn.accounted = *c.now
-	if cn.lwp == nil || dt <= 0 {
+	if cn.lwp == nilIdx || dt <= 0 {
 		return
 	}
-	cn.lwp.QuantumLeft -= dt
+	ln := &c.lwps[cn.lwp]
+	ln.QuantumLeft -= dt
 	if cn.overhead > 0 {
 		if dt <= cn.overhead {
 			cn.overhead -= dt
@@ -133,44 +137,45 @@ func (c *Core[T, L, C]) account(cn *CPUNode) {
 		dt -= cn.overhead
 		cn.overhead = 0
 	}
-	tn := cn.thread
+	tn := c.threads[ln.thread]
 	dt = min(dt, tn.WorkLeft)
 	tn.WorkLeft -= dt
 	tn.CPUTime += dt
 }
 
-// Burst arms the burst timer of the CPU with node cn if tn, the node of
-// the thread running there, still owes dispatch overhead or CPU work, and
-// reports whether it did. An engine asks it before each of the thread's
-// call stages.
-func (c *Core[T, L, C]) Burst(cn *CPUNode, tn *ThreadNode) bool {
-	if cn.overhead > 0 || tn.WorkLeft > 0 {
-		c.armBurst(cn, tn)
+// Burst arms the burst timer of cpu if tn, the node of the thread running
+// there, still owes dispatch overhead or CPU work, and reports whether it
+// did. An engine asks it before each of the thread's call stages, with
+// the node it holds (a lookup by index here would cost a load per stage).
+func (c *Core) Burst(cpu int32, tn *ThreadNode) bool {
+	if c.cpus[cpu].overhead > 0 || tn.WorkLeft > 0 {
+		c.armBurst(cpu, tn)
 		return true
 	}
 	return false
 }
 
-// armBurst arms the CPU's burst timer for the overhead it owes and its
-// thread's work, invalidating the one armed before.
-func (c *Core[T, L, C]) armBurst(cn *CPUNode, tn *ThreadNode) {
+// armBurst arms the CPU's burst timer for the overhead it owes and the
+// work of its thread tn, invalidating the one armed before.
+func (c *Core) armBurst(cpu int32, tn *ThreadNode) {
+	cn := &c.cpus[cpu]
 	cn.Epoch++
-	c.events.Push(c.now.Add(cn.overhead+tn.WorkLeft), Event{Kind: EvBurst, Who: int32(cn.ID), Epoch: cn.Epoch})
+	c.events.Push(c.now.Add(cn.overhead+tn.WorkLeft), Event{Kind: EvBurst, Who: cpu, Epoch: cn.Epoch})
 }
 
-// armSlice arms the slice timer of the LWP running on the CPU for what is
+// armSlice arms the slice timer of ln, the LWP running on cpu, for what is
 // left of its quantum, refilling an exhausted one from the policy, and
 // drops the timer armed before. A policy without time slicing arms none:
 // the LWP runs to block.
-func (c *Core[T, L, C]) armSlice(cn *CPUNode, ln *LWPNode) {
-	c.slices.remove(int32(cn.ID))
+func (c *Core) armSlice(cpu int32, ln *LWPNode) {
+	c.slices.remove(cpu)
 	if ln.QuantumLeft <= 0 {
 		ln.QuantumLeft = c.policy.Quantum(ln.Prio)
 	}
 	if ln.QuantumLeft <= 0 {
 		return
 	}
-	c.slices.insert(sliceEnt{at: c.now.Add(ln.QuantumLeft), seq: c.events.ReserveSeq(), cpu: int32(cn.ID)})
+	c.slices.insert(sliceEnt{at: c.now.Add(ln.QuantumLeft), seq: c.events.ReserveSeq(), cpu: cpu})
 }
 
 // ---- slice ring -----------------------------------------------------------

@@ -10,38 +10,37 @@ import (
 
 // TestStaleSliceEventDropped pins how a slice timer goes stale without an
 // epoch: a slice event applies the policy's quantum-expiry rules and
-// re-arms the slice in place of the delivered one, and Unlink (the single
+// re-arms the slice in place of the delivered one, and unlink (the single
 // requeue helper) takes the CPU's timer out of the ring, so a slice
 // event that has gone stale is never delivered.
 func TestStaleSliceEventDropped(t *testing.T) {
-	c, _, cpus := newFakeCore(t, "ts", 1, false)
-	l := newLWP(1, dispatch.DefaultPriority)
-	cpu := cpus[0]
-	link(c, cpu, l)
+	c, _ := newFakeCore(t, "ts", 1, false)
+	l := newLWP(c, dispatch.DefaultPriority)
+	link(c, 0, l)
 
 	// tqexp demotion 29 -> 19, no yield with an empty kernel queue, and
 	// the next slice re-armed.
 	want := dispatch.NewTable().AfterQuantumExpiry(dispatch.DefaultPriority)
 	c.Handle(Event{Kind: EvSlice, Who: 0})
-	if l.Prio != want {
-		t.Fatalf("slice event: Prio = %d, want the tqexp demotion to %d", l.Prio, want)
+	if p := c.lwps[l].Prio; p != want {
+		t.Fatalf("slice event: Prio = %d, want the tqexp demotion to %d", p, want)
 	}
-	if cpu.lwp != l {
+	if c.cpus[0].lwp != l {
 		t.Fatal("runner with no competitor must keep its CPU")
 	}
-	if c.slices.n != 1 || c.slices.peek().at != vtime.Time(0).Add(c.Quantum(want)) {
+	if c.slices.n != 1 || c.slices.peek().at != vtime.Time(0).Add(c.policy.Quantum(want)) {
 		t.Fatal("next slice event not re-armed for the demoted quantum")
 	}
 
-	// Unlink drops the timer armed above: relinked to the CPU, the LWP
+	// unlink drops the timer armed above: relinked to the CPU, the LWP
 	// has no slice event left to receive.
-	c.Unlink(cpu, l)
+	c.unlink(0)
 	if c.slices.n != 0 {
-		t.Fatal("Unlink left the slice timer listed")
+		t.Fatal("unlink left the slice timer listed")
 	}
-	link(c, cpu, l)
+	link(c, 0, l)
 	if at, ev, ok := c.Pop(); ok {
-		t.Fatalf("Pop delivered %+v at %v after Unlink", ev, at)
+		t.Fatalf("Pop delivered %+v at %v after unlink", ev, at)
 	}
 }
 
@@ -53,33 +52,37 @@ func TestStaleSliceEventDropped(t *testing.T) {
 // costs charges nothing.
 func TestDispatchOverheadRules(t *testing.T) {
 	for _, costs := range []Overheads{{ContextSwitch: 10, Migration: 100}, {}} {
-		c, _, cpus := newFakeCoreCosts(t, "ts", 2, false, costs)
+		c, _ := newFakeCoreCosts(t, "ts", 2, false, costs)
 		cs, mig := costs.ContextSwitch, costs.Migration
 		// thread makes an unbound thread pinned to CPU 0 that last ran on
 		// lastCPU.
-		thread := func(id, lastCPU int) *fakeThread {
-			return &fakeThread{ThreadNode: ThreadNode{LastCPU: lastCPU, WorkLeft: 50}, id: id, prio: 29, boundCPU: 0}
+		thread := func(lastCPU int) int32 {
+			ti := addThread(c, 29)
+			n := c.threads[ti]
+			n.LastCPU, n.WorkLeft, n.BoundCPU = lastCPU, 50, 0
+			return ti
 		}
-		place := func(l *fakeLWP) {
+		place := func(l int32) {
 			t.Helper()
-			c.PushKernelQ(l)
+			c.pushKernelQ(l)
 			c.DispatchAll()
-			if cpus[0].lwp != l {
-				t.Fatalf("LWP %d not placed on CPU 0", l.ID)
+			if c.cpus[0].lwp != l {
+				t.Fatalf("LWP %d not placed on CPU 0", l)
 			}
 		}
 		owes := func(what string, want vtime.Duration) {
 			t.Helper()
-			if got := cpus[0].overhead; got != want {
+			if got := c.cpus[0].overhead; got != want {
 				t.Errorf("costs %+v, %s: CPU 0 owes %v, want %v", costs, what, got, want)
 			}
 		}
-		lwp := func(id int, t *fakeThread) *fakeLWP {
-			l := &fakeLWP{LWPNode: LWPNode{ID: id, Prio: 29}, thread: t}
-			t.lwp = l
+		lwp := func(ti int32) int32 {
+			l := c.newLWP(false)
+			c.lwps[l].QuantumLeft = 0
+			c.pair(ti, l)
 			return l
 		}
-		a := lwp(1, thread(1, -1))
+		a := lwp(thread(-1))
 
 		place(a)
 		owes("first placement", cs)
@@ -90,45 +93,45 @@ func TestDispatchOverheadRules(t *testing.T) {
 
 		// Accounting pays the overhead first: 5 past it, the thread has
 		// used 5 of its work and the LWP 5 + cs of its quantum.
-		q := a.QuantumLeft
+		q := c.lwps[a].QuantumLeft
 		*c.now = vtime.Time(cs + 5)
-		c.account(&cpus[0].CPUNode)
+		c.account(&c.cpus[0])
 		owes("after accounting past it", 0)
-		if a.thread.CPUTime != 5 || a.thread.WorkLeft != 45 || a.QuantumLeft != q-(cs+5) {
+		if an := threadOf(c, a); an.CPUTime != 5 || an.WorkLeft != 45 || c.lwps[a].QuantumLeft != q-(cs+5) {
 			t.Errorf("costs %+v: CPUTime %v WorkLeft %v quantum used %v, want 5, 45 and %v",
-				costs, a.thread.CPUTime, a.thread.WorkLeft, q-a.QuantumLeft, cs+5)
+				costs, an.CPUTime, an.WorkLeft, q-c.lwps[a].QuantumLeft, cs+5)
 		}
 
-		c.Undispatch(cpus[0])
+		c.undispatch(0)
 		c.DispatchAll()
 		owes("the same LWP placed again", 0)
 
-		c.Undispatch(cpus[0])
+		c.undispatch(0)
 		c.removeKernelQ(a)
-		b := lwp(2, thread(2, 0))
+		b := lwp(thread(0))
 		place(b)
 		owes("another LWP placed", cs)
 
-		c.Undispatch(cpus[0])
+		c.undispatch(0)
 		c.removeKernelQ(b)
-		b.thread.LastCPU = 1
+		threadOf(c, b).LastCPU = 1
 		place(b)
 		owes("the last LWP placed, its thread migrating", mig)
 
 		// Run-to-next-thread: b's thread blocks and b takes the next
 		// queued thread, which last ran here, then one that migrates.
-		c.account(&cpus[0].CPUNode) // nothing elapsed: the overhead stays owed
-		next := thread(3, 0)
-		c.PushUserRunQ(next)
-		c.Block(cpus[0], b.thread)
-		if b.thread != next {
-			t.Fatal("NextThread did not hand LWP 2 the queued thread")
+		c.account(&c.cpus[0]) // nothing elapsed: the overhead stays owed
+		next := thread(0)
+		c.pushUserRunQ(next)
+		c.Block(0, c.lwps[b].thread)
+		if c.lwps[b].thread != next {
+			t.Fatalf("nextThread did not hand LWP %d the queued thread", b)
 		}
 		owes("a switch to the next thread", mig+cs)
 		*c.now = c.now.Add(mig + cs)
-		c.account(&cpus[0].CPUNode)
-		c.PushUserRunQ(thread(4, 1))
-		c.Block(cpus[0], next)
+		c.account(&c.cpus[0])
+		c.pushUserRunQ(thread(1))
+		c.Block(0, next)
 		owes("a switch to a migrating next thread", cs+mig)
 	}
 }
@@ -143,17 +146,17 @@ func TestMergedPopMatchesOneQueue(t *testing.T) {
 	var slices, ties int
 	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		c, _, cpus := newFakeCore(t, "ts", 1+rng.Intn(6), false)
-		lwps := make([]*fakeLWP, len(cpus))
-		for i, cpu := range cpus {
-			lwps[i] = newLWP(i, 29)
-			link(c, cpu, lwps[i])
+		c, _ := newFakeCore(t, "ts", 1+rng.Intn(6), false)
+		lwps := make([]int32, len(c.cpus))
+		for i := range lwps {
+			lwps[i] = newLWP(c, 29)
+			link(c, i, lwps[i])
 		}
 		// The reference queue keeps every armed slice timer, stamped with
 		// a per-CPU arm count, and skips the ones re-armed or unlinked
 		// since.
 		var ref vtime.EventQueue[Event]
-		armed := make([]uint64, len(cpus))
+		armed := make([]uint64, len(lwps))
 		var last vtime.Time
 		pop := func() bool {
 			at, ev, ok := c.Pop()
@@ -189,20 +192,20 @@ func TestMergedPopMatchesOneQueue(t *testing.T) {
 		}
 		for op := 0; op < 200; op++ {
 			now := *c.now
-			switch i := rng.Intn(len(cpus)); rng.Intn(5) {
+			switch i := rng.Intn(len(lwps)); rng.Intn(5) {
 			case 0, 1: // arm or re-arm CPU i's slice for a short quantum
-				l := lwps[i]
-				l.QuantumLeft = vtime.Duration(rng.Intn(4) * 10)
-				if l.QuantumLeft == 0 {
-					l.QuantumLeft = -1 // exhausted: refilled from the policy
+				ln := &c.lwps[lwps[i]]
+				ln.QuantumLeft = vtime.Duration(rng.Intn(4) * 10)
+				if ln.QuantumLeft == 0 {
+					ln.QuantumLeft = -1 // exhausted: refilled from the policy
 				}
-				c.armSlice(&cpus[i].CPUNode, &l.LWPNode)
+				c.armSlice(int32(i), ln)
 				armed[i]++
-				ref.Push(now.Add(l.QuantumLeft), Event{Kind: EvSlice, Who: int32(i), Epoch: armed[i]})
+				ref.Push(now.Add(ln.QuantumLeft), Event{Kind: EvSlice, Who: int32(i), Epoch: armed[i]})
 			case 2: // CPU i's LWP leaves and comes back
-				c.Unlink(cpus[i], lwps[i])
+				c.unlink(int32(i))
 				armed[i]++
-				link(c, cpus[i], lwps[i])
+				link(c, i, lwps[i])
 			case 3: // an engine event
 				ev := Event{Kind: EvEngine, Who: int32(rng.Intn(8)), Epoch: uint64(op)}
 				at := now.Add(vtime.Duration(rng.Intn(4) * 10))
@@ -224,29 +227,29 @@ func TestMergedPopMatchesOneQueue(t *testing.T) {
 // placement raises PeakRunning to one more than its CPU's index, so a
 // thread bound to a high CPU counts the CPUs below it. Contended turns on
 // when a pass leaves an LWP in the kernel queue or a thread in the user
-// run queue, and on any eviction, even one whose LWP finds another CPU in
-// the same pass.
+// run queue, when a CPU-bound LWP takes its CPU ahead of a queued rival,
+// and on any eviction, even one whose LWP finds another CPU in the same
+// pass.
 func TestPeakAndContended(t *testing.T) {
-	c, _, _ := newFakeCore(t, "ts", 4, true)
+	c, _ := newFakeCore(t, "ts", 4, true)
 	pass := func() { c.DispatchAll(); c.PreemptPass() }
-	a, b := newLWP(1, 29), newLWP(2, 29)
-	c.PushKernelQ(a)
-	c.PushKernelQ(b)
+	c.pushKernelQ(newLWP(c, 29))
+	c.pushKernelQ(newLWP(c, 29))
 	pass()
 	if c.PeakRunning() != 2 || c.Contended() {
 		t.Fatalf("two LWPs on four CPUs: peak %d, contended %v; want 2, false", c.PeakRunning(), c.Contended())
 	}
-	pinned := newLWP(3, 29)
-	pinned.thread.boundCPU = 3
-	c.PushKernelQ(pinned)
+	pinned := newLWP(c, 29)
+	threadOf(c, pinned).BoundCPU = 3
+	c.pushKernelQ(pinned)
 	pass()
 	if c.PeakRunning() != 4 || c.Contended() {
 		t.Fatalf("an LWP bound to CPU 3: peak %d, contended %v; want 4, false", c.PeakRunning(), c.Contended())
 	}
 
 	// A thread left waiting for an LWP.
-	c2, _, _ := newFakeCore(t, "ts", 2, false)
-	c2.PushUserRunQ(&fakeThread{id: 9, prio: 29, boundCPU: -1})
+	c2, _ := newFakeCore(t, "ts", 2, false)
+	c2.pushUserRunQ(addThread(c2, 29))
 	c2.DispatchAll()
 	c2.PreemptPass()
 	if !c2.Contended() {
@@ -254,25 +257,44 @@ func TestPeakAndContended(t *testing.T) {
 	}
 
 	// An LWP left waiting for a CPU, with preemption off.
-	c3, _, _ := newFakeCore(t, "fifo", 1, true)
-	c3.PushKernelQ(newLWP(1, 29))
-	c3.PushKernelQ(newLWP(2, 29))
+	c3, _ := newFakeCore(t, "fifo", 1, true)
+	c3.pushKernelQ(newLWP(c3, 29))
+	c3.pushKernelQ(newLWP(c3, 29))
 	c3.DispatchAll()
 	c3.PreemptPass()
 	if !c3.Contended() || c3.PeakRunning() != 1 {
 		t.Fatalf("two LWPs on one CPU: contended %v, peak %d; want true, 1", c3.Contended(), c3.PeakRunning())
 	}
 
+	// A CPU-bound LWP placed ahead of another that may run on its CPU
+	// took the CPU by queue order; one whose rival may not run there did
+	// not.
+	for _, tc := range []struct {
+		boundTo   int
+		contended bool
+	}{{0, true}, {1, false}} {
+		c5, _ := newFakeCore(t, "ts", 2, true)
+		bound, rival := newLWP(c5, 40), newLWP(c5, 29)
+		threadOf(c5, bound).BoundCPU = tc.boundTo
+		c5.pushKernelQ(bound)
+		c5.pushKernelQ(rival)
+		c5.DispatchAll()
+		c5.PreemptPass()
+		if c5.Contended() != tc.contended || len(c5.kernelQ) != 0 {
+			t.Fatalf("LWP bound to CPU %d queued with a rival: contended %v with %d queued; want %v with none queued",
+				tc.boundTo, c5.Contended(), len(c5.kernelQ), tc.contended)
+		}
+	}
+
 	// An eviction counts though the pass places the LWP again at once.
-	c4, _, cpus4 := newFakeCore(t, "ts", 2, false)
-	l := newLWP(1, 29)
-	c4.PushKernelQ(l)
+	c4, _ := newFakeCore(t, "ts", 2, false)
+	c4.pushKernelQ(newLWP(c4, 29))
 	c4.DispatchAll()
 	c4.PreemptPass()
-	c4.Undispatch(cpus4[0])
+	c4.undispatch(0)
 	c4.DispatchAll()
 	c4.PreemptPass()
-	if !c4.Contended() || len(c4.KernelQ()) != 0 {
-		t.Fatalf("eviction: contended %v with %d queued; want true with none queued", c4.Contended(), len(c4.KernelQ()))
+	if !c4.Contended() || len(c4.kernelQ) != 0 {
+		t.Fatalf("eviction: contended %v with %d queued; want true with none queued", c4.Contended(), len(c4.kernelQ))
 	}
 }

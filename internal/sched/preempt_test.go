@@ -44,25 +44,25 @@ func TestPolicyContract(t *testing.T) {
 // each queued LWP in order, the lowest-priority preemptable runner on an
 // eligible CPU; the first LWP with a victim evicts it. It is the reference
 // TestPreemptPassDifferential compares against.
-func refPreemptPass(c *Core[*fakeThread, *fakeLWP, *fakeCPU]) {
+func refPreemptPass(c *Core) {
 	if c.noPreempt || !c.preemptDirty {
 		return
 	}
 	for {
 		preempted := false
 		for _, l := range c.kernelQ {
-			var victim *fakeCPU
-			for _, cpu := range c.cpus {
-				rl := cpu.SchedLWP()
-				if !c.eligible(cpu, l) || rl == nil {
+			victim := nilIdx
+			for i, cn := range c.cpus {
+				rl := cn.lwp
+				if !c.eligible(int32(i), l) || rl == nilIdx {
 					continue
 				}
-				if c.policy.ShouldPreempt(l.Prio, rl.Prio) && (victim == nil || rl.Prio < victim.lwp.Prio) {
-					victim = cpu
+				if c.policy.ShouldPreempt(c.lwps[l].Prio, c.lwps[rl].Prio) && (victim == nilIdx || c.lwps[rl].Prio < c.lwps[c.cpus[victim].lwp].Prio) {
+					victim = int32(i)
 				}
 			}
-			if victim != nil {
-				c.Undispatch(victim)
+			if victim != nilIdx {
+				c.undispatch(victim)
 				c.DispatchAll()
 				preempted = true
 				break
@@ -80,7 +80,6 @@ func refPreemptPass(c *Core[*fakeThread, *fakeLWP, *fakeCPU]) {
 type preemptGen struct {
 	rng  *rand.Rand
 	nCPU int
-	id   int
 }
 
 // lwp makes a queued or running LWP of random priority and placement
@@ -88,88 +87,75 @@ type preemptGen struct {
 // only, or unbound. All but the first may run on any CPU. Every LWP
 // carries a thread, as a queued or running LWP does in both engines, with
 // more work than any test charges, so its CPU time shows each charge.
-func (g *preemptGen) lwp() *fakeLWP {
-	g.id++
-	l := newLWP(g.id, g.rng.Intn(60))
-	l.thread.WorkLeft = 1000 * vtime.Second
+func (g *preemptGen) lwp(c *Core) int32 {
+	l := newLWP(c, g.rng.Intn(60))
+	n := threadOf(c, l)
+	n.WorkLeft = 1000 * vtime.Second
 	switch g.rng.Intn(6) {
 	case 0, 1:
-		l.thread.bound = true
-		l.thread.boundCPU = g.rng.Intn(g.nCPU + 1)
+		n.Bound = true
+		n.BoundCPU = g.rng.Intn(g.nCPU + 1)
 	case 2:
-		l.thread.bound = true
+		n.Bound = true
 	}
 	return l
 }
 
-func cpuBound(l *fakeLWP) bool { return l.thread.boundCPU >= 0 }
+func cpuBound(c *Core, l int32) bool { return threadOf(c, l).BoundCPU >= 0 }
 
 // state builds a Core with 1-8 CPUs, most of them running an LWP, and up to
 // a dozen LWPs on the kernel queue.
-func (g *preemptGen) state(policy string) (*Core[*fakeThread, *fakeLWP, *fakeCPU], error) {
+func (g *preemptGen) state(policy string) (*Core, error) {
 	pol, err := New(policy)
 	if err != nil {
 		return nil, err
 	}
-	cpus := make([]*fakeCPU, g.nCPU)
-	for i := range cpus {
-		cpus[i] = &fakeCPU{CPUNode: CPUNode{ID: i}}
-	}
-	c := NewCore[*fakeThread, *fakeLWP, *fakeCPU](pol, &fakeEngine{}, new(vtime.Time), cpus, false, Overheads{}, 0)
-	for _, cpu := range cpus {
+	c, _ := newTestCore(pol, g.nCPU, false, Overheads{})
+	for cpu := range c.cpus {
 		if g.rng.Intn(5) == 0 {
 			continue
 		}
-		l := g.lwp()
-		if cpuBound(l) {
-			l.thread.boundCPU = cpu.ID
+		l := g.lwp(c)
+		if cpuBound(c, l) {
+			threadOf(c, l).BoundCPU = cpu
 		}
 		link(c, cpu, l)
 	}
 	for n := g.rng.Intn(13); n > 0; n-- {
-		c.PushKernelQ(g.lwp())
+		c.pushKernelQ(g.lwp(c))
 	}
 	return c, nil
 }
 
 // perturb applies one random scheduling step: a slice expiry on a random
 // runner (which may demote or yield it) or a fresh LWP arriving.
-func (g *preemptGen) perturb(c *Core[*fakeThread, *fakeLWP, *fakeCPU]) {
-	cpu := c.cpus[g.rng.Intn(len(c.cpus))]
-	if cpu.lwp != nil && g.rng.Intn(2) == 0 {
+func (g *preemptGen) perturb(c *Core) {
+	cpu := int32(g.rng.Intn(len(c.cpus)))
+	if c.cpus[cpu].lwp != nilIdx && g.rng.Intn(2) == 0 {
 		c.sliceExpired(cpu)
 		return
 	}
-	c.PushKernelQ(g.lwp())
+	c.pushKernelQ(g.lwp(c))
 }
 
-// runners lists the LWP each CPU runs, nil for an idle CPU.
-func runners(c *Core[*fakeThread, *fakeLWP, *fakeCPU]) []*fakeLWP {
-	ls := make([]*fakeLWP, len(c.cpus))
-	for i, cpu := range c.cpus {
-		ls[i] = cpu.lwp
+// runners lists the LWP each CPU runs, nilIdx for an idle CPU.
+func runners(c *Core) []int32 {
+	ls := make([]int32, len(c.cpus))
+	for i, cn := range c.cpus {
+		ls[i] = cn.lwp
 	}
 	return ls
 }
 
 // snapshot renders everything a preemption decision can change, with the
 // time each CPU was last accounted.
-func snapshot(c *Core[*fakeThread, *fakeLWP, *fakeCPU]) string {
+func snapshot(c *Core) string {
 	accounted := make([]vtime.Time, len(c.cpus))
-	running := make([]int, len(c.cpus))
-	for i, cpu := range c.cpus {
-		accounted[i] = cpu.accounted
-		running[i] = -1
-		if cpu.lwp != nil {
-			running[i] = cpu.lwp.ID
-		}
-	}
-	queued := make([]int, len(c.kernelQ))
-	for i, l := range c.kernelQ {
-		queued[i] = l.ID
+	for i, cn := range c.cpus {
+		accounted[i] = cn.accounted
 	}
 	return fmt.Sprintf("accounted %v running %v queued %v dirty %v",
-		accounted, running, queued, c.preemptDirty)
+		accounted, runners(c), c.kernelQ, c.preemptDirty)
 }
 
 // TestPreemptPassDifferential drives PreemptPass and the full-scan
@@ -178,7 +164,8 @@ func snapshot(c *Core[*fakeThread, *fakeLWP, *fakeCPU]) string {
 // same resulting placement. Each pass runs at a time of its own, and the
 // runners it charges CPU time, read from their threads' nodes, must be
 // exactly the ones it evicted: an evicted runner is charged before it
-// leaves its CPU, and no other is.
+// leaves its CPU, and no other is. The links of both machines are
+// checked after every step (CheckLinks).
 func TestPreemptPassDifferential(t *testing.T) {
 	const seeds = 3000
 	var headBound, boundBehindAny, preempted int
@@ -195,13 +182,13 @@ func TestPreemptPassDifferential(t *testing.T) {
 			}
 			want, _ := gWant.state(policy)
 
-			if q := got.kernelQ; len(q) > 0 && cpuBound(q[0]) {
+			if q := got.kernelQ; len(q) > 0 && cpuBound(got, q[0]) {
 				headBound++
 			}
 			for i, l := range got.kernelQ {
-				if !cpuBound(l) {
+				if !cpuBound(got, l) {
 					for _, behind := range got.kernelQ[i+1:] {
-						if cpuBound(behind) {
+						if cpuBound(got, behind) {
 							boundBehindAny++
 							break
 						}
@@ -220,21 +207,21 @@ func TestPreemptPassDifferential(t *testing.T) {
 				before := runners(got)
 				spent := make([]vtime.Duration, len(before))
 				for i, l := range before {
-					if l != nil {
-						spent[i] = l.thread.CPUTime
+					if l != nilIdx {
+						spent[i] = threadOf(got, l).CPUTime
 					}
 				}
 				got.PreemptPass()
 				after := runners(got)
 				evictions := 0
 				for i, l := range before {
-					if l == nil {
+					if l == nilIdx {
 						continue
 					}
-					evicted, charged := after[i] != l, l.thread.CPUTime != spent[i]
+					evicted, charged := after[i] != l, threadOf(got, l).CPUTime != spent[i]
 					if evicted != charged {
 						t.Fatalf("%s seed %d step %d: LWP %d on CPU %d: evicted %v, charged %v",
-							policy, seed, step, l.ID, i, evicted, charged)
+							policy, seed, step, l, i, evicted, charged)
 					}
 					if evicted {
 						evictions++
@@ -250,6 +237,11 @@ func TestPreemptPassDifferential(t *testing.T) {
 				}
 				gGot.perturb(got)
 				gWant.perturb(want)
+				for _, c := range []*Core{got, want} {
+					if err := c.CheckLinks(); err != nil {
+						t.Fatalf("%s seed %d step %d: %v", policy, seed, step, err)
+					}
+				}
 			}
 		}
 	}

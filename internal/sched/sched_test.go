@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,85 +11,64 @@ import (
 
 // ---- fake engine -----------------------------------------------------------
 
-type fakeThread struct {
-	ThreadNode
-	id       int
-	prio     int
-	bound    bool
-	boundCPU int
-	lwp      *fakeLWP
-}
-
-func (t *fakeThread) Node() *ThreadNode      { return &t.ThreadNode }
-func (t *fakeThread) SchedPrio() int         { return t.prio }
-func (t *fakeThread) SchedBound() bool       { return t.bound }
-func (t *fakeThread) SchedBoundCPU() int     { return t.boundCPU }
-func (t *fakeThread) SchedLWP() *fakeLWP     { return t.lwp }
-func (t *fakeThread) SetSchedLWP(l *fakeLWP) { t.lwp = l }
-
-type fakeLWP struct {
-	LWPNode
-	thread *fakeThread
-	cpu    *fakeCPU
-}
-
-func (l *fakeLWP) Node() *LWPNode               { return &l.LWPNode }
-func (l *fakeLWP) SchedThread() *fakeThread     { return l.thread }
-func (l *fakeLWP) SetSchedThread(t *fakeThread) { l.thread = t }
-func (l *fakeLWP) SchedCPU() *fakeCPU           { return l.cpu }
-func (l *fakeLWP) SetSchedCPU(c *fakeCPU)       { l.cpu = c }
-
-type fakeCPU struct {
-	CPUNode
-	lwp *fakeLWP
-}
-
-func (c *fakeCPU) Node() *CPUNode         { return &c.CPUNode }
-func (c *fakeCPU) SchedLWP() *fakeLWP     { return c.lwp }
-func (c *fakeCPU) SetSchedLWP(l *fakeLWP) { c.lwp = l }
-
 // fakeEngine records the callback sequence the Core drives.
 type fakeEngine struct {
-	completed []int // thread IDs, in Complete order
+	completed []int32 // TIs, in Complete order
 	woken     []int32
 }
 
-func (e *fakeEngine) Complete(_ *fakeCPU, t *fakeThread) { e.completed = append(e.completed, t.id) }
-func (e *fakeEngine) Wake(ti, _ int32)                   { e.woken = append(e.woken, ti) }
+func (e *fakeEngine) Complete(_, ti int32) { e.completed = append(e.completed, ti) }
+func (e *fakeEngine) Wake(ti, _ int32)     { e.woken = append(e.woken, ti) }
 
-func newFakeCore(t *testing.T, policy string, nCPUs int, noPreempt bool) (*Core[*fakeThread, *fakeLWP, *fakeCPU], *fakeEngine, []*fakeCPU) {
+func newFakeCore(t *testing.T, policy string, nCPUs int, noPreempt bool) (*Core, *fakeEngine) {
 	t.Helper()
 	return newFakeCoreCosts(t, policy, nCPUs, noPreempt, Overheads{})
 }
 
 // newFakeCoreCosts is newFakeCore with dispatch overheads.
-func newFakeCoreCosts(t *testing.T, policy string, nCPUs int, noPreempt bool, costs Overheads) (*Core[*fakeThread, *fakeLWP, *fakeCPU], *fakeEngine, []*fakeCPU) {
+func newFakeCoreCosts(t *testing.T, policy string, nCPUs int, noPreempt bool, costs Overheads) (*Core, *fakeEngine) {
 	t.Helper()
 	pol, err := New(policy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpus := make([]*fakeCPU, nCPUs)
-	for i := range cpus {
-		cpus[i] = &fakeCPU{CPUNode: CPUNode{ID: i}}
-	}
-	eng := &fakeEngine{}
-	return NewCore[*fakeThread, *fakeLWP, *fakeCPU](pol, eng, new(vtime.Time), cpus, noPreempt, costs, 0), eng, cpus
+	return newTestCore(pol, nCPUs, noPreempt, costs)
 }
+
+// newTestCore builds a Core with no LWPs: each test creates the ones it
+// needs.
+func newTestCore(pol Policy, nCPUs int, noPreempt bool, costs Overheads) (*Core, *fakeEngine) {
+	eng := &fakeEngine{}
+	c := NewCore(pol, eng, new(vtime.Time), Config{CPUs: nCPUs, NoPreemption: noPreempt, Costs: costs})
+	c.lwps, c.idleLWPs, c.pool = c.lwps[:0], c.idleLWPs[:0], 0
+	return c, eng
+}
+
+// addThread registers a fresh unbound thread of priority prio and returns
+// its TI.
+func addThread(c *Core, prio int) int32 {
+	n := &ThreadNode{TI: int32(len(c.threads)), Prio: prio, BoundCPU: -1}
+	c.AddThread(n)
+	return n.TI
+}
+
+// newLWP creates an LWP of priority prio, with no quantum left, that
+// carries a fresh thread of the same priority, and returns its ID.
+func newLWP(c *Core, prio int) int32 {
+	l := c.newLWP(false)
+	c.lwps[l].Prio, c.lwps[l].QuantumLeft = prio, 0
+	c.pair(addThread(c, prio), l)
+	return l
+}
+
+// threadOf is the node of the thread LWP l carries.
+func threadOf(c *Core, l int32) *ThreadNode { return c.threads[c.lwps[l].thread] }
 
 // link runs l on the idle cpu without starting its thread (no overheads,
 // no timers), the way a test sets up a running machine.
-func link(c *Core[*fakeThread, *fakeLWP, *fakeCPU], cpu *fakeCPU, l *fakeLWP) {
-	cpu.lwp, l.cpu = l, cpu
-	cpu.CPUNode.lwp, cpu.thread = &l.LWPNode, &l.thread.ThreadNode
+func link(c *Core, cpu int, l int32) {
+	c.cpus[cpu].lwp, c.lwps[l].cpu = l, int32(cpu)
 	c.idleCPUs--
-}
-
-func newLWP(id, prio int) *fakeLWP {
-	t := &fakeThread{id: id, prio: prio, boundCPU: -1}
-	l := &fakeLWP{LWPNode: LWPNode{ID: id, Prio: prio}, thread: t}
-	t.lwp = l
-	return l
 }
 
 // ---- registry --------------------------------------------------------------
@@ -213,42 +193,35 @@ func TestRRPolicy(t *testing.T) {
 // TestKernelQueueOrder pins the two ordering rules every policy shares:
 // higher priority first, FIFO among equals.
 func TestKernelQueueOrder(t *testing.T) {
-	c, _, _ := newFakeCore(t, "ts", 1, false)
-	a, b, hi, lo := newLWP(1, 20), newLWP(2, 20), newLWP(3, 40), newLWP(4, 10)
-	for _, l := range []*fakeLWP{a, b, hi, lo} {
-		c.PushKernelQ(l)
+	c, _ := newFakeCore(t, "ts", 1, false)
+	a, b, hi, lo := newLWP(c, 20), newLWP(c, 20), newLWP(c, 40), newLWP(c, 10)
+	for _, l := range []int32{a, b, hi, lo} {
+		c.pushKernelQ(l)
 	}
-	var ids []int
-	for _, l := range c.KernelQ() {
-		ids = append(ids, l.ID)
+	if want := []int32{hi, a, b, lo}; !slices.Equal(c.kernelQ, want) { // a before b: FIFO at 20
+		t.Fatalf("kernel queue order = %v, want %v", c.kernelQ, want)
 	}
-	want := []int{3, 1, 2, 4} // hi, then a before b (FIFO at 20), then lo
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("kernel queue order = %v, want %v", ids, want)
-		}
-	}
-	if !c.removeKernelQ(b) || c.removeKernelQ(b) {
-		t.Fatal("removeKernelQ must remove exactly once")
+	c.removeKernelQ(b)
+	c.removeKernelQ(b)
+	if want := []int32{hi, a, lo}; !slices.Equal(c.kernelQ, want) {
+		t.Fatalf("after removing LWP %d twice: %v, want %v", b, c.kernelQ, want)
 	}
 }
 
 func TestUserRunQueueOrder(t *testing.T) {
-	c, _, _ := newFakeCore(t, "ts", 1, false)
-	t1 := &fakeThread{id: 1, prio: 20, boundCPU: -1}
-	t2 := &fakeThread{id: 2, prio: 20, boundCPU: -1}
-	t3 := &fakeThread{id: 3, prio: 50, boundCPU: -1}
-	for _, th := range []*fakeThread{t1, t2, t3} {
-		c.PushUserRunQ(th)
+	c, _ := newFakeCore(t, "ts", 1, false)
+	t1, t2, t3 := addThread(c, 20), addThread(c, 20), addThread(c, 50)
+	for _, ti := range []int32{t1, t2, t3} {
+		c.pushUserRunQ(ti)
 	}
-	if got := c.PopUserRunQ(); got != t3 {
-		t.Fatalf("PopUserRunQ = T%d, want the high-priority T3", got.id)
+	if got := c.popUserRunQ(); got != t3 {
+		t.Fatalf("popUserRunQ = %d, want the high-priority %d", got, t3)
 	}
-	if got := c.PopUserRunQ(); got != t1 {
-		t.Fatalf("PopUserRunQ = T%d, want T1 (FIFO within priority)", got.id)
+	if got := c.popUserRunQ(); got != t1 {
+		t.Fatalf("popUserRunQ = %d, want %d (FIFO within priority)", got, t1)
 	}
-	if c.PopUserRunQ() != t2 || c.PopUserRunQ() != nil {
-		t.Fatal("queue should drain to nil")
+	if c.popUserRunQ() != t2 || c.popUserRunQ() != nilIdx {
+		t.Fatal("queue should drain to nilIdx")
 	}
 }
 
@@ -257,63 +230,66 @@ func TestUserRunQueueOrder(t *testing.T) {
 // (the pool is a queue, not a stack), and with no idle LWP the thread
 // parks on the user run queue.
 func TestWakePaths(t *testing.T) {
-	c, _, _ := newFakeCore(t, "ts", 1, false)
+	c, _ := newFakeCore(t, "ts", 1, false)
 
-	bound := newLWP(1, 29)
-	bound.thread.bound = true
-	c.Wake(bound.thread, false)
-	if len(c.KernelQ()) != 1 || c.KernelQ()[0] != bound {
+	bound := addThread(c, 29)
+	c.threads[bound].Bound = true
+	c.Dedicate(bound)
+	dedicated := c.threads[bound].lwp
+	c.Wake(bound, false)
+	if !slices.Equal(c.kernelQ, []int32{dedicated}) {
 		t.Fatal("bound wake must requeue the dedicated LWP")
 	}
-	c.removeKernelQ(bound)
+	c.removeKernelQ(dedicated)
 
-	idleA := &fakeLWP{LWPNode: LWPNode{ID: 10, Prio: 29}}
-	idleB := &fakeLWP{LWPNode: LWPNode{ID: 11, Prio: 29}}
-	c.AddIdleLWP(idleA)
-	c.AddIdleLWP(idleB)
-	u := &fakeThread{id: 2, prio: 29, boundCPU: -1}
+	idleA, idleB := c.newLWP(false), c.newLWP(false)
+	c.idleLWPs = append(c.idleLWPs, idleA, idleB)
+	u := addThread(c, 29)
 	c.Wake(u, false)
-	if u.lwp != idleA {
+	if c.threads[u].lwp != idleA {
 		t.Fatal("unbound wake must pop the front of the idle pool")
 	}
-	if len(c.IdleLWPs()) != 1 || c.IdleLWPs()[0] != idleB {
+	if !slices.Equal(c.idleLWPs, []int32{idleB}) {
 		t.Fatal("idle pool should retain the younger LWP")
 	}
 
-	p := &fakeThread{id: 3, prio: 29, boundCPU: -1}
-	c.Wake(p, false) // idleB is still idle... but taken below
-	parked := &fakeThread{id: 4, prio: 29, boundCPU: -1}
+	c.Wake(addThread(c, 29), false) // takes idleB
+	parked := addThread(c, 29)
 	c.Wake(parked, false)
-	if len(c.UserRunQ()) != 1 || c.UserRunQ()[0] != parked {
-		t.Fatalf("with the pool empty the thread must park on the user run queue (runq=%v)", c.UserRunQ())
+	if !slices.Equal(c.userRunQ, []int32{parked}) {
+		t.Fatalf("with the pool empty the thread must park on the user run queue (runq=%v)", c.userRunQ)
 	}
-	if parked.State != Runnable {
-		t.Fatalf("parked thread is %v, want runnable", parked.State)
+	if st := c.threads[parked].State; st != Runnable {
+		t.Fatalf("parked thread is %v, want runnable", st)
+	}
+	if err := c.CheckLinks(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestWakeBoost: the policy's sleep-return lift applies only when boost is
 // set, and a woken LWP always gets a fresh quantum.
 func TestWakeBoost(t *testing.T) {
-	c, _, _ := newFakeCore(t, "ts", 1, false)
+	c, _ := newFakeCore(t, "ts", 1, false)
 	table := dispatch.NewTable()
 
-	l := newLWP(1, 20)
-	l.thread.bound = true
-	l.QuantumLeft = 1 // nearly exhausted
-	c.Wake(l.thread, true)
-	if l.Prio != table.AfterSleepReturn(20) {
-		t.Errorf("boosted wake Prio = %d, want slpret %d", l.Prio, table.AfterSleepReturn(20))
+	l := newLWP(c, 20)
+	threadOf(c, l).Bound = true
+	c.lwps[l].QuantumLeft = 1 // nearly exhausted
+	c.Wake(c.lwps[l].thread, true)
+	ln := &c.lwps[l]
+	if ln.Prio != table.AfterSleepReturn(20) {
+		t.Errorf("boosted wake Prio = %d, want slpret %d", ln.Prio, table.AfterSleepReturn(20))
 	}
-	if l.QuantumLeft != c.Quantum(l.Prio) {
-		t.Errorf("woken LWP QuantumLeft = %v, want a fresh %v", l.QuantumLeft, c.Quantum(l.Prio))
+	if ln.QuantumLeft != c.policy.Quantum(ln.Prio) {
+		t.Errorf("woken LWP QuantumLeft = %v, want a fresh %v", ln.QuantumLeft, c.policy.Quantum(ln.Prio))
 	}
 
-	l2 := newLWP(2, 20)
-	l2.thread.bound = true
-	c.Wake(l2.thread, false)
-	if l2.Prio != 20 {
-		t.Errorf("unboosted wake changed Prio to %d", l2.Prio)
+	l2 := newLWP(c, 20)
+	threadOf(c, l2).Bound = true
+	c.Wake(c.lwps[l2].thread, false)
+	if p := c.lwps[l2].Prio; p != 20 {
+		t.Errorf("unboosted wake changed Prio to %d", p)
 	}
 }
 
@@ -331,19 +307,22 @@ func TestDispatchAndPreempt(t *testing.T) {
 		{"fifo", false, false},
 		{"rr", false, false},
 	} {
-		c, _, cpus := newFakeCore(t, tc.policy, 1, tc.noPreempt)
-		lo := newLWP(1, 10)
-		c.PushKernelQ(lo)
+		c, _ := newFakeCore(t, tc.policy, 1, tc.noPreempt)
+		lo := newLWP(c, 10)
+		c.pushKernelQ(lo)
 		c.DispatchAll()
-		if cpus[0].lwp != lo {
+		if c.cpus[0].lwp != lo {
 			t.Fatalf("%s: DispatchAll did not place the only LWP", tc.policy)
 		}
-		hi := newLWP(2, 50)
-		c.PushKernelQ(hi)
+		hi := newLWP(c, 50)
+		c.pushKernelQ(hi)
 		c.PreemptPass()
-		if got := cpus[0].lwp == hi; got != tc.evicted {
+		if got := c.cpus[0].lwp == hi; got != tc.evicted {
 			t.Errorf("%s noPreempt=%v: eviction = %v, want %v",
 				tc.policy, tc.noPreempt, got, tc.evicted)
+		}
+		if err := c.CheckLinks(); err != nil {
+			t.Fatalf("%s: %v", tc.policy, err)
 		}
 	}
 }
@@ -351,37 +330,37 @@ func TestDispatchAndPreempt(t *testing.T) {
 // TestPreemptPicksLowestVictim: with several preemptable runners the pass
 // must evict the lowest-priority one.
 func TestPreemptPicksLowestVictim(t *testing.T) {
-	c, _, cpus := newFakeCore(t, "ts", 2, false)
-	a, b := newLWP(1, 10), newLWP(2, 20)
-	c.PushKernelQ(a)
-	c.PushKernelQ(b)
+	c, _ := newFakeCore(t, "ts", 2, false)
+	a, b := newLWP(c, 10), newLWP(c, 20)
+	c.pushKernelQ(a)
+	c.pushKernelQ(b)
 	c.DispatchAll()
-	hi := newLWP(3, 50)
-	c.PushKernelQ(hi)
+	hi := newLWP(c, 50)
+	c.pushKernelQ(hi)
 	c.PreemptPass()
-	running := map[int]bool{}
-	for _, cpu := range cpus {
-		if cpu.lwp != nil {
-			running[cpu.lwp.ID] = true
+	running := map[int32]bool{}
+	for _, cn := range c.cpus {
+		if cn.lwp != nilIdx {
+			running[cn.lwp] = true
 		}
 	}
-	if !running[3] || !running[2] || running[1] {
-		t.Errorf("running after preemption = %v, want the prio-10 LWP evicted", running)
+	if !running[hi] || !running[b] || running[a] {
+		t.Errorf("running after preemption = %v, want the prio-10 LWP %d evicted", running, a)
 	}
 }
 
 // TestBoundCPUAffinity: an LWP whose thread is pinned to CPU 1 must not be
 // dispatched to CPU 0, even when CPU 0 idles.
 func TestBoundCPUAffinity(t *testing.T) {
-	c, _, cpus := newFakeCore(t, "ts", 2, false)
-	pinned := newLWP(1, 29)
-	pinned.thread.boundCPU = 1
-	c.PushKernelQ(pinned)
+	c, _ := newFakeCore(t, "ts", 2, false)
+	pinned := newLWP(c, 29)
+	threadOf(c, pinned).BoundCPU = 1
+	c.pushKernelQ(pinned)
 	c.DispatchAll()
-	if cpus[0].lwp != nil {
+	if c.cpus[0].lwp != nilIdx {
 		t.Fatal("CPU-0 ran an LWP pinned to CPU 1")
 	}
-	if cpus[1].lwp != pinned {
+	if c.cpus[1].lwp != pinned {
 		t.Fatal("pinned LWP not dispatched to its CPU")
 	}
 }
@@ -389,23 +368,24 @@ func TestBoundCPUAffinity(t *testing.T) {
 // TestArmSlice: ts arms a table-quantum timer, fifo arms nothing
 // (run-to-block), and each arm replaces the CPU's listed timer.
 func TestArmSlice(t *testing.T) {
-	c, _, cpus := newFakeCore(t, "ts", 1, false)
-	l := newLWP(1, dispatch.DefaultPriority)
-	l.QuantumLeft = c.Quantum(l.Prio)
-	c.armSlice(&cpus[0].CPUNode, &l.LWPNode)
+	c, _ := newFakeCore(t, "ts", 1, false)
+	l := newLWP(c, dispatch.DefaultPriority)
+	ln := &c.lwps[l]
+	ln.QuantumLeft = c.policy.Quantum(ln.Prio)
+	c.armSlice(0, ln)
 	first := *c.slices.peek()
-	if c.slices.n != 1 || first.at != vtime.Time(0).Add(c.Quantum(dispatch.DefaultPriority)) {
+	if c.slices.n != 1 || first.at != vtime.Time(0).Add(c.policy.Quantum(dispatch.DefaultPriority)) {
 		t.Fatalf("ts armSlice listed %d timers, first at %v, want one at the table quantum", c.slices.n, first.at)
 	}
-	c.armSlice(&cpus[0].CPUNode, &l.LWPNode)
+	c.armSlice(0, ln)
 	if c.slices.n != 1 || c.slices.peek().seq <= first.seq {
 		t.Fatalf("re-arm: %d timers, seq %d -> %d, want the one listed timer replaced",
 			c.slices.n, first.seq, c.slices.peek().seq)
 	}
 
-	cf, _, cpusf := newFakeCore(t, "fifo", 1, false)
-	lf := newLWP(1, 29)
-	cf.armSlice(&cpusf[0].CPUNode, &lf.LWPNode)
+	cf, _ := newFakeCore(t, "fifo", 1, false)
+	lf := newLWP(cf, 29)
+	cf.armSlice(0, &cf.lwps[lf])
 	if cf.slices.n != 0 {
 		t.Fatal("fifo armSlice must not arm a timer")
 	}
@@ -415,39 +395,39 @@ func TestArmSlice(t *testing.T) {
 // core: the ts policy demotes the runner and yields to an equal-priority
 // waiter, re-dispatching the waiter onto the CPU.
 func TestSliceExpiredDemotesAndYields(t *testing.T) {
-	c, _, cpus := newFakeCore(t, "ts", 1, false)
-	runner := newLWP(1, 29)
-	c.PushKernelQ(runner)
+	c, _ := newFakeCore(t, "ts", 1, false)
+	runner := newLWP(c, 29)
+	c.pushKernelQ(runner)
 	c.DispatchAll()
-	waiter := newLWP(2, 19) // matches 29's post-expiry priority
-	c.PushKernelQ(waiter)
+	waiter := newLWP(c, 19) // matches 29's post-expiry priority
+	c.pushKernelQ(waiter)
 
-	runner.thread.WorkLeft = 100
+	threadOf(c, runner).WorkLeft = 100
 	*c.now = 5
-	if !c.sliceExpired(cpus[0]) {
+	if !c.sliceExpired(0) {
 		t.Fatal("expiry with an equal-priority waiter must yield")
 	}
-	if runner.Prio != 19 {
-		t.Errorf("runner Prio = %d, want the tqexp demotion to 19", runner.Prio)
+	if p := c.lwps[runner].Prio; p != 19 {
+		t.Errorf("runner Prio = %d, want the tqexp demotion to 19", p)
 	}
 	c.DispatchAll()
-	if cpus[0].lwp != waiter {
+	if c.cpus[0].lwp != waiter {
 		t.Error("waiter should take over the CPU after the yield")
 	}
-	if runner.thread.CPUTime != 5 {
-		t.Errorf("runner CPUTime = %v, want 5: expiry must account CPU time before rescheduling", runner.thread.CPUTime)
+	if got := threadOf(c, runner).CPUTime; got != 5 {
+		t.Errorf("runner CPUTime = %v, want 5: expiry must account CPU time before rescheduling", got)
 	}
 
 	// Without a waiter the runner is demoted but keeps the CPU.
-	c2, _, cpus2 := newFakeCore(t, "ts", 1, false)
-	solo := newLWP(1, 29)
-	c2.PushKernelQ(solo)
+	c2, _ := newFakeCore(t, "ts", 1, false)
+	solo := newLWP(c2, 29)
+	c2.pushKernelQ(solo)
 	c2.DispatchAll()
-	if c2.sliceExpired(cpus2[0]) {
+	if c2.sliceExpired(0) {
 		t.Fatal("expiry without a waiter must not yield")
 	}
-	if cpus2[0].lwp != solo || solo.Prio != 19 {
-		t.Errorf("solo runner: lwp=%v prio=%d, want kept CPU at prio 19", cpus2[0].lwp, solo.Prio)
+	if c2.cpus[0].lwp != solo || c2.lwps[solo].Prio != 19 {
+		t.Errorf("solo runner: lwp=%d prio=%d, want kept CPU at prio 19", c2.cpus[0].lwp, c2.lwps[solo].Prio)
 	}
 }
 
@@ -455,55 +435,123 @@ func TestSliceExpiredDemotesAndYields(t *testing.T) {
 // queued thread without a trip through the kernel queue, and idles when
 // none waits.
 func TestNextThreadFastPath(t *testing.T) {
-	c, eng, cpus := newFakeCore(t, "ts", 1, false)
-	l := newLWP(1, 29)
-	c.PushKernelQ(l)
+	c, eng := newFakeCore(t, "ts", 1, false)
+	l := newLWP(c, 29)
+	c.pushKernelQ(l)
 	c.DispatchAll()
 
 	// The next thread's call completed while it waited for an LWP.
-	next := &fakeThread{ThreadNode: ThreadNode{Stage: StageWaiting, LastCPU: -1}, id: 7, prio: 29, boundCPU: -1}
-	c.PushUserRunQ(next)
-	l.thread = nil
-	c.NextThread(cpus[0], l)
-	if l.thread != next || next.lwp != l {
-		t.Fatal("NextThread did not attach the queued thread")
+	next := addThread(c, 29)
+	c.threads[next].Stage = StageWaiting
+	c.pushUserRunQ(next)
+	c.release(threadOf(c, l))
+	c.nextThread(0)
+	if c.lwps[l].thread != next || c.threads[next].lwp != l {
+		t.Fatal("nextThread did not attach the queued thread")
 	}
-	if next.State != Running || next.LastCPU != 0 {
-		t.Fatalf("next thread is %v on CPU %d, want running on CPU 0", next.State, next.LastCPU)
+	if n := c.threads[next]; n.State != Running || n.LastCPU != 0 {
+		t.Fatalf("next thread is %v on CPU %d, want running on CPU 0", n.State, n.LastCPU)
 	}
-	if len(eng.completed) != 1 || eng.completed[0] != 7 {
-		t.Fatalf("engine.Complete calls = %v, want [7]", eng.completed)
+	if !slices.Equal(eng.completed, []int32{next}) {
+		t.Fatalf("engine.Complete calls = %v, want [%d]", eng.completed, next)
 	}
 
 	// Queue empty: the LWP unlinks and idles.
-	l.thread = nil
-	c.NextThread(cpus[0], l)
-	if cpus[0].lwp != nil || l.cpu != nil {
-		t.Fatal("NextThread with an empty queue must unlink the LWP")
+	c.release(c.threads[next])
+	c.nextThread(0)
+	if c.cpus[0].lwp != nilIdx || c.lwps[l].cpu != nilIdx {
+		t.Fatal("nextThread with an empty queue must unlink the LWP")
 	}
-	if len(c.IdleLWPs()) != 1 {
+	if !slices.Equal(c.idleLWPs, []int32{l}) {
 		t.Fatal("LWP should join the idle pool")
 	}
 }
 
-// TestUnlinkInvalidatesEpochs: Unlink is the single requeue helper both
+// TestUnlinkInvalidatesEpochs: unlink is the single requeue helper both
 // engines funnel through; it must bump the CPU's burst epoch and drop
 // its slice timer.
 func TestUnlinkInvalidatesEpochs(t *testing.T) {
-	c, _, cpus := newFakeCore(t, "ts", 1, false)
-	l := newLWP(1, 29)
-	c.PushKernelQ(l)
+	c, _ := newFakeCore(t, "ts", 1, false)
+	l := newLWP(c, 29)
+	c.pushKernelQ(l)
 	c.DispatchAll()
-	ce := cpus[0].Epoch
+	ce := c.cpus[0].Epoch
 	if c.slices.n != 1 {
 		t.Fatalf("placement listed %d slice timers, want 1", c.slices.n)
 	}
-	c.Unlink(cpus[0], l)
-	if cpus[0].Epoch != ce+1 || c.slices.n != 0 {
-		t.Errorf("Unlink: cpu epoch %d->%d, %d slice timers listed; want the epoch incremented and none listed",
-			ce, cpus[0].Epoch, c.slices.n)
+	c.unlink(0)
+	if c.cpus[0].Epoch != ce+1 || c.slices.n != 0 {
+		t.Errorf("unlink: cpu epoch %d->%d, %d slice timers listed; want the epoch incremented and none listed",
+			ce, c.cpus[0].Epoch, c.slices.n)
 	}
-	if cpus[0].lwp != nil || l.cpu != nil {
-		t.Error("Unlink must clear both links")
+	if c.cpus[0].lwp != nilIdx || c.lwps[l].cpu != nilIdx {
+		t.Error("unlink must clear both links")
+	}
+}
+
+// TestCheckLinks: a consistent machine passes the link check, and each
+// broken link below is named.
+func TestCheckLinks(t *testing.T) {
+	// build sets up two CPUs, one running LWP, one queued and one idle
+	// LWP, and one thread waiting for an LWP.
+	build := func() (c *Core, running, queued, idle, waiting int32) {
+		c, _ = newFakeCore(t, "ts", 2, true)
+		running, queued = newLWP(c, 29), newLWP(c, 29)
+		threadOf(c, running).BoundCPU = 0
+		threadOf(c, queued).BoundCPU = 0
+		c.pushKernelQ(running)
+		c.DispatchAll()
+		c.pushKernelQ(queued)
+		c.DispatchAll()
+		idle = c.newLWP(false)
+		c.idleLWPs = append(c.idleLWPs, idle)
+		waiting = addThread(c, 29)
+		c.threads[waiting].To(Runnable, 0, -1, -1)
+		c.pushUserRunQ(waiting)
+		return
+	}
+	if c, _, _, _, _ := build(); c.CheckLinks() != nil {
+		t.Fatalf("consistent machine: %v", c.CheckLinks())
+	}
+	for _, tc := range []struct {
+		name, want string
+		mutate     func(c *Core, running, queued, idle, waiting int32)
+	}{
+		{"duplicate queue entry", "both in kernelQ and in kernelQ", func(c *Core, _, queued, _, _ int32) {
+			c.kernelQ = append(c.kernelQ, queued)
+		}},
+		{"queued idle LWP", "both in kernelQ and idle", func(c *Core, _, queued, _, _ int32) {
+			c.idleLWPs = append(c.idleLWPs, queued)
+		}},
+		{"queued LWP still on a CPU", "both on cpu 0 and in kernelQ", func(c *Core, running, _, _, _ int32) {
+			c.kernelQ = append(c.kernelQ, running)
+		}},
+		{"queued LWP claims a CPU", "claims cpu 1", func(c *Core, _, queued, _, _ int32) {
+			c.lwps[queued].cpu = 1
+		}},
+		{"CPU and LWP disagree", "points elsewhere", func(c *Core, running, _, _, _ int32) {
+			c.lwps[running].cpu = 1
+		}},
+		{"idle count", "counted", func(c *Core, _, _, _, _ int32) {
+			c.idleCPUs++
+		}},
+		{"idle LWP with a thread", "idle LWP", func(c *Core, _, _, idle, waiting int32) {
+			c.lwps[idle].thread = waiting
+		}},
+		{"thread points at another's LWP", "carries another thread", func(c *Core, running, _, _, waiting int32) {
+			c.threads[waiting].lwp = running
+		}},
+		{"running thread off its CPU", "has no LWP/CPU", func(c *Core, _, queued, _, _ int32) {
+			threadOf(c, queued).State = Running
+		}},
+		{"queued thread not runnable", "in userRunQ is", func(c *Core, _, _, _, waiting int32) {
+			c.threads[waiting].State = Sleeping
+		}},
+	} {
+		c, running, queued, idle, waiting := build()
+		tc.mutate(c, running, queued, idle, waiting)
+		if err := c.CheckLinks(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: CheckLinks = %v, want an error with %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -66,13 +66,22 @@ const (
 	StageWaiting              // off its CPU until the call completes
 )
 
-// ThreadNode is the scheduler-owned state embedded in each engine's
-// thread struct: its place in the state machine, its progress through the
-// current call, thr_suspend's flags and its timeline span cursor.
+// ThreadNode is the scheduler's state embedded in each engine's thread
+// struct: its priority and binding, its place in the state machine, its
+// progress through the current call, thr_suspend's flags, the LWP that
+// carries it and its timeline span cursor. The engine registers it with
+// the Core (AddThread).
 type ThreadNode struct {
 	// TI is the thread's dense index: its slot in the engine's thread
-	// table and in the object core.
-	TI    int32
+	// table, in the Core and in the object core.
+	TI int32
+	// Prio is the thread's user priority, which orders the user run
+	// queue. Bound binds it to an LWP of its own, and BoundCPU, unless it
+	// is -1, to one CPU. The engine sets all three.
+	Prio     int
+	Bound    bool
+	BoundCPU int
+
 	State State
 	Stage Stage
 	// WorkLeft is what remains of the current stage's CPU demand, and
@@ -87,6 +96,9 @@ type ThreadNode struct {
 	// suspended, or a wake arrived while it was suspended.
 	Suspended    bool
 	WakeDeferred bool
+
+	// lwp is the LWP carrying the thread, nilIdx for none.
+	lwp int32
 
 	// TL is the thread's handle in tb, which is nil when no timeline is
 	// built and once the thread has exited; span is its open span.
@@ -151,35 +163,37 @@ func (n *ThreadNode) To(st State, now vtime.Time, cpu, lwp int32) {
 
 // ---- thread-level calls ---------------------------------------------------
 
-// set moves t to st at the engine's current time.
-func (c *Core[T, L, C]) set(t T, st State, cpu, lwp int) {
-	t.Node().To(st, *c.now, int32(cpu), int32(lwp))
+// set moves thread n to st at the engine's current time.
+func (c *Core) set(n *ThreadNode, st State, cpu, lwp int32) {
+	n.To(st, *c.now, cpu, lwp)
 }
 
-// Block takes the running thread t off cpu until a wake; it completes its
-// call when it is dispatched again.
-func (c *Core[T, L, C]) Block(cpu C, t T) {
-	t.Node().Stage = StageWaiting
-	c.set(t, Sleeping, -1, -1)
-	c.detach(cpu, t)
+// Block takes thread ti, running on cpu, off the CPU until a wake; it
+// completes its call when it is dispatched again.
+func (c *Core) Block(cpu, ti int32) {
+	n := c.threads[ti]
+	n.Stage = StageWaiting
+	c.set(n, Sleeping, -1, -1)
+	c.detach(cpu, ti)
 }
 
-// Yield takes the running thread t off cpu but keeps it runnable: its LWP
-// queues behind its equals, and thr_yield completes when the thread is
-// dispatched again.
-func (c *Core[T, L, C]) Yield(cpu C, t T) {
-	l := t.SchedLWP()
-	t.Node().Stage = StageWaiting
-	c.set(t, Runnable, -1, l.Node().ID)
-	c.Unlink(cpu, l)
-	c.PushKernelQ(l)
+// Yield takes thread ti, running on cpu, off the CPU but keeps it
+// runnable: its LWP queues behind its equals, and thr_yield completes
+// when the thread is dispatched again.
+func (c *Core) Yield(cpu, ti int32) {
+	n := c.threads[ti]
+	l := n.lwp
+	n.Stage = StageWaiting
+	c.set(n, Runnable, -1, l)
+	c.unlink(cpu)
+	c.pushKernelQ(l)
 }
 
-// Suspend applies thr_suspend(target) issued by t, which runs on cpu, and
-// reports whether t itself stopped running. A target that is already
-// suspended, not yet started or exited is left alone.
-func (c *Core[T, L, C]) Suspend(cpu C, t, target T) bool {
-	n := target.Node()
+// Suspend applies thr_suspend(target) issued by thread ti, which runs on
+// cpu, and reports whether ti itself stopped running. A target that is
+// already suspended, not yet started or exited is left alone.
+func (c *Core) Suspend(cpu, ti, target int32) bool {
+	n := c.threads[target]
 	if n.Suspended || n.State == NotStarted || n.State == Zombie {
 		return false
 	}
@@ -193,38 +207,38 @@ func (c *Core[T, L, C]) Suspend(cpu C, t, target T) bool {
 	n.WakeDeferred = true
 	switch n.State {
 	case Running:
-		if target == t {
-			c.Block(cpu, t)
+		if target == ti {
+			c.Block(cpu, ti)
 			return true
 		}
 		// Strip the target off its CPU mid-burst; WorkLeft keeps its
 		// progress for thr_continue.
-		tcpu := target.SchedLWP().SchedCPU()
-		c.account(tcpu.Node())
-		c.set(target, Sleeping, -1, -1)
-		c.evict(tcpu, target)
+		tcpu := c.lwps[n.lwp].cpu
+		c.account(&c.cpus[tcpu])
+		c.set(n, Sleeping, -1, -1)
+		c.detach(tcpu, target)
 	case Runnable:
-		c.unqueue(target)
-		c.set(target, Sleeping, -1, -1)
+		c.unqueue(n)
+		c.set(n, Sleeping, -1, -1)
 	case WakePending:
 		// The Simulator drops the wake's delivery, which finds the thread
 		// no longer wake-pending.
-		c.set(target, Sleeping, -1, -1)
+		c.set(n, Sleeping, -1, -1)
 	}
 	return false
 }
 
-// Continue applies thr_continue(target) issued by t. A target with a
-// deferred wake is woken through the engine's grant path, as if t had
-// granted it.
-func (c *Core[T, L, C]) Continue(t, target T) {
-	n := target.Node()
+// Continue applies thr_continue(target) issued by thread ti. A target
+// with a deferred wake is woken through the engine's grant path, as if ti
+// had granted it.
+func (c *Core) Continue(ti, target int32) {
+	n := c.threads[target]
 	if !n.Suspended {
 		return
 	}
 	n.Suspended = false
 	if n.WakeDeferred {
 		n.WakeDeferred = false
-		c.engine.Wake(n.TI, t.Node().TI)
+		c.engine.Wake(target, ti)
 	}
 }

@@ -15,17 +15,14 @@ const defaultUserPrio = 29
 
 // kthread is the kernel-side representation of a thread.
 type kthread struct {
-	// The embedded sched.ThreadNode (state, call stage, progress,
-	// thr_suspend flags, timeline span cursor) is shared with the
-	// Simulator; TI is the thread's position in Process.threads.
+	// The embedded sched.ThreadNode (priority, binding, state, call
+	// stage, progress, thr_suspend flags, carrying LWP, timeline span
+	// cursor) is shared with the Simulator; TI is the thread's position
+	// in Process.threads.
 	sched.ThreadNode
 	id    trace.ThreadID
 	name  string
 	fname string
-	prio  int // user-level priority
-	bound bool
-	// boundCPU is -1 unless the thread is bound to one processor.
-	boundCPU int
 
 	ut    *Thread
 	grant chan response
@@ -38,48 +35,11 @@ type kthread struct {
 	extraWork vtime.Duration
 	beforeEv  trace.Event
 
-	lwp *klwp
-
 	timerEpoch uint64
 	// held is the stack of mutexes the thread currently owns (see
 	// pushHeld).
 	held []*object
 }
-
-// klwp is a lightweight process: the schedulable kernel entity. The
-// embedded sched.LWPNode (identity, kernel priority, quantum, slice
-// epoch) is owned by the shared scheduler core.
-type klwp struct {
-	sched.LWPNode
-	thread *kthread
-	cpu    *kcpu
-}
-
-func (l *klwp) Node() *sched.LWPNode       { return &l.LWPNode }
-func (l *klwp) SchedThread() *kthread      { return l.thread }
-func (l *klwp) SetSchedThread(kt *kthread) { l.thread = kt }
-func (l *klwp) SchedCPU() *kcpu            { return l.cpu }
-func (l *klwp) SetSchedCPU(c *kcpu)        { l.cpu = c }
-
-// kcpu is one simulated processor. The embedded sched.CPUNode (identity,
-// burst epoch, accounting and dispatch overheads) is owned by the shared
-// scheduler core.
-type kcpu struct {
-	sched.CPUNode
-	lwp *klwp
-}
-
-func (c *kcpu) Node() *sched.CPUNode { return &c.CPUNode }
-func (c *kcpu) SchedLWP() *klwp      { return c.lwp }
-func (c *kcpu) SetSchedLWP(l *klwp)  { c.lwp = l }
-
-// kthread's scheduler view: node, user priority, binding, carrying LWP.
-func (kt *kthread) Node() *sched.ThreadNode { return &kt.ThreadNode }
-func (kt *kthread) SchedPrio() int          { return kt.prio }
-func (kt *kthread) SchedBound() bool        { return kt.bound }
-func (kt *kthread) SchedBoundCPU() int      { return kt.boundCPU }
-func (kt *kthread) SchedLWP() *klwp         { return kt.lwp }
-func (kt *kthread) SetSchedLWP(l *klwp)     { kt.lwp = l }
 
 // The kernel's own event kinds follow the scheduler core's burst and
 // slice kinds; an event's Who is a thread's TI for evTimer and an
@@ -92,7 +52,7 @@ const (
 // Process is one run of a multithreaded program on the virtual machine.
 type Process struct {
 	cfg Config
-	sc  *sched.Core[*kthread, *klwp, *kcpu]
+	sc  *sched.Core
 	rng *vtime.Rand
 
 	now   vtime.Time
@@ -104,8 +64,6 @@ type Process struct {
 	nextOID trace.ObjectID
 	objects []*object // indexed by object.oi
 	so      *syncobj.Core
-	cpus    []*kcpu
-	nextLWP int
 
 	tb          *trace.TimelineBuilder
 	eventSeq    int64
@@ -128,9 +86,6 @@ func NewProcess(cfg Config) *Process {
 		nextTID: trace.FirstDynamicThread,
 		nextOID: 1,
 	}
-	for i := 0; i < c.CPUs; i++ {
-		p.cpus = append(p.cpus, &kcpu{CPUNode: sched.CPUNode{ID: i}})
-	}
 	pol, err := sched.New(c.Policy)
 	if err != nil {
 		// Surface the bad policy at Run; fall back to the default so the
@@ -138,20 +93,16 @@ func NewProcess(cfg Config) *Process {
 		p.err = fmt.Errorf("threadlib: %w", err)
 		pol, _ = sched.New(sched.Default)
 	}
-	costs := sched.Overheads{ContextSwitch: c.Costs.ContextSwitch, Migration: c.Costs.Migration}
-	p.sc = sched.NewCore[*kthread, *klwp, *kcpu](pol, (*kengine)(p), &p.now, p.cpus, c.NoPreemption, costs, 0)
-	p.so = syncobj.New((*kengine)(p), 0, 0)
-	p.sc.OnPushKernelQ = p.checkPushKernelQ
 	// A fixed LWP count is honoured exactly; the dynamic default starts
 	// with one LWP per CPU, standing in for Solaris's automatic pool
 	// growth on SIGWAITING.
-	pool := c.LWPs
-	if pool <= 0 {
-		pool = c.CPUs
-	}
-	for i := 0; i < pool; i++ {
-		p.sc.AddIdleLWP(p.newLWP(false))
-	}
+	p.sc = sched.NewCore(pol, (*kengine)(p), &p.now, sched.Config{
+		CPUs:         c.CPUs,
+		LWPs:         c.LWPs,
+		NoPreemption: c.NoPreemption,
+		Costs:        sched.Overheads{ContextSwitch: c.Costs.ContextSwitch, Migration: c.Costs.Migration},
+	})
+	p.so = syncobj.New((*kengine)(p), 0, 0)
 	if c.CollectTimeline {
 		p.tb = trace.NewTimelineBuilder()
 	}
@@ -163,13 +114,6 @@ func (p *Process) Now() vtime.Time { return p.now }
 
 // Err returns the first error the run encountered.
 func (p *Process) Err() error { return p.err }
-
-func (p *Process) newLWP(dedicated bool) *klwp {
-	l := &klwp{LWPNode: sched.LWPNode{ID: p.nextLWP, Prio: dispatch.DefaultPriority, Dedicated: dedicated}}
-	l.QuantumLeft = p.sc.Quantum(l.Prio)
-	p.nextLWP++
-	return l
-}
 
 // Result summarizes a completed run.
 type Result struct {
@@ -205,7 +149,7 @@ func (p *Process) Run(main func(*Thread)) (*Result, error) {
 	p.fireMarker(mt, trace.CallStartCollect)
 	p.spawn(mt, main)
 	p.fetchInto(mt)
-	p.sc.Wake(mt, false)
+	p.sc.Wake(mt.TI, false)
 	p.sc.DispatchAll()
 	p.sc.PreemptPass()
 
@@ -226,10 +170,10 @@ func (p *Process) Run(main func(*Thread)) (*Result, error) {
 			break
 		}
 		p.handle(ev)
-		p.checkInvariants("post-handle")
+		p.checkLinks("post-handle")
 		p.sc.DispatchAll()
 		p.sc.PreemptPass()
-		p.checkInvariants("post-dispatch")
+		p.checkLinks("post-dispatch")
 	}
 	p.finished = true
 
@@ -248,7 +192,7 @@ func (p *Process) Run(main func(*Thread)) (*Result, error) {
 		res.PerThreadCPU[kt.id] = kt.CPUTime
 	}
 	if p.tb != nil {
-		res.Timeline = p.tb.Build(p.cfg.Program, p.cfg.CPUs, p.nextLWP, res.Duration)
+		res.Timeline = p.tb.Build(p.cfg.Program, p.cfg.CPUs, p.sc.LWPs(), res.Duration)
 		for _, o := range p.objects {
 			res.Timeline.Objects = append(res.Timeline.Objects, trace.ObjectInfo{
 				ID: o.id, Kind: o.kind, Name: o.name, InitCount: int32(o.initCount),
@@ -256,6 +200,21 @@ func (p *Process) Run(main func(*Thread)) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// debugChecks enables the scheduler core's link check after every event;
+// the package's tests turn it on.
+var debugChecks = false
+
+// checkLinks panics, when debugChecks is on, if the scheduler core's
+// links are inconsistent (sched.Core.CheckLinks).
+func (p *Process) checkLinks(where string) {
+	if !debugChecks {
+		return
+	}
+	if err := p.sc.CheckLinks(); err != nil {
+		panic(fmt.Sprintf("invariant (%s): %v", where, err))
+	}
 }
 
 func (p *Process) fail(err error) {
@@ -300,23 +259,21 @@ func (p *Process) newThread(id trace.ThreadID, name, fname string, co createOpts
 		name = fmt.Sprintf("T%d", id)
 	}
 	kt := &kthread{
-		ThreadNode: sched.ThreadNode{TI: p.so.AddThread(), LastCPU: -1},
-		id:         id,
-		name:       name,
-		fname:      fname,
-		prio:       dispatch.Clamp(co.prio),
-		bound:      co.bound,
-		boundCPU:   co.boundCPU,
-		grant:      make(chan response),
-		start:      make(chan struct{}),
+		ThreadNode: sched.ThreadNode{
+			TI:       p.so.AddThread(),
+			Prio:     dispatch.Clamp(co.prio),
+			Bound:    co.bound,
+			BoundCPU: min(co.boundCPU, p.cfg.CPUs-1),
+		},
+		id:    id,
+		name:  name,
+		fname: fname,
+		grant: make(chan response),
+		start: make(chan struct{}),
 	}
-	if kt.boundCPU >= p.cfg.CPUs {
-		kt.boundCPU = p.cfg.CPUs - 1
-	}
-	if kt.bound {
-		lwp := p.newLWP(true)
-		lwp.thread = kt
-		kt.lwp = lwp
+	p.sc.AddThread(&kt.ThreadNode)
+	if kt.Bound {
+		p.sc.Dedicate(kt.TI)
 	}
 	p.threads = append(p.threads, kt)
 	p.byID[id] = kt
@@ -336,9 +293,9 @@ func (p *Process) threadInfo(kt *kthread) trace.ThreadInfo {
 		ID:       kt.id,
 		Name:     kt.name,
 		Func:     kt.fname,
-		Bound:    kt.bound,
-		BoundCPU: int32(kt.boundCPU),
-		Prio:     int32(kt.prio),
+		Bound:    kt.Bound,
+		BoundCPU: int32(kt.BoundCPU),
+		Prio:     int32(kt.Prio),
 	}
 }
 
@@ -523,12 +480,12 @@ type kengine Process
 
 // Complete: the thread's call completed while it was off-CPU; finish it
 // now that it runs again: After probe, grant, next request.
-func (e *kengine) Complete(_ *kcpu, kt *kthread) { (*Process)(e).completeOp(kt) }
+func (e *kengine) Complete(_, ti int32) { (*Process)(e).completeOp(e.threads[ti]) }
 
 // kengine also adapts Process to syncobj.Engine, receiving the object
 // core's grants (and thr_continue's wakes).
 
-func (e *kengine) Wake(ti, by int32) { e.sc.Wake(e.threads[ti], true) }
+func (e *kengine) Wake(ti, by int32) { e.sc.Wake(ti, true) }
 
 func (e *kengine) Joined(ti, z int32) { e.threads[ti].resp.tid = e.threads[z].id }
 
@@ -551,8 +508,8 @@ func (p *Process) completeOp(kt *kthread) {
 func (p *Process) handle(ev sched.Event) {
 	switch ev.Kind {
 	case sched.EvBurst, sched.EvSlice:
-		if cpu, ended := p.sc.Handle(ev); ended {
-			p.advanceThread(cpu, cpu.lwp.thread)
+		if ti, ended := p.sc.Handle(ev); ended {
+			p.advanceThread(ev.Who, p.threads[ti])
 		}
 	case evTimer:
 		kt := p.threads[ev.Who]
@@ -569,8 +526,8 @@ func (p *Process) handle(ev sched.Event) {
 // phases until it needs CPU time again, blocks, or exits.
 // The thread is never at sched.StageWaiting here: the Core completes a
 // waiting call (Complete) before it arms the burst that ends here.
-func (p *Process) advanceThread(cpu *kcpu, kt *kthread) {
-	for !p.sc.Burst(&cpu.CPUNode, &kt.ThreadNode) {
+func (p *Process) advanceThread(cpu int32, kt *kthread) {
+	for !p.sc.Burst(cpu, &kt.ThreadNode) {
 		p.guardProgress(kt)
 		if p.err != nil {
 			return
@@ -613,7 +570,7 @@ func (p *Process) callCost(kt *kthread) vtime.Duration {
 	switch {
 	case req.kind == trace.CallThrCreate && req.copts.bound:
 		return vtime.Duration(float64(base) * p.cfg.Costs.BoundCreateFactor)
-	case req.kind.Sync() && kt.bound:
+	case req.kind.Sync() && kt.Bound:
 		return vtime.Duration(float64(base) * p.cfg.Costs.BoundSyncFactor)
 	}
 	return base
@@ -621,13 +578,13 @@ func (p *Process) callCost(kt *kthread) vtime.Duration {
 
 // exitThread finalizes a terminating thread: wake joiners, free the LWP,
 // account the zombie.
-func (p *Process) exitThread(cpu *kcpu, kt *kthread) {
+func (p *Process) exitThread(cpu int32, kt *kthread) {
 	req := kt.req
 	p.emitPlaced(kt, kt.beforeEv)
 	kt.To(sched.Zombie, p.now, -1, -1)
 	p.liveThreads--
 	p.so.Exit(kt.TI)
-	p.sc.Exit(cpu, kt)
+	p.sc.Exit(cpu, kt.TI)
 	if req.exitErr != nil {
 		p.fail(req.exitErr)
 	}

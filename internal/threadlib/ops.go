@@ -41,7 +41,7 @@ func (p *Process) newObject(kind trace.ObjectKind, name string, initCount int) *
 // errors with their source location, real timeouts and the held-mutex
 // stack. It returns true if the thread can no longer continue on this CPU
 // (it blocked, yielded, or exited).
-func (p *Process) applyOp(cpu *kcpu, kt *kthread) (blocked bool) {
+func (p *Process) applyOp(cpu int32, kt *kthread) (blocked bool) {
 	req := kt.req
 	switch req.kind {
 	case trace.CallThrCreate:
@@ -52,11 +52,11 @@ func (p *Process) applyOp(cpu *kcpu, kt *kthread) (blocked bool) {
 	case trace.CallThrJoin:
 		return p.opJoin(cpu, kt)
 	case trace.CallThrYield:
-		p.sc.Yield(cpu, kt)
+		p.sc.Yield(cpu, kt.TI)
 		return true
 	case trace.CallThrSetPrio:
 		// The caller sets its own priority, so it is running, not queued.
-		kt.prio = dispatch.Clamp(req.prio)
+		kt.Prio = dispatch.Clamp(req.prio)
 		return false
 	case trace.CallThrSetConcurrency:
 		return p.opSetConcurrency(kt)
@@ -104,15 +104,15 @@ func (p *Process) applyOp(cpu *kcpu, kt *kthread) (blocked bool) {
 		return false
 	case trace.CallIO:
 		p.so.IO(req.obj.oi, kt.TI)
-		p.sc.Block(cpu, kt)
+		p.sc.Block(cpu, kt.TI)
 		return true
 	case trace.CallThrSuspend:
 		target, ok := p.lookupTarget(kt, "suspended")
-		return !ok || p.sc.Suspend(cpu, kt, target)
+		return !ok || p.sc.Suspend(cpu, kt.TI, target.TI)
 	case trace.CallThrContinue:
 		target, ok := p.lookupTarget(kt, "continued")
 		if ok {
-			p.sc.Continue(kt, target)
+			p.sc.Continue(kt.TI, target.TI)
 		}
 		return !ok
 	}
@@ -121,11 +121,11 @@ func (p *Process) applyOp(cpu *kcpu, kt *kthread) (blocked bool) {
 }
 
 // wait blocks the thread unless its object call was granted at once.
-func (p *Process) wait(cpu *kcpu, kt *kthread, granted bool) bool {
+func (p *Process) wait(cpu int32, kt *kthread, granted bool) bool {
 	if granted {
 		return false
 	}
-	p.sc.Block(cpu, kt)
+	p.sc.Block(cpu, kt.TI)
 	return true
 }
 
@@ -142,12 +142,12 @@ func (p *Process) opCreate(kt *kthread) bool {
 	child := p.newThread(req.reservedTID, co.name, req.fname, co)
 	p.spawn(child, req.body)
 	p.fetchInto(child)
-	p.sc.Wake(child, false)
+	p.sc.Wake(child.TI, false)
 	kt.resp.tid = child.id
 	return false
 }
 
-func (p *Process) opJoin(cpu *kcpu, kt *kthread) bool {
+func (p *Process) opJoin(cpu int32, kt *kthread) bool {
 	req := kt.req
 	if req.target == kt.id {
 		p.fail(fmt.Errorf("threadlib: thread T%d joined itself at %s", kt.id, req.loc))
@@ -169,22 +169,16 @@ func (p *Process) opJoin(cpu *kcpu, kt *kthread) bool {
 		p.fail(fmt.Errorf("threadlib: thread T%d wildcard-joined with no other threads at %s", kt.id, req.loc))
 		return true
 	}
-	p.sc.Block(cpu, kt)
+	p.sc.Block(cpu, kt.TI)
 	return true
 }
 
 func (p *Process) opSetConcurrency(kt *kthread) bool {
-	var err error
-	if p.cfg.LWPs > 0 {
-		// A user-fixed LWP count overrides the program's request, exactly
-		// as in the Simulator (paper section 3.2). The request is still
-		// checked: a recording runs on a fixed pool, and its replay on a
-		// dynamic pool honours the request.
-		err = sched.CheckConcurrency(kt.req.n)
-	} else {
-		err = p.sc.SetConcurrency(kt.req.n, p.newLWP)
-	}
-	if err != nil {
+	// A user-fixed LWP count overrides the program's request, exactly as
+	// in the Simulator (paper section 3.2). The request is still checked:
+	// a recording runs on a fixed pool, and its replay on a dynamic pool
+	// honours the request.
+	if err := p.sc.SetConcurrency(kt.req.n); err != nil {
 		p.fail(fmt.Errorf("threadlib: %w at %s", err, kt.req.loc))
 		return true
 	}
@@ -238,7 +232,7 @@ func (p *Process) opMutexUnlock(kt *kthread) bool {
 
 // ---- condition variable ---------------------------------------------------
 
-func (p *Process) opCondWait(cpu *kcpu, kt *kthread) bool {
+func (p *Process) opCondWait(cpu int32, kt *kthread) bool {
 	req := kt.req
 	cv, m := req.obj, req.mutex
 	if m == nil || m.kind != trace.ObjMutex {
@@ -259,7 +253,7 @@ func (p *Process) opCondWait(cpu *kcpu, kt *kthread) bool {
 	if req.kind == trace.CallCondTimedWait {
 		p.sc.Push(p.now.Add(req.timeout), sched.Event{Kind: evTimer, Who: kt.TI, Epoch: kt.timerEpoch})
 	}
-	p.sc.Block(cpu, kt)
+	p.sc.Block(cpu, kt.TI)
 	return true
 }
 
