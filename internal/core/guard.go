@@ -124,10 +124,11 @@ func (e *BudgetError) Error() string {
 
 var sevKindNames = [...]string{"burst", "slice", "timer", "wake", "iodone"}
 
-// deadlockError builds the wait-for graph over every live thread, in
+// Deadlock builds the wait-for graph over every live thread, in
 // ascending thread-ID order (the arena's order).
-func (s *sim) deadlockError() error {
-	e := &DeadlockError{At: s.now}
+func (e *sengine) Deadlock() error {
+	s := (*sim)(e)
+	d := &DeadlockError{At: s.now}
 	for i := range s.threads {
 		t := &s.threads[i]
 		if t.State == sched.Zombie || t.State == sched.NotStarted {
@@ -157,9 +158,9 @@ func (s *sim) deadlockError() error {
 		case t.Suspended:
 			w.Object = "thr_continue"
 		}
-		e.Edges = append(e.Edges, w)
+		d.Edges = append(d.Edges, w)
 	}
-	return e
+	return d
 }
 
 // livelockError snapshots the dispatch window and thread states.

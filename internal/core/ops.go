@@ -9,7 +9,7 @@ import (
 	"vppb/internal/trace"
 )
 
-// applyOp executes the semantic effect of the thread's current call record
+// Apply executes the semantic effect of the thread's current call record
 // under the paper's replay rules. Object state and grant rules live in
 // internal/syncobj, shared with the recording kernel; this file keeps what
 // replay does differently: try calls follow their recorded outcome, a
@@ -18,7 +18,10 @@ import (
 // record's precomputed arena indices (trace.ProfileIndex), so the hot path
 // resolves objects and target threads without a map lookup. It returns
 // true when the thread can no longer continue on this CPU.
-func (s *sim) applyOp(cpu int32, t *sthread, r *trace.CallRecord, dc *trace.DenseCall) (blocked bool) {
+func (e *sengine) Apply(cpu, ti int32) (blocked bool) {
+	s := (*sim)(e)
+	t := &s.threads[ti]
+	r, dc := t.rec(), t.drec()
 	switch r.Call {
 	case trace.CallStartCollect, trace.CallEndCollect:
 		return false
@@ -42,7 +45,7 @@ func (s *sim) applyOp(cpu int32, t *sthread, r *trace.CallRecord, dc *trace.Dens
 		// A wildcard join (dense target nilIdx) takes the first exit in
 		// the simulation, which "may not be the one that exited in the
 		// log" (paper section 6).
-		return s.wait(cpu, t, s.so.Join(t.TI, dc.Target))
+		return s.sc.BlockUnless(s.so.Join(t.TI, dc.Target), cpu, t.TI)
 	case trace.CallThrYield:
 		s.sc.Yield(cpu, t.TI)
 		return true
@@ -71,30 +74,30 @@ func (s *sim) applyOp(cpu int32, t *sthread, r *trace.CallRecord, dc *trace.Dens
 		}
 	}
 	if !r.Call.Sync() && r.Call != trace.CallIO {
-		s.fail(fmt.Errorf("core: thread T%d has unknown call %v in its profile", t.id(), r.Call))
+		s.sc.Fail(fmt.Errorf("core: thread T%d has unknown call %v in its profile", t.id(), r.Call))
 		return true
 	}
 	o := dc.Obj
 	if o == nilIdx {
-		s.fail(fmt.Errorf("core: profile references unknown object %d", r.Object))
+		s.sc.Fail(fmt.Errorf("core: profile references unknown object %d", r.Object))
 		return true
 	}
 	switch r.Call {
 	case trace.CallMutexLock, trace.CallMutexTryLock:
 		if s.so.Owner(o) == t.TI {
-			s.fail(fmt.Errorf("core: thread T%d relocks mutex %q (replay diverged?)", t.id(), s.objName(o)))
+			s.sc.Fail(fmt.Errorf("core: thread T%d relocks mutex %q (replay diverged?)", t.id(), s.objName(o)))
 			return true
 		}
-		return s.wait(cpu, t, s.so.MutexLock(o, t.TI))
+		return s.sc.BlockUnless(s.so.MutexLock(o, t.TI), cpu, t.TI)
 	case trace.CallMutexUnlock:
 		if s.so.Owner(o) != t.TI {
-			s.fail(fmt.Errorf("core: thread T%d unlocks mutex %q it does not hold in the simulation", t.id(), s.objName(o)))
+			s.sc.Fail(fmt.Errorf("core: thread T%d unlocks mutex %q it does not hold in the simulation", t.id(), s.objName(o)))
 			return true
 		}
 		s.so.MutexUnlock(o, t.TI)
 		return false
 	case trace.CallSemaWait, trace.CallSemaTryWait:
-		return s.wait(cpu, t, s.so.SemaWait(o, t.TI))
+		return s.sc.BlockUnless(s.so.SemaWait(o, t.TI), cpu, t.TI)
 	case trace.CallSemaPost:
 		s.so.SemaPost(o, t.TI)
 		return false
@@ -111,12 +114,12 @@ func (s *sim) applyOp(cpu int32, t *sthread, r *trace.CallRecord, dc *trace.Dens
 	case trace.CallCondBroadcast:
 		return s.opBroadcast(cpu, t, r, o, dc.Mutex)
 	case trace.CallRWRdLock:
-		return s.wait(cpu, t, s.so.RdLock(o, t.TI))
+		return s.sc.BlockUnless(s.so.RdLock(o, t.TI), cpu, t.TI)
 	case trace.CallRWWrLock:
-		return s.wait(cpu, t, s.so.WrLock(o, t.TI))
+		return s.sc.BlockUnless(s.so.WrLock(o, t.TI), cpu, t.TI)
 	case trace.CallRWUnlock:
 		if !s.so.RWUnlock(o, t.TI) {
-			s.fail(fmt.Errorf("core: thread T%d unlocks rwlock %q it does not hold in the simulation", t.id(), s.objName(o)))
+			s.sc.Fail(fmt.Errorf("core: thread T%d unlocks rwlock %q it does not hold in the simulation", t.id(), s.objName(o)))
 			return true
 		}
 		return false
@@ -125,15 +128,6 @@ func (s *sim) applyOp(cpu int32, t *sthread, r *trace.CallRecord, dc *trace.Dens
 		s.sc.Block(cpu, t.TI)
 		return true
 	}
-}
-
-// wait blocks the thread unless its object call was granted at once.
-func (s *sim) wait(cpu int32, t *sthread, granted bool) bool {
-	if granted {
-		return false
-	}
-	s.sc.Block(cpu, t.TI)
-	return true
 }
 
 func (s *sim) objName(oi int32) string { return s.prof.Log.Objects[oi].Name }
@@ -145,7 +139,7 @@ func (s *sim) opSetConcurrency(n int) {
 		return
 	}
 	if err := s.sc.SetConcurrency(n); err != nil {
-		s.fail(fmt.Errorf("core: %w", err))
+		s.sc.Fail(fmt.Errorf("core: %w", err))
 	}
 }
 

@@ -100,8 +100,11 @@ type sim struct {
 
 	tb       *trace.TimelineBuilder
 	eventSeq int64
-	live     int
-	err      error
+
+	// stuck counts the events handled since the clock last moved, and
+	// stuckKinds the same by kind (the livelock window).
+	stuck      int
+	stuckKinds [len(sevKindNames)]int64
 }
 
 // newSim assembles one simulation run over a shared profile. The profile
@@ -188,54 +191,13 @@ func (s *sim) applyOverride(t *sthread) {
 	}
 }
 
-func (s *sim) fail(err error) {
-	if s.err == nil && err != nil {
-		s.err = err
-	}
-}
-
-// run drives the event loop to completion, under the guardrail budgets:
-// a corrupted or repaired log must terminate with a structured diagnostic,
-// never hang.
+// run replays the profile to completion in the scheduler core's event
+// loop, under the guardrail budgets (Step): a corrupted or repaired log
+// must terminate with a structured diagnostic, never hang.
 func (s *sim) run() (*Result, error) {
 	s.startThread(&s.threads[s.mainIdx])
-	s.sc.DispatchAll()
-	s.sc.PreemptPass()
-	var stuck int
-	var stuckKinds [len(sevKindNames)]int64
-	for s.live > 0 && s.err == nil {
-		at, ev, ok := s.sc.Pop()
-		if !ok {
-			s.fail(s.deadlockError())
-			break
-		}
-		if at > s.now {
-			s.now = at
-			stuck = 0
-			stuckKinds = [len(sevKindNames)]int64{}
-		}
-		if s.m.MaxVirtualTime > 0 && s.now.Sub(0) > s.m.MaxVirtualTime {
-			s.fail(&BudgetError{Kind: "virtual-time", Limit: int64(s.m.MaxVirtualTime), At: s.now, Events: s.eventSeq})
-			break
-		}
-		if s.m.MaxSimEvents > 0 && s.eventSeq > s.m.MaxSimEvents {
-			s.fail(&BudgetError{Kind: "events", Limit: s.m.MaxSimEvents, At: s.now, Events: s.eventSeq})
-			break
-		}
-		stuck++
-		if int(ev.Kind) < len(stuckKinds) {
-			stuckKinds[ev.Kind]++
-		}
-		if s.m.LivelockWindow > 0 && stuck > s.m.LivelockWindow {
-			s.fail(s.livelockError(stuckKinds, s.m.LivelockWindow))
-			break
-		}
-		s.handle(ev)
-		s.sc.DispatchAll()
-		s.sc.PreemptPass()
-	}
-	if s.err != nil {
-		return nil, s.err
+	if err := s.sc.Run(); err != nil {
+		return nil, err
 	}
 	res := &Result{
 		Machine:      s.m,
@@ -259,13 +221,10 @@ func (s *sim) run() (*Result, error) {
 // startThread activates a thread at the current time.
 func (s *sim) startThread(t *sthread) {
 	if t.State != sched.NotStarted {
-		s.fail(fmt.Errorf("core: thread T%d started twice", t.id()))
+		s.sc.Fail(fmt.Errorf("core: thread T%d started twice", t.id()))
 		return
 	}
-	s.live++
-	if t.Bound {
-		s.sc.Dedicate(t.TI)
-	}
+	s.sc.Start(t.TI)
 	if s.tb != nil {
 		t.StartTimeline(s.tb, t.info, s.now)
 		// The thread places exactly one event per call record plus at most
@@ -348,23 +307,31 @@ func (s *sim) wake(t *sthread, fromCPU int, boost bool) {
 	s.sc.Wake(t.TI, boost)
 }
 
-// The queueing, dispatch, preemption and time-slice machinery, the CPU
-// accounting and its timers, and the thread state machine live in
-// internal/sched — the same core the recording kernel drives, so the
-// Simulator cannot drift from the machine the trace was recorded on. The
-// sengine adapter below receives the core's decisions and applies this
-// engine's specifics: record replay and simulated probes.
+// The event loop and the drive through each call's stages, the queueing,
+// dispatch, preemption and time-slice machinery, the CPU accounting and
+// its timers, and the thread state machine live in internal/sched — the
+// same core the recording kernel runs, so the Simulator cannot drift from
+// the machine the trace was recorded on. The sengine adapter below is the
+// core's call source: it supplies this engine's specifics, record replay,
+// simulated probes and the guardrail budgets.
 
 // sengine adapts sim to sched.Engine.
 type sengine sim
 
-// Complete: the thread's call completed while it was off-CPU; emit the
-// After event and advance to the next record.
+// Complete: the thread's call completed; emit the After event and move
+// the thread to its next record. A recording exhausted without thr_exit
+// ends the thread (collection markers end this way for main).
 func (e *sengine) Complete(cpu, ti int32) {
 	s := (*sim)(e)
 	t := &s.threads[ti]
 	s.placeAfter(t)
-	s.advanceRecord(cpu, t)
+	t.idx++
+	t.Stage = sched.StageCompute
+	if r := t.rec(); r != nil {
+		t.WorkLeft = r.CPUBefore
+		return
+	}
+	s.exitThread(cpu, t)
 }
 
 // sengine also adapts sim to syncobj.Engine, receiving the object core's
@@ -392,25 +359,33 @@ func (e *sengine) StartIO(oi, ti int32) {
 	s.sc.Push(s.now.Add(service), sched.Event{Kind: evIODone, Who: oi})
 }
 
-// advanceRecord moves the thread to its next call record.
-func (s *sim) advanceRecord(cpu int32, t *sthread) {
-	t.idx++
-	t.Stage = sched.StageCompute
-	if r := t.rec(); r != nil {
-		t.WorkLeft = r.CPUBefore
+// Step checks the budgets and the livelock window before each event.
+func (e *sengine) Step(ev sched.Event, advanced bool) {
+	s := (*sim)(e)
+	if advanced {
+		s.stuck = 0
+		s.stuckKinds = [len(sevKindNames)]int64{}
+	}
+	if s.m.MaxVirtualTime > 0 && s.now.Sub(0) > s.m.MaxVirtualTime {
+		s.sc.Fail(&BudgetError{Kind: "virtual-time", Limit: int64(s.m.MaxVirtualTime), At: s.now, Events: s.eventSeq})
 		return
 	}
-	// Recording exhausted without thr_exit: treat as exit (collection
-	// markers end this way for main).
-	s.exitThread(cpu, t)
+	if s.m.MaxSimEvents > 0 && s.eventSeq > s.m.MaxSimEvents {
+		s.sc.Fail(&BudgetError{Kind: "events", Limit: s.m.MaxSimEvents, At: s.now, Events: s.eventSeq})
+		return
+	}
+	s.stuck++
+	if int(ev.Kind) < len(s.stuckKinds) {
+		s.stuckKinds[ev.Kind]++
+	}
+	if s.m.LivelockWindow > 0 && s.stuck > s.m.LivelockWindow {
+		s.sc.Fail(s.livelockError(s.stuckKinds, s.m.LivelockWindow))
+	}
 }
 
-func (s *sim) handle(ev sched.Event) {
+func (e *sengine) Handle(ev sched.Event) {
+	s := (*sim)(e)
 	switch ev.Kind {
-	case sched.EvBurst, sched.EvSlice:
-		if ti, ended := s.sc.Handle(ev); ended {
-			s.advanceThread(ev.Who, &s.threads[ti])
-		}
 	case evTimer:
 		// A timed-out wait replayed as a delay ends: re-acquire the mutex.
 		t := &s.threads[ev.Who]
@@ -433,45 +408,26 @@ func (s *sim) handle(ev sched.Event) {
 	}
 }
 
-// advanceThread drives the thread running on cpu through its record
-// phases until it needs CPU time again, blocks or exits.
-// The thread is never at sched.StageWaiting here: the Core completes a
-// waiting call (Complete) before it arms the burst that ends here.
-func (s *sim) advanceThread(cpu int32, t *sthread) {
-	for !s.sc.Burst(cpu, &t.ThreadNode) {
-		r := t.rec()
-		if r == nil {
-			s.exitThread(cpu, t)
-			return
-		}
-		switch t.Stage {
-		case sched.StageCompute:
-			t.beforeTime = s.now
-			if s.tb != nil && r.Call == trace.CallThrExit {
-				s.fillEvent(&t.beforeEv, t, trace.Before)
-			} else {
-				// The Before event feeds placement only: its time (saved
-				// above) bounds the placed span, and nothing else reads it
-				// except for thr_exit. The sequence number is still consumed.
-				s.eventSeq++
-			}
-			t.Stage = sched.StageCall
-			t.WorkLeft = s.callCost(t, r)
-		case sched.StageCall:
-			blocked := s.applyOp(cpu, t, r, t.drec())
-			if blocked || s.err != nil {
-				return
-			}
-			if t.State == sched.Zombie {
-				return
-			}
-			s.placeAfter(t)
-			s.advanceRecord(cpu, t)
-			if t.State == sched.Zombie {
-				return
-			}
-		}
+// Reach fires the Before event of the thread's current record and returns
+// the call's cost. A thread whose recording is exhausted exits instead.
+func (e *sengine) Reach(cpu, ti int32) vtime.Duration {
+	s := (*sim)(e)
+	t := &s.threads[ti]
+	r := t.rec()
+	if r == nil {
+		s.exitThread(cpu, t)
+		return 0
 	}
+	t.beforeTime = s.now
+	if s.tb != nil && r.Call == trace.CallThrExit {
+		s.fillEvent(&t.beforeEv, t, trace.Before)
+	} else {
+		// The Before event feeds placement only: its time (saved above)
+		// bounds the placed span, and nothing else reads it except for
+		// thr_exit. The sequence number is still consumed.
+		s.eventSeq++
+	}
+	return s.callCost(t, r)
 }
 
 // callCost scales the recorded call cost when an override changes the
@@ -520,7 +476,6 @@ func (s *sim) exitThread(cpu int32, t *sthread) {
 		}
 	}
 	t.To(sched.Zombie, s.now, -1, -1)
-	s.live--
 	s.so.Exit(t.TI)
 	s.sc.Exit(cpu, t.TI)
 }

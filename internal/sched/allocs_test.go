@@ -28,7 +28,7 @@ func TestCoreSteadyStateAllocs(t *testing.T) {
 		core.DispatchAll()
 		core.PreemptPass()
 		for {
-			if _, _, ok := core.Pop(); !ok {
+			if _, _, ok := core.pop(); !ok {
 				break
 			}
 		}

@@ -77,28 +77,10 @@ type Config struct {
 	Threads int
 }
 
-// Engine receives the scheduling decisions the Core makes. The Core owns
-// the queues, the who-runs-where choice, the CPU accounting with its
-// dispatch overheads and the burst and slice timers; the engine owns its
-// calls' stages, its own events, probes and grants. Both methods name
-// threads and CPUs by index, as syncobj.Engine does.
-type Engine interface {
-	// Complete finishes the call of thread ti, which completed while the
-	// thread was off-CPU, now that the Core runs it on cpu again. It may
-	// end the thread (a replay whose records are exhausted exits); the
-	// Core arms the thread's timers only if it still runs on cpu
-	// afterwards.
-	Complete(cpu, ti int32)
-	// Wake is the engine's grant path, which thr_continue takes: it
-	// wakes thread ti as if thread by had granted it (the same method as
-	// syncobj.Engine's).
-	Wake(ti, by int32)
-}
-
 // Core is the shared two-level scheduler state machine: the user run
 // queue (threads waiting for an LWP), the kernel queue (LWPs waiting for
-// a CPU), the idle-LWP pool, and the policy-driven dispatch, preemption
-// and time-slice rules.
+// a CPU), the idle-LWP pool, the policy-driven dispatch, preemption
+// and time-slice rules, and the event loop that runs them (Run).
 type Core struct {
 	policy    Policy
 	engine    Engine
@@ -121,7 +103,7 @@ type Core struct {
 
 	// dispatchDirty and preemptDirty record whether any state change since
 	// the last DispatchAll / PreemptPass could possibly let the pass do
-	// work. The engines call both passes after every simulated event; on
+	// work. Run calls both passes after every simulated event; on
 	// stale or no-op events (the common case in a contended replay) the
 	// flags turn the O(CPUs) dispatch and preemption scans into a single
 	// branch. A dispatch opportunity requires a kernel-queue insertion or
@@ -149,6 +131,11 @@ type Core struct {
 	// machine (PeakRunning, Contended).
 	peak      int
 	contended bool
+
+	// live counts the threads started and not yet exited (Start, Exit);
+	// err is the run's first error (Fail).
+	live int
+	err  error
 }
 
 // NewCore builds a scheduler for the machine m with its initial LWP pool.
@@ -219,11 +206,6 @@ func (c *Core) AddThread(n *ThreadNode) {
 	n.LastCPU = -1
 	n.lwp = nilIdx
 	c.threads = append(c.threads, n)
-}
-
-// Dedicate creates the LWP of bound thread ti, which dies with it.
-func (c *Core) Dedicate(ti int32) {
-	c.pair(ti, c.newLWP(true))
 }
 
 // newLWP creates an LWP at the default priority with a full quantum and
@@ -571,9 +553,11 @@ func (c *Core) unqueue(n *ThreadNode) {
 	}
 }
 
-// Exit frees the LWP of thread ti, exiting on cpu: a bound thread's
-// dedicated LWP goes with it, a pool LWP moves on to its next thread.
+// Exit counts thread ti, exiting on cpu, out of the live threads and
+// frees its LWP: a bound thread's dedicated LWP goes with it, a pool LWP
+// moves on to its next thread.
 func (c *Core) Exit(cpu, ti int32) {
+	c.live--
 	n := c.threads[ti]
 	l := n.lwp
 	c.cpus[cpu].Epoch++
@@ -632,8 +616,9 @@ func (c *Core) sliceExpired(cpu int32) bool {
 // kernel queue or in the idle pool), a CPU and its LWP point at each
 // other, a running or queued LWP carries a thread that points back at it,
 // an idle or queued LWP is on no CPU, a thread in the user run queue is
-// runnable and carries no LWP, and idleCPUs counts the idle CPUs. Tests
-// call it after every event; it allocates, so the run loops do not.
+// runnable and carries no LWP, and idleCPUs counts the idle CPUs. With
+// DebugChecks on, Run calls it after every event; it allocates, so runs
+// do not otherwise.
 func (c *Core) CheckLinks() error {
 	where := make([]string, len(c.lwps))
 	place := func(l int32, at string) error {

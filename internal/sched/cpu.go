@@ -6,8 +6,7 @@ import "vppb/internal/vtime"
 // a thread on a CPU with its dispatch overheads, charging elapsed time,
 // and the two timers every running CPU has — the burst, which ends when
 // its thread's CPU work (after the overhead) is done, and the slice,
-// which ends its LWP's quantum. Both engines take their events from Pop
-// and hand the Core's own kinds to Handle.
+// which ends its LWP's quantum. Run (loop.go) takes every event from pop.
 
 // EventKind says what an Event is about. The Core owns EvBurst and
 // EvSlice; each engine numbers its own kinds from EvEngine on.
@@ -39,11 +38,11 @@ type Event struct {
 // Push queues an engine event for delivery at time at.
 func (c *Core) Push(at vtime.Time, ev Event) { c.events.Push(at, ev) }
 
-// Pop removes and returns the next event: the earlier of the queue's head
+// pop removes and returns the next event: the earlier of the queue's head
 // and the earliest slice timer, comparing full (time, insertion order)
 // keys, so the order is exactly the one a single queue holding both would
 // deliver. ok is false when neither holds an event.
-func (c *Core) Pop() (at vtime.Time, ev Event, ok bool) {
+func (c *Core) pop() (at vtime.Time, ev Event, ok bool) {
 	if r := &c.slices; r.n > 0 && (c.events.Len() == 0 || r.peek().before(c.events.PeekKey())) {
 		e := r.pop()
 		return e.at, Event{Kind: EvSlice, Who: e.cpu}, true
@@ -53,33 +52,6 @@ func (c *Core) Pop() (at vtime.Time, ev Event, ok bool) {
 	}
 	at, ev = c.events.Pop()
 	return at, ev, true
-}
-
-// Handle delivers one of the Core's own events. A slice that ends applies
-// the policy's quantum-expiry rules and re-arms the slice unless the LWP
-// yielded its CPU. A burst that ends charges its CPU and returns the
-// thread running there with ended true: the engine then takes that
-// thread through its call stages until it needs CPU time again (Burst),
-// blocks or exits. A stale burst is dropped.
-func (c *Core) Handle(ev Event) (ti int32, ended bool) {
-	cpu := ev.Who
-	cn := &c.cpus[cpu]
-	if cn.lwp == nilIdx {
-		return nilIdx, false
-	}
-	switch ev.Kind {
-	case EvBurst:
-		if cn.Epoch != ev.Epoch {
-			return nilIdx, false
-		}
-		c.account(cn)
-		return c.lwps[cn.lwp].thread, true
-	case EvSlice:
-		if !c.sliceExpired(cpu) {
-			c.armSlice(cpu, &c.lwps[cn.lwp])
-		}
-	}
-	return nilIdx, false
 }
 
 // run starts the thread that the LWP linked to cpu carries and marks it
@@ -143,18 +115,6 @@ func (c *Core) account(cn *CPUNode) {
 	tn.CPUTime += dt
 }
 
-// Burst arms the burst timer of cpu if tn, the node of the thread running
-// there, still owes dispatch overhead or CPU work, and reports whether it
-// did. An engine asks it before each of the thread's call stages, with
-// the node it holds (a lookup by index here would cost a load per stage).
-func (c *Core) Burst(cpu int32, tn *ThreadNode) bool {
-	if c.cpus[cpu].overhead > 0 || tn.WorkLeft > 0 {
-		c.armBurst(cpu, tn)
-		return true
-	}
-	return false
-}
-
 // armBurst arms the CPU's burst timer for the overhead it owes and the
 // work of its thread tn, invalidating the one armed before.
 func (c *Core) armBurst(cpu int32, tn *ThreadNode) {
@@ -188,7 +148,7 @@ func (c *Core) armSlice(cpu int32, ln *LWPNode) {
 // order exactly that of pushing the timer through the queue: ties at the
 // same instant still resolve by insertion order. A timer leaves the ring
 // when it is re-armed or its LWP leaves the CPU, so every listed entry is
-// live and Pop needs no revalidation.
+// live and pop needs no revalidation.
 type sliceEnt struct {
 	at  vtime.Time
 	seq uint64

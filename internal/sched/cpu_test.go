@@ -21,7 +21,7 @@ func TestStaleSliceEventDropped(t *testing.T) {
 	// tqexp demotion 29 -> 19, no yield with an empty kernel queue, and
 	// the next slice re-armed.
 	want := dispatch.NewTable().AfterQuantumExpiry(dispatch.DefaultPriority)
-	c.Handle(Event{Kind: EvSlice, Who: 0})
+	c.handle(Event{Kind: EvSlice, Who: 0})
 	if p := c.lwps[l].Prio; p != want {
 		t.Fatalf("slice event: Prio = %d, want the tqexp demotion to %d", p, want)
 	}
@@ -39,7 +39,7 @@ func TestStaleSliceEventDropped(t *testing.T) {
 		t.Fatal("unlink left the slice timer listed")
 	}
 	link(c, 0, l)
-	if at, ev, ok := c.Pop(); ok {
+	if at, ev, ok := c.pop(); ok {
 		t.Fatalf("Pop delivered %+v at %v after unlink", ev, at)
 	}
 }
@@ -87,7 +87,7 @@ func TestDispatchOverheadRules(t *testing.T) {
 		place(a)
 		owes("first placement", cs)
 		// The burst timer covers the overhead and then the work.
-		if at, ev, _ := c.Pop(); ev.Kind != EvBurst || at != vtime.Time(cs+50) {
+		if at, ev, _ := c.pop(); ev.Kind != EvBurst || at != vtime.Time(cs+50) {
 			t.Errorf("costs %+v: burst %v at %v, want a burst at %v", costs, ev.Kind, at, cs+50)
 		}
 
@@ -159,7 +159,7 @@ func TestMergedPopMatchesOneQueue(t *testing.T) {
 		armed := make([]uint64, len(lwps))
 		var last vtime.Time
 		pop := func() bool {
-			at, ev, ok := c.Pop()
+			at, ev, ok := c.pop()
 			var wantAt vtime.Time
 			var want Event
 			wantOK := false

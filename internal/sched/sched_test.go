@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -11,14 +13,109 @@ import (
 
 // ---- fake engine -----------------------------------------------------------
 
-// fakeEngine records the callback sequence the Core drives.
+// fakeEngine records the callback sequence the Core drives. Its loop
+// hooks do nothing: the tests that run the loop use fakeSource.
 type fakeEngine struct {
 	completed []int32 // TIs, in Complete order
 	woken     []int32
 }
 
-func (e *fakeEngine) Complete(_, ti int32) { e.completed = append(e.completed, ti) }
-func (e *fakeEngine) Wake(ti, _ int32)     { e.woken = append(e.woken, ti) }
+func (e *fakeEngine) Complete(_, ti int32)            { e.completed = append(e.completed, ti) }
+func (e *fakeEngine) Wake(ti, _ int32)                { e.woken = append(e.woken, ti) }
+func (e *fakeEngine) Step(Event, bool)                {}
+func (e *fakeEngine) Handle(Event)                    {}
+func (e *fakeEngine) Reach(_, _ int32) vtime.Duration { return 0 }
+func (e *fakeEngine) Apply(_, _ int32) bool           { return false }
+func (e *fakeEngine) Deadlock() error                 { return nil }
+
+// fakeSource extends fakeEngine into the call source Run drives. Each
+// thread makes calls[ti] calls, every burst and every call costing one
+// tick; a call completes on its CPU unless apply says otherwise, and the
+// thread exits when Complete finishes its last call. log records the
+// drive in order, with the clock.
+type fakeSource struct {
+	*fakeEngine
+	c     *Core
+	now   vtime.Time
+	calls []int
+	// apply, when set, applies a call in place of completing it on the
+	// CPU; step and handle, when set, run at Step and Handle.
+	apply     func(cpu, ti int32) bool
+	step      func(ev Event)
+	handle    func(ev Event)
+	log       []string
+	stepped   []int32 // Who of each event stepped
+	handled   []int32 // Who of each engine event handled
+	deadlocks int
+}
+
+var errFakeDeadlock = errors.New("fake deadlock")
+
+// newFakeSource builds a Core with a dynamic pool on nCPUs CPUs and a
+// source whose thread TI i makes calls[i] calls. Every thread is started
+// and woken, in TI order, with one tick of work before its first call.
+func newFakeSource(t *testing.T, nCPUs int, calls ...int) *fakeSource {
+	t.Helper()
+	pol, err := New("fifo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &fakeSource{fakeEngine: &fakeEngine{}, calls: calls}
+	s.c = NewCore(pol, s, &s.now, Config{CPUs: nCPUs})
+	for range calls {
+		ti := addThread(s.c, 29)
+		s.c.threads[ti].WorkLeft = 1
+		s.c.Start(ti)
+		s.c.Wake(ti, false)
+	}
+	return s
+}
+
+func (s *fakeSource) note(what string, ti int32) {
+	s.log = append(s.log, fmt.Sprintf("%s %d @%d", what, ti, s.now))
+}
+
+func (s *fakeSource) Step(ev Event, _ bool) {
+	s.stepped = append(s.stepped, ev.Who)
+	if s.step != nil {
+		s.step(ev)
+	}
+}
+
+func (s *fakeSource) Handle(ev Event) {
+	s.handled = append(s.handled, ev.Who)
+	if s.handle != nil {
+		s.handle(ev)
+	}
+}
+
+func (s *fakeSource) Reach(_, ti int32) vtime.Duration {
+	s.note("reach", ti)
+	return 1
+}
+
+func (s *fakeSource) Apply(cpu, ti int32) bool {
+	s.note("apply", ti)
+	return s.apply != nil && s.apply(cpu, ti)
+}
+
+func (s *fakeSource) Complete(cpu, ti int32) {
+	s.fakeEngine.Complete(cpu, ti)
+	s.note("complete", ti)
+	n := s.c.threads[ti]
+	n.Stage = StageCompute
+	if s.calls[ti]--; s.calls[ti] > 0 {
+		n.WorkLeft = 1
+		return
+	}
+	n.To(Zombie, s.now, -1, -1)
+	s.c.Exit(cpu, ti)
+}
+
+func (s *fakeSource) Deadlock() error {
+	s.deadlocks++
+	return errFakeDeadlock
+}
 
 func newFakeCore(t *testing.T, policy string, nCPUs int, noPreempt bool) (*Core, *fakeEngine) {
 	t.Helper()
@@ -234,7 +331,7 @@ func TestWakePaths(t *testing.T) {
 
 	bound := addThread(c, 29)
 	c.threads[bound].Bound = true
-	c.Dedicate(bound)
+	c.Start(bound)
 	dedicated := c.threads[bound].lwp
 	c.Wake(bound, false)
 	if !slices.Equal(c.kernelQ, []int32{dedicated}) {
@@ -552,6 +649,106 @@ func TestCheckLinks(t *testing.T) {
 		tc.mutate(c, running, queued, idle, waiting)
 		if err := c.CheckLinks(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: CheckLinks = %v, want an error with %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// ---- event loop ------------------------------------------------------------
+
+// TestRunDrivesCalls: the drive takes a thread through its calls, one tick
+// of burst and one of call cost each, and a thread whose last call's
+// Complete ends it (a replay whose records are exhausted) is not driven
+// further: no Reach follows, and the run ends with no thread live.
+func TestRunDrivesCalls(t *testing.T) {
+	s := newFakeSource(t, 1, 2)
+	if err := s.c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"reach 0 @1", "apply 0 @2", "complete 0 @2", "reach 0 @3", "apply 0 @4", "complete 0 @4"}
+	if !slices.Equal(s.log, want) {
+		t.Fatalf("drive = %q, want %q", s.log, want)
+	}
+	if s.c.Live() != 0 || s.c.events.Len() != 0 {
+		t.Fatalf("after the exit: %d live, %d events queued", s.c.Live(), s.c.events.Len())
+	}
+}
+
+// TestRunBlockedApplyHandsCPUBack: a call that blocks ends the drive
+// without Complete and hands the CPU to the next thread at once; the
+// blocked call completes when the thread is woken and runs again.
+func TestRunBlockedApplyHandsCPUBack(t *testing.T) {
+	s := newFakeSource(t, 1, 1, 1)
+	s.apply = func(cpu, ti int32) bool {
+		if ti == 0 {
+			s.c.Block(cpu, ti)
+			return true
+		}
+		s.c.Wake(0, false)
+		return false
+	}
+	if err := s.c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"reach 0 @1", "apply 0 @2", "reach 1 @3", "apply 1 @4", "complete 1 @4", "complete 0 @4"}
+	if !slices.Equal(s.log, want) {
+		t.Fatalf("drive = %q, want %q", s.log, want)
+	}
+	if err := s.c.CheckLinks(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunDeadlock: live threads and an empty queue end the run with the
+// source's deadlock error.
+func TestRunDeadlock(t *testing.T) {
+	s := newFakeSource(t, 2, 1)
+	s.apply = func(cpu, ti int32) bool {
+		s.c.Block(cpu, ti)
+		return true
+	}
+	if err := s.c.Run(); err != errFakeDeadlock || s.deadlocks != 1 {
+		t.Fatalf("Run = %v after %d Deadlock calls, want the source's deadlock error once", err, s.deadlocks)
+	}
+	if s.c.Live() != 1 {
+		t.Fatalf("%d live, want the blocked thread", s.c.Live())
+	}
+}
+
+// TestRunFirstFailWins: the first Fail is the run's error, and the loop
+// stops before the next event is stepped or handled, whether the failure
+// comes from handling an event or from Step.
+func TestRunFirstFailWins(t *testing.T) {
+	errFirst, errLater := errors.New("first"), errors.New("later")
+	for _, tc := range []struct {
+		name        string
+		failInStep  bool
+		wantHandled []int32
+	}{
+		{"handle", false, []int32{0, 1}},
+		{"step", true, []int32{0}},
+	} {
+		// One thread, started and never woken, keeps the run live.
+		s := newFakeSource(t, 1)
+		s.c.Start(addThread(s.c, 29))
+		for who := range int32(3) {
+			s.c.Push(vtime.Time(who+1), Event{Kind: EvEngine, Who: who})
+		}
+		fail := func(ev Event) {
+			if ev.Who == 1 {
+				s.c.Fail(errFirst)
+				s.c.Fail(errLater)
+			}
+		}
+		if tc.failInStep {
+			s.step = fail
+		} else {
+			s.handle = fail
+		}
+		if err := s.c.Run(); err != errFirst {
+			t.Errorf("%s: Run = %v, want the first failure", tc.name, err)
+		}
+		if !slices.Equal(s.stepped, []int32{0, 1}) || !slices.Equal(s.handled, tc.wantHandled) {
+			t.Errorf("%s: stepped %v and handled %v, want [0 1] and %v", tc.name, s.stepped, s.handled, tc.wantHandled)
 		}
 	}
 }

@@ -177,6 +177,15 @@ func (c *Core) Block(cpu, ti int32) {
 	c.detach(cpu, ti)
 }
 
+// BlockUnless blocks thread ti, running on cpu, unless its call was
+// granted at once, and reports whether it blocked.
+func (c *Core) BlockUnless(granted bool, cpu, ti int32) bool {
+	if !granted {
+		c.Block(cpu, ti)
+	}
+	return !granted
+}
+
 // Yield takes thread ti, running on cpu, off the CPU but keeps it
 // runnable: its LWP queues behind its equals, and thr_yield completes
 // when the thread is dispatched again.

@@ -65,13 +65,10 @@ type Process struct {
 	objects []*object // indexed by object.oi
 	so      *syncobj.Core
 
-	tb          *trace.TimelineBuilder
-	eventSeq    int64
-	liveThreads int
-	err         error
-	started     bool
-	finished    bool
-	opsNoTime   int
+	tb        *trace.TimelineBuilder
+	eventSeq  int64
+	started   bool
+	opsNoTime int
 }
 
 // NewProcess prepares a process with the given configuration. Synchronization
@@ -90,7 +87,7 @@ func NewProcess(cfg Config) *Process {
 	if err != nil {
 		// Surface the bad policy at Run; fall back to the default so the
 		// process stays usable for object creation until then.
-		p.err = fmt.Errorf("threadlib: %w", err)
+		err = fmt.Errorf("threadlib: %w", err)
 		pol, _ = sched.New(sched.Default)
 	}
 	// A fixed LWP count is honoured exactly; the dynamic default starts
@@ -102,6 +99,7 @@ func NewProcess(cfg Config) *Process {
 		NoPreemption: c.NoPreemption,
 		Costs:        sched.Overheads{ContextSwitch: c.Costs.ContextSwitch, Migration: c.Costs.Migration},
 	})
+	p.sc.Fail(err)
 	p.so = syncobj.New((*kengine)(p), 0, 0)
 	if c.CollectTimeline {
 		p.tb = trace.NewTimelineBuilder()
@@ -111,9 +109,6 @@ func NewProcess(cfg Config) *Process {
 
 // Now returns the current virtual time.
 func (p *Process) Now() vtime.Time { return p.now }
-
-// Err returns the first error the run encountered.
-func (p *Process) Err() error { return p.err }
 
 // Result summarizes a completed run.
 type Result struct {
@@ -134,8 +129,8 @@ type Result struct {
 // error if the program deadlocked, livelocked, panicked or misused the
 // thread API.
 func (p *Process) Run(main func(*Thread)) (*Result, error) {
-	if p.err != nil {
-		return nil, p.err
+	if err := p.sc.Err(); err != nil {
+		return nil, err
 	}
 	if p.started {
 		return nil, fmt.Errorf("threadlib: process already run")
@@ -150,36 +145,9 @@ func (p *Process) Run(main func(*Thread)) (*Result, error) {
 	p.spawn(mt, main)
 	p.fetchInto(mt)
 	p.sc.Wake(mt.TI, false)
-	p.sc.DispatchAll()
-	p.sc.PreemptPass()
-
-	for p.liveThreads > 0 && p.err == nil {
-		at, ev, ok := p.sc.Pop()
-		if !ok {
-			p.fail(p.deadlockError())
-			break
-		}
-		if at > p.now {
-			p.now = at
-			p.opsNoTime = 0
-		}
-		if p.cfg.MaxDuration > 0 && p.now > vtime.Time(0).Add(p.cfg.MaxDuration) {
-			p.fail(fmt.Errorf(
-				"threadlib: virtual time budget %v exceeded at %v: the program did not terminate (a spinning thread never yields its LWP under the Recorder, paper section 6)",
-				p.cfg.MaxDuration, p.now))
-			break
-		}
-		p.handle(ev)
-		p.checkLinks("post-handle")
-		p.sc.DispatchAll()
-		p.sc.PreemptPass()
-		p.checkLinks("post-dispatch")
-	}
-	p.finished = true
-
-	if p.err != nil {
+	if err := p.sc.Run(); err != nil {
 		p.abortAll()
-		return nil, p.err
+		return nil, err
 	}
 
 	res := &Result{
@@ -202,28 +170,9 @@ func (p *Process) Run(main func(*Thread)) (*Result, error) {
 	return res, nil
 }
 
-// debugChecks enables the scheduler core's link check after every event;
-// the package's tests turn it on.
-var debugChecks = false
-
-// checkLinks panics, when debugChecks is on, if the scheduler core's
-// links are inconsistent (sched.Core.CheckLinks).
-func (p *Process) checkLinks(where string) {
-	if !debugChecks {
-		return
-	}
-	if err := p.sc.CheckLinks(); err != nil {
-		panic(fmt.Sprintf("invariant (%s): %v", where, err))
-	}
-}
-
-func (p *Process) fail(err error) {
-	if p.err == nil && err != nil {
-		p.err = err
-	}
-}
-
-func (p *Process) deadlockError() error {
+// Deadlock names each live thread, its state and what it waits on.
+func (e *kengine) Deadlock() error {
+	p := (*Process)(e)
 	var b strings.Builder
 	fmt.Fprintf(&b, "threadlib: deadlock at %v:", p.now)
 	for _, kt := range p.threads {
@@ -272,12 +221,9 @@ func (p *Process) newThread(id trace.ThreadID, name, fname string, co createOpts
 		start: make(chan struct{}),
 	}
 	p.sc.AddThread(&kt.ThreadNode)
-	if kt.Bound {
-		p.sc.Dedicate(kt.TI)
-	}
+	p.sc.Start(kt.TI)
 	p.threads = append(p.threads, kt)
 	p.byID[id] = kt
-	p.liveThreads++
 	info := p.threadInfo(kt)
 	if p.cfg.Hook != nil {
 		p.cfg.Hook.HandleThread(info)
@@ -341,13 +287,6 @@ func (p *Process) fetchInto(kt *kthread) {
 	} else {
 		panic("threadlib: fetchInto on running thread without grant")
 	}
-	p.receive(kt)
-}
-
-// grantAndFetch completes the thread's current call and obtains its next
-// request.
-func (p *Process) grantAndFetch(kt *kthread, resp response) {
-	kt.grant <- resp
 	p.receive(kt)
 }
 
@@ -468,19 +407,27 @@ func (p *Process) emitPlaced(kt *kthread, ev trace.Event) {
 
 // ---- scheduling -----------------------------------------------------------
 //
-// The queueing, dispatch, preemption and time-slice machinery, the CPU
-// accounting with its dispatch overheads and timers, and the thread state
-// machine live in internal/sched — the same core the Simulator drives, so
-// the recorder and the replay engine cannot drift apart. The kengine
-// adapter below receives the core's decisions and applies this engine's
-// specifics: probes and grants.
+// The event loop and the drive through each call's stages, the queueing,
+// dispatch, preemption and time-slice machinery, the CPU accounting with
+// its dispatch overheads and timers, and the thread state machine live in
+// internal/sched — the same core the Simulator runs, so the recorder and
+// the replay engine cannot drift apart. The kengine adapter below is the
+// core's call source: it supplies this engine's specifics, live requests,
+// probes, grants and the budgets.
 
 // kengine adapts Process to sched.Engine.
 type kengine Process
 
-// Complete: the thread's call completed while it was off-CPU; finish it
-// now that it runs again: After probe, grant, next request.
-func (e *kengine) Complete(_, ti int32) { (*Process)(e).completeOp(e.threads[ti]) }
+// Complete: the thread's call completed; fire its After probe, grant the
+// response and fetch the next request.
+func (e *kengine) Complete(_, ti int32) {
+	p := (*Process)(e)
+	kt := p.threads[ti]
+	pushHeld(kt)
+	p.emitPlaced(kt, p.fireProbe(kt, p.afterEvent(kt)))
+	kt.grant <- kt.resp
+	p.receive(kt)
+}
 
 // kengine also adapts Process to syncobj.Engine, receiving the object
 // core's grants (and thr_continue's wakes).
@@ -495,22 +442,23 @@ func (e *kengine) StartIO(oi, ti int32) {
 	p.sc.Push(p.now.Add(service), sched.Event{Kind: evIODone, Who: oi})
 }
 
-// completeOp fires the After probe for the thread's suspended call, grants
-// the response, and fetches the next request.
-func (p *Process) completeOp(kt *kthread) {
-	pushHeld(kt)
-	ev := p.fireProbe(kt, p.afterEvent(kt))
-	p.emitPlaced(kt, ev)
-	p.grantAndFetch(kt, kt.resp)
+// Step checks the virtual-time budget before each event; a moving clock
+// resets the progress guard.
+func (e *kengine) Step(_ sched.Event, advanced bool) {
+	p := (*Process)(e)
+	if advanced {
+		p.opsNoTime = 0
+	}
+	if p.cfg.MaxDuration > 0 && p.now > vtime.Time(0).Add(p.cfg.MaxDuration) {
+		p.sc.Fail(fmt.Errorf(
+			"threadlib: virtual time budget %v exceeded at %v: the program did not terminate (a spinning thread never yields its LWP under the Recorder, paper section 6)",
+			p.cfg.MaxDuration, p.now))
+	}
 }
 
-// handle processes one kernel event.
-func (p *Process) handle(ev sched.Event) {
+func (e *kengine) Handle(ev sched.Event) {
+	p := (*Process)(e)
 	switch ev.Kind {
-	case sched.EvBurst, sched.EvSlice:
-		if ti, ended := p.sc.Handle(ev); ended {
-			p.advanceThread(ev.Who, p.threads[ti])
-		}
 	case evTimer:
 		kt := p.threads[ev.Who]
 		if kt.timerEpoch != ev.Epoch {
@@ -522,44 +470,31 @@ func (p *Process) handle(ev sched.Event) {
 	}
 }
 
-// advanceThread drives the thread running on cpu through its request
-// phases until it needs CPU time again, blocks, or exits.
-// The thread is never at sched.StageWaiting here: the Core completes a
-// waiting call (Complete) before it arms the burst that ends here.
-func (p *Process) advanceThread(cpu int32, kt *kthread) {
-	for !p.sc.Burst(cpu, &kt.ThreadNode) {
-		p.guardProgress(kt)
-		if p.err != nil {
-			return
-		}
-		switch kt.Stage {
-		case sched.StageCompute:
-			// The thread reached its library call.
-			kt.beforeEv = p.fireProbe(kt, p.beforeEvent(kt))
-			kt.Stage = sched.StageCall
-			kt.WorkLeft = p.callCost(kt) + kt.extraWork
-			kt.extraWork = 0
-		case sched.StageCall:
-			blocked := p.applyOp(cpu, kt)
-			if blocked || p.err != nil {
-				return
-			}
-			// Completed on-CPU: After probe, grant, next request.
-			if kt.State == sched.Zombie {
-				return
-			}
-			p.completeOp(kt)
-		}
+// Reach: the thread reached its library call. It fires the Before probe
+// and returns the call's cost with the probe costs folded in.
+func (e *kengine) Reach(_, ti int32) vtime.Duration {
+	p := (*Process)(e)
+	kt := p.threads[ti]
+	if !p.guardProgress(kt) {
+		return 0
 	}
+	kt.beforeEv = p.fireProbe(kt, p.beforeEvent(kt))
+	cost := p.callCost(kt) + kt.extraWork
+	kt.extraWork = 0
+	return cost
 }
 
-func (p *Process) guardProgress(kt *kthread) {
+// guardProgress counts one call stage at the current instant and fails
+// the run, returning false, once too many pass without the clock moving.
+func (p *Process) guardProgress(kt *kthread) bool {
 	p.opsNoTime++
 	if p.opsNoTime > p.cfg.MaxOpsWithoutProgress {
-		p.fail(fmt.Errorf(
+		p.sc.Fail(fmt.Errorf(
 			"threadlib: livelock: %d operations without virtual time progress (thread T%d %s at %s); spinning programs cannot run under the Recorder (paper section 6)",
 			p.opsNoTime, kt.id, kt.name, kt.req.loc))
+		return false
 	}
+	return true
 }
 
 // callCost returns the CPU cost of the thread's pending call, applying the
@@ -582,12 +517,9 @@ func (p *Process) exitThread(cpu int32, kt *kthread) {
 	req := kt.req
 	p.emitPlaced(kt, kt.beforeEv)
 	kt.To(sched.Zombie, p.now, -1, -1)
-	p.liveThreads--
 	p.so.Exit(kt.TI)
 	p.sc.Exit(cpu, kt.TI)
-	if req.exitErr != nil {
-		p.fail(req.exitErr)
-	}
+	p.sc.Fail(req.exitErr)
 	// Final grant: the goroutine finishes.
 	kt.grant <- response{}
 }

@@ -35,13 +35,19 @@ func (p *Process) newObject(kind trace.ObjectKind, name string, initCount int) *
 	return o
 }
 
-// applyOp executes the semantic effect of the thread's pending call.
-// Object state and grant rules live in internal/syncobj, shared with the
-// Simulator; this file keeps the live-API rules: try results, misuse
-// errors with their source location, real timeouts and the held-mutex
-// stack. It returns true if the thread can no longer continue on this CPU
-// (it blocked, yielded, or exited).
-func (p *Process) applyOp(cpu int32, kt *kthread) (blocked bool) {
+// Apply executes the semantic effect of the thread's pending call, after
+// the progress guard. Object state and grant rules live in
+// internal/syncobj, shared with the Simulator; this file keeps the
+// live-API rules: try results, misuse errors with their source location,
+// real timeouts and the held-mutex stack. It returns true if the thread
+// can no longer continue on this CPU (it blocked, yielded, or exited) or
+// the guard failed the run.
+func (e *kengine) Apply(cpu, ti int32) (blocked bool) {
+	p := (*Process)(e)
+	kt := p.threads[ti]
+	if !p.guardProgress(kt) {
+		return true
+	}
 	req := kt.req
 	switch req.kind {
 	case trace.CallThrCreate:
@@ -62,17 +68,17 @@ func (p *Process) applyOp(cpu int32, kt *kthread) (blocked bool) {
 		return p.opSetConcurrency(kt)
 	case trace.CallMutexLock:
 		if p.so.Owner(req.obj.oi) == kt.TI {
-			p.fail(fmt.Errorf("threadlib: thread T%d relocked mutex %q it already holds at %s", kt.id, req.obj.name, req.loc))
+			p.sc.Fail(fmt.Errorf("threadlib: thread T%d relocked mutex %q it already holds at %s", kt.id, req.obj.name, req.loc))
 			return true
 		}
-		return p.wait(cpu, kt, p.so.MutexLock(req.obj.oi, kt.TI))
+		return p.sc.BlockUnless(p.so.MutexLock(req.obj.oi, kt.TI), cpu, kt.TI)
 	case trace.CallMutexTryLock:
 		kt.resp.ok = p.so.MutexTryLock(req.obj.oi, kt.TI)
 		return false
 	case trace.CallMutexUnlock:
 		return p.opMutexUnlock(kt)
 	case trace.CallSemaWait:
-		return p.wait(cpu, kt, p.so.SemaWait(req.obj.oi, kt.TI))
+		return p.sc.BlockUnless(p.so.SemaWait(req.obj.oi, kt.TI), cpu, kt.TI)
 	case trace.CallSemaTryWait:
 		kt.resp.ok = p.so.SemaTryWait(req.obj.oi)
 		return false
@@ -89,16 +95,16 @@ func (p *Process) applyOp(cpu int32, kt *kthread) (blocked bool) {
 		return false
 	case trace.CallRWRdLock, trace.CallRWWrLock:
 		if p.so.RWHolds(req.obj.oi, kt.TI) {
-			p.fail(fmt.Errorf("threadlib: thread T%d re-entered rwlock %q at %s", kt.id, req.obj.name, req.loc))
+			p.sc.Fail(fmt.Errorf("threadlib: thread T%d re-entered rwlock %q at %s", kt.id, req.obj.name, req.loc))
 			return true
 		}
 		if req.kind == trace.CallRWRdLock {
-			return p.wait(cpu, kt, p.so.RdLock(req.obj.oi, kt.TI))
+			return p.sc.BlockUnless(p.so.RdLock(req.obj.oi, kt.TI), cpu, kt.TI)
 		}
-		return p.wait(cpu, kt, p.so.WrLock(req.obj.oi, kt.TI))
+		return p.sc.BlockUnless(p.so.WrLock(req.obj.oi, kt.TI), cpu, kt.TI)
 	case trace.CallRWUnlock:
 		if !p.so.RWUnlock(req.obj.oi, kt.TI) {
-			p.fail(fmt.Errorf("threadlib: thread T%d unlocked rwlock %q it does not hold at %s", kt.id, req.obj.name, req.loc))
+			p.sc.Fail(fmt.Errorf("threadlib: thread T%d unlocked rwlock %q it does not hold at %s", kt.id, req.obj.name, req.loc))
 			return true
 		}
 		return false
@@ -116,23 +122,14 @@ func (p *Process) applyOp(cpu int32, kt *kthread) (blocked bool) {
 		}
 		return !ok
 	}
-	p.fail(fmt.Errorf("threadlib: thread T%d issued unknown call %v", kt.id, req.kind))
-	return true
-}
-
-// wait blocks the thread unless its object call was granted at once.
-func (p *Process) wait(cpu int32, kt *kthread, granted bool) bool {
-	if granted {
-		return false
-	}
-	p.sc.Block(cpu, kt.TI)
+	p.sc.Fail(fmt.Errorf("threadlib: thread T%d issued unknown call %v", kt.id, req.kind))
 	return true
 }
 
 func (p *Process) opCreate(kt *kthread) bool {
 	req := kt.req
 	if req.body == nil {
-		p.fail(fmt.Errorf("threadlib: thr_create with nil body at %s", req.loc))
+		p.sc.Fail(fmt.Errorf("threadlib: thr_create with nil body at %s", req.loc))
 		return true
 	}
 	co := req.copts
@@ -150,14 +147,14 @@ func (p *Process) opCreate(kt *kthread) bool {
 func (p *Process) opJoin(cpu int32, kt *kthread) bool {
 	req := kt.req
 	if req.target == kt.id {
-		p.fail(fmt.Errorf("threadlib: thread T%d joined itself at %s", kt.id, req.loc))
+		p.sc.Fail(fmt.Errorf("threadlib: thread T%d joined itself at %s", kt.id, req.loc))
 		return true
 	}
 	target := syncobj.Nil // wildcard: reap the oldest zombie, or wait for any exit
 	if req.target != 0 {
 		t, ok := p.byID[req.target]
 		if !ok {
-			p.fail(fmt.Errorf("threadlib: thread T%d joined unknown thread T%d at %s", kt.id, req.target, req.loc))
+			p.sc.Fail(fmt.Errorf("threadlib: thread T%d joined unknown thread T%d at %s", kt.id, req.target, req.loc))
 			return true
 		}
 		target = t.TI
@@ -165,8 +162,8 @@ func (p *Process) opJoin(cpu int32, kt *kthread) bool {
 	if p.so.Join(kt.TI, target) {
 		return false
 	}
-	if target == syncobj.Nil && p.liveThreads == 1 {
-		p.fail(fmt.Errorf("threadlib: thread T%d wildcard-joined with no other threads at %s", kt.id, req.loc))
+	if target == syncobj.Nil && p.sc.Live() == 1 {
+		p.sc.Fail(fmt.Errorf("threadlib: thread T%d wildcard-joined with no other threads at %s", kt.id, req.loc))
 		return true
 	}
 	p.sc.Block(cpu, kt.TI)
@@ -179,7 +176,7 @@ func (p *Process) opSetConcurrency(kt *kthread) bool {
 	// a recording runs on a fixed pool, and its replay on a dynamic pool
 	// honours the request.
 	if err := p.sc.SetConcurrency(kt.req.n); err != nil {
-		p.fail(fmt.Errorf("threadlib: %w at %s", err, kt.req.loc))
+		p.sc.Fail(fmt.Errorf("threadlib: %w at %s", err, kt.req.loc))
 		return true
 	}
 	return false
@@ -222,7 +219,7 @@ func (p *Process) opMutexUnlock(kt *kthread) bool {
 		if owner != syncobj.Nil {
 			holder = fmt.Sprintf("T%d", p.threads[owner].id)
 		}
-		p.fail(fmt.Errorf("threadlib: thread T%d unlocked mutex %q held by %s at %s", kt.id, o.name, holder, kt.req.loc))
+		p.sc.Fail(fmt.Errorf("threadlib: thread T%d unlocked mutex %q held by %s at %s", kt.id, o.name, holder, kt.req.loc))
 		return true
 	}
 	dropHeld(kt, o)
@@ -236,11 +233,11 @@ func (p *Process) opCondWait(cpu int32, kt *kthread) bool {
 	req := kt.req
 	cv, m := req.obj, req.mutex
 	if m == nil || m.kind != trace.ObjMutex {
-		p.fail(fmt.Errorf("threadlib: cond_wait on %q without a mutex at %s", cv.name, req.loc))
+		p.sc.Fail(fmt.Errorf("threadlib: cond_wait on %q without a mutex at %s", cv.name, req.loc))
 		return true
 	}
 	if p.so.Owner(m.oi) != kt.TI {
-		p.fail(fmt.Errorf("threadlib: thread T%d cond_wait on %q without holding mutex %q at %s", kt.id, cv.name, m.name, req.loc))
+		p.sc.Fail(fmt.Errorf("threadlib: thread T%d cond_wait on %q without holding mutex %q at %s", kt.id, cv.name, m.name, req.loc))
 		return true
 	}
 	// Atomically release the mutex and sleep on the condition.
@@ -279,7 +276,7 @@ func (p *Process) timedWaitExpired(kt *kthread) {
 func (p *Process) lookupTarget(kt *kthread, verb string) (*kthread, bool) {
 	target, ok := p.byID[kt.req.target]
 	if !ok {
-		p.fail(fmt.Errorf("threadlib: thread T%d %s unknown thread T%d at %s", kt.id, verb, kt.req.target, kt.req.loc))
+		p.sc.Fail(fmt.Errorf("threadlib: thread T%d %s unknown thread T%d at %s", kt.id, verb, kt.req.target, kt.req.loc))
 	}
 	return target, ok
 }
