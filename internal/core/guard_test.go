@@ -122,6 +122,37 @@ func TestDeadlockLostWakeup(t *testing.T) {
 	}
 }
 
+// TestSuspendedBurstLeavesNoTimer replays what the recorder logs of a
+// program that deadlocks: main creates T4, which computes 1 s, computes
+// 20 ms itself, suspends T4 and waits on a semaphore no one posts. The
+// suspended thread's burst timer goes with it, so within a 500 ms budget
+// the replay reports the deadlock at 20 ms, when main blocked, not a
+// budget error at the 1 s the burst would have ended.
+func TestSuspendedBurstLeavesNoTimer(t *testing.T) {
+	const never trace.ObjectID = 1
+	prof := guardProfile(
+		[]trace.ObjectInfo{{ID: never, Kind: trace.ObjSema, Name: "never"}},
+		map[trace.ThreadID][]trace.CallRecord{
+			1: {
+				{Call: trace.CallThrCreate, Target: 4},
+				{CPUBefore: 20 * vtime.Millisecond, Call: trace.CallThrSuspend, Target: 4},
+				{Call: trace.CallSemaWait, Object: never},
+			},
+			4: {
+				{CPUBefore: vtime.Second, Call: trace.CallThrExit},
+			},
+		},
+	)
+	_, err := SimulateProfile(prof, Machine{CPUs: 2, MaxVirtualTime: 500 * vtime.Millisecond})
+	var de *DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("error is %T, want *DeadlockError: %v", err, err)
+	}
+	if want := vtime.Time(0).Add(20 * vtime.Millisecond); de.At != want {
+		t.Fatalf("deadlock at %v, want %v", de.At, want)
+	}
+}
+
 // TestLivelockWindow replays a thread of zero-cost yields: virtual time
 // never advances, so the dispatch watchdog must fire.
 func TestLivelockWindow(t *testing.T) {

@@ -100,19 +100,23 @@ func BenchmarkSimEvents(b *testing.B) {
 		threads int
 		scale   float64
 		cpus    int
+		policy  string
 	}{
 		// small: the paper's running example.
-		{"small_example_2p", "example", 2, 1.0, 2},
+		{"small_example_2p", "example", 2, 1.0, 2, ""},
 		// medium: two Table 1 kernels at the paper's headline size.
-		{"medium_fft_8p", "fft", 8, 1.0, 8},
-		{"medium_radix_8p", "radix", 8, 1.0, 8},
+		{"medium_fft_8p", "fft", 8, 1.0, 8, ""},
+		{"medium_radix_8p", "radix", 8, 1.0, 8, ""},
+		// rr on few CPUs: slice expiries cut most of FFT's bursts short,
+		// the case where CPU timers are re-armed most often.
+		{"medium_fft_2p_rr", "fft", 8, 1.0, 2, "rr"},
 		// large: the lock-heavy Table 1 kernels scaled up.
-		{"large_ocean_8p", "ocean", 8, 3.0, 8},
-		{"large_lu_8p", "lu", 8, 3.0, 8},
+		{"large_ocean_8p", "ocean", 8, 3.0, 8, ""},
+		{"large_lu_8p", "lu", 8, 3.0, 8, ""},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			benchSim(b, workloadProfile(b, c.app, c.threads, c.scale), core.Machine{CPUs: c.cpus})
+			benchSim(b, workloadProfile(b, c.app, c.threads, c.scale), core.Machine{CPUs: c.cpus, Policy: c.policy})
 		})
 	}
 	b.Run("gotrace_mutexchan_4p", func(b *testing.B) {

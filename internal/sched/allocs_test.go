@@ -5,7 +5,8 @@ import "testing"
 // TestCoreSteadyStateAllocs pins the zero-allocation contract of the
 // scheduler hot path: once the queues have reached their peak size, a full
 // undispatch → requeue → dispatch → slice-expiry cycle, with the burst and
-// slice timers it arms delivered through Pop, must not touch the heap.
+// slice timers it arms delivered through pop and disarmed, must not touch
+// the heap.
 // The simulator drives these entry points once or more per simulated
 // event, so a single allocation here is a per-event allocation for every
 // prediction.
@@ -28,9 +29,11 @@ func TestCoreSteadyStateAllocs(t *testing.T) {
 		core.DispatchAll()
 		core.PreemptPass()
 		for {
-			if _, _, ok := core.pop(); !ok {
+			_, ev, ok := core.pop()
+			if !ok {
 				break
 			}
+			core.timers.disarm(timerSlot(ev.Who, ev.Kind))
 		}
 	}
 	// Warm up: queues and idle list grow to their steady-state capacity.

@@ -39,10 +39,6 @@ type LWPNode struct {
 
 // CPUNode is the Core's state of one CPU.
 type CPUNode struct {
-	// Epoch invalidates pending burst events: a burst timer carries the
-	// epoch it was armed at, and an EvBurst event whose epoch lags is
-	// dropped.
-	Epoch uint64
 	// lwp is the LWP the CPU runs, nilIdx while it idles.
 	lwp int32
 	// accounted is when the CPU's time was last charged (account);
@@ -92,10 +88,10 @@ type Core struct {
 	lwps    []LWPNode     // by LWP ID
 	cpus    []CPUNode     // by CPU ID
 
-	// events holds the burst timers and the engine's own events; slices
-	// holds the slice timers (see Pop).
+	// events holds the engine's own events; timers holds the CPU timers
+	// (see pop).
 	events vtime.EventQueue[Event]
-	slices sliceRing
+	timers cpuTimers
 
 	userRunQ []int32 // TIs
 	kernelQ  []int32 // LWP IDs
@@ -155,7 +151,7 @@ func NewCore(policy Policy, engine Engine, now *vtime.Time, m Config) *Core {
 		threads:       make([]*ThreadNode, 0, m.Threads),
 		lwps:          make([]LWPNode, 0, pool),
 		cpus:          make([]CPUNode, m.CPUs),
-		slices:        newSliceRing(m.CPUs),
+		timers:        cpuTimers{heap: make([]timer, 0, 2*m.CPUs), pos: make([]int32, 2*m.CPUs)},
 		userRunQ:      make([]int32, 0, m.Threads),
 		kernelQ:       make([]int32, 0, m.Threads),
 		idleLWPs:      make([]int32, 0, pool),
@@ -171,10 +167,10 @@ func NewCore(policy Policy, engine Engine, now *vtime.Time, m Config) *Core {
 	for range pool {
 		c.idleLWPs = append(c.idleLWPs, c.newLWP(false))
 	}
-	// The queue's steady state holds at most one burst event per CPU plus
-	// one engine event per thread; reserving that up front keeps heap
+	// The queue holds only the engine's events, in the steady state about
+	// a wake and a timer per thread; reserving that up front keeps heap
 	// growth out of the event loop.
-	c.events.Reserve(2*m.Threads + 2*m.CPUs + 8)
+	c.events.Reserve(2*m.Threads + 8)
 	return c
 }
 
@@ -363,17 +359,16 @@ func (c *Core) release(n *ThreadNode) {
 	n.lwp = nilIdx
 }
 
-// unlink detaches the LWP running on cpu and drops both of the CPU's
-// timers: the burst by its epoch, the slice by taking it out of the ring.
-// Every requeue or park of a running LWP funnels through here.
+// unlink detaches the LWP running on cpu and disarms both of the CPU's
+// timers. Every requeue or park of a running LWP funnels through here.
 func (c *Core) unlink(cpu int32) {
 	c.dispatchDirty = true // the CPU goes idle
 	c.idleCPUs++
 	cn := &c.cpus[cpu]
-	cn.Epoch++
 	c.lwps[cn.lwp].cpu = nilIdx
 	cn.lwp = nilIdx
-	c.slices.remove(cpu)
+	c.timers.disarm(timerSlot(cpu, EvBurst))
+	c.timers.disarm(timerSlot(cpu, EvSlice))
 }
 
 // undispatch evicts the running LWP from a CPU, preserving its thread's
@@ -533,7 +528,6 @@ func (c *Core) detach(cpu, ti int32) {
 		c.unlink(cpu)
 		return
 	}
-	c.cpus[cpu].Epoch++
 	c.release(n)
 	c.nextThread(cpu)
 }
@@ -560,7 +554,6 @@ func (c *Core) Exit(cpu, ti int32) {
 	c.live--
 	n := c.threads[ti]
 	l := n.lwp
-	c.cpus[cpu].Epoch++
 	if l == nilIdx {
 		return
 	}
@@ -616,9 +609,10 @@ func (c *Core) sliceExpired(cpu int32) bool {
 // kernel queue or in the idle pool), a CPU and its LWP point at each
 // other, a running or queued LWP carries a thread that points back at it,
 // an idle or queued LWP is on no CPU, a thread in the user run queue is
-// runnable and carries no LWP, and idleCPUs counts the idle CPUs. With
-// DebugChecks on, Run calls it after every event; it allocates, so runs
-// do not otherwise.
+// runnable and carries no LWP, and idleCPUs counts the idle CPUs. An idle
+// CPU lists no timer, a busy one's burst is armed, and every armed timer
+// slot and its heap entry point at each other. With DebugChecks on, Run
+// calls it after every event; it allocates, so runs do not otherwise.
 func (c *Core) CheckLinks() error {
 	where := make([]string, len(c.lwps))
 	place := func(l int32, at string) error {
@@ -631,9 +625,16 @@ func (c *Core) CheckLinks() error {
 	idle := 0
 	for i, cn := range c.cpus {
 		l := cn.lwp
+		burst := c.timers.pos[timerSlot(int32(i), EvBurst)] > 0
+		if l == nilIdx && (burst || c.timers.pos[timerSlot(int32(i), EvSlice)] > 0) {
+			return fmt.Errorf("idle cpu %d has an armed timer", i)
+		}
 		if l == nilIdx {
 			idle++
 			continue
+		}
+		if !burst {
+			return fmt.Errorf("busy cpu %d has no burst timer", i)
 		}
 		if err := place(l, fmt.Sprintf("on cpu %d", i)); err != nil {
 			return err
@@ -647,6 +648,18 @@ func (c *Core) CheckLinks() error {
 	}
 	if idle != c.idleCPUs {
 		return fmt.Errorf("%d cpus idle, counted %d", idle, c.idleCPUs)
+	}
+	armed := 0
+	for slot, p := range c.timers.pos {
+		if p == 0 {
+			continue
+		}
+		if armed++; int(p) > len(c.timers.heap) || c.timers.heap[p-1].slot != int32(slot) {
+			return fmt.Errorf("timer slot %d lists heap index %d, which holds another slot", slot, p-1)
+		}
+	}
+	if armed != len(c.timers.heap) {
+		return fmt.Errorf("%d timer slots armed, %d timers in the heap", armed, len(c.timers.heap))
 	}
 	for _, l := range c.kernelQ {
 		if err := place(l, "in kernelQ"); err != nil {

@@ -24,11 +24,11 @@ const (
 
 // Event is a pointer-free queue entry. Who is the dense index of its
 // subject: a CPU for the Core's kinds, an engine's thread or object for
-// the engine's own. Epoch is the subject's epoch when the event was
-// armed; an event whose epoch lags is stale and dropped. A slice event
-// carries none, as its timer leaves the ring the moment it goes stale.
-// Keeping pointers out of the queue means the collector never scans it
-// and a push emits no write barriers.
+// the engine's own. For an engine's event, Epoch is the subject's epoch
+// when the event was queued, so the engine can drop one that has gone
+// stale; for a CPU timer's, it is the timer's seq (see pop). Keeping
+// pointers out of the queue means the collector never scans it and a
+// push emits no write barriers.
 type Event struct {
 	Kind  EventKind
 	Who   int32
@@ -38,14 +38,15 @@ type Event struct {
 // Push queues an engine event for delivery at time at.
 func (c *Core) Push(at vtime.Time, ev Event) { c.events.Push(at, ev) }
 
-// pop removes and returns the next event: the earlier of the queue's head
-// and the earliest slice timer, comparing full (time, insertion order)
-// keys, so the order is exactly the one a single queue holding both would
-// deliver. ok is false when neither holds an event.
+// pop returns the next event: the earlier of the queue's head, which it
+// removes, and the earliest CPU timer, comparing full (time, insertion
+// order) keys, so the order is exactly the one a single queue holding
+// both would deliver. ok is false when neither holds an event. A
+// delivered CPU timer stays listed until handle re-arms or disarms it.
 func (c *Core) pop() (at vtime.Time, ev Event, ok bool) {
-	if r := &c.slices; r.n > 0 && (c.events.Len() == 0 || r.peek().before(c.events.PeekKey())) {
-		e := r.pop()
-		return e.at, Event{Kind: EvSlice, Who: e.cpu}, true
+	if h := &c.timers; len(h.heap) > 0 && (c.events.Len() == 0 || h.heap[0].before(c.events.PeekKey())) {
+		e := h.heap[0]
+		return e.at, Event{Kind: EventKind(e.slot & 1), Who: e.slot >> 1, Epoch: e.seq}, true
 	}
 	if c.events.Len() == 0 {
 		return 0, Event{}, false
@@ -116,112 +117,100 @@ func (c *Core) account(cn *CPUNode) {
 }
 
 // armBurst arms the CPU's burst timer for the overhead it owes and the
-// work of its thread tn, invalidating the one armed before.
+// work of its thread tn, in place of the one armed before.
 func (c *Core) armBurst(cpu int32, tn *ThreadNode) {
-	cn := &c.cpus[cpu]
-	cn.Epoch++
-	c.events.Push(c.now.Add(cn.overhead+tn.WorkLeft), Event{Kind: EvBurst, Who: cpu, Epoch: cn.Epoch})
+	at := c.now.Add(c.cpus[cpu].overhead + tn.WorkLeft)
+	c.timers.arm(timerSlot(cpu, EvBurst), at, c.events.ReserveSeq())
 }
 
 // armSlice arms the slice timer of ln, the LWP running on cpu, for what is
-// left of its quantum, refilling an exhausted one from the policy, and
-// drops the timer armed before. A policy without time slicing arms none:
-// the LWP runs to block.
+// left of its quantum, refilling an exhausted one from the policy, in
+// place of the timer armed before. A policy without time slicing arms
+// none: the LWP runs to block.
 func (c *Core) armSlice(cpu int32, ln *LWPNode) {
-	c.slices.remove(cpu)
 	if ln.QuantumLeft <= 0 {
 		ln.QuantumLeft = c.policy.Quantum(ln.Prio)
 	}
 	if ln.QuantumLeft <= 0 {
+		c.timers.disarm(timerSlot(cpu, EvSlice))
 		return
 	}
-	c.slices.insert(sliceEnt{at: c.now.Add(ln.QuantumLeft), seq: c.events.ReserveSeq(), cpu: cpu})
+	c.timers.arm(timerSlot(cpu, EvSlice), c.now.Add(ln.QuantumLeft), c.events.ReserveSeq())
 }
 
-// ---- slice ring -----------------------------------------------------------
+// ---- CPU timers -----------------------------------------------------------
 
-// sliceEnt is one armed slice timer. Slice expirations are the dominant
-// event traffic of compute-heavy runs (a burst that spans many quanta
-// re-arms its slice on every expiry), and each CPU has at most one live
-// slice timer, so they bypass the event queue. seq is reserved from the
-// queue's insertion counter at arm time, which keeps the merged delivery
-// order exactly that of pushing the timer through the queue: ties at the
-// same instant still resolve by insertion order. A timer leaves the ring
-// when it is re-armed or its LWP leaves the CPU, so every listed entry is
-// live and pop needs no revalidation.
-type sliceEnt struct {
-	at  vtime.Time
-	seq uint64
-	cpu int32
+// cpuTimers holds every armed CPU timer in one indexed binary min-heap
+// ordered by (at, seq). Each CPU owns two slots, its burst and its slice
+// (timerSlot), and pos maps a slot to its heap index plus one, 0 while
+// it is disarmed. Arming a listed slot re-keys it in place and unlink
+// disarms both of a CPU's slots, so every listed timer is live and pop
+// needs no revalidation; the heap holds at most two timers per CPU, so
+// it never grows. seq is reserved from the event queue's insertion
+// counter at arm time, which keeps the merged delivery order exactly
+// that of pushing the timer through the queue: ties at the same instant
+// still resolve by insertion order.
+type cpuTimers struct {
+	heap []timer
+	pos  []int32 // by slot
 }
 
-// before orders the entry against the queue head's (time, seq) key.
-func (e *sliceEnt) before(at vtime.Time, seq uint64) bool {
+// timer is one armed CPU timer.
+type timer struct {
+	at   vtime.Time
+	seq  uint64
+	slot int32
+}
+
+// timerSlot is the slot of the CPU's timer of kind k (EvBurst or EvSlice),
+// so a slot names the event it delivers.
+func timerSlot(cpu int32, k EventKind) int32 { return 2*cpu + int32(k) }
+
+// before orders the timer against a (time, seq) key.
+func (e *timer) before(at vtime.Time, seq uint64) bool {
 	return e.at < at || (e.at == at && e.seq < seq)
 }
 
-// sliceRing keeps the armed timers in a ring sorted ascending by
-// (at, seq): the earliest is at head, so peek and pop are O(1). A fresh
-// arm usually carries the latest deadline of all (it starts now with a
-// full quantum while the others have been burning theirs down), so the
-// common insert is an O(1) append at the tail; out-of-order arms shift
-// only their displacement. It holds at most one entry per CPU, so it
-// never grows.
-type sliceRing struct {
-	buf   []sliceEnt // capacity is a power of two, at least the CPU count
-	head  int
-	n     int
-	armed []bool // by CPU: the CPU has a listed entry
-}
-
-func newSliceRing(cpus int) sliceRing {
-	size := 1
-	for size < cpus {
-		size *= 2
+// arm lists slot at (at, seq), in place of its listed timer if it has one.
+func (h *cpuTimers) arm(slot int32, at vtime.Time, seq uint64) {
+	i := int(h.pos[slot]) - 1
+	if i < 0 {
+		i = len(h.heap)
+		h.heap = append(h.heap, timer{})
 	}
-	return sliceRing{buf: make([]sliceEnt, size), armed: make([]bool, cpus)}
+	h.fix(i, timer{at: at, seq: seq, slot: slot})
 }
 
-func (r *sliceRing) peek() *sliceEnt { return &r.buf[r.head] }
-
-func (r *sliceRing) pop() sliceEnt {
-	e := r.buf[r.head]
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	r.armed[e.cpu] = false
-	return e
+// disarm unlists slot, if it is listed.
+func (h *cpuTimers) disarm(slot int32) {
+	if i := int(h.pos[slot]) - 1; i >= 0 {
+		h.pos[slot] = 0
+		last := h.heap[len(h.heap)-1]
+		if h.heap = h.heap[:len(h.heap)-1]; i < len(h.heap) {
+			h.fix(i, last)
+		}
+	}
 }
 
-func (r *sliceRing) insert(e sliceEnt) {
-	mask := len(r.buf) - 1
-	i := r.n
-	for i > 0 {
-		prev := &r.buf[(r.head+i-1)&mask]
-		if !e.before(prev.at, prev.seq) {
+// fix places e at heap index i and sifts it up or down to where its key
+// belongs, keeping pos in step.
+func (h *cpuTimers) fix(i int, e timer) {
+	for p := (i - 1) / 2; i > 0 && e.before(h.heap[p].at, h.heap[p].seq); p = (i - 1) / 2 {
+		h.set(i, h.heap[p])
+		i = p
+	}
+	n := len(h.heap)
+	for c := 2*i + 1; c < n; c = 2*i + 1 {
+		if c+1 < n && h.heap[c+1].before(h.heap[c].at, h.heap[c].seq) {
+			c++
+		}
+		if !h.heap[c].before(e.at, e.seq) {
 			break
 		}
-		r.buf[(r.head+i)&mask] = *prev
-		i--
+		h.set(i, h.heap[c])
+		i = c
 	}
-	r.buf[(r.head+i)&mask] = e
-	r.n++
-	r.armed[e.cpu] = true
+	h.set(i, e)
 }
 
-// remove drops the CPU's listed entry, if it has one.
-func (r *sliceRing) remove(cpu int32) {
-	if !r.armed[cpu] {
-		return
-	}
-	r.armed[cpu] = false
-	mask := len(r.buf) - 1
-	for i := 0; i < r.n; i++ {
-		if r.buf[(r.head+i)&mask].cpu == cpu {
-			for j := i; j < r.n-1; j++ {
-				r.buf[(r.head+j)&mask] = r.buf[(r.head+j+1)&mask]
-			}
-			r.n--
-			return
-		}
-	}
-}
+func (h *cpuTimers) set(i int, e timer) { h.heap[i], h.pos[e.slot] = e, int32(i)+1 }

@@ -8,15 +8,18 @@ import (
 	"vppb/internal/vtime"
 )
 
-// TestStaleSliceEventDropped pins how a slice timer goes stale without an
+// TestStaleSliceEventDropped pins how a CPU timer goes stale without an
 // epoch: a slice event applies the policy's quantum-expiry rules and
-// re-arms the slice in place of the delivered one, and unlink (the single
-// requeue helper) takes the CPU's timer out of the ring, so a slice
-// event that has gone stale is never delivered.
+// re-arms the slice in the slot of the delivered one, leaving the burst
+// as it is, and unlink (the single requeue helper) disarms both of the
+// CPU's slots, so a timer that has gone stale is never delivered.
 func TestStaleSliceEventDropped(t *testing.T) {
 	c, _ := newFakeCore(t, "ts", 1, false)
 	l := newLWP(c, dispatch.DefaultPriority)
 	link(c, 0, l)
+	threadOf(c, l).WorkLeft = 1000 * vtime.Millisecond
+	c.armBurst(0, threadOf(c, l))
+	burst, _ := listed(c, 0, EvBurst)
 
 	// tqexp demotion 29 -> 19, no yield with an empty kernel queue, and
 	// the next slice re-armed.
@@ -28,15 +31,18 @@ func TestStaleSliceEventDropped(t *testing.T) {
 	if c.cpus[0].lwp != l {
 		t.Fatal("runner with no competitor must keep its CPU")
 	}
-	if c.slices.n != 1 || c.slices.peek().at != vtime.Time(0).Add(c.policy.Quantum(want)) {
+	if e, ok := listed(c, 0, EvSlice); !ok || e.at != vtime.Time(0).Add(c.policy.Quantum(want)) {
 		t.Fatal("next slice event not re-armed for the demoted quantum")
 	}
+	if e, _ := listed(c, 0, EvBurst); e != burst || len(c.timers.heap) != 2 {
+		t.Fatalf("slice event: burst %+v and %d timers listed, want the burst %+v untouched and the slice", e, len(c.timers.heap), burst)
+	}
 
-	// unlink drops the timer armed above: relinked to the CPU, the LWP
-	// has no slice event left to receive.
+	// unlink drops both timers armed above: relinked to the CPU, the LWP
+	// has no event left to receive.
 	c.unlink(0)
-	if c.slices.n != 0 {
-		t.Fatal("unlink left the slice timer listed")
+	if len(c.timers.heap) != 0 {
+		t.Fatal("unlink left a timer listed")
 	}
 	link(c, 0, l)
 	if at, ev, ok := c.pop(); ok {
@@ -136,14 +142,17 @@ func TestDispatchOverheadRules(t *testing.T) {
 	}
 }
 
-// TestMergedPopMatchesOneQueue drives random sequences of slice arms,
-// re-arms, unlinks and engine pushes through the Core's merged pop — the
-// event queue plus the slice ring — and requires exactly the delivery of
-// one plain EventQueue that holds every timer ever armed and skips the
-// stale ones (an armed slice whose LWP's epoch has since moved on).
+// TestMergedPopMatchesOneQueue drives random sequences of burst and
+// slice arms and re-arms, detaches, unlinks and engine pushes through the
+// Core's merged pop — the event queue plus the CPU-timer heap — and
+// requires exactly the delivery of one plain EventQueue that holds every
+// timer ever armed and skips the stale ones (one whose CPU slot has been
+// re-armed, or unlinked, since). A delivered timer stays listed until it
+// is consumed the way handle consumes it: re-armed, or disarmed by
+// unlink.
 func TestMergedPopMatchesOneQueue(t *testing.T) {
 	const seeds = 500
-	var slices, ties int
+	var bursts, slices, ties int
 	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c, _ := newFakeCore(t, "ts", 1+rng.Intn(6), false)
@@ -152,25 +161,54 @@ func TestMergedPopMatchesOneQueue(t *testing.T) {
 			lwps[i] = newLWP(c, 29)
 			link(c, i, lwps[i])
 		}
-		// The reference queue keeps every armed slice timer, stamped with
-		// a per-CPU arm count, and skips the ones re-armed or unlinked
+		// The reference queue keeps every armed timer, stamped with a
+		// per-slot arm count, and skips the ones re-armed or unlinked
 		// since.
 		var ref vtime.EventQueue[Event]
-		armed := make([]uint64, len(lwps))
+		armed := make([]uint64, 2*len(lwps))
+		arm := func(cpu int, k EventKind, at vtime.Time) {
+			s := timerSlot(int32(cpu), k)
+			armed[s]++
+			ref.Push(at, Event{Kind: k, Who: int32(cpu), Epoch: armed[s]})
+		}
+		armSlice := func(i int) { // for a short quantum
+			ln := &c.lwps[lwps[i]]
+			ln.QuantumLeft = vtime.Duration(rng.Intn(4) * 10)
+			if ln.QuantumLeft == 0 {
+				ln.QuantumLeft = -1 // exhausted: refilled from the policy
+			}
+			c.armSlice(int32(i), ln)
+			arm(i, EvSlice, c.now.Add(ln.QuantumLeft))
+		}
+		armBurst := func(i int) { // for a short work
+			tn := threadOf(c, lwps[i])
+			tn.WorkLeft = vtime.Duration(rng.Intn(4) * 10)
+			c.armBurst(int32(i), tn)
+			arm(i, EvBurst, c.now.Add(tn.WorkLeft))
+		}
+		unlink := func(i int) { // CPU i's LWP leaves and comes back
+			c.unlink(int32(i))
+			armed[timerSlot(int32(i), EvBurst)]++
+			armed[timerSlot(int32(i), EvSlice)]++
+			link(c, i, lwps[i])
+		}
 		var last vtime.Time
-		pop := func() bool {
+		// pop checks the next delivery and consumes a delivered timer; a
+		// drain unlinks its CPU rather than re-arm it.
+		pop := func(drain bool) bool {
 			at, ev, ok := c.pop()
 			var wantAt vtime.Time
 			var want Event
 			wantOK := false
 			for ref.Len() > 0 {
+				_, seq := ref.PeekKey()
 				wantAt, want = ref.Pop()
-				if want.Kind != EvSlice {
+				if want.Kind >= EvEngine {
 					wantOK = true
 					break
 				}
-				if want.Epoch == armed[want.Who] {
-					want.Epoch = 0
+				if want.Epoch == armed[timerSlot(want.Who, want.Kind)] {
+					want.Epoch = seq // a delivered timer carries its seq
 					wantOK = true
 					break
 				}
@@ -178,48 +216,64 @@ func TestMergedPopMatchesOneQueue(t *testing.T) {
 			if ok != wantOK || (ok && (at != wantAt || ev != want)) {
 				t.Fatalf("seed %d: Pop = (%v, %+v, %v), want (%v, %+v, %v)", seed, at, ev, ok, wantAt, want, wantOK)
 			}
-			if ok {
-				if ev.Kind == EvSlice {
-					slices++
-				}
-				if at == last {
-					ties++
-				}
-				last = at
-				*c.now = at
+			if !ok {
+				return false
 			}
-			return ok
+			if at == last {
+				ties++
+			}
+			last = at
+			*c.now = at
+			switch i := int(ev.Who); {
+			case ev.Kind >= EvEngine:
+			case drain || rng.Intn(3) == 0:
+				unlink(i)
+			case ev.Kind == EvBurst:
+				bursts++
+				armBurst(i)
+			default:
+				slices++
+				armSlice(i)
+			}
+			return true
 		}
 		for op := 0; op < 200; op++ {
 			now := *c.now
-			switch i := rng.Intn(len(lwps)); rng.Intn(5) {
-			case 0, 1: // arm or re-arm CPU i's slice for a short quantum
-				ln := &c.lwps[lwps[i]]
-				ln.QuantumLeft = vtime.Duration(rng.Intn(4) * 10)
-				if ln.QuantumLeft == 0 {
-					ln.QuantumLeft = -1 // exhausted: refilled from the policy
-				}
-				c.armSlice(int32(i), ln)
-				armed[i]++
-				ref.Push(now.Add(ln.QuantumLeft), Event{Kind: EvSlice, Who: int32(i), Epoch: armed[i]})
-			case 2: // CPU i's LWP leaves and comes back
-				c.unlink(int32(i))
-				armed[i]++
+			switch i := rng.Intn(len(lwps)); rng.Intn(7) {
+			case 0:
+				armSlice(i)
+			case 1:
+				armBurst(i)
+			case 2:
+				unlink(i)
+			case 3: // CPU i's thread stops and its LWP runs the next one
+				next := addThread(c, 29)
+				c.threads[next].WorkLeft = vtime.Duration(rng.Intn(4) * 10)
+				c.pushUserRunQ(next)
+				c.detach(int32(i), c.lwps[lwps[i]].thread)
+				arm(i, EvBurst, now.Add(c.threads[next].WorkLeft))
+				arm(i, EvSlice, now.Add(c.lwps[lwps[i]].QuantumLeft))
+			case 4: // CPU i's thread stops with no thread queued
+				c.detach(int32(i), c.lwps[lwps[i]].thread)
+				armed[timerSlot(int32(i), EvBurst)]++
+				armed[timerSlot(int32(i), EvSlice)]++
+				c.idleLWPs = c.idleLWPs[:0]
+				c.pair(addThread(c, 29), lwps[i])
 				link(c, i, lwps[i])
-			case 3: // an engine event
+			case 5: // an engine event
 				ev := Event{Kind: EvEngine, Who: int32(rng.Intn(8)), Epoch: uint64(op)}
 				at := now.Add(vtime.Duration(rng.Intn(4) * 10))
 				c.Push(at, ev)
 				ref.Push(at, ev)
-			case 4:
-				pop()
+			case 6:
+				pop(false)
 			}
 		}
-		for pop() {
+		for pop(true) {
 		}
 	}
-	if slices == 0 || ties == 0 {
-		t.Fatalf("coverage: %d slice deliveries, %d deliveries tied with the one before", slices, ties)
+	if bursts == 0 || slices == 0 || ties == 0 {
+		t.Fatalf("coverage: %d burst and %d slice deliveries re-armed, %d deliveries tied with the one before", bursts, slices, ties)
 	}
 }
 

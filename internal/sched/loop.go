@@ -89,48 +89,51 @@ func (c *Core) Run() error {
 			break
 		}
 		c.handle(ev)
-		c.checkLinks("post-handle")
+		c.checkLinks("post-handle", ev)
 		c.DispatchAll()
 		c.PreemptPass()
-		c.checkLinks("post-dispatch")
+		c.checkLinks("post-dispatch", ev)
 	}
 	return c.err
 }
 
-func (c *Core) checkLinks(where string) {
+// checkLinks, with DebugChecks on, panics on a broken link, or on the CPU
+// timer of event ev still listed as it was delivered: a handler that
+// neither re-arms nor disarms its timer would have it delivered again.
+func (c *Core) checkLinks(where string, ev Event) {
 	if !DebugChecks {
 		return
 	}
-	if err := c.CheckLinks(); err != nil {
+	err := c.CheckLinks()
+	if err == nil && ev.Kind < EvEngine && c.err == nil {
+		if p := c.timers.pos[timerSlot(ev.Who, ev.Kind)]; p > 0 && c.timers.heap[p-1].seq == ev.Epoch {
+			err = fmt.Errorf("%s timer of cpu %d still listed after its delivery", [...]string{"burst", "slice"}[ev.Kind], ev.Who)
+		}
+	}
+	if err != nil {
 		panic(fmt.Sprintf("invariant (%s): %v", where, err))
 	}
 }
 
-// handle delivers one event. A slice that ends applies the policy's
-// quantum-expiry rules and re-arms the slice unless the LWP yielded its
-// CPU. A burst that ends charges its CPU and drives the thread running
-// there; a stale one is dropped.
+// handle delivers one event. A CPU timer is always live, as unlink
+// disarms an idle CPU's timers, and each path re-arms or disarms it. A
+// slice that ends applies the policy's quantum-expiry rules and re-arms
+// the slice unless the LWP yielded its CPU. A burst that ends charges its
+// CPU and drives the thread running there: to its next burst, or off the
+// CPU, which runs its next thread or idles.
 func (c *Core) handle(ev Event) {
-	if ev.Kind >= EvEngine {
-		c.engine.Handle(ev)
-		return
-	}
 	cpu := ev.Who
-	cn := &c.cpus[cpu]
-	if cn.lwp == nilIdx {
-		return
-	}
 	switch ev.Kind {
 	case EvBurst:
-		if cn.Epoch != ev.Epoch {
-			return
-		}
+		cn := &c.cpus[cpu]
 		c.account(cn)
 		c.drive(cpu, c.lwps[cn.lwp].thread)
 	case EvSlice:
 		if !c.sliceExpired(cpu) {
-			c.armSlice(cpu, &c.lwps[cn.lwp])
+			c.armSlice(cpu, &c.lwps[c.cpus[cpu].lwp])
 		}
+	default:
+		c.engine.Handle(ev)
 	}
 }
 

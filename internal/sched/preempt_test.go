@@ -103,8 +103,8 @@ func (g *preemptGen) lwp(c *Core) int32 {
 
 func cpuBound(c *Core, l int32) bool { return threadOf(c, l).BoundCPU >= 0 }
 
-// state builds a Core with 1-8 CPUs, most of them running an LWP, and up to
-// a dozen LWPs on the kernel queue.
+// state builds a Core with 1-8 CPUs, most of them running an LWP with its
+// burst armed, and up to a dozen LWPs on the kernel queue.
 func (g *preemptGen) state(policy string) (*Core, error) {
 	pol, err := New(policy)
 	if err != nil {
@@ -120,6 +120,7 @@ func (g *preemptGen) state(policy string) (*Core, error) {
 			threadOf(c, l).BoundCPU = cpu
 		}
 		link(c, cpu, l)
+		c.armBurst(int32(cpu), threadOf(c, l))
 	}
 	for n := g.rng.Intn(13); n > 0; n-- {
 		c.pushKernelQ(g.lwp(c))

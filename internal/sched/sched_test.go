@@ -462,6 +462,16 @@ func TestBoundCPUAffinity(t *testing.T) {
 	}
 }
 
+// listed returns the timer listed in the CPU's slot of kind k, and
+// whether there is one.
+func listed(c *Core, cpu int32, k EventKind) (timer, bool) {
+	p := c.timers.pos[timerSlot(cpu, k)]
+	if p == 0 {
+		return timer{}, false
+	}
+	return c.timers.heap[p-1], true
+}
+
 // TestArmSlice: ts arms a table-quantum timer, fifo arms nothing
 // (run-to-block), and each arm replaces the CPU's listed timer.
 func TestArmSlice(t *testing.T) {
@@ -470,20 +480,20 @@ func TestArmSlice(t *testing.T) {
 	ln := &c.lwps[l]
 	ln.QuantumLeft = c.policy.Quantum(ln.Prio)
 	c.armSlice(0, ln)
-	first := *c.slices.peek()
-	if c.slices.n != 1 || first.at != vtime.Time(0).Add(c.policy.Quantum(dispatch.DefaultPriority)) {
-		t.Fatalf("ts armSlice listed %d timers, first at %v, want one at the table quantum", c.slices.n, first.at)
+	first, ok := listed(c, 0, EvSlice)
+	if !ok || len(c.timers.heap) != 1 || first.at != vtime.Time(0).Add(c.policy.Quantum(dispatch.DefaultPriority)) {
+		t.Fatalf("ts armSlice listed %d timers, slice at %v, want one at the table quantum", len(c.timers.heap), first.at)
 	}
 	c.armSlice(0, ln)
-	if c.slices.n != 1 || c.slices.peek().seq <= first.seq {
+	if again, _ := listed(c, 0, EvSlice); len(c.timers.heap) != 1 || again.seq <= first.seq {
 		t.Fatalf("re-arm: %d timers, seq %d -> %d, want the one listed timer replaced",
-			c.slices.n, first.seq, c.slices.peek().seq)
+			len(c.timers.heap), first.seq, again.seq)
 	}
 
 	cf, _ := newFakeCore(t, "fifo", 1, false)
 	lf := newLWP(cf, 29)
 	cf.armSlice(0, &cf.lwps[lf])
-	if cf.slices.n != 0 {
+	if len(cf.timers.heap) != 0 {
 		t.Fatal("fifo armSlice must not arm a timer")
 	}
 }
@@ -564,22 +574,29 @@ func TestNextThreadFastPath(t *testing.T) {
 	}
 }
 
-// TestUnlinkInvalidatesEpochs: unlink is the single requeue helper both
-// engines funnel through; it must bump the CPU's burst epoch and drop
-// its slice timer.
-func TestUnlinkInvalidatesEpochs(t *testing.T) {
+// TestUnlinkDisarmsTimers: a placement arms its CPU's burst and slice, a
+// burst re-arm re-keys the CPU's burst slot in place, and unlink, the
+// single requeue helper both engines funnel through, disarms both slots.
+func TestUnlinkDisarmsTimers(t *testing.T) {
 	c, _ := newFakeCore(t, "ts", 1, false)
 	l := newLWP(c, 29)
+	threadOf(c, l).WorkLeft = 50
 	c.pushKernelQ(l)
 	c.DispatchAll()
-	ce := c.cpus[0].Epoch
-	if c.slices.n != 1 {
-		t.Fatalf("placement listed %d slice timers, want 1", c.slices.n)
+	first, burst := listed(c, 0, EvBurst)
+	if _, slice := listed(c, 0, EvSlice); !burst || !slice || len(c.timers.heap) != 2 {
+		t.Fatalf("placement: burst armed %v, slice armed %v, %d timers listed; want both and no other", burst, slice, len(c.timers.heap))
+	}
+	*c.now = 10
+	c.armBurst(0, threadOf(c, l))
+	if again, _ := listed(c, 0, EvBurst); len(c.timers.heap) != 2 || again.at != 60 || again.seq <= first.seq {
+		t.Fatalf("burst re-arm: %d timers, burst at %v seq %d -> %d; want two, the burst replaced at 60",
+			len(c.timers.heap), again.at, first.seq, again.seq)
 	}
 	c.unlink(0)
-	if c.cpus[0].Epoch != ce+1 || c.slices.n != 0 {
-		t.Errorf("unlink: cpu epoch %d->%d, %d slice timers listed; want the epoch incremented and none listed",
-			ce, c.cpus[0].Epoch, c.slices.n)
+	_, burst = listed(c, 0, EvBurst)
+	if _, slice := listed(c, 0, EvSlice); burst || slice || len(c.timers.heap) != 0 {
+		t.Errorf("unlink: burst armed %v, slice armed %v, %d timers listed; want none", burst, slice, len(c.timers.heap))
 	}
 	if c.cpus[0].lwp != nilIdx || c.lwps[l].cpu != nilIdx {
 		t.Error("unlink must clear both links")
@@ -643,6 +660,20 @@ func TestCheckLinks(t *testing.T) {
 		}},
 		{"queued thread not runnable", "in userRunQ is", func(c *Core, _, _, _, waiting int32) {
 			c.threads[waiting].State = Sleeping
+		}},
+		{"idle CPU with a timer", "idle cpu 1 has an armed timer", func(c *Core, _, _, _, _ int32) {
+			c.timers.arm(timerSlot(1, EvSlice), 5, c.events.ReserveSeq())
+		}},
+		{"busy CPU without a burst", "busy cpu 0 has no burst timer", func(c *Core, _, _, _, _ int32) {
+			c.timers.disarm(timerSlot(0, EvBurst))
+		}},
+		{"timer slot and heap disagree", "which holds another slot", func(c *Core, _, _, _, _ int32) {
+			pos := c.timers.pos
+			b, s := timerSlot(0, EvBurst), timerSlot(0, EvSlice)
+			pos[b], pos[s] = pos[s], pos[b]
+		}},
+		{"heap entry without a slot", "timers in the heap", func(c *Core, _, _, _, _ int32) {
+			c.timers.heap = append(c.timers.heap, timer{slot: timerSlot(1, EvBurst)})
 		}},
 	} {
 		c, running, queued, idle, waiting := build()

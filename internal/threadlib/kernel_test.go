@@ -1,6 +1,7 @@
 package threadlib
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -219,6 +220,28 @@ func TestDeadlockDetected(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestSuspendedBurstLeavesNoTimer: main suspends a thread 20 ms into its
+// 1 s burst, then waits on a semaphore no one posts. The suspended
+// thread's burst timer goes with it, so the deadlock is reported at
+// 20 ms, when main blocked, not at the 1 s the burst would have ended,
+// and a 500 ms budget does not run out first.
+func TestSuspendedBurstLeavesNoTimer(t *testing.T) {
+	want := fmt.Sprintf("deadlock at %v:", vtime.Time(0).Add(20*vtime.Millisecond))
+	for _, budget := range []vtime.Duration{0, 500 * vtime.Millisecond} {
+		p := NewProcess(Config{CPUs: 2, Costs: zeroCosts(), MaxDuration: budget})
+		never := p.NewSema("never", 0)
+		_, err := p.Run(func(th *Thread) {
+			victim := th.Create(func(w *Thread) { w.Compute(vtime.Second) })
+			th.Compute(20 * vtime.Millisecond)
+			th.Suspend(victim)
+			never.Wait(th)
+		})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("budget %v: err = %v, want %q", budget, err, want)
+		}
 	}
 }
 

@@ -39,12 +39,6 @@ func (q *EventQueue[T]) Push(at Time, item T) {
 	q.up(len(q.heap) - 1)
 }
 
-// PeekTime returns the timestamp of the earliest item. It panics if the
-// queue is empty; check Len first.
-func (q *EventQueue[T]) PeekTime() Time {
-	return q.heap[0].at
-}
-
 // PeekKey returns the full ordering key — timestamp and insertion
 // sequence — of the earliest item. It panics if the queue is empty; check
 // Len first. Callers merging the queue with an external timer source
@@ -56,8 +50,8 @@ func (q *EventQueue[T]) PeekKey() (Time, uint64) {
 // ReserveSeq consumes and returns the next insertion sequence number
 // without queuing anything. An external timer stamped with a reserved
 // sequence number ties with queued items exactly as if it had been pushed
-// here at reservation time — the pattern the simulator uses to keep its
-// per-LWP slice timers out of the heap without perturbing delivery order.
+// here at reservation time — the pattern the scheduler uses to keep its
+// CPU timers out of the heap without perturbing delivery order.
 func (q *EventQueue[T]) ReserveSeq() uint64 {
 	s := q.seq
 	q.seq++

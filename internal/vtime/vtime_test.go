@@ -94,19 +94,6 @@ func TestQueueFIFOAtEqualTimes(t *testing.T) {
 	}
 }
 
-func TestQueuePeekTime(t *testing.T) {
-	var q EventQueue[int]
-	q.Push(99, 1)
-	q.Push(5, 2)
-	if q.PeekTime() != 5 {
-		t.Fatalf("PeekTime = %d, want 5", q.PeekTime())
-	}
-	q.Pop()
-	if q.PeekTime() != 99 {
-		t.Fatalf("PeekTime after pop = %d, want 99", q.PeekTime())
-	}
-}
-
 // Property: popping everything always yields non-decreasing timestamps, and
 // the multiset of timestamps is preserved.
 func TestQueueSortedProperty(t *testing.T) {
