@@ -26,6 +26,9 @@ type WaitEdge struct {
 	// Call is the thread-library call the thread is stuck in ("?" when
 	// its profile is exhausted).
 	Call string
+	// Before marks a thread stopped in the CPU burst before Call, which
+	// it has not reached (a thr_suspend took it off its CPU mid-burst).
+	Before bool
 	// Object names what the thread waits on: `mutex "lock"`,
 	// `cond "empty"`, `thread T5` for a join, or "" when unknown.
 	Object string
@@ -37,7 +40,11 @@ type WaitEdge struct {
 
 func (w WaitEdge) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "T%d (%s in %s)", w.Thread, w.State, w.Call)
+	at := "in"
+	if w.Before {
+		at = "before"
+	}
+	fmt.Fprintf(&b, "T%d (%s %s %s)", w.Thread, w.State, at, w.Call)
 	if w.Object != "" {
 		fmt.Fprintf(&b, " -> %s", w.Object)
 		switch len(w.Holders) {
@@ -138,6 +145,7 @@ func (e *sengine) Deadlock() error {
 		r := t.rec()
 		if r != nil {
 			w.Call = r.Call.String()
+			w.Before = t.Stage == sched.StageCompute
 		}
 		switch {
 		case s.so.WaitingOn(t.TI) != nilIdx:

@@ -151,6 +151,13 @@ func TestSuspendedBurstLeavesNoTimer(t *testing.T) {
 	if want := vtime.Time(0).Add(20 * vtime.Millisecond); de.At != want {
 		t.Fatalf("deadlock at %v, want %v", de.At, want)
 	}
+	// T4 was stopped in its burst, before the thr_exit it never reached.
+	want := "core: simulation deadlock at 0.02; wait-for graph:\n" +
+		"  T1 (sleeping in sema_wait) -> sema \"never\" (no holder)\n" +
+		"  T4 (sleeping before thr_exit) -> thr_continue (no holder)"
+	if got := err.Error(); got != want {
+		t.Errorf("deadlock report:\n%s\nwant:\n%s", got, want)
+	}
 }
 
 // TestLivelockWindow replays a thread of zero-cost yields: virtual time
@@ -225,4 +232,36 @@ func TestVirtualTimeBudget(t *testing.T) {
 func TestBudgetsOffByDefault(t *testing.T) {
 	log := record(t, fig2)
 	mustSim(t, log, Machine{CPUs: 2})
+}
+
+// TestStaleDelayedWake: with a communication delay, main posts the
+// semaphore T4 sleeps on from another CPU at 5 ms, so T4's wake falls due
+// at 7 ms; main suspends T4 at once and continues it at 6 ms, which
+// delays the wake again, to 8 ms. The first wake must not run T4: it runs
+// its 10 ms burst from 8 ms, and main's join ends the run at 18 ms.
+func TestStaleDelayedWake(t *testing.T) {
+	const gate trace.ObjectID = 1
+	prof := guardProfile(
+		[]trace.ObjectInfo{{ID: gate, Kind: trace.ObjSema, Name: "gate"}},
+		map[trace.ThreadID][]trace.CallRecord{
+			1: {
+				{Call: trace.CallThrCreate, Target: 4},
+				{CPUBefore: 5 * ms, Call: trace.CallSemaPost, Object: gate},
+				{Call: trace.CallThrSuspend, Target: 4},
+				{CPUBefore: 1 * ms, Call: trace.CallThrContinue, Target: 4},
+				{Call: trace.CallThrJoin, Target: 4},
+			},
+			4: {
+				{Call: trace.CallSemaWait, Object: gate},
+				{CPUBefore: 10 * ms, Call: trace.CallThrExit},
+			},
+		},
+	)
+	res, err := SimulateProfile(prof, Machine{CPUs: 2, CommDelay: 2 * ms})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Duration != 18*ms {
+		t.Fatalf("duration %v, want 18ms: T4 woken at 8 ms, after its continue's delay", res.Duration)
+	}
 }

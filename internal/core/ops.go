@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"vppb/internal/dispatch"
-	"vppb/internal/sched"
 	"vppb/internal/trace"
 )
 
@@ -161,8 +160,7 @@ func (s *sim) opCondWait(cpu int32, t *sthread, cv, m int32) bool {
 func (s *sim) opTimedOutWait(cpu int32, t *sthread, r *trace.CallRecord, cv, m int32) bool {
 	s.so.DropMutex(m, t.TI)
 	t.okResult = false
-	t.timerEpoch++
-	s.sc.Push(s.now.Add(r.Timeout), sched.Event{Kind: evTimer, Who: t.TI, Epoch: t.timerEpoch})
+	s.sc.Arm(t.timer, s.now.Add(r.Timeout))
 	s.so.WaitOn(t.TI, cv)
 	s.sc.Block(cpu, t.TI)
 	return true

@@ -18,8 +18,8 @@ import (
 // own table with intrusive index links. The arenas never grow, so
 // pointers into them are stable and double as identities. The steady
 // state of the replay loop therefore allocates nothing per event: no
-// maps, no queue growth, and a pointer-free event queue the garbage
-// collector never has to scan.
+// maps, no queue growth, and pointer-free timer slots, registered with
+// the threads and objects, that the garbage collector never has to scan.
 
 // nilIdx is the null arena index. Every index field must be initialized
 // explicitly: the zero value 0 is a valid slot.
@@ -40,8 +40,9 @@ type sthread struct {
 
 	prioPinned bool
 
-	timerEpoch uint64
-	wakeEpoch  uint64
+	// timer and wake are the thread's timer slots in the scheduler core:
+	// a timed-out wait's expiry and a delayed wake.
+	timer, wake int32
 
 	// joinedID is the thread the current thr_join reaped.
 	joinedID trace.ThreadID
@@ -94,6 +95,10 @@ type sim struct {
 	threads []sthread // arena, ascending recorded-ID order
 	so      *syncobj.Core
 	mainIdx int32
+	// io is each object's I/O-completion timer slot, by arena index. A
+	// replayed io record may name an object of any kind (the replay does
+	// not check kinds), so every object has one.
+	io []int32
 
 	// pending holds the barrier-fix broadcasters, oldest first.
 	pending []pendingBroadcast
@@ -129,6 +134,7 @@ func newSim(prof *trace.Profile, m Machine) (*sim, error) {
 		prof:    prof,
 		threads: make([]sthread, len(ids)),
 		mainIdx: dense.ThreadIndex(trace.MainThread),
+		io:      make([]int32, len(prof.Log.Objects)),
 	}
 	if s.mainIdx == nilIdx {
 		return nil, fmt.Errorf("core: recording has no main thread")
@@ -140,7 +146,8 @@ func newSim(prof *trace.Profile, m Machine) (*sim, error) {
 	s.sc = sched.NewCore(pol, (*sengine)(s), &s.now, sched.Config{CPUs: m.CPUs, LWPs: m.LWPs, NoPreemption: m.NoPreemption, Threads: nThreads})
 	s.so = syncobj.New((*sengine)(s), nThreads, len(prof.Log.Objects))
 	for _, oi := range prof.Log.Objects {
-		s.so.AddObject(oi.Kind, int(oi.InitCount))
+		o := s.so.AddObject(oi.Kind, int(oi.InitCount))
+		s.io[o] = s.sc.AddTimer(sched.Event{Kind: evIODone, Who: o})
 	}
 	// Instantiate every thread appearing in the profile, in the profile's
 	// precomputed ascending ID order. Threads other than main stay dormant
@@ -159,6 +166,8 @@ func newSim(prof *trace.Profile, m Machine) (*sim, error) {
 			info:   tp.Info,
 			calls:  tp.Calls,
 			dcalls: dense.Calls[i],
+			timer:  s.sc.AddTimer(sched.Event{Kind: evTimer, Who: int32(i)}),
+			wake:   s.sc.AddTimer(sched.Event{Kind: evWake, Who: int32(i)}),
 		}
 		s.applyOverride(t)
 		s.sc.AddThread(&t.ThreadNode)
@@ -300,8 +309,7 @@ func (s *sim) placeAfter(t *sthread) {
 func (s *sim) wake(t *sthread, fromCPU int, boost bool) {
 	if s.m.CommDelay > 0 && fromCPU >= 0 && t.LastCPU >= 0 && fromCPU != t.LastCPU && !t.Suspended {
 		t.To(sched.WakePending, s.now, -1, -1)
-		t.wakeEpoch++
-		s.sc.Push(s.now.Add(s.m.CommDelay), sched.Event{Kind: evWake, Who: t.TI, Epoch: t.wakeEpoch})
+		s.sc.Arm(t.wake, s.now.Add(s.m.CommDelay))
 		return
 	}
 	s.sc.Wake(t.TI, boost)
@@ -356,7 +364,7 @@ func (e *sengine) Joined(ti, z int32) { e.threads[ti].joinedID = e.threads[z].id
 func (e *sengine) StartIO(oi, ti int32) {
 	s := (*sim)(e)
 	service := max(s.threads[ti].rec().Timeout, 0)
-	s.sc.Push(s.now.Add(service), sched.Event{Kind: evIODone, Who: oi})
+	s.sc.Arm(s.io[oi], s.now.Add(service))
 }
 
 // Step checks the budgets and the livelock window before each event.
@@ -389,17 +397,15 @@ func (e *sengine) Handle(ev sched.Event) {
 	case evTimer:
 		// A timed-out wait replayed as a delay ends: re-acquire the mutex.
 		t := &s.threads[ev.Who]
-		if t.timerEpoch != ev.Epoch {
-			return
-		}
 		s.so.Reacquire(t.TI, t.drec().Mutex)
 	case evWake:
 		// thr_suspend moves a wake-pending thread to sleeping, and a
 		// suspended thread is never made wake-pending, so a delivery that
-		// finds its thread wake-pending at its epoch has an unsuspended
-		// thread to wake.
+		// finds its thread wake-pending has an unsuspended thread to
+		// wake. A wake that thr_continue delays again re-arms the slot,
+		// so the first wake is never delivered.
 		t := &s.threads[ev.Who]
-		if t.wakeEpoch != ev.Epoch || t.State != sched.WakePending {
+		if t.State != sched.WakePending {
 			return
 		}
 		s.sc.Wake(t.TI, true)

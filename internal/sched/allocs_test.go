@@ -5,8 +5,8 @@ import "testing"
 // TestCoreSteadyStateAllocs pins the zero-allocation contract of the
 // scheduler hot path: once the queues have reached their peak size, a full
 // undispatch → requeue → dispatch → slice-expiry cycle, with the burst and
-// slice timers it arms delivered through pop and disarmed, must not touch
-// the heap.
+// slice timers it arms and an engine event delivered through pop and
+// disarmed, must not touch the heap.
 // The simulator drives these entry points once or more per simulated
 // event, so a single allocation here is a per-event allocation for every
 // prediction.
@@ -15,7 +15,9 @@ func TestCoreSteadyStateAllocs(t *testing.T) {
 	for range 4 {
 		core.pushKernelQ(newLWP(core, 30))
 	}
+	wake := core.AddTimer(Event{Kind: EvEngine, Who: 0})
 	cycle := func() {
+		core.Arm(wake, core.now.Add(1))
 		for cpu := range core.cpus {
 			core.undispatch(int32(cpu))
 		}
@@ -29,11 +31,11 @@ func TestCoreSteadyStateAllocs(t *testing.T) {
 		core.DispatchAll()
 		core.PreemptPass()
 		for {
-			_, ev, ok := core.pop()
+			_, ev, _, ok := core.pop()
 			if !ok {
 				break
 			}
-			core.timers.disarm(timerSlot(ev.Who, ev.Kind))
+			core.timers.Disarm(timerSlot(ev.Who, ev.Kind))
 		}
 	}
 	// Warm up: queues and idle list grow to their steady-state capacity.

@@ -88,10 +88,11 @@ type Core struct {
 	lwps    []LWPNode     // by LWP ID
 	cpus    []CPUNode     // by CPU ID
 
-	// events holds the engine's own events; timers holds the CPU timers
-	// (see pop).
-	events vtime.EventQueue[Event]
-	timers cpuTimers
+	// timers holds every pending event, one slot each, and slots names
+	// the event each slot delivers (see pop): each CPU's burst and slice
+	// first (timerSlot), then the engine's slots (AddTimer).
+	timers vtime.Timers
+	slots  []Event
 
 	userRunQ []int32 // TIs
 	kernelQ  []int32 // LWP IDs
@@ -151,7 +152,6 @@ func NewCore(policy Policy, engine Engine, now *vtime.Time, m Config) *Core {
 		threads:       make([]*ThreadNode, 0, m.Threads),
 		lwps:          make([]LWPNode, 0, pool),
 		cpus:          make([]CPUNode, m.CPUs),
-		timers:        cpuTimers{heap: make([]timer, 0, 2*m.CPUs), pos: make([]int32, 2*m.CPUs)},
 		userRunQ:      make([]int32, 0, m.Threads),
 		kernelQ:       make([]int32, 0, m.Threads),
 		idleLWPs:      make([]int32, 0, pool),
@@ -163,14 +163,12 @@ func NewCore(policy Policy, engine Engine, now *vtime.Time, m Config) *Core {
 	}
 	for i := range c.cpus {
 		c.cpus[i] = CPUNode{lwp: nilIdx, lastLWP: nilIdx}
+		c.AddTimer(Event{Kind: EvBurst, Who: int32(i)})
+		c.AddTimer(Event{Kind: EvSlice, Who: int32(i)})
 	}
 	for range pool {
 		c.idleLWPs = append(c.idleLWPs, c.newLWP(false))
 	}
-	// The queue holds only the engine's events, in the steady state about
-	// a wake and a timer per thread; reserving that up front keeps heap
-	// growth out of the event loop.
-	c.events.Reserve(2*m.Threads + 8)
 	return c
 }
 
@@ -367,8 +365,8 @@ func (c *Core) unlink(cpu int32) {
 	cn := &c.cpus[cpu]
 	c.lwps[cn.lwp].cpu = nilIdx
 	cn.lwp = nilIdx
-	c.timers.disarm(timerSlot(cpu, EvBurst))
-	c.timers.disarm(timerSlot(cpu, EvSlice))
+	c.timers.Disarm(timerSlot(cpu, EvBurst))
+	c.timers.Disarm(timerSlot(cpu, EvSlice))
 }
 
 // undispatch evicts the running LWP from a CPU, preserving its thread's
@@ -611,8 +609,9 @@ func (c *Core) sliceExpired(cpu int32) bool {
 // an idle or queued LWP is on no CPU, a thread in the user run queue is
 // runnable and carries no LWP, and idleCPUs counts the idle CPUs. An idle
 // CPU lists no timer, a busy one's burst is armed, and every armed timer
-// slot and its heap entry point at each other. With DebugChecks on, Run
-// calls it after every event; it allocates, so runs do not otherwise.
+// slot and its heap entry point at each other (vtime.Timers.Check). With
+// DebugChecks on, Run calls it after every event; it allocates, so runs
+// do not otherwise.
 func (c *Core) CheckLinks() error {
 	where := make([]string, len(c.lwps))
 	place := func(l int32, at string) error {
@@ -625,8 +624,9 @@ func (c *Core) CheckLinks() error {
 	idle := 0
 	for i, cn := range c.cpus {
 		l := cn.lwp
-		burst := c.timers.pos[timerSlot(int32(i), EvBurst)] > 0
-		if l == nilIdx && (burst || c.timers.pos[timerSlot(int32(i), EvSlice)] > 0) {
+		_, _, burst := c.timers.Key(timerSlot(int32(i), EvBurst))
+		_, _, slice := c.timers.Key(timerSlot(int32(i), EvSlice))
+		if l == nilIdx && (burst || slice) {
 			return fmt.Errorf("idle cpu %d has an armed timer", i)
 		}
 		if l == nilIdx {
@@ -649,17 +649,8 @@ func (c *Core) CheckLinks() error {
 	if idle != c.idleCPUs {
 		return fmt.Errorf("%d cpus idle, counted %d", idle, c.idleCPUs)
 	}
-	armed := 0
-	for slot, p := range c.timers.pos {
-		if p == 0 {
-			continue
-		}
-		if armed++; int(p) > len(c.timers.heap) || c.timers.heap[p-1].slot != int32(slot) {
-			return fmt.Errorf("timer slot %d lists heap index %d, which holds another slot", slot, p-1)
-		}
-	}
-	if armed != len(c.timers.heap) {
-		return fmt.Errorf("%d timer slots armed, %d timers in the heap", armed, len(c.timers.heap))
+	if err := c.timers.Check(); err != nil {
+		return err
 	}
 	for _, l := range c.kernelQ {
 		if err := place(l, "in kernelQ"); err != nil {

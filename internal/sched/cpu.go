@@ -22,37 +22,44 @@ const (
 	EvEngine
 )
 
-// Event is a pointer-free queue entry. Who is the dense index of its
-// subject: a CPU for the Core's kinds, an engine's thread or object for
-// the engine's own. For an engine's event, Epoch is the subject's epoch
-// when the event was queued, so the engine can drop one that has gone
-// stale; for a CPU timer's, it is the timer's seq (see pop). Keeping
-// pointers out of the queue means the collector never scans it and a
-// push emits no write barriers.
+// Event is what a timer slot delivers: its kind and Who, the dense index
+// of its subject, a CPU for the Core's kinds and an engine's thread or
+// object for the engine's own. It is pointer-free, so the slot table the
+// Core keeps of them is never scanned by the collector.
 type Event struct {
-	Kind  EventKind
-	Who   int32
-	Epoch uint64
+	Kind EventKind
+	Who  int32
 }
 
-// Push queues an engine event for delivery at time at.
-func (c *Core) Push(at vtime.Time, ev Event) { c.events.Push(at, ev) }
+// AddTimer registers a timer slot that delivers the engine's event ev
+// and returns it, disarmed. An engine registers one slot per pending
+// event it can have, when it registers the event's subject (a thread or
+// an object), never per event.
+func (c *Core) AddTimer(ev Event) int32 {
+	c.slots = append(c.slots, ev)
+	return c.timers.Add()
+}
 
-// pop returns the next event: the earlier of the queue's head, which it
-// removes, and the earliest CPU timer, comparing full (time, insertion
-// order) keys, so the order is exactly the one a single queue holding
-// both would deliver. ok is false when neither holds an event. A
-// delivered CPU timer stays listed until handle re-arms or disarms it.
-func (c *Core) pop() (at vtime.Time, ev Event, ok bool) {
-	if h := &c.timers; len(h.heap) > 0 && (c.events.Len() == 0 || h.heap[0].before(c.events.PeekKey())) {
-		e := h.heap[0]
-		return e.at, Event{Kind: EventKind(e.slot & 1), Who: e.slot >> 1, Epoch: e.seq}, true
+// Arm lists timer slot for delivery at time at, in place of its listed
+// timer if it has one, so a timer that has gone stale is never delivered.
+func (c *Core) Arm(slot int32, at vtime.Time) { c.timers.Arm(slot, at) }
+
+// Disarm unlists timer slot, if it is listed.
+func (c *Core) Disarm(slot int32) { c.timers.Disarm(slot) }
+
+// pop returns the next event with its time and seq (its key in the
+// timer heap); ok is false when no timer is listed. An engine's event is
+// unlisted before it is delivered; a CPU timer stays listed until handle
+// re-arms or disarms it.
+func (c *Core) pop() (at vtime.Time, ev Event, seq uint64, ok bool) {
+	slot, at, seq, ok := c.timers.Peek()
+	if !ok {
+		return 0, Event{}, 0, false
 	}
-	if c.events.Len() == 0 {
-		return 0, Event{}, false
+	if ev = c.slots[slot]; ev.Kind >= EvEngine {
+		c.timers.Disarm(slot)
 	}
-	at, ev = c.events.Pop()
-	return at, ev, true
+	return at, ev, seq, true
 }
 
 // run starts the thread that the LWP linked to cpu carries and marks it
@@ -120,7 +127,7 @@ func (c *Core) account(cn *CPUNode) {
 // work of its thread tn, in place of the one armed before.
 func (c *Core) armBurst(cpu int32, tn *ThreadNode) {
 	at := c.now.Add(c.cpus[cpu].overhead + tn.WorkLeft)
-	c.timers.arm(timerSlot(cpu, EvBurst), at, c.events.ReserveSeq())
+	c.timers.Arm(timerSlot(cpu, EvBurst), at)
 }
 
 // armSlice arms the slice timer of ln, the LWP running on cpu, for what is
@@ -132,85 +139,12 @@ func (c *Core) armSlice(cpu int32, ln *LWPNode) {
 		ln.QuantumLeft = c.policy.Quantum(ln.Prio)
 	}
 	if ln.QuantumLeft <= 0 {
-		c.timers.disarm(timerSlot(cpu, EvSlice))
+		c.timers.Disarm(timerSlot(cpu, EvSlice))
 		return
 	}
-	c.timers.arm(timerSlot(cpu, EvSlice), c.now.Add(ln.QuantumLeft), c.events.ReserveSeq())
+	c.timers.Arm(timerSlot(cpu, EvSlice), c.now.Add(ln.QuantumLeft))
 }
 
-// ---- CPU timers -----------------------------------------------------------
-
-// cpuTimers holds every armed CPU timer in one indexed binary min-heap
-// ordered by (at, seq). Each CPU owns two slots, its burst and its slice
-// (timerSlot), and pos maps a slot to its heap index plus one, 0 while
-// it is disarmed. Arming a listed slot re-keys it in place and unlink
-// disarms both of a CPU's slots, so every listed timer is live and pop
-// needs no revalidation; the heap holds at most two timers per CPU, so
-// it never grows. seq is reserved from the event queue's insertion
-// counter at arm time, which keeps the merged delivery order exactly
-// that of pushing the timer through the queue: ties at the same instant
-// still resolve by insertion order.
-type cpuTimers struct {
-	heap []timer
-	pos  []int32 // by slot
-}
-
-// timer is one armed CPU timer.
-type timer struct {
-	at   vtime.Time
-	seq  uint64
-	slot int32
-}
-
-// timerSlot is the slot of the CPU's timer of kind k (EvBurst or EvSlice),
-// so a slot names the event it delivers.
+// timerSlot is the slot of the CPU's timer of kind k (EvBurst or EvSlice):
+// NewCore registers each CPU's two slots first, in CPU order.
 func timerSlot(cpu int32, k EventKind) int32 { return 2*cpu + int32(k) }
-
-// before orders the timer against a (time, seq) key.
-func (e *timer) before(at vtime.Time, seq uint64) bool {
-	return e.at < at || (e.at == at && e.seq < seq)
-}
-
-// arm lists slot at (at, seq), in place of its listed timer if it has one.
-func (h *cpuTimers) arm(slot int32, at vtime.Time, seq uint64) {
-	i := int(h.pos[slot]) - 1
-	if i < 0 {
-		i = len(h.heap)
-		h.heap = append(h.heap, timer{})
-	}
-	h.fix(i, timer{at: at, seq: seq, slot: slot})
-}
-
-// disarm unlists slot, if it is listed.
-func (h *cpuTimers) disarm(slot int32) {
-	if i := int(h.pos[slot]) - 1; i >= 0 {
-		h.pos[slot] = 0
-		last := h.heap[len(h.heap)-1]
-		if h.heap = h.heap[:len(h.heap)-1]; i < len(h.heap) {
-			h.fix(i, last)
-		}
-	}
-}
-
-// fix places e at heap index i and sifts it up or down to where its key
-// belongs, keeping pos in step.
-func (h *cpuTimers) fix(i int, e timer) {
-	for p := (i - 1) / 2; i > 0 && e.before(h.heap[p].at, h.heap[p].seq); p = (i - 1) / 2 {
-		h.set(i, h.heap[p])
-		i = p
-	}
-	n := len(h.heap)
-	for c := 2*i + 1; c < n; c = 2*i + 1 {
-		if c+1 < n && h.heap[c+1].before(h.heap[c].at, h.heap[c].seq) {
-			c++
-		}
-		if !h.heap[c].before(e.at, e.seq) {
-			break
-		}
-		h.set(i, h.heap[c])
-		i = c
-	}
-	h.set(i, e)
-}
-
-func (h *cpuTimers) set(i int, e timer) { h.heap[i], h.pos[e.slot] = e, int32(i)+1 }

@@ -34,18 +34,18 @@ func TestStaleSliceEventDropped(t *testing.T) {
 	if e, ok := listed(c, 0, EvSlice); !ok || e.at != vtime.Time(0).Add(c.policy.Quantum(want)) {
 		t.Fatal("next slice event not re-armed for the demoted quantum")
 	}
-	if e, _ := listed(c, 0, EvBurst); e != burst || len(c.timers.heap) != 2 {
-		t.Fatalf("slice event: burst %+v and %d timers listed, want the burst %+v untouched and the slice", e, len(c.timers.heap), burst)
+	if e, _ := listed(c, 0, EvBurst); e != burst || c.timers.Len() != 2 {
+		t.Fatalf("slice event: burst %+v and %d timers listed, want the burst %+v untouched and the slice", e, c.timers.Len(), burst)
 	}
 
 	// unlink drops both timers armed above: relinked to the CPU, the LWP
 	// has no event left to receive.
 	c.unlink(0)
-	if len(c.timers.heap) != 0 {
+	if c.timers.Len() != 0 {
 		t.Fatal("unlink left a timer listed")
 	}
 	link(c, 0, l)
-	if at, ev, ok := c.pop(); ok {
+	if at, ev, _, ok := c.pop(); ok {
 		t.Fatalf("Pop delivered %+v at %v after unlink", ev, at)
 	}
 }
@@ -93,7 +93,7 @@ func TestDispatchOverheadRules(t *testing.T) {
 		place(a)
 		owes("first placement", cs)
 		// The burst timer covers the overhead and then the work.
-		if at, ev, _ := c.pop(); ev.Kind != EvBurst || at != vtime.Time(cs+50) {
+		if at, ev, _, _ := c.pop(); ev.Kind != EvBurst || at != vtime.Time(cs+50) {
 			t.Errorf("costs %+v: burst %v at %v, want a burst at %v", costs, ev.Kind, at, cs+50)
 		}
 
@@ -143,16 +143,17 @@ func TestDispatchOverheadRules(t *testing.T) {
 }
 
 // TestMergedPopMatchesOneQueue drives random sequences of burst and
-// slice arms and re-arms, detaches, unlinks and engine pushes through the
-// Core's merged pop — the event queue plus the CPU-timer heap — and
-// requires exactly the delivery of one plain EventQueue that holds every
-// timer ever armed and skips the stale ones (one whose CPU slot has been
-// re-armed, or unlinked, since). A delivered timer stays listed until it
-// is consumed the way handle consumes it: re-armed, or disarmed by
-// unlink.
+// slice arms and re-arms, detaches, unlinks, and engine slot arms,
+// re-arms and disarms through the Core's one timer heap and pop, and
+// requires exactly the delivery of a linear-scan reference that keeps
+// only each slot's latest arm, keyed by its time and a seq counted one
+// per arm. A delivered engine event leaves its slot disarmed; a
+// delivered CPU timer stays listed until it is consumed the way handle
+// consumes it: re-armed, or disarmed by unlink.
 func TestMergedPopMatchesOneQueue(t *testing.T) {
 	const seeds = 500
-	var bursts, slices, ties int
+	const engineSlots = 8
+	var bursts, slices, rekeys, ties int
 	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c, _ := newFakeCore(t, "ts", 1+rng.Intn(6), false)
@@ -161,15 +162,26 @@ func TestMergedPopMatchesOneQueue(t *testing.T) {
 			lwps[i] = newLWP(c, 29)
 			link(c, i, lwps[i])
 		}
-		// The reference queue keeps every armed timer, stamped with a
-		// per-slot arm count, and skips the ones re-armed or unlinked
-		// since.
-		var ref vtime.EventQueue[Event]
-		armed := make([]uint64, 2*len(lwps))
-		arm := func(cpu int, k EventKind, at vtime.Time) {
-			s := timerSlot(int32(cpu), k)
-			armed[s]++
-			ref.Push(at, Event{Kind: k, Who: int32(cpu), Epoch: armed[s]})
+		engine := make([]int32, engineSlots)
+		for i := range engine {
+			engine[i] = c.AddTimer(Event{Kind: EvEngine + EventKind(i%2), Who: int32(i)})
+		}
+		// The reference: each slot's latest arm, and whether it is listed.
+		type refTimer struct {
+			at     vtime.Time
+			seq    uint64
+			listed bool
+		}
+		ref := make([]refTimer, len(c.slots))
+		var seq uint64
+		arm := func(slot int32, at vtime.Time) {
+			ref[slot] = refTimer{at, seq, true}
+			seq++
+		}
+		cpuArm := func(cpu int, k EventKind, at vtime.Time) { arm(timerSlot(int32(cpu), k), at) }
+		cpuDisarm := func(cpu int) {
+			ref[timerSlot(int32(cpu), EvBurst)].listed = false
+			ref[timerSlot(int32(cpu), EvSlice)].listed = false
 		}
 		armSlice := func(i int) { // for a short quantum
 			ln := &c.lwps[lwps[i]]
@@ -178,43 +190,32 @@ func TestMergedPopMatchesOneQueue(t *testing.T) {
 				ln.QuantumLeft = -1 // exhausted: refilled from the policy
 			}
 			c.armSlice(int32(i), ln)
-			arm(i, EvSlice, c.now.Add(ln.QuantumLeft))
+			cpuArm(i, EvSlice, c.now.Add(ln.QuantumLeft))
 		}
 		armBurst := func(i int) { // for a short work
 			tn := threadOf(c, lwps[i])
 			tn.WorkLeft = vtime.Duration(rng.Intn(4) * 10)
 			c.armBurst(int32(i), tn)
-			arm(i, EvBurst, c.now.Add(tn.WorkLeft))
+			cpuArm(i, EvBurst, c.now.Add(tn.WorkLeft))
 		}
 		unlink := func(i int) { // CPU i's LWP leaves and comes back
 			c.unlink(int32(i))
-			armed[timerSlot(int32(i), EvBurst)]++
-			armed[timerSlot(int32(i), EvSlice)]++
+			cpuDisarm(i)
 			link(c, i, lwps[i])
 		}
 		var last vtime.Time
-		// pop checks the next delivery and consumes a delivered timer; a
-		// drain unlinks its CPU rather than re-arm it.
+		// pop checks the next delivery and consumes a delivered CPU timer;
+		// a drain unlinks its CPU rather than re-arm it.
 		pop := func(drain bool) bool {
-			at, ev, ok := c.pop()
-			var wantAt vtime.Time
-			var want Event
-			wantOK := false
-			for ref.Len() > 0 {
-				_, seq := ref.PeekKey()
-				wantAt, want = ref.Pop()
-				if want.Kind >= EvEngine {
-					wantOK = true
-					break
-				}
-				if want.Epoch == armed[timerSlot(want.Who, want.Kind)] {
-					want.Epoch = seq // a delivered timer carries its seq
-					wantOK = true
-					break
+			at, ev, gotSeq, ok := c.pop()
+			want, wantOK := int32(-1), false
+			for slot, r := range ref {
+				if r.listed && (!wantOK || r.at < ref[want].at || (r.at == ref[want].at && r.seq < ref[want].seq)) {
+					want, wantOK = int32(slot), true
 				}
 			}
-			if ok != wantOK || (ok && (at != wantAt || ev != want)) {
-				t.Fatalf("seed %d: Pop = (%v, %+v, %v), want (%v, %+v, %v)", seed, at, ev, ok, wantAt, want, wantOK)
+			if ok != wantOK || (ok && (at != ref[want].at || gotSeq != ref[want].seq || ev != c.slots[want])) {
+				t.Fatalf("seed %d: pop = (%v, %+v, seq %d, %v), want slot %d %+v", seed, at, ev, gotSeq, ok, want, ref[max(want, 0)])
 			}
 			if !ok {
 				return false
@@ -226,6 +227,7 @@ func TestMergedPopMatchesOneQueue(t *testing.T) {
 			*c.now = at
 			switch i := int(ev.Who); {
 			case ev.Kind >= EvEngine:
+				ref[want].listed = false
 			case drain || rng.Intn(3) == 0:
 				unlink(i)
 			case ev.Kind == EvBurst:
@@ -239,7 +241,7 @@ func TestMergedPopMatchesOneQueue(t *testing.T) {
 		}
 		for op := 0; op < 200; op++ {
 			now := *c.now
-			switch i := rng.Intn(len(lwps)); rng.Intn(7) {
+			switch i := rng.Intn(len(lwps)); rng.Intn(8) {
 			case 0:
 				armSlice(i)
 			case 1:
@@ -251,29 +253,39 @@ func TestMergedPopMatchesOneQueue(t *testing.T) {
 				c.threads[next].WorkLeft = vtime.Duration(rng.Intn(4) * 10)
 				c.pushUserRunQ(next)
 				c.detach(int32(i), c.lwps[lwps[i]].thread)
-				arm(i, EvBurst, now.Add(c.threads[next].WorkLeft))
-				arm(i, EvSlice, now.Add(c.lwps[lwps[i]].QuantumLeft))
+				cpuArm(i, EvBurst, now.Add(c.threads[next].WorkLeft))
+				cpuArm(i, EvSlice, now.Add(c.lwps[lwps[i]].QuantumLeft))
 			case 4: // CPU i's thread stops with no thread queued
 				c.detach(int32(i), c.lwps[lwps[i]].thread)
-				armed[timerSlot(int32(i), EvBurst)]++
-				armed[timerSlot(int32(i), EvSlice)]++
+				cpuDisarm(i)
 				c.idleLWPs = c.idleLWPs[:0]
 				c.pair(addThread(c, 29), lwps[i])
 				link(c, i, lwps[i])
-			case 5: // an engine event
-				ev := Event{Kind: EvEngine, Who: int32(rng.Intn(8)), Epoch: uint64(op)}
+			case 5: // an engine slot armed, or re-keyed in place
+				slot := engine[rng.Intn(engineSlots)]
+				if ref[slot].listed {
+					rekeys++
+				}
 				at := now.Add(vtime.Duration(rng.Intn(4) * 10))
-				c.Push(at, ev)
-				ref.Push(at, ev)
-			case 6:
+				c.Arm(slot, at)
+				arm(slot, at)
+			case 6: // an engine slot disarmed
+				slot := engine[rng.Intn(engineSlots)]
+				c.Disarm(slot)
+				ref[slot].listed = false
+			case 7:
 				pop(false)
+			}
+			if err := c.timers.Check(); err != nil {
+				t.Fatalf("seed %d op %d: %v", seed, op, err)
 			}
 		}
 		for pop(true) {
 		}
 	}
-	if bursts == 0 || slices == 0 || ties == 0 {
-		t.Fatalf("coverage: %d burst and %d slice deliveries re-armed, %d deliveries tied with the one before", bursts, slices, ties)
+	if bursts == 0 || slices == 0 || rekeys == 0 || ties == 0 {
+		t.Fatalf("coverage: %d burst and %d slice deliveries re-armed, %d engine slots re-keyed, %d deliveries tied with the one before",
+			bursts, slices, rekeys, ties)
 	}
 }
 

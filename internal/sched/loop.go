@@ -17,7 +17,7 @@ type Engine interface {
 	// calls Fail, and the run stops before the event is handled.
 	Step(ev Event, advanced bool)
 	// Handle delivers one of the engine's own events (kinds from
-	// EvEngine on).
+	// EvEngine on), whose timer slot pop has already disarmed.
 	Handle(ev Event)
 	// Reach: thread ti has done its burst on cpu and reaches its next
 	// call. The engine fires the Before probe and returns the call's CPU
@@ -76,7 +76,7 @@ func (c *Core) Run() error {
 	c.DispatchAll()
 	c.PreemptPass()
 	for c.live > 0 && c.err == nil {
-		at, ev, ok := c.pop()
+		at, ev, seq, ok := c.pop()
 		if !ok {
 			c.Fail(c.engine.Deadlock())
 			break
@@ -89,24 +89,25 @@ func (c *Core) Run() error {
 			break
 		}
 		c.handle(ev)
-		c.checkLinks("post-handle", ev)
+		c.checkLinks("post-handle", ev, seq)
 		c.DispatchAll()
 		c.PreemptPass()
-		c.checkLinks("post-dispatch", ev)
+		c.checkLinks("post-dispatch", ev, seq)
 	}
 	return c.err
 }
 
 // checkLinks, with DebugChecks on, panics on a broken link, or on the CPU
-// timer of event ev still listed as it was delivered: a handler that
-// neither re-arms nor disarms its timer would have it delivered again.
-func (c *Core) checkLinks(where string, ev Event) {
+// timer of event ev, delivered with seq, still listed as it was delivered:
+// a handler that neither re-arms nor disarms its timer would have it
+// delivered again.
+func (c *Core) checkLinks(where string, ev Event, seq uint64) {
 	if !DebugChecks {
 		return
 	}
 	err := c.CheckLinks()
 	if err == nil && ev.Kind < EvEngine && c.err == nil {
-		if p := c.timers.pos[timerSlot(ev.Who, ev.Kind)]; p > 0 && c.timers.heap[p-1].seq == ev.Epoch {
+		if _, s, ok := c.timers.Key(timerSlot(ev.Who, ev.Kind)); ok && s == seq {
 			err = fmt.Errorf("%s timer of cpu %d still listed after its delivery", [...]string{"burst", "slice"}[ev.Kind], ev.Who)
 		}
 	}

@@ -462,14 +462,17 @@ func TestBoundCPUAffinity(t *testing.T) {
 	}
 }
 
-// listed returns the timer listed in the CPU's slot of kind k, and
-// whether there is one.
-func listed(c *Core, cpu int32, k EventKind) (timer, bool) {
-	p := c.timers.pos[timerSlot(cpu, k)]
-	if p == 0 {
-		return timer{}, false
-	}
-	return c.timers.heap[p-1], true
+// key is a listed timer's key in the timer heap.
+type key struct {
+	at  vtime.Time
+	seq uint64
+}
+
+// listed returns the key of the timer listed in the CPU's slot of kind
+// k, and whether there is one.
+func listed(c *Core, cpu int32, k EventKind) (key, bool) {
+	at, seq, ok := c.timers.Key(timerSlot(cpu, k))
+	return key{at, seq}, ok
 }
 
 // TestArmSlice: ts arms a table-quantum timer, fifo arms nothing
@@ -481,19 +484,19 @@ func TestArmSlice(t *testing.T) {
 	ln.QuantumLeft = c.policy.Quantum(ln.Prio)
 	c.armSlice(0, ln)
 	first, ok := listed(c, 0, EvSlice)
-	if !ok || len(c.timers.heap) != 1 || first.at != vtime.Time(0).Add(c.policy.Quantum(dispatch.DefaultPriority)) {
-		t.Fatalf("ts armSlice listed %d timers, slice at %v, want one at the table quantum", len(c.timers.heap), first.at)
+	if !ok || c.timers.Len() != 1 || first.at != vtime.Time(0).Add(c.policy.Quantum(dispatch.DefaultPriority)) {
+		t.Fatalf("ts armSlice listed %d timers, slice at %v, want one at the table quantum", c.timers.Len(), first.at)
 	}
 	c.armSlice(0, ln)
-	if again, _ := listed(c, 0, EvSlice); len(c.timers.heap) != 1 || again.seq <= first.seq {
+	if again, _ := listed(c, 0, EvSlice); c.timers.Len() != 1 || again.seq <= first.seq {
 		t.Fatalf("re-arm: %d timers, seq %d -> %d, want the one listed timer replaced",
-			len(c.timers.heap), first.seq, again.seq)
+			c.timers.Len(), first.seq, again.seq)
 	}
 
 	cf, _ := newFakeCore(t, "fifo", 1, false)
 	lf := newLWP(cf, 29)
 	cf.armSlice(0, &cf.lwps[lf])
-	if len(cf.timers.heap) != 0 {
+	if cf.timers.Len() != 0 {
 		t.Fatal("fifo armSlice must not arm a timer")
 	}
 }
@@ -584,19 +587,19 @@ func TestUnlinkDisarmsTimers(t *testing.T) {
 	c.pushKernelQ(l)
 	c.DispatchAll()
 	first, burst := listed(c, 0, EvBurst)
-	if _, slice := listed(c, 0, EvSlice); !burst || !slice || len(c.timers.heap) != 2 {
-		t.Fatalf("placement: burst armed %v, slice armed %v, %d timers listed; want both and no other", burst, slice, len(c.timers.heap))
+	if _, slice := listed(c, 0, EvSlice); !burst || !slice || c.timers.Len() != 2 {
+		t.Fatalf("placement: burst armed %v, slice armed %v, %d timers listed; want both and no other", burst, slice, c.timers.Len())
 	}
 	*c.now = 10
 	c.armBurst(0, threadOf(c, l))
-	if again, _ := listed(c, 0, EvBurst); len(c.timers.heap) != 2 || again.at != 60 || again.seq <= first.seq {
+	if again, _ := listed(c, 0, EvBurst); c.timers.Len() != 2 || again.at != 60 || again.seq <= first.seq {
 		t.Fatalf("burst re-arm: %d timers, burst at %v seq %d -> %d; want two, the burst replaced at 60",
-			len(c.timers.heap), again.at, first.seq, again.seq)
+			c.timers.Len(), again.at, first.seq, again.seq)
 	}
 	c.unlink(0)
 	_, burst = listed(c, 0, EvBurst)
-	if _, slice := listed(c, 0, EvSlice); burst || slice || len(c.timers.heap) != 0 {
-		t.Errorf("unlink: burst armed %v, slice armed %v, %d timers listed; want none", burst, slice, len(c.timers.heap))
+	if _, slice := listed(c, 0, EvSlice); burst || slice || c.timers.Len() != 0 {
+		t.Errorf("unlink: burst armed %v, slice armed %v, %d timers listed; want none", burst, slice, c.timers.Len())
 	}
 	if c.cpus[0].lwp != nilIdx || c.lwps[l].cpu != nilIdx {
 		t.Error("unlink must clear both links")
@@ -662,18 +665,10 @@ func TestCheckLinks(t *testing.T) {
 			c.threads[waiting].State = Sleeping
 		}},
 		{"idle CPU with a timer", "idle cpu 1 has an armed timer", func(c *Core, _, _, _, _ int32) {
-			c.timers.arm(timerSlot(1, EvSlice), 5, c.events.ReserveSeq())
+			c.timers.Arm(timerSlot(1, EvSlice), 5)
 		}},
 		{"busy CPU without a burst", "busy cpu 0 has no burst timer", func(c *Core, _, _, _, _ int32) {
-			c.timers.disarm(timerSlot(0, EvBurst))
-		}},
-		{"timer slot and heap disagree", "which holds another slot", func(c *Core, _, _, _, _ int32) {
-			pos := c.timers.pos
-			b, s := timerSlot(0, EvBurst), timerSlot(0, EvSlice)
-			pos[b], pos[s] = pos[s], pos[b]
-		}},
-		{"heap entry without a slot", "timers in the heap", func(c *Core, _, _, _, _ int32) {
-			c.timers.heap = append(c.timers.heap, timer{slot: timerSlot(1, EvBurst)})
+			c.timers.Disarm(timerSlot(0, EvBurst))
 		}},
 	} {
 		c, running, queued, idle, waiting := build()
@@ -699,8 +694,8 @@ func TestRunDrivesCalls(t *testing.T) {
 	if !slices.Equal(s.log, want) {
 		t.Fatalf("drive = %q, want %q", s.log, want)
 	}
-	if s.c.Live() != 0 || s.c.events.Len() != 0 {
-		t.Fatalf("after the exit: %d live, %d events queued", s.c.Live(), s.c.events.Len())
+	if s.c.Live() != 0 || s.c.timers.Len() != 0 {
+		t.Fatalf("after the exit: %d live, %d timers listed", s.c.Live(), s.c.timers.Len())
 	}
 }
 
@@ -762,7 +757,7 @@ func TestRunFirstFailWins(t *testing.T) {
 		s := newFakeSource(t, 1)
 		s.c.Start(addThread(s.c, 29))
 		for who := range int32(3) {
-			s.c.Push(vtime.Time(who+1), Event{Kind: EvEngine, Who: who})
+			s.c.Arm(s.c.AddTimer(Event{Kind: EvEngine, Who: who}), vtime.Time(who+1))
 		}
 		fail := func(ev Event) {
 			if ev.Who == 1 {

@@ -35,7 +35,9 @@ type kthread struct {
 	extraWork vtime.Duration
 	beforeEv  trace.Event
 
-	timerEpoch uint64
+	// timer is the thread's cond_timedwait timeout slot in the scheduler
+	// core.
+	timer int32
 	// held is the stack of mutexes the thread currently owns (see
 	// pushHeld).
 	held []*object
@@ -170,13 +172,19 @@ func (p *Process) Run(main func(*Thread)) (*Result, error) {
 	return res, nil
 }
 
-// Deadlock names each live thread, its state and what it waits on.
+// Deadlock names each live thread, its state and what it waits on. A
+// thread stopped in the burst before its next call (a thr_suspend took it
+// off its CPU) is named with that call, which it has not reached.
 func (e *kengine) Deadlock() error {
 	p := (*Process)(e)
 	var b strings.Builder
 	fmt.Fprintf(&b, "threadlib: deadlock at %v:", p.now)
 	for _, kt := range p.threads {
 		if kt.State == sched.Zombie {
+			continue
+		}
+		if kt.Stage == sched.StageCompute {
+			fmt.Fprintf(&b, " T%d(%s) %s before %s;", kt.id, kt.name, kt.State, kt.req.kind)
 			continue
 		}
 		obj := "?"
@@ -221,6 +229,7 @@ func (p *Process) newThread(id trace.ThreadID, name, fname string, co createOpts
 		start: make(chan struct{}),
 	}
 	p.sc.AddThread(&kt.ThreadNode)
+	kt.timer = p.sc.AddTimer(sched.Event{Kind: evTimer, Who: kt.TI})
 	p.sc.Start(kt.TI)
 	p.threads = append(p.threads, kt)
 	p.byID[id] = kt
@@ -439,7 +448,7 @@ func (e *kengine) Joined(ti, z int32) { e.threads[ti].resp.tid = e.threads[z].id
 func (e *kengine) StartIO(oi, ti int32) {
 	p := (*Process)(e)
 	service := max(p.threads[ti].req.timeout, 0)
-	p.sc.Push(p.now.Add(service), sched.Event{Kind: evIODone, Who: oi})
+	p.sc.Arm(p.objects[oi].io, p.now.Add(service))
 }
 
 // Step checks the virtual-time budget before each event; a moving clock
@@ -460,11 +469,7 @@ func (e *kengine) Handle(ev sched.Event) {
 	p := (*Process)(e)
 	switch ev.Kind {
 	case evTimer:
-		kt := p.threads[ev.Who]
-		if kt.timerEpoch != ev.Epoch {
-			return
-		}
-		p.timedWaitExpired(kt)
+		p.timedWaitExpired(p.threads[ev.Who])
 	case evIODone:
 		p.so.IODone(ev.Who)
 	}

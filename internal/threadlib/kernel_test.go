@@ -2,6 +2,7 @@ package threadlib
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -229,17 +230,22 @@ func TestDeadlockDetected(t *testing.T) {
 // 20 ms, when main blocked, not at the 1 s the burst would have ended,
 // and a 500 ms budget does not run out first.
 func TestSuspendedBurstLeavesNoTimer(t *testing.T) {
-	want := fmt.Sprintf("deadlock at %v:", vtime.Time(0).Add(20*vtime.Millisecond))
+	// The victim was stopped in its burst, before the thr_exit it never
+	// reached, so it has no call site to name.
 	for _, budget := range []vtime.Duration{0, 500 * vtime.Millisecond} {
 		p := NewProcess(Config{CPUs: 2, Costs: zeroCosts(), MaxDuration: budget})
 		never := p.NewSema("never", 0)
+		var line int
 		_, err := p.Run(func(th *Thread) {
 			victim := th.Create(func(w *Thread) { w.Compute(vtime.Second) })
 			th.Compute(20 * vtime.Millisecond)
 			th.Suspend(victim)
-			never.Wait(th)
+			_, _, line, _ = runtime.Caller(0)
+			never.Wait(th) // main's call site: the line after Caller's
 		})
-		if err == nil || !strings.Contains(err.Error(), want) {
+		want := fmt.Sprintf("threadlib: deadlock at %v: T1(main) sleeping on sema \"never\" at threadlib/kernel_test.go:%d; T4(T4) sleeping before thr_exit;",
+			vtime.Time(0).Add(20*vtime.Millisecond), line+1)
+		if err == nil || err.Error() != want {
 			t.Errorf("budget %v: err = %v, want %q", budget, err, want)
 		}
 	}

@@ -20,6 +20,8 @@ type object struct {
 	// initCount preserves a semaphore's creation-time count.
 	initCount int
 	oi        int32
+	// io is a device's I/O-completion timer slot in the scheduler core.
+	io int32
 }
 
 // newObject registers a synchronization object. It is safe to call both
@@ -29,6 +31,9 @@ func (p *Process) newObject(kind trace.ObjectKind, name string, initCount int) *
 	o := &object{id: p.nextOID, kind: kind, name: name, initCount: initCount, oi: p.so.AddObject(kind, initCount)}
 	p.nextOID++
 	p.objects = append(p.objects, o)
+	if kind == trace.ObjDevice {
+		o.io = p.sc.AddTimer(sched.Event{Kind: evIODone, Who: o.oi})
+	}
 	if p.cfg.Hook != nil {
 		p.cfg.Hook.HandleObject(trace.ObjectInfo{ID: o.id, Kind: kind, Name: name, InitCount: int32(initCount)})
 	}
@@ -244,11 +249,12 @@ func (p *Process) opCondWait(cpu int32, kt *kthread) bool {
 	dropHeld(kt, m)
 	p.so.CondWait(cv.oi, m.oi, kt.TI)
 	kt.resp.ok = true
-	// Every wait takes a fresh timer epoch, so the timeout of an earlier
-	// wait can never end this one.
-	kt.timerEpoch++
+	// Every wait re-arms or disarms the thread's timer, so the timeout of
+	// an earlier wait can never end this one.
 	if req.kind == trace.CallCondTimedWait {
-		p.sc.Push(p.now.Add(req.timeout), sched.Event{Kind: evTimer, Who: kt.TI, Epoch: kt.timerEpoch})
+		p.sc.Arm(kt.timer, p.now.Add(req.timeout))
+	} else {
+		p.sc.Disarm(kt.timer)
 	}
 	p.sc.Block(cpu, kt.TI)
 	return true
@@ -256,9 +262,9 @@ func (p *Process) opCondWait(cpu int32, kt *kthread) bool {
 
 // timedWaitExpired handles a cond_timedwait timeout: unless a signal
 // already released the thread, it leaves the condition queue and
-// re-acquires the mutex with a false result. The timer's epoch matched,
-// so no later wait has begun, but a signalled thread may have moved on to
-// calls that have no condition.
+// re-acquires the mutex with a false result. A later wait would have
+// re-armed or disarmed the timer, so none has begun, but a signalled
+// thread may have moved on to calls that have no condition.
 func (p *Process) timedWaitExpired(kt *kthread) {
 	if kt.req.kind != trace.CallCondTimedWait || !p.so.CondCancel(kt.req.obj.oi, kt.TI) {
 		return

@@ -37,3 +37,39 @@ func TestSignalledTimedWaitOutlivesItsTimer(t *testing.T) {
 		t.Fatalf("duration = %v, want 26ms", res.Duration)
 	}
 }
+
+// TestStaleTimedWaitTimer: a signal ends a cond_timedwait early, and the
+// thread waits on the same condition again, with a longer timeout, before
+// the first timeout falls due. The first wait's timer must not end the
+// second wait, which the second signal ends.
+func TestStaleTimedWaitTimer(t *testing.T) {
+	p := NewProcess(Config{CPUs: 2, Costs: zeroCosts()})
+	m := p.NewMutex("m")
+	cv := p.NewCond("cv")
+	var first, second bool
+	var ended vtime.Time
+	res, err := p.Run(func(th *Thread) {
+		w := th.Create(func(w *Thread) {
+			m.Lock(w)
+			first = cv.TimedWait(w, m, 10*vtime.Millisecond)
+			second = cv.TimedWait(w, m, 100*vtime.Millisecond)
+			ended = p.Now()
+			m.Unlock(w)
+		})
+		for _, at := range []vtime.Duration{1 * vtime.Millisecond, 29 * vtime.Millisecond} {
+			th.Compute(at)
+			m.Lock(th)
+			cv.Signal(th)
+			m.Unlock(th)
+		}
+		th.Join(w)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := vtime.Time(0).Add(30 * vtime.Millisecond)
+	if !first || !second || ended != want || res.Duration != 30*vtime.Millisecond {
+		t.Fatalf("waits returned %v and %v, the second ending at %v in a %v run; want both signalled, at %v in a 30ms run",
+			first, second, ended, res.Duration, want)
+	}
+}

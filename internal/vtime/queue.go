@@ -1,127 +1,125 @@
 package vtime
 
-// EventQueue is a deterministic priority queue of timestamped items.
-// Items that share a timestamp are delivered in insertion order, which is
-// what makes whole simulations reproducible: the tie-break is an explicit
-// sequence number rather than heap internals.
+import "fmt"
+
+// Timers is a deterministic indexed priority queue of timers. Each timer
+// owns a slot (Add), which is either disarmed or listed once at a key
+// (at, seq); arming a listed slot re-keys it in place, so a queue of
+// slots never holds a stale entry. seq is the queue's own arm counter:
+// timers due at the same instant are delivered in the order they were
+// armed, which is what makes whole simulations reproducible — the
+// tie-break is an explicit sequence number rather than heap internals.
 //
-// The zero value is ready to use.
-type EventQueue[T any] struct {
-	heap []entry[T]
+// The heap is binary with a pos array from slot to heap index. Slots are
+// added, never removed, and the heap grows to the most slots listed at
+// once; from then on, arming and disarming never allocate. The zero value
+// is ready to use.
+type Timers struct {
+	heap []timer
+	pos  []int32 // by slot: heap index plus one, 0 while disarmed
 	seq  uint64
 }
 
-type entry[T any] struct {
+// timer is one listed slot.
+type timer struct {
 	at   Time
 	seq  uint64
-	item T
+	slot int32
 }
 
-// Len reports the number of queued items.
-func (q *EventQueue[T]) Len() int { return len(q.heap) }
+// Add creates a disarmed slot and returns it; slots are numbered from 0
+// in creation order.
+func (h *Timers) Add() int32 {
+	h.pos = append(h.pos, 0)
+	return int32(len(h.pos) - 1)
+}
 
-// Reserve grows the queue's backing storage to hold at least n items
-// without reallocating, so a simulation whose peak queue size is known up
-// front never pays for heap growth mid-run.
-func (q *EventQueue[T]) Reserve(n int) {
-	if cap(q.heap) >= n {
-		return
+// Len reports the number of listed slots.
+func (h *Timers) Len() int { return len(h.heap) }
+
+// Arm lists slot for delivery at at, in place of its listed key if it has
+// one. It consumes one seq.
+func (h *Timers) Arm(slot int32, at Time) {
+	i := int(h.pos[slot]) - 1
+	if i < 0 {
+		i = len(h.heap)
+		h.heap = append(h.heap, timer{})
 	}
-	heap := make([]entry[T], len(q.heap), n)
-	copy(heap, q.heap)
-	q.heap = heap
+	h.fix(i, timer{at: at, seq: h.seq, slot: slot})
+	h.seq++
 }
 
-// Push queues item for delivery at time at.
-func (q *EventQueue[T]) Push(at Time, item T) {
-	q.heap = append(q.heap, entry[T]{at: at, seq: q.seq, item: item})
-	q.seq++
-	q.up(len(q.heap) - 1)
-}
-
-// PeekKey returns the full ordering key — timestamp and insertion
-// sequence — of the earliest item. It panics if the queue is empty; check
-// Len first. Callers merging the queue with an external timer source
-// compare keys to deliver in exactly the order one combined queue would.
-func (q *EventQueue[T]) PeekKey() (Time, uint64) {
-	return q.heap[0].at, q.heap[0].seq
-}
-
-// ReserveSeq consumes and returns the next insertion sequence number
-// without queuing anything. An external timer stamped with a reserved
-// sequence number ties with queued items exactly as if it had been pushed
-// here at reservation time — the pattern the scheduler uses to keep its
-// CPU timers out of the heap without perturbing delivery order.
-func (q *EventQueue[T]) ReserveSeq() uint64 {
-	s := q.seq
-	q.seq++
-	return s
-}
-
-// Pop removes and returns the earliest item and its timestamp. It panics if
-// the queue is empty; check Len first.
-func (q *EventQueue[T]) Pop() (Time, T) {
-	top := q.heap[0]
-	last := len(q.heap) - 1
-	q.heap[0] = q.heap[last]
-	q.heap = q.heap[:last]
-	if last > 0 {
-		q.down(0)
+// Disarm unlists slot, if it is listed.
+func (h *Timers) Disarm(slot int32) {
+	if i := int(h.pos[slot]) - 1; i >= 0 {
+		h.pos[slot] = 0
+		last := h.heap[len(h.heap)-1]
+		if h.heap = h.heap[:len(h.heap)-1]; i < len(h.heap) {
+			h.fix(i, last)
+		}
 	}
-	return top.at, top.item
 }
 
-// The heap is 4-ary with hole-based sifting: half the levels of a binary
-// heap (fewer data-dependent branches per Pop) and one entry move per
-// level instead of a swap. Delivery order is unaffected by the heap
-// shape — the (at, seq) comparator is a total order with a unique seq per
-// entry, so the minimum is unique and arity cannot change which entry any
-// Pop returns.
-const heapArity = 4
-
-func lessEntry[T any](a, b *entry[T]) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// Peek returns the earliest listed slot with its key, leaving it listed;
+// ok is false when no slot is listed.
+func (h *Timers) Peek() (slot int32, at Time, seq uint64, ok bool) {
+	if len(h.heap) == 0 {
+		return 0, 0, 0, false
 	}
-	return a.seq < b.seq
+	e := &h.heap[0]
+	return e.slot, e.at, e.seq, true
 }
 
-func (q *EventQueue[T]) up(i int) {
-	e := q.heap[i]
-	for i > 0 {
-		parent := (i - 1) / heapArity
-		if !lessEntry(&e, &q.heap[parent]) {
+// Key returns slot's key; ok is false while the slot is disarmed.
+func (h *Timers) Key(slot int32) (at Time, seq uint64, ok bool) {
+	if i := h.pos[slot] - 1; i >= 0 {
+		return h.heap[i].at, h.heap[i].seq, true
+	}
+	return 0, 0, false
+}
+
+// Check verifies that every listed slot and its heap entry point at each
+// other, and returns the first violation.
+func (h *Timers) Check() error {
+	listed := 0
+	for slot, p := range h.pos {
+		if p == 0 {
+			continue
+		}
+		if listed++; int(p) > len(h.heap) || h.heap[p-1].slot != int32(slot) {
+			return fmt.Errorf("timer slot %d lists heap index %d, which holds another slot", slot, p-1)
+		}
+	}
+	if listed != len(h.heap) {
+		return fmt.Errorf("%d timer slots armed, %d timers in the heap", listed, len(h.heap))
+	}
+	return nil
+}
+
+// before orders two timers by (at, seq).
+func (e *timer) before(o *timer) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+}
+
+// fix places e at heap index i and sifts it up or down to where its key
+// belongs, keeping pos in step.
+func (h *Timers) fix(i int, e timer) {
+	for p := (i - 1) / 2; i > 0 && e.before(&h.heap[p]); p = (i - 1) / 2 {
+		h.set(i, h.heap[p])
+		i = p
+	}
+	n := len(h.heap)
+	for c := 2*i + 1; c < n; c = 2*i + 1 {
+		if c+1 < n && h.heap[c+1].before(&h.heap[c]) {
+			c++
+		}
+		if !h.heap[c].before(&e) {
 			break
 		}
-		q.heap[i] = q.heap[parent]
-		i = parent
+		h.set(i, h.heap[c])
+		i = c
 	}
-	q.heap[i] = e
+	h.set(i, e)
 }
 
-func (q *EventQueue[T]) down(i int) {
-	n := len(q.heap)
-	e := q.heap[i]
-	for {
-		first := heapArity*i + 1
-		if first >= n {
-			break
-		}
-		least := first
-		end := first + heapArity
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if lessEntry(&q.heap[c], &q.heap[least]) {
-				least = c
-			}
-		}
-		if !lessEntry(&q.heap[least], &e) {
-			break
-		}
-		q.heap[i] = q.heap[least]
-		i = least
-	}
-	q.heap[i] = e
-}
+func (h *Timers) set(i int, e timer) { h.heap[i], h.pos[e.slot] = e, int32(i)+1 }

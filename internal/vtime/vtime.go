@@ -1,7 +1,8 @@
 // Package vtime provides the virtual-time foundation shared by the
 // execution substrate (internal/threadlib) and the trace-driven predictor
 // (internal/core): a microsecond-resolution virtual clock, durations, a
-// deterministic event queue, and a small seeded random source.
+// deterministic timer queue with one slot per pending event, and a small
+// seeded random source.
 //
 // VPPB's Recorder stamps every event with wall-clock time at 1 microsecond
 // resolution (paper, section 3.1). All times in this repository are virtual

@@ -2,6 +2,7 @@ package vtime
 
 import (
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -61,53 +62,164 @@ func TestMinMaxTime(t *testing.T) {
 	}
 }
 
+// addSlots returns a queue with n disarmed slots.
+func addSlots(n int) *Timers {
+	var h Timers
+	for range n {
+		h.Add()
+	}
+	return &h
+}
+
+// popTimer unlists and returns the earliest listed slot and its time.
+func popTimer(t *testing.T, h *Timers) (int32, Time) {
+	t.Helper()
+	slot, at, _, ok := h.Peek()
+	if !ok {
+		t.Fatal("pop from an empty queue")
+	}
+	h.Disarm(slot)
+	if err := h.Check(); err != nil {
+		t.Fatal(err)
+	}
+	return slot, at
+}
+
 func TestQueueOrdersByTime(t *testing.T) {
-	var q EventQueue[string]
-	q.Push(30, "c")
-	q.Push(10, "a")
-	q.Push(20, "b")
-	want := []string{"a", "b", "c"}
-	for i, w := range want {
-		at, item := q.Pop()
-		if item != w {
-			t.Fatalf("pop %d: got %q, want %q", i, item, w)
+	h := addSlots(3)
+	h.Arm(2, 30)
+	h.Arm(0, 10)
+	h.Arm(1, 20)
+	for i := range int32(3) {
+		slot, at := popTimer(t, h)
+		if slot != i {
+			t.Fatalf("pop %d: got slot %d, want %d", i, slot, i)
 		}
 		if at != Time((i+1)*10) {
 			t.Fatalf("pop %d: time %d", i, at)
 		}
 	}
-	if q.Len() != 0 {
+	if h.Len() != 0 {
 		t.Fatal("queue not empty")
+	}
+	if _, _, _, ok := h.Peek(); ok {
+		t.Fatal("Peek on an empty queue reported a timer")
 	}
 }
 
 func TestQueueFIFOAtEqualTimes(t *testing.T) {
-	var q EventQueue[int]
-	for i := 0; i < 100; i++ {
-		q.Push(42, i)
+	h := addSlots(100)
+	for i := range int32(100) {
+		h.Arm(99-i, 42)
 	}
-	for i := 0; i < 100; i++ {
-		_, item := q.Pop()
-		if item != i {
-			t.Fatalf("tie-break violated: got %d at pop %d", item, i)
+	for i := range int32(100) {
+		if slot, _ := popTimer(t, h); slot != 99-i {
+			t.Fatalf("tie-break violated: got slot %d at pop %d, want %d", slot, i, 99-i)
 		}
 	}
 }
 
-// Property: popping everything always yields non-decreasing timestamps, and
-// the multiset of timestamps is preserved.
+// TestQueueRekey: arming a listed slot re-keys it in place: the queue
+// keeps one entry per slot, ordered by the latest arm, and a re-arm at
+// the same instant takes a fresh seq, so it goes behind the slots armed
+// for that instant before it.
+func TestQueueRekey(t *testing.T) {
+	h := addSlots(3)
+	h.Arm(0, 10)
+	h.Arm(1, 20)
+	h.Arm(2, 30)
+	_, seq0, _ := h.Key(0)
+	h.Arm(0, 40) // later
+	h.Arm(2, 5)  // earlier
+	h.Arm(1, 20) // same instant
+	if h.Len() != 3 {
+		t.Fatalf("%d listed after re-keys, want 3", h.Len())
+	}
+	if at, seq, ok := h.Key(0); !ok || at != 40 || seq <= seq0 {
+		t.Fatalf("slot 0 keyed (%v, %d, %v), want time 40 at a seq after %d", at, seq, ok, seq0)
+	}
+	for _, want := range []int32{2, 1, 0} {
+		if slot, _ := popTimer(t, h); slot != want {
+			t.Fatalf("popped slot %d, want %d", slot, want)
+		}
+	}
+	h.Arm(0, 7)
+	h.Arm(1, 7)
+	h.Arm(0, 7)
+	if slot, _ := popTimer(t, h); slot != 1 {
+		t.Fatalf("slot 0 re-armed at the same instant popped before slot 1")
+	}
+}
+
+// TestQueueDisarm: a disarmed slot is never delivered, disarming one that
+// is not listed changes nothing, and a disarmed slot can be armed again.
+func TestQueueDisarm(t *testing.T) {
+	h := addSlots(4)
+	for i := range int32(4) {
+		h.Arm(i, Time(10*i))
+	}
+	h.Disarm(0) // the top
+	h.Disarm(2) // an inner entry
+	h.Disarm(2) // already disarmed
+	if _, _, ok := h.Key(2); ok || h.Len() != 2 {
+		t.Fatalf("after disarms: slot 2 listed %v, %d listed; want unlisted and 2", ok, h.Len())
+	}
+	if err := h.Check(); err != nil {
+		t.Fatal(err)
+	}
+	h.Arm(0, 25)
+	for _, want := range []int32{1, 0, 3} {
+		if slot, _ := popTimer(t, h); slot != want {
+			t.Fatalf("popped slot %d, want %d", slot, want)
+		}
+	}
+	if h.Len() != 0 {
+		t.Fatal("queue not empty")
+	}
+}
+
+// TestQueueCheck: Check names a slot whose heap entry holds another slot
+// and a heap entry no slot lists.
+func TestQueueCheck(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		mutate     func(h *Timers)
+	}{
+		{"slot and heap disagree", "which holds another slot", func(h *Timers) {
+			h.pos[0], h.pos[1] = h.pos[1], h.pos[0]
+		}},
+		{"heap entry without a slot", "timers in the heap", func(h *Timers) {
+			h.heap = append(h.heap, timer{slot: 2})
+		}},
+	} {
+		h := addSlots(3)
+		h.Arm(0, 10)
+		h.Arm(1, 20)
+		if err := h.Check(); err != nil {
+			t.Fatalf("%s: consistent queue: %v", tc.name, err)
+		}
+		tc.mutate(h)
+		if err := h.Check(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Check = %v, want an error with %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// Property: popping everything always yields non-decreasing timestamps,
+// and the multiset of timestamps is preserved.
 func TestQueueSortedProperty(t *testing.T) {
 	f := func(times []int16) bool {
-		var q EventQueue[int]
+		h := addSlots(len(times))
 		in := make([]int64, len(times))
 		for i, v := range times {
-			q.Push(Time(v), i)
+			h.Arm(int32(i), Time(v))
 			in[i] = int64(v)
 		}
 		out := make([]int64, 0, len(times))
 		prev := Time(-1 << 62)
-		for q.Len() > 0 {
-			at, _ := q.Pop()
+		for h.Len() > 0 {
+			slot, at, _, _ := h.Peek()
+			h.Disarm(slot)
 			if at < prev {
 				return false
 			}
