@@ -157,9 +157,9 @@ func (e *sengine) Deadlock() error {
 			}
 			slices.Sort(w.Holders)
 		case r != nil && r.Call == trace.CallThrJoin:
-			if r.Target != 0 {
-				w.Object = fmt.Sprintf("thread T%d", r.Target)
-				w.Holders = []trace.ThreadID{r.Target}
+			if id := s.prof.Before(r).Target; id != 0 {
+				w.Object = fmt.Sprintf("thread T%d", id)
+				w.Holders = []trace.ThreadID{id}
 			} else {
 				w.Object = "thread <any>"
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,21 +10,62 @@ import (
 	"vppb/internal/vtime"
 )
 
+// guardCall is one hand-written call: the replayed fields of a call
+// record, with the recorded IDs that guardProfile resolves to its dense
+// indices and writes to its Before event.
+type guardCall struct {
+	CPUBefore   vtime.Duration
+	Call        trace.Call
+	Object      trace.ObjectID
+	MutexObject trace.ObjectID
+	Target      trace.ThreadID
+}
+
 // guardProfile hand-builds a behaviour profile. A recorded log can never
 // deadlock (the recording finished), so the pathological schedules these
-// tests need are constructed directly.
-func guardProfile(objects []trace.ObjectInfo, threads map[trace.ThreadID][]trace.CallRecord) *trace.Profile {
+// tests need are constructed directly. It leaves Profile.IDs unset, as a
+// hand-built profile may.
+func guardProfile(objects []trace.ObjectInfo, threads map[trace.ThreadID][]guardCall) *trace.Profile {
 	l := &trace.Log{
 		Header:  trace.Header{Program: "guard", CPUs: 1, LWPs: 1, Start: 0, End: vtime.Time(vtime.Second)},
 		Objects: objects,
 	}
 	p := &trace.Profile{Log: l, Threads: make(map[trace.ThreadID]*trace.ThreadProfile)}
-	for id, calls := range threads {
+	ids := make([]trace.ThreadID, 0, len(threads))
+	for id := range threads {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	object := func(id trace.ObjectID) int32 {
+		return int32(slices.IndexFunc(objects, func(o trace.ObjectInfo) bool { return o.ID == id }))
+	}
+	thread := func(id trace.ThreadID) int32 {
+		if i, ok := slices.BinarySearch(ids, id); ok {
+			return int32(i)
+		}
+		return -1
+	}
+	for _, id := range ids {
 		info := trace.ThreadInfo{ID: id, Name: "t", Func: "t", BoundCPU: -1, Prio: 29}
 		if id == trace.MainThread {
 			info.Name = "main"
 		}
 		l.Threads = append(l.Threads, info)
+		calls := make([]trace.CallRecord, len(threads[id]))
+		for i, c := range threads[id] {
+			calls[i] = trace.CallRecord{
+				CPUBefore: c.CPUBefore,
+				Call:      c.Call,
+				Obj:       object(c.Object),
+				Mutex:     object(c.MutexObject),
+				Target:    thread(c.Target),
+				Before:    int32(len(l.Events)),
+			}
+			l.Events = append(l.Events, trace.Event{
+				Thread: id, Class: trace.Before, Call: c.Call,
+				Object: c.Object, Mutex: c.MutexObject, Target: c.Target,
+			})
+		}
 		p.Threads[id] = &trace.ThreadProfile{Info: info, Calls: calls}
 	}
 	return p
@@ -41,7 +83,7 @@ func TestDeadlockWaitForGraph(t *testing.T) {
 			{ID: mutexA, Kind: trace.ObjMutex, Name: "A"},
 			{ID: mutexB, Kind: trace.ObjMutex, Name: "B"},
 		},
-		map[trace.ThreadID][]trace.CallRecord{
+		map[trace.ThreadID][]guardCall{
 			1: {
 				{Call: trace.CallThrCreate, Target: 4},
 				{Call: trace.CallThrCreate, Target: 5},
@@ -94,7 +136,7 @@ func TestDeadlockLostWakeup(t *testing.T) {
 			{ID: guard, Kind: trace.ObjMutex, Name: "guard"},
 			{ID: empty, Kind: trace.ObjCond, Name: "empty"},
 		},
-		map[trace.ThreadID][]trace.CallRecord{
+		map[trace.ThreadID][]guardCall{
 			1: {
 				{Call: trace.CallThrCreate, Target: 4},
 				{Call: trace.CallThrCreate, Target: 5},
@@ -132,7 +174,7 @@ func TestSuspendedBurstLeavesNoTimer(t *testing.T) {
 	const never trace.ObjectID = 1
 	prof := guardProfile(
 		[]trace.ObjectInfo{{ID: never, Kind: trace.ObjSema, Name: "never"}},
-		map[trace.ThreadID][]trace.CallRecord{
+		map[trace.ThreadID][]guardCall{
 			1: {
 				{Call: trace.CallThrCreate, Target: 4},
 				{CPUBefore: 20 * vtime.Millisecond, Call: trace.CallThrSuspend, Target: 4},
@@ -163,11 +205,11 @@ func TestSuspendedBurstLeavesNoTimer(t *testing.T) {
 // TestLivelockWindow replays a thread of zero-cost yields: virtual time
 // never advances, so the dispatch watchdog must fire.
 func TestLivelockWindow(t *testing.T) {
-	yields := make([]trace.CallRecord, 50)
+	yields := make([]guardCall, 50)
 	for i := range yields {
-		yields[i] = trace.CallRecord{Call: trace.CallThrYield}
+		yields[i] = guardCall{Call: trace.CallThrYield}
 	}
-	prof := guardProfile(nil, map[trace.ThreadID][]trace.CallRecord{1: yields})
+	prof := guardProfile(nil, map[trace.ThreadID][]guardCall{1: yields})
 	_, err := SimulateProfile(prof, Machine{CPUs: 1, LivelockWindow: 10})
 	var le *LivelockError
 	if !errors.As(err, &le) {
@@ -187,11 +229,11 @@ func TestLivelockWindow(t *testing.T) {
 // TestLivelockDisabled verifies that a negative window turns the watchdog
 // off and the same yield storm completes normally.
 func TestLivelockDisabled(t *testing.T) {
-	yields := make([]trace.CallRecord, 50)
+	yields := make([]guardCall, 50)
 	for i := range yields {
-		yields[i] = trace.CallRecord{Call: trace.CallThrYield}
+		yields[i] = guardCall{Call: trace.CallThrYield}
 	}
-	prof := guardProfile(nil, map[trace.ThreadID][]trace.CallRecord{1: yields})
+	prof := guardProfile(nil, map[trace.ThreadID][]guardCall{1: yields})
 	if _, err := SimulateProfile(prof, Machine{CPUs: 1, LivelockWindow: -1}); err != nil {
 		t.Fatalf("watchdog disabled but simulation failed: %v", err)
 	}
@@ -243,7 +285,7 @@ func TestStaleDelayedWake(t *testing.T) {
 	const gate trace.ObjectID = 1
 	prof := guardProfile(
 		[]trace.ObjectInfo{{ID: gate, Kind: trace.ObjSema, Name: "gate"}},
-		map[trace.ThreadID][]trace.CallRecord{
+		map[trace.ThreadID][]guardCall{
 			1: {
 				{Call: trace.CallThrCreate, Target: 4},
 				{CPUBefore: 5 * ms, Call: trace.CallSemaPost, Object: gate},
@@ -263,5 +305,42 @@ func TestStaleDelayedWake(t *testing.T) {
 	}
 	if res.Duration != 18*ms {
 		t.Fatalf("duration %v, want 18ms: T4 woken at 8 ms, after its continue's delay", res.Duration)
+	}
+}
+
+// TestSuspendedWakeCancelled: with a communication delay, main posts the
+// semaphore T4 sleeps on from another CPU at 5 ms, so T4's wake falls due
+// at 7 ms; main suspends T4 at once and waits on a semaphore no one
+// posts. The suspend cancels the delayed wake, so the deadlock is
+// reported at 5 ms, when main blocked, not at the cancelled wake's 7 ms.
+func TestSuspendedWakeCancelled(t *testing.T) {
+	const (
+		gate  trace.ObjectID = 1
+		never trace.ObjectID = 2
+	)
+	prof := guardProfile(
+		[]trace.ObjectInfo{
+			{ID: gate, Kind: trace.ObjSema, Name: "gate"},
+			{ID: never, Kind: trace.ObjSema, Name: "never"},
+		},
+		map[trace.ThreadID][]guardCall{
+			1: {
+				{Call: trace.CallThrCreate, Target: 4},
+				{CPUBefore: 5 * ms, Call: trace.CallSemaPost, Object: gate},
+				{Call: trace.CallThrSuspend, Target: 4},
+				{Call: trace.CallSemaWait, Object: never},
+			},
+			4: {
+				{Call: trace.CallSemaWait, Object: gate},
+				{CPUBefore: 10 * ms, Call: trace.CallThrExit},
+			},
+		},
+	)
+	_, err := SimulateProfile(prof, Machine{CPUs: 2, CommDelay: 2 * ms})
+	want := `core: simulation deadlock at 0.005; wait-for graph:
+  T1 (sleeping in sema_wait) -> sema "never" (no holder)
+  T4 (sleeping in sema_wait) -> thr_continue (no holder)`
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want\n%s", err, want)
 	}
 }

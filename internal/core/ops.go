@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"vppb/internal/dispatch"
+	"vppb/internal/sched"
 	"vppb/internal/trace"
 )
 
@@ -13,38 +14,40 @@ import (
 // internal/syncobj, shared with the recording kernel; this file keeps what
 // replay does differently: try calls follow their recorded outcome, a
 // recorded timeout becomes a delay, cond_broadcast applies the barrier
-// fix, and a dangling object reference fails the run. dc carries the
-// record's precomputed arena indices (trace.ProfileIndex), so the hot path
-// resolves objects and target threads without a map lookup. It returns
-// true when the thread can no longer continue on this CPU.
+// fix, and a dangling object reference fails the run. The record carries
+// its references as arena indices, so the hot path resolves objects and
+// target threads without a map lookup. It returns true when the thread
+// can no longer continue on this CPU.
 func (e *sengine) Apply(cpu, ti int32) (blocked bool) {
 	s := (*sim)(e)
 	t := &s.threads[ti]
-	r, dc := t.rec(), t.drec()
+	r := t.rec()
 	switch r.Call {
 	case trace.CallStartCollect, trace.CallEndCollect:
 		return false
 	case trace.CallThrCreate:
-		if dc.Target != nilIdx {
+		if r.Target != nilIdx {
 			// A created thread that generated no events in the recording
 			// has nothing to replay.
-			s.startThread(&s.threads[dc.Target])
+			s.startThread(&s.threads[r.Target])
 		}
 		return false
 	case trace.CallThrExit:
 		s.exitThread(cpu, t)
 		return true
 	case trace.CallThrJoin:
-		if dc.Target == nilIdx && r.Target != 0 {
-			// The target never ran in the recording: complete at once, as
-			// thr_join would with ESRCH.
-			t.joinedID = r.Target
-			return false
+		if r.Target == nilIdx {
+			if id := s.prof.Before(r).Target; id != 0 {
+				// The target never ran in the recording: complete at
+				// once, as thr_join would with ESRCH.
+				t.joinedID = id
+				return false
+			}
 		}
 		// A wildcard join (dense target nilIdx) takes the first exit in
 		// the simulation, which "may not be the one that exited in the
 		// log" (paper section 6).
-		return s.sc.BlockUnless(s.so.Join(t.TI, dc.Target), cpu, t.TI)
+		return s.sc.BlockUnless(s.so.Join(t.TI, r.Target), cpu, t.TI)
 	case trace.CallThrYield:
 		s.sc.Yield(cpu, t.TI)
 		return true
@@ -59,10 +62,18 @@ func (e *sengine) Apply(cpu, ti int32) (blocked bool) {
 		return false
 	case trace.CallThrSuspend:
 		// A target that never ran in the recording has nothing to suspend.
-		return dc.Target != nilIdx && s.sc.Suspend(cpu, t.TI, dc.Target)
+		if r.Target == nilIdx {
+			return false
+		}
+		// A wake-pending target goes to sleep with its wake deferred to
+		// thr_continue, so its delayed wake must not be delivered.
+		if tg := &s.threads[r.Target]; tg.State == sched.WakePending {
+			s.sc.Disarm(tg.wake)
+		}
+		return s.sc.Suspend(cpu, t.TI, r.Target)
 	case trace.CallThrContinue:
-		if dc.Target != nilIdx {
-			s.sc.Continue(t.TI, dc.Target)
+		if r.Target != nilIdx {
+			s.sc.Continue(t.TI, r.Target)
 		}
 		return false
 	case trace.CallMutexTryLock, trace.CallSemaTryWait:
@@ -76,9 +87,9 @@ func (e *sengine) Apply(cpu, ti int32) (blocked bool) {
 		s.sc.Fail(fmt.Errorf("core: thread T%d has unknown call %v in its profile", t.id(), r.Call))
 		return true
 	}
-	o := dc.Obj
+	o := r.Obj
 	if o == nilIdx {
-		s.sc.Fail(fmt.Errorf("core: profile references unknown object %d", r.Object))
+		s.sc.Fail(fmt.Errorf("core: profile references unknown object %d", s.prof.Before(r).Object))
 		return true
 	}
 	switch r.Call {
@@ -101,17 +112,17 @@ func (e *sengine) Apply(cpu, ti int32) (blocked bool) {
 		s.so.SemaPost(o, t.TI)
 		return false
 	case trace.CallCondWait:
-		return s.opCondWait(cpu, t, o, dc.Mutex)
+		return s.opCondWait(cpu, t, o, r.Mutex)
 	case trace.CallCondTimedWait:
 		if !r.OK {
-			return s.opTimedOutWait(cpu, t, r, o, dc.Mutex)
+			return s.opTimedOutWait(cpu, t, r, o, r.Mutex)
 		}
-		return s.opCondWait(cpu, t, o, dc.Mutex)
+		return s.opCondWait(cpu, t, o, r.Mutex)
 	case trace.CallCondSignal:
 		s.so.CondSignal(o, 1)
 		return false
 	case trace.CallCondBroadcast:
-		return s.opBroadcast(cpu, t, r, o, dc.Mutex)
+		return s.opBroadcast(cpu, t, r, o, r.Mutex)
 	case trace.CallRWRdLock:
 		return s.sc.BlockUnless(s.so.RdLock(o, t.TI), cpu, t.TI)
 	case trace.CallRWWrLock:
@@ -208,5 +219,5 @@ func (s *sim) checkPendingBroadcast(cv int32) {
 	}
 	s.pending = slices.Delete(s.pending, i, i+1)
 	s.so.CondSignal(cv, n)
-	s.so.Reacquire(pb.broadcaster, s.threads[pb.broadcaster].drec().Mutex)
+	s.so.Reacquire(pb.broadcaster, s.threads[pb.broadcaster].rec().Mutex)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"vppb/internal/dispatch"
 	"vppb/internal/sched"
@@ -12,14 +13,15 @@ import (
 
 // The simulation state lives in flat arenas: every thread is a slot in a
 // slice allocated once in newSim and addressed by its dense index
-// (ascending recorded-ID order, the indices trace.ProfileIndex
-// precomputes), and so is every synchronization object in the shared
-// object core (internal/syncobj), whose wait queues thread through its
-// own table with intrusive index links. The arenas never grow, so
-// pointers into them are stable and double as identities. The steady
-// state of the replay loop therefore allocates nothing per event: no
-// maps, no queue growth, and pointer-free timer slots, registered with
-// the threads and objects, that the garbage collector never has to scan.
+// (ascending recorded-ID order, the index trace.BuildProfile resolves a
+// call record's thread references to), and so is every synchronization
+// object in the shared object core (internal/syncobj), whose wait queues
+// thread through its own table with intrusive index links. The arenas
+// never grow, so pointers into them are stable and double as identities.
+// The steady state of the replay loop therefore allocates nothing per
+// event: no maps, no queue growth, and pointer-free timer slots,
+// registered with the threads and objects, that the garbage collector
+// never has to scan.
 
 // nilIdx is the null arena index. Every index field must be initialized
 // explicitly: the zero value 0 is a valid slot.
@@ -33,10 +35,9 @@ type sthread struct {
 	// cursor) is shared with the recording kernel; TI is the slot's own
 	// index.
 	sched.ThreadNode
-	info   trace.ThreadInfo
-	calls  []trace.CallRecord
-	dcalls []trace.DenseCall // aligned with calls; precomputed arena indices
-	idx    int
+	info  trace.ThreadInfo
+	calls []trace.CallRecord
+	idx   int
 
 	prioPinned bool
 
@@ -65,14 +66,6 @@ func (t *sthread) rec() *trace.CallRecord {
 		return nil
 	}
 	return &t.calls[t.idx]
-}
-
-// drec returns the dense indices of the current call record, or nil.
-func (t *sthread) drec() *trace.DenseCall {
-	if t.idx >= len(t.dcalls) {
-		return nil
-	}
-	return &t.dcalls[t.idx]
 }
 
 // The engine's own event kinds follow the scheduler core's burst and
@@ -127,17 +120,17 @@ func newSim(prof *trace.Profile, m Machine) (*sim, error) {
 	if m.LWPs > MaxCPUs {
 		return nil, fmt.Errorf("core: %d LWPs exceeds the limit of %d", m.LWPs, MaxCPUs)
 	}
-	dense := prof.Dense()
 	ids := prof.ThreadIDs()
+	mainIdx, ok := slices.BinarySearch(ids, trace.MainThread)
+	if !ok {
+		return nil, fmt.Errorf("core: recording has no main thread")
+	}
 	s := &sim{
 		m:       m,
 		prof:    prof,
 		threads: make([]sthread, len(ids)),
-		mainIdx: dense.ThreadIndex(trace.MainThread),
+		mainIdx: int32(mainIdx),
 		io:      make([]int32, len(prof.Log.Objects)),
-	}
-	if s.mainIdx == nilIdx {
-		return nil, fmt.Errorf("core: recording has no main thread")
 	}
 	if !m.DiscardTimeline {
 		s.tb = trace.NewTimelineBuilder()
@@ -163,11 +156,10 @@ func newSim(prof *trace.Profile, m Machine) (*sim, error) {
 				Bound:    tp.Info.Bound,
 				BoundCPU: int(tp.Info.BoundCPU),
 			},
-			info:   tp.Info,
-			calls:  tp.Calls,
-			dcalls: dense.Calls[i],
-			timer:  s.sc.AddTimer(sched.Event{Kind: evTimer, Who: int32(i)}),
-			wake:   s.sc.AddTimer(sched.Event{Kind: evWake, Who: int32(i)}),
+			info:  tp.Info,
+			calls: tp.Calls,
+			timer: s.sc.AddTimer(sched.Event{Kind: evTimer, Who: int32(i)}),
+			wake:  s.sc.AddTimer(sched.Event{Kind: evWake, Who: int32(i)}),
 		}
 		s.applyOverride(t)
 		s.sc.AddThread(&t.ThreadNode)
@@ -251,27 +243,29 @@ func (s *sim) startThread(t *sthread) {
 
 // fillEvent synthesizes the simulated probe event for the thread's
 // current call record directly into dst, avoiding a by-value trip through
-// the (large) trace.Event. The event-sequence increment it performs must
+// the (large) trace.Event; the recorded IDs and source location come from
+// the record's Before event. The event-sequence increment it performs must
 // happen exactly once per simulated probe event, timeline or not — it
 // feeds Result.Events and the event budget.
 func (s *sim) fillEvent(dst *trace.Event, t *sthread, class trace.EventClass) {
 	r := t.rec()
+	rev := s.prof.Before(r)
 	*dst = trace.Event{
 		Seq:    s.eventSeq,
 		Time:   s.now,
 		Thread: t.id(),
 		Class:  class,
 		Call:   r.Call,
-		Object: r.Object,
-		Loc:    r.Loc,
+		Object: rev.Object,
+		Loc:    rev.Loc,
 	}
 	s.eventSeq++
 	switch r.Call {
 	case trace.CallThrCreate:
-		dst.Target = r.Target
+		dst.Target = rev.Target
 	case trace.CallThrJoin:
 		if class == trace.Before {
-			dst.Target = r.Target
+			dst.Target = rev.Target
 		} else {
 			dst.Target = t.joinedID
 		}
@@ -397,18 +391,12 @@ func (e *sengine) Handle(ev sched.Event) {
 	case evTimer:
 		// A timed-out wait replayed as a delay ends: re-acquire the mutex.
 		t := &s.threads[ev.Who]
-		s.so.Reacquire(t.TI, t.drec().Mutex)
+		s.so.Reacquire(t.TI, t.rec().Mutex)
 	case evWake:
-		// thr_suspend moves a wake-pending thread to sleeping, and a
-		// suspended thread is never made wake-pending, so a delivery that
-		// finds its thread wake-pending has an unsuspended thread to
-		// wake. A wake that thr_continue delays again re-arms the slot,
-		// so the first wake is never delivered.
-		t := &s.threads[ev.Who]
-		if t.State != sched.WakePending {
-			return
-		}
-		s.sc.Wake(t.TI, true)
+		// A delivered wake always finds its thread wake-pending: a
+		// suspended thread is never made wake-pending, and thr_suspend
+		// of a wake-pending thread disarms its wake.
+		s.sc.Wake(ev.Who, true)
 	case evIODone:
 		s.so.IODone(ev.Who)
 	}
@@ -442,11 +430,10 @@ func (s *sim) callCost(t *sthread, r *trace.CallRecord) vtime.Duration {
 	cost := r.CallCPU
 	switch {
 	case r.Call == trace.CallThrCreate:
-		dc := t.drec()
-		if dc == nil || dc.Target == nilIdx {
+		if r.Target == nilIdx {
 			return cost
 		}
-		child := &s.threads[dc.Target]
+		child := &s.threads[r.Target]
 		recBound := child.info.Bound
 		effBound := child.Bound
 		if recBound == effBound {

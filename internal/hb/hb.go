@@ -116,8 +116,8 @@ type PathNode struct {
 	// Event indexes Log.Events.
 	Event int
 	// Thread generated the event; Record is the per-thread call-record
-	// ordinal (the index of the corresponding trace.CallRecord and of the
-	// simulator's placed event), which the viz overlay keys on.
+	// ordinal (the call's index in its trace.ThreadProfile's Calls and
+	// the simulator's placed event's), which the viz overlay keys on.
 	Thread trace.ThreadID
 	Record int
 	// CPU is the compute burst attributed to the event; Wait is mandatory

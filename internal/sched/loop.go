@@ -89,22 +89,25 @@ func (c *Core) Run() error {
 			break
 		}
 		c.handle(ev)
-		c.checkLinks("post-handle", ev, seq)
+		// checkLinks is too large to inline: test the flag here, so a
+		// run without checks makes no call.
+		if DebugChecks {
+			c.checkLinks("post-handle", ev, seq)
+		}
 		c.DispatchAll()
 		c.PreemptPass()
-		c.checkLinks("post-dispatch", ev, seq)
+		if DebugChecks {
+			c.checkLinks("post-dispatch", ev, seq)
+		}
 	}
 	return c.err
 }
 
-// checkLinks, with DebugChecks on, panics on a broken link, or on the CPU
-// timer of event ev, delivered with seq, still listed as it was delivered:
-// a handler that neither re-arms nor disarms its timer would have it
-// delivered again.
+// checkLinks panics on a broken link, or on the CPU timer of event ev,
+// delivered with seq, still listed as it was delivered: a handler that
+// neither re-arms nor disarms its timer would have it delivered again.
+// Run calls it only with DebugChecks on.
 func (c *Core) checkLinks(where string, ev Event, seq uint64) {
-	if !DebugChecks {
-		return
-	}
 	err := c.CheckLinks()
 	if err == nil && ev.Kind < EvEngine && c.err == nil {
 		if _, s, ok := c.timers.Key(timerSlot(ev.Who, ev.Kind)); ok && s == seq {

@@ -230,8 +230,7 @@ func (c *Core) Suspend(cpu, ti, target int32) bool {
 		c.unqueue(n)
 		c.set(n, Sleeping, -1, -1)
 	case WakePending:
-		// The Simulator drops the wake's delivery, which finds the thread
-		// no longer wake-pending.
+		// The Simulator disarms the delayed wake before it suspends.
 		c.set(n, Sleeping, -1, -1)
 	}
 	return false

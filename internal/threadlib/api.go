@@ -19,6 +19,10 @@ type Thread struct {
 	// pendingCompute accumulates Compute durations until the next library
 	// call carries them to the kernel as the thread's CPU burst.
 	pendingCompute vtime.Duration
+	// req is the call in flight. A thread makes one call at a time, and
+	// the kernel reads the request only until it grants it, so every
+	// call reuses this one.
+	req request
 }
 
 // ID returns the thread's identity (main is 1; created threads count from
@@ -83,7 +87,7 @@ func (t *Thread) Create(body func(*Thread), opts ...CreateOption) trace.ThreadID
 	for _, o := range opts {
 		o(&co)
 	}
-	resp := t.call(&request{
+	resp := t.call(request{
 		kind:  trace.CallThrCreate,
 		body:  body,
 		fname: funcName(body),
@@ -101,27 +105,27 @@ func (t *Thread) Exit() {
 // Join waits for the thread target to exit, like thr_join(3T). It returns
 // the identity of the joined thread.
 func (t *Thread) Join(target trace.ThreadID) trace.ThreadID {
-	resp := t.call(&request{kind: trace.CallThrJoin, target: target})
+	resp := t.call(request{kind: trace.CallThrJoin, target: target})
 	return resp.tid
 }
 
 // JoinAny waits for any thread to exit (thr_join with a wildcard, paper
 // section 6) and returns the identity of the reaped thread.
 func (t *Thread) JoinAny() trace.ThreadID {
-	resp := t.call(&request{kind: trace.CallThrJoin, target: 0})
+	resp := t.call(request{kind: trace.CallThrJoin, target: 0})
 	return resp.tid
 }
 
 // Yield surrenders the processor to another runnable thread, like
 // thr_yield(3T).
 func (t *Thread) Yield() {
-	t.call(&request{kind: trace.CallThrYield})
+	t.call(request{kind: trace.CallThrYield})
 }
 
 // SetPriority changes the calling thread's user priority, like
 // thr_setprio(3T).
 func (t *Thread) SetPriority(prio int) {
-	t.call(&request{kind: trace.CallThrSetPrio, prio: prio})
+	t.call(request{kind: trace.CallThrSetPrio, prio: prio})
 }
 
 // SetConcurrency advises the kernel to keep n LWPs available, like
@@ -129,7 +133,7 @@ func (t *Thread) SetPriority(prio int) {
 // with a fixed LWP count, matching the Simulator's rule (paper section
 // 3.2).
 func (t *Thread) SetConcurrency(n int) {
-	t.call(&request{kind: trace.CallThrSetConcurrency, n: n})
+	t.call(request{kind: trace.CallThrSetConcurrency, n: n})
 }
 
 // Mutex is a mutual exclusion lock (mutex_lock(3T) family).
@@ -143,19 +147,19 @@ func (p *Process) NewMutex(name string) *Mutex {
 
 // Lock acquires the mutex, blocking while another thread holds it.
 func (m *Mutex) Lock(t *Thread) {
-	t.call(&request{kind: trace.CallMutexLock, obj: m.obj})
+	t.call(request{kind: trace.CallMutexLock, obj: m.obj})
 }
 
 // TryLock attempts the lock without blocking and reports whether it was
 // acquired.
 func (m *Mutex) TryLock(t *Thread) bool {
-	return t.call(&request{kind: trace.CallMutexTryLock, obj: m.obj}).ok
+	return t.call(request{kind: trace.CallMutexTryLock, obj: m.obj}).ok
 }
 
 // Unlock releases the mutex. Unlocking a mutex the caller does not hold
 // aborts the run with an error.
 func (m *Mutex) Unlock(t *Thread) {
-	t.call(&request{kind: trace.CallMutexUnlock, obj: m.obj})
+	t.call(request{kind: trace.CallMutexUnlock, obj: m.obj})
 }
 
 // Sema is a counting semaphore (sema_wait(3T) family).
@@ -168,17 +172,17 @@ func (p *Process) NewSema(name string, count int) *Sema {
 
 // Wait decrements the semaphore, blocking while the count is zero.
 func (s *Sema) Wait(t *Thread) {
-	t.call(&request{kind: trace.CallSemaWait, obj: s.obj})
+	t.call(request{kind: trace.CallSemaWait, obj: s.obj})
 }
 
 // TryWait attempts the decrement without blocking and reports success.
 func (s *Sema) TryWait(t *Thread) bool {
-	return t.call(&request{kind: trace.CallSemaTryWait, obj: s.obj}).ok
+	return t.call(request{kind: trace.CallSemaTryWait, obj: s.obj}).ok
 }
 
 // Post increments the semaphore, releasing one waiter if any.
 func (s *Sema) Post(t *Thread) {
-	t.call(&request{kind: trace.CallSemaPost, obj: s.obj})
+	t.call(request{kind: trace.CallSemaPost, obj: s.obj})
 }
 
 // Cond is a condition variable (cond_wait(3T) family).
@@ -192,26 +196,26 @@ func (p *Process) NewCond(name string) *Cond {
 // Wait atomically releases m and sleeps until signalled, then re-acquires
 // m before returning. The caller must hold m.
 func (c *Cond) Wait(t *Thread, m *Mutex) {
-	t.call(&request{kind: trace.CallCondWait, obj: c.obj, mutex: m.obj})
+	t.call(request{kind: trace.CallCondWait, obj: c.obj, mutex: m.obj})
 }
 
 // TimedWait is Wait with a timeout. It reports true if the thread was
 // signalled and false if the timeout expired. In both cases m is held on
 // return.
 func (c *Cond) TimedWait(t *Thread, m *Mutex, timeout vtime.Duration) bool {
-	return t.call(&request{
+	return t.call(request{
 		kind: trace.CallCondTimedWait, obj: c.obj, mutex: m.obj, timeout: timeout,
 	}).ok
 }
 
 // Signal wakes one waiter, if any.
 func (c *Cond) Signal(t *Thread) {
-	t.call(&request{kind: trace.CallCondSignal, obj: c.obj})
+	t.call(request{kind: trace.CallCondSignal, obj: c.obj})
 }
 
 // Broadcast wakes all waiters.
 func (c *Cond) Broadcast(t *Thread) {
-	t.call(&request{kind: trace.CallCondBroadcast, obj: c.obj})
+	t.call(request{kind: trace.CallCondBroadcast, obj: c.obj})
 }
 
 // Device is a FIFO-serviced I/O device. Thread.IO issues a request that
@@ -229,18 +233,18 @@ func (p *Process) NewDevice(name string) *Device {
 // thread blocks (without consuming CPU) until the device, serving requests
 // in FIFO order, completes it.
 func (d *Device) IO(t *Thread, service vtime.Duration) {
-	t.call(&request{kind: trace.CallIO, obj: d.obj, timeout: service})
+	t.call(request{kind: trace.CallIO, obj: d.obj, timeout: service})
 }
 
 // Suspend stops the target thread from executing until Continue, like
 // thr_suspend(3T). Suspending an already-suspended thread is a no-op.
 func (t *Thread) Suspend(target trace.ThreadID) {
-	t.call(&request{kind: trace.CallThrSuspend, target: target})
+	t.call(request{kind: trace.CallThrSuspend, target: target})
 }
 
 // Continue resumes a thread stopped by Suspend, like thr_continue(3T).
 func (t *Thread) Continue(target trace.ThreadID) {
-	t.call(&request{kind: trace.CallThrContinue, target: target})
+	t.call(request{kind: trace.CallThrContinue, target: target})
 }
 
 // RWLock is a readers/writer lock (rw_rdlock(3T) family) with writer
@@ -254,17 +258,17 @@ func (p *Process) NewRWLock(name string) *RWLock {
 
 // RdLock acquires the lock for reading; multiple readers may hold it.
 func (l *RWLock) RdLock(t *Thread) {
-	t.call(&request{kind: trace.CallRWRdLock, obj: l.obj})
+	t.call(request{kind: trace.CallRWRdLock, obj: l.obj})
 }
 
 // WrLock acquires the lock exclusively.
 func (l *RWLock) WrLock(t *Thread) {
-	t.call(&request{kind: trace.CallRWWrLock, obj: l.obj})
+	t.call(request{kind: trace.CallRWWrLock, obj: l.obj})
 }
 
 // Unlock releases the caller's hold (read or write).
 func (l *RWLock) Unlock(t *Thread) {
-	t.call(&request{kind: trace.CallRWUnlock, obj: l.obj})
+	t.call(request{kind: trace.CallRWUnlock, obj: l.obj})
 }
 
 // request is one thread-library call in flight from a user goroutine to
@@ -305,11 +309,12 @@ const (
 
 // call hands a request to the kernel and blocks until it completes in
 // virtual time.
-func (t *Thread) call(r *request) response {
-	r.burst = t.pendingCompute
+func (t *Thread) call(r request) response {
+	t.req = r
+	t.req.burst = t.pendingCompute
 	t.pendingCompute = 0
-	r.loc = source.Capture(2)
-	t.p.reqCh <- reqEnvelope{kt: t.kt, req: r}
+	t.req.loc = source.Capture(2)
+	t.p.reqCh <- reqEnvelope{kt: t.kt, req: &t.req}
 	resp := <-t.kt.grant
 	if resp.abort {
 		panic(panicAbort)
@@ -319,10 +324,10 @@ func (t *Thread) call(r *request) response {
 
 // exitCall is the implicit thr_exit issued when a body returns (or panics).
 func (t *Thread) exitCall(exitErr error) {
-	r := &request{kind: trace.CallThrExit, burst: t.pendingCompute, exitErr: exitErr}
+	t.req = request{kind: trace.CallThrExit, burst: t.pendingCompute, exitErr: exitErr}
 	t.pendingCompute = 0
-	r.loc = source.Capture(2)
-	t.p.reqCh <- reqEnvelope{kt: t.kt, req: r}
+	t.req.loc = source.Capture(2)
+	t.p.reqCh <- reqEnvelope{kt: t.kt, req: &t.req}
 	<-t.kt.grant // final grant; abort or not, the goroutine ends here
 }
 

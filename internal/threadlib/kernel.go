@@ -441,7 +441,14 @@ func (e *kengine) Complete(_, ti int32) {
 // kengine also adapts Process to syncobj.Engine, receiving the object
 // core's grants (and thr_continue's wakes).
 
-func (e *kengine) Wake(ti, by int32) { e.sc.Wake(ti, true) }
+// Wake: a wake ends the thread's wait, so the timeout of a signalled
+// cond_timedwait no longer applies and its timer is disarmed.
+func (e *kengine) Wake(ti, by int32) {
+	if kt := e.threads[ti]; kt.req.kind == trace.CallCondTimedWait {
+		e.sc.Disarm(kt.timer)
+	}
+	e.sc.Wake(ti, true)
+}
 
 func (e *kengine) Joined(ti, z int32) { e.threads[ti].resp.tid = e.threads[z].id }
 

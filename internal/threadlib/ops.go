@@ -262,11 +262,11 @@ func (p *Process) opCondWait(cpu int32, kt *kthread) bool {
 
 // timedWaitExpired handles a cond_timedwait timeout: unless a signal
 // already released the thread, it leaves the condition queue and
-// re-acquires the mutex with a false result. A later wait would have
-// re-armed or disarmed the timer, so none has begun, but a signalled
-// thread may have moved on to calls that have no condition.
+// re-acquires the mutex with a false result. The thread is still in its
+// timed wait, as the wake that ends a wait disarms the timer; a signalled
+// thread that is waiting for its mutex is left to it.
 func (p *Process) timedWaitExpired(kt *kthread) {
-	if kt.req.kind != trace.CallCondTimedWait || !p.so.CondCancel(kt.req.obj.oi, kt.TI) {
+	if !p.so.CondCancel(kt.req.obj.oi, kt.TI) {
 		return
 	}
 	kt.resp.ok = false

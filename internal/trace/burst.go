@@ -2,10 +2,9 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sort"
-	"sync"
 
-	"vppb/internal/source"
 	"vppb/internal/vtime"
 )
 
@@ -19,7 +18,11 @@ import (
 
 // CallRecord is one thread-library call as the Simulator replays it: the
 // CPU burst the thread executes before reaching the call, the call's own
-// observed CPU cost, and the call's parameters and recorded outcome.
+// observed CPU cost, and the call's parameters and recorded outcome, with
+// every reference resolved to a dense index. The call's recorded IDs,
+// source location and sequence number stay in its Before event, which
+// Profile.Before returns, so a replay that builds no timeline reads one
+// 56-byte record per call.
 type CallRecord struct {
 	// CPUBefore is user computation executed before the call.
 	CPUBefore vtime.Duration
@@ -27,29 +30,34 @@ type CallRecord struct {
 	// calls that blocked during the recording this is only the post-wake
 	// remnant; BlockedInLog distinguishes the two.
 	CallCPU vtime.Duration
-	// BlockedInLog reports whether other threads ran between this call's
-	// Before and After events in the recording.
-	BlockedInLog bool
-	Call         Call
-	Object       ObjectID
-	// MutexObject is the companion mutex of cond_wait / cond_timedwait.
-	MutexObject ObjectID
-	// Target: created thread for thr_create; join target for thr_join
-	// (0 = wildcard; JoinedTarget holds who was actually reaped).
-	Target       ThreadID
+	// Timeout is cond_timedwait's timeout and an I/O request's service
+	// time.
+	Timeout vtime.Duration
+	// Obj indexes Log.Objects: the object the call operates on. Mutex is
+	// the companion mutex of cond_wait / cond_timedwait. Either is -1 when
+	// the event names no object the log declares.
+	Obj, Mutex int32
+	// Target indexes ThreadIDs(): the created thread for thr_create, the
+	// join target for thr_join, the target of thr_suspend and
+	// thr_continue. It is -1 when the event names no profiled thread: a
+	// wildcard join names thread 0, and a thread that made no call in the
+	// recording has no profile.
+	Target int32
+	// JoinedTarget is who a thr_join reaped in the recording.
 	JoinedTarget ThreadID
-	OK           bool
-	Timeout      vtime.Duration
 	Prio         int32
-	Loc          source.Loc
 	// Released is, for cond_broadcast, the number of threads the
 	// broadcast released in the recording. The Simulator's barrier fix
 	// (paper section 6) blocks a simulated broadcast until that many
 	// threads have arrived at the condition.
 	Released int32
-	// Seq of the Before event, for mapping simulated events back to the
-	// recording.
-	Seq int64
+	// Before indexes the call's Before event in Log.Events.
+	Before int32
+	Call   Call
+	OK     bool
+	// BlockedInLog reports whether other threads ran between this call's
+	// Before and After events in the recording.
+	BlockedInLog bool
 }
 
 // ThreadProfile is the per-thread behaviour profile: the thread's identity
@@ -79,83 +87,11 @@ type Profile struct {
 	// never iterate the Threads map directly (map order is random and
 	// would make replays nondeterministic).
 	IDs []ThreadID
-
-	denseOnce sync.Once
-	dense     *ProfileIndex
 }
 
-// DenseCall carries the dense arena indices of one CallRecord's
-// references, precomputed once per profile so the Simulator's hot loop
-// replays without a single map lookup. A -1 index means the reference is
-// absent (no object on the call, wildcard join target, or a reference to
-// an entity the recording never declared — the Simulator keeps its
-// original diagnostics for those).
-type DenseCall struct {
-	// Obj and Mutex index Log.Objects.
-	Obj, Mutex int32
-	// Target indexes ThreadIDs() (ascending-ID dense thread ids).
-	Target int32
-}
-
-// ProfileIndex is the dense-id view of a Profile: every ThreadID and
-// ObjectID reference resolved to an arena index. It is built once per
-// profile (lazily, concurrency-safe) and shared by all simulations.
-type ProfileIndex struct {
-	threadIdx map[ThreadID]int32
-	// Calls holds one DenseCall per CallRecord, indexed by dense thread
-	// id then call position — aligned with ThreadProfile.Calls.
-	Calls [][]DenseCall
-}
-
-// ThreadIndex resolves a ThreadID to its dense index, or -1.
-func (ix *ProfileIndex) ThreadIndex(id ThreadID) int32 {
-	if i, ok := ix.threadIdx[id]; ok {
-		return i
-	}
-	return -1
-}
-
-// Dense returns the profile's dense-id index, building it on first use.
-// Safe for concurrent callers; the result is immutable.
-func (p *Profile) Dense() *ProfileIndex {
-	p.denseOnce.Do(func() { p.dense = p.buildDense() })
-	return p.dense
-}
-
-func (p *Profile) buildDense() *ProfileIndex {
-	ids := p.ThreadIDs()
-	ix := &ProfileIndex{
-		threadIdx: make(map[ThreadID]int32, len(ids)),
-		Calls:     make([][]DenseCall, len(ids)),
-	}
-	for i, id := range ids {
-		ix.threadIdx[id] = int32(i)
-	}
-	objIdx := make(map[ObjectID]int32, len(p.Log.Objects))
-	for i, oi := range p.Log.Objects {
-		objIdx[oi.ID] = int32(i)
-	}
-	resolveObj := func(id ObjectID) int32 {
-		if i, ok := objIdx[id]; ok {
-			return i
-		}
-		return -1
-	}
-	for ti, id := range ids {
-		calls := p.Threads[id].Calls
-		dense := make([]DenseCall, len(calls))
-		for ci := range calls {
-			r := &calls[ci]
-			d := DenseCall{Obj: resolveObj(r.Object), Mutex: resolveObj(r.MutexObject), Target: -1}
-			if t, ok := ix.threadIdx[r.Target]; ok {
-				d.Target = t
-			}
-			dense[ci] = d
-		}
-		ix.Calls[ti] = dense
-	}
-	return ix
-}
+// Before returns the Before event of call record r: its recorded IDs,
+// source location and sequence number.
+func (p *Profile) Before(r *CallRecord) *Event { return &p.Log.Events[r.Before] }
 
 // ThreadIDs returns the profiled thread IDs in ascending order. It
 // tolerates hand-built profiles that left IDs unset.
@@ -181,6 +117,9 @@ func BuildProfile(l *Log) (*Profile, error) {
 		return nil, fmt.Errorf("trace: profile requires a 1-CPU/1-LWP recording, log has %d CPUs, %d LWPs",
 			l.Header.CPUs, l.Header.LWPs)
 	}
+	if len(l.Events) > math.MaxInt32 {
+		return nil, fmt.Errorf("trace: profile supports at most %d events, log has %d", math.MaxInt32, len(l.Events))
+	}
 	ix, _, err := l.validate()
 	if err != nil {
 		return nil, &ValidationError{Err: err}
@@ -188,18 +127,36 @@ func BuildProfile(l *Log) (*Profile, error) {
 
 	// Every Before event becomes one call record, so validate's counts
 	// size each thread's call list exactly; the lists share one arena.
+	// The threads with calls are the profiled ones, and rank holds each
+	// one's dense index, its position in ascending ID order (-1 for a
+	// slot without calls).
 	total := 0
-	for _, n := range ix.befores {
+	order := make([]int32, 0, len(ix.befores))
+	for s, n := range ix.befores {
 		total += int(n)
+		if n > 0 {
+			order = append(order, int32(s))
+		}
+	}
+	sort.Slice(order, func(i, j int) bool { return l.threadID(int(order[i])) < l.threadID(int(order[j])) })
+	rank := make([]int32, len(ix.befores))
+	for s := range rank {
+		rank[s] = -1
+	}
+	for i, s := range order {
+		rank[s] = int32(i)
+	}
+	thread := func(id ThreadID) int32 {
+		if s, ok := ix.slots[id]; ok {
+			return rank[s]
+		}
+		return -1
 	}
 	arena := make([]CallRecord, total)
 	calls := make([][]CallRecord, len(ix.befores))
-	nThreads := 0
-	for s, n := range ix.befores {
-		if n > 0 {
-			calls[s], arena = arena[:n:n], arena[n:]
-			nThreads++
-		}
+	for _, s := range order {
+		n := ix.befores[s]
+		calls[s], arena = arena[:n:n], arena[n:]
 	}
 	// filled counts the records written per slot. The last one written is
 	// still waiting for its After when waiting is set: validate has
@@ -245,17 +202,16 @@ func BuildProfile(l *Log) (*Profile, error) {
 				released = int32(len(condWaiters[ev.Object]))
 			}
 			calls[slot][filled[slot]] = CallRecord{
-				CPUBefore:   gap,
-				Call:        ev.Call,
-				Object:      ev.Object,
-				MutexObject: ev.Mutex,
-				Target:      ev.Target,
-				OK:          ev.OK,
-				Timeout:     ev.Timeout,
-				Prio:        ev.Prio,
-				Loc:         ev.Loc,
-				Released:    released,
-				Seq:         ev.Seq,
+				CPUBefore: gap,
+				Timeout:   ev.Timeout,
+				Obj:       ix.object(ev.Object),
+				Mutex:     ix.object(ev.Mutex),
+				Target:    thread(ev.Target),
+				Prio:      ev.Prio,
+				Released:  released,
+				Before:    int32(i),
+				Call:      ev.Call,
+				OK:        ev.OK,
 			}
 			filled[slot]++
 			waiting[slot] = pairsWithAfter(ev.Call) && ev.Call != CallThrExit
@@ -275,7 +231,7 @@ func BuildProfile(l *Log) (*Profile, error) {
 		// Did anyone else run in between? Compare global sequence
 		// numbers: an intervening event from another thread means the
 		// call blocked.
-		rec.BlockedInLog = ev.Seq != rec.Seq+1
+		rec.BlockedInLog = ev.Seq != l.Events[rec.Before].Seq+1
 		if ev.Call == CallThrJoin {
 			rec.JoinedTarget = ev.Target
 		}
@@ -290,23 +246,19 @@ func BuildProfile(l *Log) (*Profile, error) {
 
 	p := &Profile{
 		Log:     l,
-		Threads: make(map[ThreadID]*ThreadProfile, nThreads),
-		IDs:     make([]ThreadID, 0, nThreads),
+		Threads: make(map[ThreadID]*ThreadProfile, len(order)),
+		IDs:     make([]ThreadID, len(order)),
 	}
-	tps := make([]ThreadProfile, 0, nThreads)
-	for s, cs := range calls {
-		if len(cs) == 0 {
-			continue
-		}
+	tps := make([]ThreadProfile, len(order))
+	for i, s := range order {
 		info := ThreadInfo{BoundCPU: -1}
-		if s < len(l.Threads) {
+		if int(s) < len(l.Threads) {
 			info = l.Threads[s]
 		}
-		tps = append(tps, ThreadProfile{Info: info, Calls: cs})
-		p.Threads[info.ID] = &tps[len(tps)-1]
-		p.IDs = append(p.IDs, info.ID)
+		tps[i] = ThreadProfile{Info: info, Calls: calls[s]}
+		p.Threads[info.ID] = &tps[i]
+		p.IDs[i] = info.ID
 	}
-	sort.Slice(p.IDs, func(i, j int) bool { return p.IDs[i] < p.IDs[j] })
 	return p, nil
 }
 

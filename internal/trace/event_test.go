@@ -18,6 +18,15 @@ func TestEventLayout(t *testing.T) {
 	}
 }
 
+// TestCallRecordLayout pins the replay record's size: a profile holds one
+// CallRecord per recorded call, which every replay reads and a server
+// keeps for each cached trace.
+func TestCallRecordLayout(t *testing.T) {
+	if got := unsafe.Sizeof(CallRecord{}); got > 56 {
+		t.Errorf("sizeof(CallRecord) = %d, want at most 56", got)
+	}
+}
+
 func TestCallStringParseRoundTrip(t *testing.T) {
 	for c := CallStartCollect; c < numCalls; c++ {
 		name := c.String()

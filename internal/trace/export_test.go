@@ -7,6 +7,7 @@ var (
 	OracleValidate     = oracleValidate
 	OracleBuildProfile = oracleBuildProfile
 	FuzzTextSeeds      = fuzzTextSeeds
+	Allocated          = allocated
 )
 
 // ValidateAt is Validate plus the index of the offending event, as Repair

@@ -159,8 +159,10 @@ type logIndex struct {
 	// slots maps every thread an event may name to a dense slot: the
 	// table position of the thread's first entry, and one past the table
 	// for thread 0 when the table has no entry for it.
-	slots   map[ThreadID]int32
-	objects map[ObjectID]struct{}
+	slots map[ThreadID]int32
+	// objects maps an object ID to its table position, the last one when
+	// the table repeats the ID.
+	objects map[ObjectID]int32
 	// befores counts each slot's Before events: the exact length of the
 	// thread's call list in a profile.
 	befores []int32
@@ -170,7 +172,7 @@ func newLogIndex(l *Log) *logIndex {
 	n := len(l.Threads)
 	ix := &logIndex{
 		slots:   make(map[ThreadID]int32, n+1),
-		objects: make(map[ObjectID]struct{}, len(l.Objects)),
+		objects: make(map[ObjectID]int32, len(l.Objects)),
 		befores: make([]int32, n+1),
 	}
 	for i := range l.Threads {
@@ -182,7 +184,7 @@ func newLogIndex(l *Log) *logIndex {
 		ix.slots[0] = int32(n)
 	}
 	for i := range l.Objects {
-		ix.objects[l.Objects[i].ID] = struct{}{}
+		ix.objects[l.Objects[i].ID] = int32(i)
 	}
 	return ix
 }
@@ -195,9 +197,12 @@ func (l *Log) threadID(s int) ThreadID {
 	return 0
 }
 
-func (ix *logIndex) hasObject(id ObjectID) bool {
-	_, ok := ix.objects[id]
-	return ok
+// object is the table position of object id, or -1.
+func (ix *logIndex) object(id ObjectID) int32 {
+	if i, ok := ix.objects[id]; ok {
+		return i
+	}
+	return -1
 }
 
 // validate is Validate plus the index of the offending event (-1 for
@@ -228,10 +233,10 @@ func (l *Log) validate() (*logIndex, int, error) {
 		if !known {
 			return nil, i, fmt.Errorf("trace: event %d: unknown thread %d", i, ev.Thread)
 		}
-		if ev.Object != 0 && !ix.hasObject(ev.Object) {
+		if ev.Object != 0 && ix.object(ev.Object) < 0 {
 			return nil, i, fmt.Errorf("trace: event %d: unknown object %d", i, ev.Object)
 		}
-		if ev.Mutex != 0 && !ix.hasObject(ev.Mutex) {
+		if ev.Mutex != 0 && ix.object(ev.Mutex) < 0 {
 			return nil, i, fmt.Errorf("trace: event %d: unknown mutex %d", i, ev.Mutex)
 		}
 		switch ev.Class {

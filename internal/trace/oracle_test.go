@@ -362,6 +362,7 @@ func oracleBuildProfile(l *Log) (*Profile, error) {
 
 	type attributed struct {
 		ev       Event
+		index    int // in l.Events
 		cpu      vtime.Duration
 		released int32
 	}
@@ -369,7 +370,7 @@ func oracleBuildProfile(l *Log) (*Profile, error) {
 	condWaiters := make(map[ObjectID]map[ThreadID]bool)
 	waitingOn := make(map[ThreadID]ObjectID)
 	prev := l.Header.Start
-	for _, ev := range l.Events {
+	for i, ev := range l.Events {
 		gap := ev.Time.Sub(prev) - l.Header.ProbeCost
 		if gap < 0 {
 			gap = 0
@@ -377,7 +378,7 @@ func oracleBuildProfile(l *Log) (*Profile, error) {
 		if ev.Class == After && (ev.Call == CallIO || (ev.Call == CallCondTimedWait && !ev.OK)) {
 			gap = 0
 		}
-		a := attributed{ev: ev, cpu: gap}
+		a := attributed{ev: ev, index: i, cpu: gap}
 		switch {
 		case ev.Class == Before && (ev.Call == CallCondWait || ev.Call == CallCondTimedWait):
 			if condWaiters[ev.Object] == nil {
@@ -401,6 +402,26 @@ func oracleBuildProfile(l *Log) (*Profile, error) {
 		tids = append(tids, tid)
 	}
 	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
+	// A record's references are dense: an object is its position in the
+	// object table (the last one that carries the ID), a thread its
+	// position among the profiled threads in ascending ID order.
+	object := func(id ObjectID) int32 {
+		idx := int32(-1)
+		for i, oi := range l.Objects {
+			if oi.ID == id {
+				idx = int32(i)
+			}
+		}
+		return idx
+	}
+	thread := func(id ThreadID) int32 {
+		for i, tid := range tids {
+			if tid == id {
+				return int32(i)
+			}
+		}
+		return -1
+	}
 	for _, tid := range tids {
 		evs := perThread[tid]
 		tp := &ThreadProfile{}
@@ -410,6 +431,7 @@ func oracleBuildProfile(l *Log) (*Profile, error) {
 			tp.Info = ThreadInfo{ID: tid, BoundCPU: -1}
 		}
 		var pending *CallRecord
+		var pendingSeq int64
 		for i := 0; i < len(evs); i++ {
 			a := evs[i]
 			switch a.ev.Class {
@@ -418,20 +440,19 @@ func oracleBuildProfile(l *Log) (*Profile, error) {
 					return nil, fmt.Errorf("trace: thread %d: overlapping calls at seq %d", tid, a.ev.Seq)
 				}
 				rec := CallRecord{
-					CPUBefore:   a.cpu,
-					Call:        a.ev.Call,
-					Object:      a.ev.Object,
-					MutexObject: a.ev.Mutex,
-					Target:      a.ev.Target,
-					OK:          a.ev.OK,
-					Timeout:     a.ev.Timeout,
-					Prio:        a.ev.Prio,
-					Loc:         a.ev.Loc,
-					Released:    a.released,
-					Seq:         a.ev.Seq,
+					CPUBefore: a.cpu,
+					Call:      a.ev.Call,
+					Obj:       object(a.ev.Object),
+					Mutex:     object(a.ev.Mutex),
+					Target:    thread(a.ev.Target),
+					OK:        a.ev.OK,
+					Timeout:   a.ev.Timeout,
+					Prio:      a.ev.Prio,
+					Released:  a.released,
+					Before:    int32(a.index),
 				}
 				if pairsWithAfter(a.ev.Call) && a.ev.Call != CallThrExit {
-					pending = &rec
+					pending, pendingSeq = &rec, a.ev.Seq
 				} else {
 					tp.Calls = append(tp.Calls, rec)
 				}
@@ -440,7 +461,7 @@ func oracleBuildProfile(l *Log) (*Profile, error) {
 					return nil, fmt.Errorf("trace: thread %d: AFTER without BEFORE at seq %d", tid, a.ev.Seq)
 				}
 				pending.CallCPU = a.cpu
-				pending.BlockedInLog = a.ev.Seq != pending.Seq+1
+				pending.BlockedInLog = a.ev.Seq != pendingSeq+1
 				if a.ev.Call == CallThrJoin {
 					pending.JoinedTarget = a.ev.Target
 				}
