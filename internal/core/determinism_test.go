@@ -142,7 +142,19 @@ func TestMarshaledResultDeterminism(t *testing.T) {
 // the event delta. The table covers prediction-only and timeline-building
 // replays, 4 threads and an oversubscribed 8 on 4 CPUs, under every
 // registered policy.
-func TestSteadyStateReplayAllocs(t *testing.T) {
+func TestSteadyStateReplayAllocs(t *testing.T) { checkSteadyStateReplayAllocs(t) }
+
+// TestSteadyStateReplayAllocsDebugChecks is TestSteadyStateReplayAllocs
+// with sched.DebugChecks on: the link check after every event allocates
+// nothing either. It sets a package-wide flag, so it must not run in
+// parallel.
+func TestSteadyStateReplayAllocsDebugChecks(t *testing.T) {
+	sched.DebugChecks = true
+	t.Cleanup(func() { sched.DebugChecks = false })
+	checkSteadyStateReplayAllocs(t)
+}
+
+func checkSteadyStateReplayAllocs(t *testing.T) {
 	mkProf := func(threads, iters int) (*trace.Profile, int64) {
 		prog := func(p *threadlib.Process) func(*threadlib.Thread) {
 			mu := p.NewMutex("m")

@@ -150,14 +150,14 @@ func (e *sengine) Deadlock() error {
 		switch {
 		case s.so.WaitingOn(t.TI) != nilIdx:
 			oi := s.so.WaitingOn(t.TI)
-			info := s.prof.Log.Objects[oi]
+			info := s.prof.Objects[oi]
 			w.Object = fmt.Sprintf("%s %q", info.Kind, info.Name)
 			for _, hi := range s.so.AppendHolders(nil, oi) {
 				w.Holders = append(w.Holders, s.threads[hi].id())
 			}
 			slices.Sort(w.Holders)
 		case r != nil && r.Call == trace.CallThrJoin:
-			if id := s.prof.Before(r).Target; id != 0 {
+			if id := s.prof.Site(r).Target; id != 0 {
 				w.Object = fmt.Sprintf("thread T%d", id)
 				w.Holders = []trace.ThreadID{id}
 			} else {

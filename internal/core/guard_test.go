@@ -12,7 +12,7 @@ import (
 
 // guardCall is one hand-written call: the replayed fields of a call
 // record, with the recorded IDs that guardProfile resolves to its dense
-// indices and writes to its Before event.
+// indices and writes to its site.
 type guardCall struct {
 	CPUBefore   vtime.Duration
 	Call        trace.Call
@@ -26,11 +26,11 @@ type guardCall struct {
 // tests need are constructed directly. It leaves Profile.IDs unset, as a
 // hand-built profile may.
 func guardProfile(objects []trace.ObjectInfo, threads map[trace.ThreadID][]guardCall) *trace.Profile {
-	l := &trace.Log{
+	p := &trace.Profile{
 		Header:  trace.Header{Program: "guard", CPUs: 1, LWPs: 1, Start: 0, End: vtime.Time(vtime.Second)},
 		Objects: objects,
+		Threads: make(map[trace.ThreadID]*trace.ThreadProfile),
 	}
-	p := &trace.Profile{Log: l, Threads: make(map[trace.ThreadID]*trace.ThreadProfile)}
 	ids := make([]trace.ThreadID, 0, len(threads))
 	for id := range threads {
 		ids = append(ids, id)
@@ -50,7 +50,6 @@ func guardProfile(objects []trace.ObjectInfo, threads map[trace.ThreadID][]guard
 		if id == trace.MainThread {
 			info.Name = "main"
 		}
-		l.Threads = append(l.Threads, info)
 		calls := make([]trace.CallRecord, len(threads[id]))
 		for i, c := range threads[id] {
 			calls[i] = trace.CallRecord{
@@ -59,12 +58,9 @@ func guardProfile(objects []trace.ObjectInfo, threads map[trace.ThreadID][]guard
 				Obj:       object(c.Object),
 				Mutex:     object(c.MutexObject),
 				Target:    thread(c.Target),
-				Before:    int32(len(l.Events)),
+				Site:      int32(len(p.Sites)),
 			}
-			l.Events = append(l.Events, trace.Event{
-				Thread: id, Class: trace.Before, Call: c.Call,
-				Object: c.Object, Mutex: c.MutexObject, Target: c.Target,
-			})
+			p.Sites = append(p.Sites, trace.CallSite{Object: c.Object, Target: c.Target})
 		}
 		p.Threads[id] = &trace.ThreadProfile{Info: info, Calls: calls}
 	}

@@ -37,7 +37,7 @@ func (e *sengine) Apply(cpu, ti int32) (blocked bool) {
 		return true
 	case trace.CallThrJoin:
 		if r.Target == nilIdx {
-			if id := s.prof.Before(r).Target; id != 0 {
+			if id := s.prof.Site(r).Target; id != 0 {
 				// The target never ran in the recording: complete at
 				// once, as thr_join would with ESRCH.
 				t.joinedID = id
@@ -89,7 +89,7 @@ func (e *sengine) Apply(cpu, ti int32) (blocked bool) {
 	}
 	o := r.Obj
 	if o == nilIdx {
-		s.sc.Fail(fmt.Errorf("core: profile references unknown object %d", s.prof.Before(r).Object))
+		s.sc.Fail(fmt.Errorf("core: profile references unknown object %d", s.prof.Site(r).Object))
 		return true
 	}
 	switch r.Call {
@@ -140,7 +140,7 @@ func (e *sengine) Apply(cpu, ti int32) (blocked bool) {
 	}
 }
 
-func (s *sim) objName(oi int32) string { return s.prof.Log.Objects[oi].Name }
+func (s *sim) objName(oi int32) string { return s.prof.Objects[oi].Name }
 
 func (s *sim) opSetConcurrency(n int) {
 	if s.m.LWPs > 0 {

@@ -130,15 +130,15 @@ func newSim(prof *trace.Profile, m Machine) (*sim, error) {
 		prof:    prof,
 		threads: make([]sthread, len(ids)),
 		mainIdx: int32(mainIdx),
-		io:      make([]int32, len(prof.Log.Objects)),
+		io:      make([]int32, len(prof.Objects)),
 	}
 	if !m.DiscardTimeline {
 		s.tb = trace.NewTimelineBuilder()
 	}
 	nThreads := len(ids)
 	s.sc = sched.NewCore(pol, (*sengine)(s), &s.now, sched.Config{CPUs: m.CPUs, LWPs: m.LWPs, NoPreemption: m.NoPreemption, Threads: nThreads})
-	s.so = syncobj.New((*sengine)(s), nThreads, len(prof.Log.Objects))
-	for _, oi := range prof.Log.Objects {
+	s.so = syncobj.New((*sengine)(s), nThreads, len(prof.Objects))
+	for _, oi := range prof.Objects {
 		o := s.so.AddObject(oi.Kind, int(oi.InitCount))
 		s.io[o] = s.sc.AddTimer(sched.Event{Kind: evIODone, Who: o})
 	}
@@ -213,8 +213,8 @@ func (s *sim) run() (*Result, error) {
 		res.PerThreadCPU[t.id()] = t.CPUTime
 	}
 	if s.tb != nil {
-		res.Timeline = s.tb.Build(s.prof.Log.Header.Program, s.m.CPUs, s.sc.LWPs(), res.Duration)
-		res.Timeline.Objects = append([]trace.ObjectInfo(nil), s.prof.Log.Objects...)
+		res.Timeline = s.tb.Build(s.prof.Header.Program, s.m.CPUs, s.sc.LWPs(), res.Duration)
+		res.Timeline.Objects = append([]trace.ObjectInfo(nil), s.prof.Objects...)
 	}
 	return res, nil
 }
@@ -244,28 +244,28 @@ func (s *sim) startThread(t *sthread) {
 // fillEvent synthesizes the simulated probe event for the thread's
 // current call record directly into dst, avoiding a by-value trip through
 // the (large) trace.Event; the recorded IDs and source location come from
-// the record's Before event. The event-sequence increment it performs must
+// the record's site. The event-sequence increment it performs must
 // happen exactly once per simulated probe event, timeline or not — it
 // feeds Result.Events and the event budget.
 func (s *sim) fillEvent(dst *trace.Event, t *sthread, class trace.EventClass) {
 	r := t.rec()
-	rev := s.prof.Before(r)
+	site := s.prof.Site(r)
 	*dst = trace.Event{
 		Seq:    s.eventSeq,
 		Time:   s.now,
 		Thread: t.id(),
 		Class:  class,
 		Call:   r.Call,
-		Object: rev.Object,
-		Loc:    rev.Loc,
+		Object: site.Object,
+		Loc:    site.Loc,
 	}
 	s.eventSeq++
 	switch r.Call {
 	case trace.CallThrCreate:
-		dst.Target = rev.Target
+		dst.Target = site.Target
 	case trace.CallThrJoin:
 		if class == trace.Before {
-			dst.Target = rev.Target
+			dst.Target = site.Target
 		} else {
 			dst.Target = t.joinedID
 		}

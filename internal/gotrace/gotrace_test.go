@@ -186,7 +186,7 @@ func TestConvertProfile(t *testing.T) {
 	var waits int
 	for _, id := range prof.ThreadIDs() {
 		for _, c := range prof.Threads[id].Calls {
-			if c.Call == trace.CallSemaWait && l.ObjectName(prof.Before(&c).Object) == "mutex@demo/main.go:56" {
+			if c.Call == trace.CallSemaWait && l.ObjectName(prof.Site(&c).Object) == "mutex@demo/main.go:56" {
 				waits++
 			}
 		}

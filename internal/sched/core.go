@@ -133,6 +133,9 @@ type Core struct {
 	// err is the run's first error (Fail).
 	live int
 	err  error
+
+	// places is CheckLinks' scratch: where it found each LWP.
+	places []int32
 }
 
 // NewCore builds a scheduler for the machine m with its initial LWP pool.
@@ -610,16 +613,16 @@ func (c *Core) sliceExpired(cpu int32) bool {
 // runnable and carries no LWP, and idleCPUs counts the idle CPUs. An idle
 // CPU lists no timer, a busy one's burst is armed, and every armed timer
 // slot and its heap entry point at each other (vtime.Timers.Check). With
-// DebugChecks on, Run calls it after every event; it allocates, so runs
-// do not otherwise.
+// DebugChecks on, Run calls it after every event. It reuses one scratch
+// slice of place codes, so it allocates only to grow that slice or to
+// report a violation.
 func (c *Core) CheckLinks() error {
-	where := make([]string, len(c.lwps))
-	place := func(l int32, at string) error {
-		if where[l] != "" {
-			return fmt.Errorf("LWP %d both %s and %s", l, where[l], at)
-		}
-		where[l] = at
-		return nil
+	if cap(c.places) < len(c.lwps) {
+		c.places = make([]int32, len(c.lwps))
+	}
+	c.places = c.places[:len(c.lwps)]
+	for l := range c.places {
+		c.places[l] = placeNone
 	}
 	idle := 0
 	for i, cn := range c.cpus {
@@ -636,7 +639,7 @@ func (c *Core) CheckLinks() error {
 		if !burst {
 			return fmt.Errorf("busy cpu %d has no burst timer", i)
 		}
-		if err := place(l, fmt.Sprintf("on cpu %d", i)); err != nil {
+		if err := c.place(l, int32(i)); err != nil {
 			return err
 		}
 		if c.lwps[l].cpu != int32(i) {
@@ -653,7 +656,7 @@ func (c *Core) CheckLinks() error {
 		return err
 	}
 	for _, l := range c.kernelQ {
-		if err := place(l, "in kernelQ"); err != nil {
+		if err := c.place(l, placeKernelQ); err != nil {
 			return err
 		}
 		if c.lwps[l].thread == nilIdx {
@@ -664,7 +667,7 @@ func (c *Core) CheckLinks() error {
 		}
 	}
 	for _, l := range c.idleLWPs {
-		if err := place(l, "idle"); err != nil {
+		if err := c.place(l, placeIdle); err != nil {
 			return err
 		}
 		if ti := c.lwps[l].thread; ti != nilIdx {
@@ -675,8 +678,8 @@ func (c *Core) CheckLinks() error {
 		}
 	}
 	for l, ln := range c.lwps {
-		if where[l] != "" && ln.thread != nilIdx && c.threads[ln.thread].lwp != int32(l) {
-			return fmt.Errorf("LWP %d %s carries thread %d, which points elsewhere", l, where[l], ln.thread)
+		if at := c.places[l]; at != placeNone && ln.thread != nilIdx && c.threads[ln.thread].lwp != int32(l) {
+			return fmt.Errorf("LWP %d %s carries thread %d, which points elsewhere", l, placeName(at), ln.thread)
 		}
 	}
 	for _, n := range c.threads {
@@ -699,4 +702,32 @@ func (c *Core) CheckLinks() error {
 		}
 	}
 	return nil
+}
+
+// Place codes of CheckLinks: where an LWP was found. A code >= 0 is the
+// CPU the LWP runs on.
+const (
+	placeNone int32 = -1 - iota
+	placeKernelQ
+	placeIdle
+)
+
+// place records that LWP l was found at place code at, or reports that
+// it was already found elsewhere.
+func (c *Core) place(l, at int32) error {
+	if was := c.places[l]; was != placeNone {
+		return fmt.Errorf("LWP %d both %s and %s", l, placeName(was), placeName(at))
+	}
+	c.places[l] = at
+	return nil
+}
+
+func placeName(at int32) string {
+	switch at {
+	case placeKernelQ:
+		return "in kernelQ"
+	case placeIdle:
+		return "idle"
+	}
+	return fmt.Sprintf("on cpu %d", at)
 }

@@ -3,6 +3,8 @@ package serve
 import (
 	"fmt"
 	"testing"
+
+	"vppb/internal/trace"
 )
 
 func TestDigestStableAndDistinct(t *testing.T) {
@@ -80,12 +82,12 @@ func TestCacheLoadFaultsEvictedEntryFromStore(t *testing.T) {
 	}
 	c := NewCache(1)
 	ingested := 0
-	c.AttachStore(store, func(digest string, raw []byte) (*Entry, error) {
+	c.AttachStore(store, func(digest string, raw []byte) (*Entry, *trace.Log, error) {
 		ingested++
 		if digest != Digest(raw) {
 			t.Errorf("ingest handed digest %s for bytes hashing to %s", digest, Digest(raw))
 		}
-		return &Entry{Digest: digest, Size: len(raw)}, nil
+		return &Entry{Digest: digest, Size: len(raw)}, &trace.Log{}, nil
 	})
 
 	rawA, rawB := []byte("trace a"), []byte("trace b")
@@ -104,9 +106,9 @@ func TestCacheLoadFaultsEvictedEntryFromStore(t *testing.T) {
 	if !store.Has(dA) {
 		t.Fatal("eviction deleted the on-disk entry")
 	}
-	e, ok := c.Load(dA)
-	if !ok || e.Digest != dA {
-		t.Fatalf("Load after eviction = %+v, %v", e, ok)
+	e, log, ok := c.Load(dA)
+	if !ok || e.Digest != dA || log == nil {
+		t.Fatalf("Load after eviction = %+v, %v, %v", e, log, ok)
 	}
 	if ingested != 1 {
 		t.Fatalf("ingest ran %d times, want 1", ingested)
@@ -115,7 +117,7 @@ func TestCacheLoadFaultsEvictedEntryFromStore(t *testing.T) {
 		t.Fatalf("Faulted = %d, want 1", c.Faulted())
 	}
 	// The faulted-in entry is published: a second Load is a memory hit.
-	if e2, ok := c.Load(dA); !ok || e2 != e {
+	if e2, log, ok := c.Load(dA); !ok || e2 != e || log != nil {
 		t.Fatal("faulted-in entry not published to the memory tier")
 	}
 	if ingested != 1 {
@@ -123,7 +125,7 @@ func TestCacheLoadFaultsEvictedEntryFromStore(t *testing.T) {
 	}
 	// Without a store, Load is just Get.
 	plain := NewCache(1)
-	if _, ok := plain.Load(dA); ok {
+	if _, _, ok := plain.Load(dA); ok {
 		t.Fatal("storeless cache resolved a digest from nowhere")
 	}
 }

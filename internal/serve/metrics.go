@@ -166,6 +166,9 @@ func (m *Metrics) WritePrometheus(w io.Writer, cache *Cache, store *Store, break
 	fmt.Fprintln(w, "# HELP vppb_profile_cache_entries Entries currently cached.")
 	fmt.Fprintln(w, "# TYPE vppb_profile_cache_entries gauge")
 	fmt.Fprintf(w, "vppb_profile_cache_entries %d\n", cache.Len())
+	fmt.Fprintln(w, "# HELP vppb_cache_bytes Resident bytes of the cached entries: profiles, binary copies and hb numbers.")
+	fmt.Fprintln(w, "# TYPE vppb_cache_bytes gauge")
+	fmt.Fprintf(w, "vppb_cache_bytes %d\n", cache.Bytes())
 
 	var corrupt, putErrs, stored int64
 	if store != nil {

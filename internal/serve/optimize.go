@@ -5,7 +5,9 @@ import (
 	"strings"
 
 	"vppb/internal/analysis"
+	"vppb/internal/hb"
 	"vppb/internal/sched"
+	"vppb/internal/trace"
 )
 
 // POST /v1/optimize answers "what should I deploy on?" in one call: it
@@ -53,15 +55,11 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) int {
 	if herr != nil {
 		return writeError(w, herr)
 	}
-	e, cached, herr := s.resolveEntry(w, r, strict)
+	e, log, cached, herr := s.resolveEntry(w, r, strict)
 	if herr != nil {
 		return writeError(w, herr)
 	}
-
-	// The happens-before bounds feed the pruning; a log the analysis
-	// cannot handle degrades to an unpruned (but still prefix-shared)
-	// sweep rather than failing the request.
-	hbA, _ := e.HB()
+	hbA := s.pruning(e, log)
 
 	// The remaining deadline becomes a per-candidate event budget, exactly
 	// like /v1/predict.
@@ -94,12 +92,37 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) int {
 	entryHeaders(w, e, cached)
 	return writeJSON(w, optimizeResponse{
 		Trace:          e.Digest,
-		Program:        e.Log.Header.Program,
-		RecordedUS:     int64(e.Log.Duration()),
+		Program:        e.Profile.Header.Program,
+		RecordedUS:     int64(e.Profile.Duration()),
 		Repaired:       e.Repaired,
 		RepairSummary:  e.RepairSummary,
 		OptimizeResult: res,
 	})
+}
+
+// pruning returns the bounds the sweep prunes with: Work and
+// SerialDemand from the entry's first happens-before analysis, which runs
+// here if none has, on log (the Log this request decoded, or nil to
+// rebuild it). A log the analysis cannot handle, or one that cannot be
+// rebuilt, degrades to an unpruned (but still prefix-shared) sweep rather
+// than failing the request.
+func (s *Server) pruning(e *Entry, log *trace.Log) *hb.Analysis {
+	e.hbMu.Lock()
+	defer e.hbMu.Unlock()
+	if !e.hbDone {
+		if log == nil {
+			var herr *httpError
+			if log, herr = s.rebuildLog(e); herr != nil {
+				return nil
+			}
+		}
+		e.setHB(hb.Analyze(log))
+	}
+	if !e.hbOK {
+		return nil
+	}
+	// Optimize reads no other field of the analysis.
+	return &hb.Analysis{Work: e.work, SerialDemand: e.serialDemand}
 }
 
 // parsePolicyList parses ?policies=a,b,c; empty means every registered

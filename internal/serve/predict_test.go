@@ -27,7 +27,7 @@ func TestPredictBodyMatchesTimelineReplays(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: %d %s", policy, resp.StatusCode, body)
 		}
-		e, ok := s.Cache().Load(Digest(raw))
+		e, _, ok := s.Cache().Load(Digest(raw))
 		if !ok {
 			t.Fatal("upload not cached")
 		}
@@ -41,8 +41,8 @@ func TestPredictBodyMatchesTimelineReplays(t *testing.T) {
 		}
 		want := predictResponse{
 			Trace:      e.Digest,
-			Program:    e.Log.Header.Program,
-			RecordedUS: int64(e.Log.Duration()),
+			Program:    e.Profile.Header.Program,
+			RecordedUS: int64(e.Profile.Duration()),
 			Policy:     policy,
 		}
 		for i, cpus := range sizes {

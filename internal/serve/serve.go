@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"vppb/internal/core"
+	"vppb/internal/hb"
 	"vppb/internal/ingest"
 	"vppb/internal/metrics"
 	"vppb/internal/sched"
@@ -170,6 +171,9 @@ type Server struct {
 	// one simulation N collapsed requests share. It receives the leader's
 	// request context so a test can park a leader until that request dies.
 	onSimulate func(context.Context)
+	// onDecode, when set, runs before every decode of trace bytes: a
+	// fresh upload, a fault-in or a Log rebuilt for the hb reports.
+	onDecode func()
 }
 
 // New creates a Server. With a StoreDir configured it opens the durable
@@ -198,12 +202,12 @@ func New(cfg Config) (*Server, error) {
 		// Fault-ins re-run the lenient ingestion pipeline: the store holds
 		// the original upload bytes, so the repair verdict (and therefore
 		// strict-mode rejection) is recomputed identically after a restart.
-		s.cache.AttachStore(store, func(digest string, raw []byte) (*Entry, error) {
-			e, herr := s.ingest(digest, raw, false)
+		s.cache.AttachStore(store, func(digest string, raw []byte) (*Entry, *trace.Log, error) {
+			e, log, herr := s.ingest(digest, raw, false)
 			if herr != nil {
-				return nil, herr
+				return nil, nil, herr
 			}
-			return e, nil
+			return e, log, nil
 		})
 	}
 	s.mux = http.NewServeMux()
@@ -369,50 +373,102 @@ func mapSimFailure(err error, deadlineBudget bool) *httpError {
 
 // resolveEntry produces the cached entry for a request: via ?trace=digest
 // for a previously ingested recording (from memory or faulted back in
-// from the durable store), or by ingesting the request body. The boolean
-// reports whether the server already had the trace — the client did not
-// have to upload it.
-func (s *Server) resolveEntry(w http.ResponseWriter, r *http.Request, strict bool) (*Entry, bool, *httpError) {
+// from the durable store), or by ingesting the request body. When the
+// request decoded the trace (an upload or a fault-in) it also returns
+// that Log, so a route that reads events never decodes twice; on a memory
+// hit the Log is nil. The boolean reports whether the server already had
+// the trace — the client did not have to upload it.
+func (s *Server) resolveEntry(w http.ResponseWriter, r *http.Request, strict bool) (*Entry, *trace.Log, bool, *httpError) {
 	if digest := r.URL.Query().Get("trace"); digest != "" {
-		e, ok := s.cache.Load(digest)
+		e, log, ok := s.cache.Load(digest)
 		if !ok {
-			return nil, false, errf(http.StatusNotFound, "unknown trace digest %s (upload it first)", digest)
+			return nil, nil, false, errf(http.StatusNotFound, "unknown trace digest %s (upload it first)", digest)
 		}
 		if strict && e.Repaired {
-			return nil, false, errf(http.StatusUnprocessableEntity, "trace %s required repair (%s) and strict=true refuses repaired input", digest, e.RepairSummary)
+			return nil, nil, false, errf(http.StatusUnprocessableEntity, "trace %s required repair (%s) and strict=true refuses repaired input", digest, e.RepairSummary)
 		}
-		return e, true, nil
+		return e, log, true, nil
 	}
 
 	raw, herr := readBody(w, r, s.cfg.MaxBodyBytes)
 	if herr != nil {
-		return nil, false, herr
+		return nil, nil, false, herr
 	}
 	if len(raw) == 0 {
-		return nil, false, errf(http.StatusBadRequest, "upload a recorded log in the request body or pass ?trace=<digest>")
+		return nil, nil, false, errf(http.StatusBadRequest, "upload a recorded log in the request body or pass ?trace=<digest>")
 	}
 
 	digest := Digest(raw)
 	if e, ok := s.cache.Get(digest); ok {
 		if strict && e.Repaired {
-			return nil, false, errf(http.StatusUnprocessableEntity, "corrupt log rejected by strict=true (would be repaired: %s)", e.RepairSummary)
+			return nil, nil, false, errf(http.StatusUnprocessableEntity, "corrupt log rejected by strict=true (would be repaired: %s)", e.RepairSummary)
 		}
-		return e, true, nil
+		return e, nil, true, nil
 	}
 
-	e, herr := s.ingest(digest, raw, strict)
+	e, log, herr := s.ingest(digest, raw, strict)
 	if herr != nil {
-		return nil, false, herr
+		return nil, nil, false, herr
 	}
 	// Persist before publishing: when the response reaches the client the
 	// upload has survived the daemon. A failed durability write degrades
-	// to memory-only service for this entry — counted, never fatal.
+	// to memory-only service for this entry — counted, never fatal. An
+	// entry whose bytes the store does not hold keeps a binary copy of
+	// its log for the hb reports to rebuild from.
+	stored := false
 	if s.store != nil {
 		if err := s.store.Put(digest, raw); err != nil {
 			s.store.notePutError()
+		} else {
+			stored = true
 		}
 	}
-	return s.cache.Add(e), false, nil
+	if !stored {
+		e.binary = binaryCopy(raw, log, e.Repaired)
+	}
+	return s.cache.Add(e), log, false, nil
+}
+
+// binaryCopy returns a VPPBLOG1 encoding of log, the ingested form of
+// raw: raw itself when it is one already.
+func binaryCopy(raw []byte, log *trace.Log, repaired bool) []byte {
+	if !repaired && trace.IsBinary(raw) {
+		return raw
+	}
+	return trace.AppendBinary(nil, log)
+}
+
+// rebuildLog decodes a cached entry's Log again for the hb reports, the
+// only readers of its events: from the entry's binary copy, or from the
+// store's verified bytes through ingest, as a fault-in does.
+func (s *Server) rebuildLog(e *Entry) (*trace.Log, *httpError) {
+	if e.binary != nil {
+		log, err := s.decode(e.binary, ingest.FormatVPPB)
+		if err != nil {
+			return nil, errf(http.StatusInternalServerError, "internal error: trace %s: decoding its binary copy: %v", e.Digest, err)
+		}
+		return log, nil
+	}
+	if s.store == nil {
+		return nil, errf(http.StatusInternalServerError, "internal error: trace %s has no bytes to rebuild its log from", e.Digest)
+	}
+	raw, err := s.store.Get(e.Digest)
+	if err != nil {
+		// The bytes are gone (Get quarantined them if corrupt): forget the
+		// entry too, so that an upload of them ingests and stores afresh.
+		s.cache.Remove(e.Digest)
+		return nil, errf(http.StatusNotFound, "trace %s: its stored bytes are unreadable (upload it again): %v", e.Digest, err)
+	}
+	_, log, herr := s.ingest(e.Digest, raw, false)
+	return log, herr
+}
+
+// decode is ingest.Decode, run for every upload, fault-in and rebuild.
+func (s *Server) decode(raw []byte, format string) (*trace.Log, error) {
+	if s.onDecode != nil {
+		s.onDecode()
+	}
+	return ingest.Decode(raw, format, "")
 }
 
 // readBody reads a request body under the upload size limit, mapping the
@@ -444,8 +500,9 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, *htt
 // auto-repair (unless strict), build the immutable profile. It is shared
 // by fresh uploads and durable-store fault-ins, so an entry rebuilt after
 // a restart gets the exact same repair verdict as the original upload.
-// digest is Digest(raw), which both callers have already computed.
-func (s *Server) ingest(digest string, raw []byte, strict bool) (*Entry, *httpError) {
+// digest is Digest(raw), which every caller has already computed. It
+// returns the entry and the (repaired) Log it was built from.
+func (s *Server) ingest(digest string, raw []byte, strict bool) (*Entry, *trace.Log, *httpError) {
 	// The format is sniffed from the bytes themselves: native vppb
 	// recordings and Go runtime execution traces are both accepted, and
 	// anything else is a 400 counted per format in the ingest-error metric.
@@ -454,12 +511,12 @@ func (s *Server) ingest(digest string, raw []byte, strict bool) (*Entry, *httpEr
 	format := ingest.Detect(raw)
 	if format == "" {
 		s.metrics.IngestError("unknown")
-		return nil, errf(http.StatusBadRequest, "unrecognized trace format: want a vppb log or a Go execution trace")
+		return nil, nil, errf(http.StatusBadRequest, "unrecognized trace format: want a vppb log or a Go execution trace")
 	}
-	log, err := ingest.Decode(raw, format, "")
+	log, err := s.decode(raw, format)
 	if err != nil {
 		s.metrics.IngestError(format)
-		return nil, errf(http.StatusBadRequest, "invalid %s trace: %v", format, err)
+		return nil, nil, errf(http.StatusBadRequest, "invalid %s trace: %v", format, err)
 	}
 	e := &Entry{Digest: digest, Size: len(raw)}
 	// BuildProfile validates the log; only a log it rejects as invalid is
@@ -468,11 +525,11 @@ func (s *Server) ingest(digest string, raw []byte, strict bool) (*Entry, *httpEr
 	var verr *trace.ValidationError
 	if errors.As(err, &verr) {
 		if strict {
-			return nil, errf(http.StatusUnprocessableEntity, "corrupt log rejected by strict=true: %v", verr)
+			return nil, nil, errf(http.StatusUnprocessableEntity, "corrupt log rejected by strict=true: %v", verr)
 		}
 		repaired, rep, rerr := trace.Repair(log)
 		if rerr != nil {
-			return nil, errf(http.StatusUnprocessableEntity, "unrecoverable log: %v", rerr)
+			return nil, nil, errf(http.StatusUnprocessableEntity, "unrecoverable log: %v", rerr)
 		}
 		log = repaired
 		e.Repaired = true
@@ -480,11 +537,10 @@ func (s *Server) ingest(digest string, raw []byte, strict bool) (*Entry, *httpEr
 		prof, err = trace.BuildProfile(log)
 	}
 	if err != nil {
-		return nil, errf(http.StatusUnprocessableEntity, "%v", err)
+		return nil, nil, errf(http.StatusUnprocessableEntity, "%v", err)
 	}
-	e.Log = log
 	e.Profile = prof
-	return e, nil
+	return e, log, nil
 }
 
 // machineFor builds the base machine of a request: the policy, the
@@ -671,7 +727,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) int {
 	if herr != nil {
 		return writeError(w, herr)
 	}
-	e, cached, herr := s.resolveEntry(w, r, strict)
+	e, _, cached, herr := s.resolveEntry(w, r, strict)
 	if herr != nil {
 		return writeError(w, herr)
 	}
@@ -733,8 +789,8 @@ func (s *Server) predict(ctx context.Context, e *Entry, resolved, policy string,
 
 	resp := &predictResponse{
 		Trace:         e.Digest,
-		Program:       e.Log.Header.Program,
-		RecordedUS:    int64(e.Log.Duration()),
+		Program:       e.Profile.Header.Program,
+		RecordedUS:    int64(e.Profile.Duration()),
 		Policy:        resolved,
 		Repaired:      e.Repaired,
 		RepairSummary: e.RepairSummary,
@@ -753,26 +809,17 @@ func (s *Server) predict(ctx context.Context, e *Entry, resolved, policy string,
 }
 
 func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) int {
-	return s.handleHB(w, r, func(e *Entry, topN int) (any, error) {
-		a, err := e.HB()
-		if err != nil {
-			return nil, err
-		}
-		return a.JSONBounds(topN), nil
-	})
+	return s.handleHB(w, r, func(a *hb.Analysis, topN int) any { return a.JSONBounds(topN) })
 }
 
 func (s *Server) handleLockOrder(w http.ResponseWriter, r *http.Request) int {
-	return s.handleHB(w, r, func(e *Entry, topN int) (any, error) {
-		a, err := e.HB()
-		if err != nil {
-			return nil, err
-		}
-		return a.JSONLockOrder(), nil
-	})
+	return s.handleHB(w, r, func(a *hb.Analysis, _ int) any { return a.JSONLockOrder() })
 }
 
-func (s *Server) handleHB(w http.ResponseWriter, r *http.Request, report func(*Entry, int) (any, error)) int {
+// handleHB analyzes the request's Log: the one it decoded, or one rebuilt
+// for a cached entry. The analysis is not kept, except for the two
+// numbers /v1/optimize prunes with.
+func (s *Server) handleHB(w http.ResponseWriter, r *http.Request, report func(*hb.Analysis, int) any) int {
 	strict, herr := parseStrict(r)
 	if herr != nil {
 		return writeError(w, herr)
@@ -781,16 +828,24 @@ func (s *Server) handleHB(w http.ResponseWriter, r *http.Request, report func(*E
 	if herr != nil {
 		return writeError(w, herr)
 	}
-	e, cached, herr := s.resolveEntry(w, r, strict)
+	e, log, cached, herr := s.resolveEntry(w, r, strict)
 	if herr != nil {
 		return writeError(w, herr)
 	}
-	body, err := report(e, topN)
+	if log == nil {
+		if log, herr = s.rebuildLog(e); herr != nil {
+			return writeError(w, herr)
+		}
+	}
+	a, err := hb.Analyze(log)
+	e.hbMu.Lock()
+	e.setHB(a, err)
+	e.hbMu.Unlock()
 	if err != nil {
 		return writeError(w, simError(err))
 	}
 	entryHeaders(w, e, cached)
-	return writeJSON(w, body)
+	return writeJSON(w, report(a, topN))
 }
 
 func (s *Server) handleViewSVG(w http.ResponseWriter, r *http.Request) int {
@@ -825,7 +880,7 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request, contentType 
 	if herr != nil {
 		return writeError(w, herr)
 	}
-	e, cached, herr := s.resolveEntry(w, r, strict)
+	e, _, cached, herr := s.resolveEntry(w, r, strict)
 	if herr != nil {
 		return writeError(w, herr)
 	}
@@ -839,7 +894,7 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request, contentType 
 	if err != nil {
 		return writeError(w, errf(http.StatusInternalServerError, "%v", err))
 	}
-	title := fmt.Sprintf("%s on %d simulated CPUs", e.Log.Header.Program, cpus)
+	title := fmt.Sprintf("%s on %d simulated CPUs", e.Profile.Header.Program, cpus)
 	doc, err := render(view, title, width)
 	if err != nil {
 		return writeError(w, errf(http.StatusInternalServerError, "%v", err))

@@ -803,29 +803,3 @@ func TestHealthzAndPprof(t *testing.T) {
 		t.Fatalf("pprof index: %d", resp.StatusCode)
 	}
 }
-
-// TestHBAnalysisCachedPerEntry: the happens-before analysis is computed
-// once per entry and shared, so a second bounds request reuses it.
-func TestHBAnalysisCachedPerEntry(t *testing.T) {
-	e := &Entry{}
-	w, err := workloads.Get("example")
-	if err != nil {
-		t.Fatal(err)
-	}
-	log, _, err := recorder.Record(w.Bind(workloads.Params{Scale: 0.2, Threads: 4}), recorder.Options{Program: "example"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Log = log
-	a1, err := e.HB()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := e.HB()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a1 != a2 {
-		t.Fatal("HB analysis recomputed instead of cached")
-	}
-}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"unsafe"
 
+	"vppb/internal/source"
 	"vppb/internal/vtime"
 )
 
@@ -19,9 +21,9 @@ import (
 // CallRecord is one thread-library call as the Simulator replays it: the
 // CPU burst the thread executes before reaching the call, the call's own
 // observed CPU cost, and the call's parameters and recorded outcome, with
-// every reference resolved to a dense index. The call's recorded IDs,
-// source location and sequence number stay in its Before event, which
-// Profile.Before returns, so a replay that builds no timeline reads one
+// every reference resolved to a dense index. The call's recorded IDs and
+// source location live in the profile's interned site table, which
+// Profile.Site returns, so a replay that builds no timeline reads one
 // 56-byte record per call.
 type CallRecord struct {
 	// CPUBefore is user computation executed before the call.
@@ -51,10 +53,11 @@ type CallRecord struct {
 	// (paper section 6) blocks a simulated broadcast until that many
 	// threads have arrived at the condition.
 	Released int32
-	// Before indexes the call's Before event in Log.Events.
-	Before int32
-	Call   Call
-	OK     bool
+	// Site indexes Profile.Sites: the call's recorded source location,
+	// object and target.
+	Site int32
+	Call Call
+	OK   bool
 	// BlockedInLog reports whether other threads ran between this call's
 	// Before and After events in the recording.
 	BlockedInLog bool
@@ -76,22 +79,58 @@ func (p *ThreadProfile) TotalCPU() vtime.Duration {
 	return total
 }
 
-// Profile is the complete behaviour profile of a recording. A Profile is
-// immutable once built: the Simulator and every other consumer only read
-// it, so one Profile may back any number of concurrent simulations
-// (vppb-sim -sweep builds it once and fans the machine sizes out over it).
+// CallSite is what a replay reads of a call beyond its record: the
+// recorded source location, which timelines show, and the recorded object
+// and target IDs, which timelines and error texts print even when the
+// record resolves them to -1 (an undeclared object, an unprofiled join
+// target). Calls share sites: a program has few distinct ones.
+type CallSite struct {
+	Loc    source.Loc
+	Object ObjectID
+	Target ThreadID
+}
+
+// Profile is the complete behaviour profile of a recording. It holds no
+// events: the header, the object table, one call record per call and the
+// interned call sites are all a replay reads, so the Log it was built
+// from need not be kept. A Profile is immutable once built: the Simulator
+// and every other consumer only read it, so one Profile may back any
+// number of concurrent simulations (vppb-sim -sweep builds it once and
+// fans the machine sizes out over it).
 type Profile struct {
-	Log     *Log
+	Header Header
+	// Objects is the recording's object table; CallRecord.Obj and Mutex
+	// index it.
+	Objects []ObjectInfo
 	Threads map[ThreadID]*ThreadProfile
 	// IDs lists the profiled threads in ascending order, so consumers
 	// never iterate the Threads map directly (map order is random and
 	// would make replays nondeterministic).
 	IDs []ThreadID
+	// Sites is the interned site table, in order of first appearance in
+	// the recording.
+	Sites []CallSite
 }
 
-// Before returns the Before event of call record r: its recorded IDs,
-// source location and sequence number.
-func (p *Profile) Before(r *CallRecord) *Event { return &p.Log.Events[r.Before] }
+// Site returns call record r's site: its recorded source location and
+// IDs.
+func (p *Profile) Site(r *CallRecord) *CallSite { return &p.Sites[r.Site] }
+
+// Duration returns the recorded execution time.
+func (p *Profile) Duration() vtime.Duration { return p.Header.End.Sub(p.Header.Start) }
+
+// Bytes is the size of the profile's tables: call records, sites, objects
+// and per-thread profiles. The strings they share with the decoded log
+// (file and object names) are not counted.
+func (p *Profile) Bytes() int64 {
+	n := int64(len(p.Sites))*int64(unsafe.Sizeof(CallSite{})) +
+		int64(len(p.Objects))*int64(unsafe.Sizeof(ObjectInfo{})) +
+		int64(len(p.IDs))*int64(unsafe.Sizeof(ThreadID(0)))
+	for _, tp := range p.Threads {
+		n += int64(unsafe.Sizeof(*tp)) + int64(len(tp.Calls))*int64(unsafe.Sizeof(CallRecord{}))
+	}
+	return n
+}
 
 // ThreadIDs returns the profiled thread IDs in ascending order. It
 // tolerates hand-built profiles that left IDs unset.
@@ -146,11 +185,23 @@ func BuildProfile(l *Log) (*Profile, error) {
 	for i, s := range order {
 		rank[s] = int32(i)
 	}
+	// Most calls name no target thread and no companion mutex, so ID 0
+	// resolves once, not once per call.
+	thread0, object0 := rank[ix.slots[0]], ix.object(0)
 	thread := func(id ThreadID) int32 {
+		if id == 0 {
+			return thread0
+		}
 		if s, ok := ix.slots[id]; ok {
 			return rank[s]
 		}
 		return -1
+	}
+	object := func(id ObjectID) int32 {
+		if id == 0 {
+			return object0
+		}
+		return ix.object(id)
 	}
 	arena := make([]CallRecord, total)
 	calls := make([][]CallRecord, len(ix.befores))
@@ -163,6 +214,9 @@ func BuildProfile(l *Log) (*Profile, error) {
 	// checked that a thread issues nothing else while a call is open.
 	filled := make([]int32, len(calls))
 	waiting := make([]bool, len(calls))
+	// seq is the Seq of each slot's last Before event, for BlockedInLog.
+	seq := make([]int64, len(calls))
+	st := newSiteTable(len(calls))
 
 	// Attribute each global inter-event gap to the generator of the later
 	// event, minus the probe cost of that event. Along the same walk,
@@ -204,16 +258,17 @@ func BuildProfile(l *Log) (*Profile, error) {
 			calls[slot][filled[slot]] = CallRecord{
 				CPUBefore: gap,
 				Timeout:   ev.Timeout,
-				Obj:       ix.object(ev.Object),
-				Mutex:     ix.object(ev.Mutex),
+				Obj:       object(ev.Object),
+				Mutex:     object(ev.Mutex),
 				Target:    thread(ev.Target),
 				Prio:      ev.Prio,
 				Released:  released,
-				Before:    int32(i),
+				Site:      st.intern(slot, CallSite{Loc: ev.Loc, Object: ev.Object, Target: ev.Target}),
 				Call:      ev.Call,
 				OK:        ev.OK,
 			}
 			filled[slot]++
+			seq[slot] = ev.Seq
 			waiting[slot] = pairsWithAfter(ev.Call) && ev.Call != CallThrExit
 			continue
 		}
@@ -231,7 +286,7 @@ func BuildProfile(l *Log) (*Profile, error) {
 		// Did anyone else run in between? Compare global sequence
 		// numbers: an intervening event from another thread means the
 		// call blocked.
-		rec.BlockedInLog = ev.Seq != l.Events[rec.Before].Seq+1
+		rec.BlockedInLog = ev.Seq != seq[slot]+1
 		if ev.Call == CallThrJoin {
 			rec.JoinedTarget = ev.Target
 		}
@@ -245,9 +300,11 @@ func BuildProfile(l *Log) (*Profile, error) {
 	}
 
 	p := &Profile{
-		Log:     l,
+		Header:  l.Header,
+		Objects: l.Objects,
 		Threads: make(map[ThreadID]*ThreadProfile, len(order)),
 		IDs:     make([]ThreadID, len(order)),
+		Sites:   st.sites,
 	}
 	tps := make([]ThreadProfile, len(order))
 	for i, s := range order {
@@ -260,6 +317,51 @@ func BuildProfile(l *Log) (*Profile, error) {
 		p.IDs[i] = info.ID
 	}
 	return p, nil
+}
+
+// siteTable interns call sites. A thread's calls cycle through a few
+// sites (a lock, its wait, its unlock), so each thread slot remembers the
+// sites of its last few calls, and only a site outside those costs a map
+// lookup.
+type siteTable struct {
+	sites  []CallSite
+	index  map[CallSite]int32
+	recent [][recentSites]int32
+}
+
+// recentSites is how many of its latest sites each thread slot remembers.
+const recentSites = 4
+
+func newSiteTable(slots int) *siteTable {
+	t := &siteTable{index: make(map[CallSite]int32), recent: make([][recentSites]int32, slots)}
+	for i := range t.recent {
+		for j := range t.recent[i] {
+			t.recent[i][j] = -1
+		}
+	}
+	return t
+}
+
+// intern returns cs's index in the table, adding it if new, and makes it
+// the slot's most recent site.
+func (t *siteTable) intern(slot int32, cs CallSite) int32 {
+	rc := &t.recent[slot]
+	for j, si := range rc {
+		if si >= 0 && t.sites[si] == cs {
+			copy(rc[1:j+1], rc[:j])
+			rc[0] = si
+			return si
+		}
+	}
+	si, ok := t.index[cs]
+	if !ok {
+		si = int32(len(t.sites))
+		t.sites = append(t.sites, cs)
+		t.index[cs] = si
+	}
+	copy(rc[1:], rc[:recentSites-1])
+	rc[0] = si
+	return si
 }
 
 // TotalCPU sums computation over all threads — the unmonitored

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -396,7 +397,22 @@ func oracleBuildProfile(l *Log) (*Profile, error) {
 		prev = ev.Time
 	}
 
-	p := &Profile{Log: l, Threads: make(map[ThreadID]*ThreadProfile)}
+	p := &Profile{Header: l.Header, Objects: l.Objects, Threads: make(map[ThreadID]*ThreadProfile)}
+	// Sites are numbered in order of first appearance among the Before
+	// events of the global order.
+	siteOf := make(map[int]int32)
+	for i, ev := range l.Events {
+		if ev.Class != Before {
+			continue
+		}
+		cs := CallSite{Loc: ev.Loc, Object: ev.Object, Target: ev.Target}
+		si := int32(slices.Index(p.Sites, cs))
+		if si < 0 {
+			si = int32(len(p.Sites))
+			p.Sites = append(p.Sites, cs)
+		}
+		siteOf[i] = si
+	}
 	tids := make([]ThreadID, 0, len(perThread))
 	for tid := range perThread {
 		tids = append(tids, tid)
@@ -449,7 +465,7 @@ func oracleBuildProfile(l *Log) (*Profile, error) {
 					Timeout:   a.ev.Timeout,
 					Prio:      a.ev.Prio,
 					Released:  a.released,
-					Before:    int32(a.index),
+					Site:      siteOf[a.index],
 				}
 				if pairsWithAfter(a.ev.Call) && a.ev.Call != CallThrExit {
 					pending, pendingSeq = &rec, a.ev.Seq
