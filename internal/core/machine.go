@@ -163,9 +163,8 @@ type Result struct {
 	// bound to a CPU counts every CPU up to its own (sched.Core.PeakRunning).
 	PeakRunning int
 	// Contended reports whether anything in the replay waited for a CPU or
-	// an LWP, was evicted from its CPU by preemption or at slice expiry, or
-	// took the CPU it is bound to ahead of another queued LWP that may run
-	// there (sched.Core.Contended).
+	// an LWP, or took the CPU it is bound to ahead of another queued LWP
+	// that may run there (sched.Core.Contended).
 	Contended bool
 }
 

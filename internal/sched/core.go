@@ -183,9 +183,12 @@ func (c *Core) PeakRunning() int { return c.peak }
 
 // Contended reports whether anything in the run so far waited for a CPU
 // or an LWP, or could have: an LWP left in the kernel queue or a thread
-// left in the user run queue after a dispatch-and-preempt pass, an LWP
-// evicted by preemption or at slice expiry, or an LWP bound to a CPU that
-// took it ahead of another queued LWP that may run there. A run that never
+// left in the user run queue after a dispatch-and-preempt pass, or an LWP
+// bound to a CPU that took it ahead of another queued LWP that may run
+// there. An eviction needs no flag of its own: in an engine run, one by a
+// preemptor that may run anywhere leaves an LWP queued at the end of its
+// pass, a CPU-bound preemptor's placement is the bound case, and a
+// slice-expiry yield needs a waiter queued since the last pass. A run that never
 // contended placed every runnable LWP the instant it became runnable, in
 // an order no priority decided, so its priorities and quanta never decided
 // who ran.
@@ -381,7 +384,6 @@ func (c *Core) undispatch(cpu int32) {
 	if l == nilIdx {
 		return
 	}
-	c.contended = true
 	c.unlink(cpu)
 	c.set(c.threads[c.lwps[l].thread], Runnable, -1, l)
 	c.pushKernelQ(l)

@@ -293,9 +293,8 @@ func TestMergedPopMatchesOneQueue(t *testing.T) {
 // placement raises PeakRunning to one more than its CPU's index, so a
 // thread bound to a high CPU counts the CPUs below it. Contended turns on
 // when a pass leaves an LWP in the kernel queue or a thread in the user
-// run queue, when a CPU-bound LWP takes its CPU ahead of a queued rival,
-// and on any eviction, even one whose LWP finds another CPU in the same
-// pass.
+// run queue, and when a CPU-bound LWP takes its CPU ahead of a queued
+// rival.
 func TestPeakAndContended(t *testing.T) {
 	c, _ := newFakeCore(t, "ts", 4, true)
 	pass := func() { c.DispatchAll(); c.PreemptPass() }
@@ -352,15 +351,4 @@ func TestPeakAndContended(t *testing.T) {
 		}
 	}
 
-	// An eviction counts though the pass places the LWP again at once.
-	c4, _ := newFakeCore(t, "ts", 2, false)
-	c4.pushKernelQ(newLWP(c4, 29))
-	c4.DispatchAll()
-	c4.PreemptPass()
-	c4.undispatch(0)
-	c4.DispatchAll()
-	c4.PreemptPass()
-	if !c4.Contended() || len(c4.kernelQ) != 0 {
-		t.Fatalf("eviction: contended %v with %d queued; want true with none queued", c4.Contended(), len(c4.kernelQ))
-	}
 }

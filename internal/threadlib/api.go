@@ -12,16 +12,19 @@ import (
 
 // Thread is the user-side handle a program body receives. All methods must
 // be called from the thread's own body; they hand control to the kernel and
-// return when the (virtual-time) operation completes.
+// return when the (virtual-time) operation completes. A call through
+// another thread's handle fails the run.
 type Thread struct {
 	p  *Process
 	kt *kthread
+	// yield hands the body's next request to the kernel (spawn).
+	yield func(*request) bool
 	// pendingCompute accumulates Compute durations until the next library
 	// call carries them to the kernel as the thread's CPU burst.
 	pendingCompute vtime.Duration
 	// req is the call in flight. A thread makes one call at a time, and
-	// the kernel reads the request only until it grants it, so every
-	// call reuses this one.
+	// the kernel reads the request only until the call completes, so
+	// every call reuses this one.
 	req request
 }
 
@@ -271,8 +274,8 @@ func (l *RWLock) Unlock(t *Thread) {
 	t.call(request{kind: trace.CallRWUnlock, obj: l.obj})
 }
 
-// request is one thread-library call in flight from a user goroutine to
-// the kernel.
+// request is one thread-library call in flight from a thread body to the
+// kernel.
 type request struct {
 	kind    trace.Call
 	burst   vtime.Duration // CPU declared since the previous call
@@ -294,9 +297,8 @@ type request struct {
 
 // response is the kernel's answer completing a request.
 type response struct {
-	ok    bool
-	tid   trace.ThreadID
-	abort bool
+	ok  bool
+	tid trace.ThreadID
 }
 
 // sentinel panic values controlling thread unwinding.
@@ -307,33 +309,33 @@ const (
 	panicAbort sentinel = "threadlib: run aborted"
 )
 
-// call hands a request to the kernel and blocks until it completes in
-// virtual time.
+// call hands a request to the kernel and returns when it completes in
+// virtual time. A call through another thread's handle panics in the
+// caller's body, which fails the run naming both threads; t's own pending
+// request is left alone.
 func (t *Thread) call(r request) response {
+	if t.p.cur != t.kt {
+		panic(fmt.Sprintf("%v called through thread T%d's handle at %s", r.kind, t.kt.id, source.Capture(2)))
+	}
 	t.req = r
 	t.req.burst = t.pendingCompute
 	t.pendingCompute = 0
 	t.req.loc = source.Capture(2)
-	t.p.reqCh <- reqEnvelope{kt: t.kt, req: &t.req}
-	resp := <-t.kt.grant
-	if resp.abort {
+	if !t.yield(&t.req) {
 		panic(panicAbort)
 	}
-	return resp
+	return t.kt.resp
 }
 
 // exitCall is the implicit thr_exit issued when a body returns (or panics).
+// Its location skips the body's function and iter.Pull's coroutine start
+// to the frame that started the body's goroutine. The kernel stops the
+// coroutine once it applies the exit (or the run aborts), ending it here.
 func (t *Thread) exitCall(exitErr error) {
 	t.req = request{kind: trace.CallThrExit, burst: t.pendingCompute, exitErr: exitErr}
 	t.pendingCompute = 0
-	t.req.loc = source.Capture(2)
-	t.p.reqCh <- reqEnvelope{kt: t.kt, req: &t.req}
-	<-t.kt.grant // final grant; abort or not, the goroutine ends here
-}
-
-type reqEnvelope struct {
-	kt  *kthread
-	req *request
+	t.req.loc = source.Capture(4)
+	t.yield(&t.req)
 }
 
 // funcName resolves the name of a thread body for recordings, emulating

@@ -6,11 +6,12 @@
 // over LWPs and LWPs over simulated CPUs with priorities and time slices
 // from the TS dispatch table.
 //
-// Exactly one program goroutine executes at any host instant, handing
-// control to the kernel at every thread-library call, so runs are fully
-// deterministic. Computation is declared in virtual time with
-// Thread.Compute; the kernel divides declared bursts across dispatches,
-// time-slice expiries and preemptions without re-entering user code.
+// Each program thread's body is a coroutine that yields to the kernel at
+// every thread-library call, so exactly one body executes at any host
+// instant and runs are fully deterministic. Computation is declared in
+// virtual time with Thread.Compute; the kernel divides declared bursts
+// across dispatches, time-slice expiries and preemptions without
+// re-entering user code.
 //
 // The same kernel serves two roles in the reproduction:
 //

@@ -1,7 +1,13 @@
+//go:build go1.23
+
+// spawn's iter.Pull needs Go 1.23; the build line sets this file's
+// language version while go.mod still says 1.22.
+
 package threadlib
 
 import (
 	"fmt"
+	"iter"
 	"strings"
 
 	"vppb/internal/dispatch"
@@ -24,10 +30,10 @@ type kthread struct {
 	name  string
 	fname string
 
-	ut    *Thread
-	grant chan response
-	start chan struct{}
-	began bool
+	// next resumes the thread's body until its next library call, and
+	// stop ends a body parked in one (spawn).
+	next func() (*request, bool)
+	stop func()
 
 	req  *request
 	resp response
@@ -57,8 +63,9 @@ type Process struct {
 	sc  *sched.Core
 	rng *vtime.Rand
 
-	now   vtime.Time
-	reqCh chan reqEnvelope
+	now vtime.Time
+	// cur is the thread whose body runs, while one does (resume).
+	cur *kthread
 
 	threads []*kthread // indexed by kthread.TI
 	byID    map[trace.ThreadID]*kthread
@@ -80,7 +87,6 @@ func NewProcess(cfg Config) *Process {
 	p := &Process{
 		cfg:     c,
 		rng:     vtime.NewRand(c.Seed),
-		reqCh:   make(chan reqEnvelope),
 		byID:    make(map[trace.ThreadID]*kthread),
 		nextTID: trace.FirstDynamicThread,
 		nextOID: 1,
@@ -145,7 +151,7 @@ func (p *Process) Run(main func(*Thread)) (*Result, error) {
 	mt := p.newThread(trace.MainThread, "main", funcName(main), createOpts{boundCPU: -1, prio: defaultUserPrio})
 	p.fireMarker(mt, trace.CallStartCollect)
 	p.spawn(mt, main)
-	p.fetchInto(mt)
+	p.resume(mt)
 	p.sc.Wake(mt.TI, false)
 	if err := p.sc.Run(); err != nil {
 		p.abortAll()
@@ -198,15 +204,16 @@ func (e *kengine) Deadlock() error {
 	return fmt.Errorf("%s", b.String())
 }
 
-// abortAll releases every live goroutine with an abort response so the host
-// process does not leak them after a failed run. Its teardown is the one
-// state change that bypasses sched.ThreadNode.To: the run is over, and
-// threads in any state go straight to zombie.
+// abortAll stops every live thread's body so the host process does not
+// leak its coroutine after a failed run: the body's pending call panics
+// with panicAbort and the body unwinds. Its teardown is the one state
+// change that bypasses sched.ThreadNode.To: the run is over, and threads
+// in any state go straight to zombie.
 func (p *Process) abortAll() {
 	for _, kt := range p.threads {
 		if kt.State != sched.Zombie {
 			kt.State = sched.Zombie
-			kt.grant <- response{abort: true}
+			kt.stop()
 		}
 	}
 }
@@ -225,8 +232,6 @@ func (p *Process) newThread(id trace.ThreadID, name, fname string, co createOpts
 		id:    id,
 		name:  name,
 		fname: fname,
-		grant: make(chan response),
-		start: make(chan struct{}),
 	}
 	p.sc.AddThread(&kt.ThreadNode)
 	kt.timer = p.sc.AddTimer(sched.Event{Kind: evTimer, Who: kt.TI})
@@ -260,51 +265,36 @@ func (p *Process) allocTID() trace.ThreadID {
 	return id
 }
 
-// spawn starts a thread body as a goroutine parked until its first fetch.
+// spawn makes a thread body a coroutine. Each library call yields its
+// request to the kernel, and the kernel resumes the body (resume) once the
+// call completes, so exactly one program body runs at a host instant by
+// construction. stop ends a body parked in a call: the call panics with
+// panicAbort and the body unwinds.
 func (p *Process) spawn(kt *kthread, body func(*Thread)) {
-	ut := &Thread{p: p, kt: kt}
-	kt.ut = ut
-	go func() {
-		<-kt.start
+	kt.next, kt.stop = iter.Pull(func(yield func(*request) bool) {
+		ut := &Thread{p: p, kt: kt, yield: yield}
 		var exitErr error
-		aborted := false
 		func() {
 			defer func() {
 				switch r := recover(); r {
-				case nil, panicExit:
-				case panicAbort:
-					aborted = true
+				case nil, panicExit, panicAbort:
 				default:
 					exitErr = fmt.Errorf("threadlib: thread T%d (%s) panicked: %v", kt.id, kt.name, r)
 				}
 			}()
 			body(ut)
 		}()
-		if !aborted {
-			ut.exitCall(exitErr)
-		}
-	}()
+		ut.exitCall(exitErr) // after stop, its yield returns at once
+	})
 }
 
-// fetchInto resumes a thread's goroutine until its next library call and
-// installs the resulting request. The goroutine parks again before this
-// returns, so the kernel stays single-threaded.
-func (p *Process) fetchInto(kt *kthread) {
-	if !kt.began {
-		kt.began = true
-		close(kt.start)
-	} else {
-		panic("threadlib: fetchInto on running thread without grant")
-	}
-	p.receive(kt)
-}
-
-func (p *Process) receive(kt *kthread) {
-	env := <-p.reqCh
-	if env.kt != kt {
-		panic(fmt.Sprintf("threadlib: request from T%d while fetching from T%d", env.kt.id, kt.id))
-	}
-	req := env.req
+// resume runs the thread's body until its next library call and installs
+// the resulting request. The body is parked again when this returns, so
+// the kernel stays single-threaded.
+func (p *Process) resume(kt *kthread) {
+	p.cur = kt
+	req, _ := kt.next()
+	p.cur = nil
 	if p.cfg.CacheBonus > 0 {
 		req.burst = vtime.Duration(float64(req.burst) * (1 - p.cfg.CacheBonus))
 	}
@@ -422,20 +412,19 @@ func (p *Process) emitPlaced(kt *kthread, ev trace.Event) {
 // internal/sched — the same core the Simulator runs, so the recorder and
 // the replay engine cannot drift apart. The kengine adapter below is the
 // core's call source: it supplies this engine's specifics, live requests,
-// probes, grants and the budgets.
+// probes, resumptions and the budgets.
 
 // kengine adapts Process to sched.Engine.
 type kengine Process
 
-// Complete: the thread's call completed; fire its After probe, grant the
-// response and fetch the next request.
+// Complete: the thread's call completed; fire its After probe and resume
+// the body, which reads kt.resp, until its next request.
 func (e *kengine) Complete(_, ti int32) {
 	p := (*Process)(e)
 	kt := p.threads[ti]
 	pushHeld(kt)
 	p.emitPlaced(kt, p.fireProbe(kt, p.afterEvent(kt)))
-	kt.grant <- kt.resp
-	p.receive(kt)
+	p.resume(kt)
 }
 
 // kengine also adapts Process to syncobj.Engine, receiving the object
@@ -532,6 +521,5 @@ func (p *Process) exitThread(cpu int32, kt *kthread) {
 	p.so.Exit(kt.TI)
 	p.sc.Exit(cpu, kt.TI)
 	p.sc.Fail(req.exitErr)
-	// Final grant: the goroutine finishes.
-	kt.grant <- response{}
+	kt.stop() // the body's coroutine finishes
 }

@@ -143,7 +143,7 @@ func (p *Process) opCreate(kt *kthread) bool {
 	}
 	child := p.newThread(req.reservedTID, co.name, req.fname, co)
 	p.spawn(child, req.body)
-	p.fetchInto(child)
+	p.resume(child)
 	p.sc.Wake(child.TI, false)
 	kt.resp.tid = child.id
 	return false
