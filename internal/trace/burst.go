@@ -227,6 +227,9 @@ func BuildProfile(l *Log) (*Profile, error) {
 	// error; the lowest such thread is reported.
 	var orphan *Event
 	prev := l.Header.Start
+	// Consecutive events mostly come from one thread: its slot is looked
+	// up once per run.
+	tid, slot := ThreadID(0), int32(-1)
 	for i := range l.Events {
 		ev := &l.Events[i]
 		gap := ev.Time.Sub(prev) - l.Header.ProbeCost
@@ -239,7 +242,9 @@ func BuildProfile(l *Log) (*Profile, error) {
 			gap = 0
 		}
 		prev = ev.Time
-		slot := ix.slots[ev.Thread]
+		if ev.Thread != tid || slot < 0 {
+			tid, slot = ev.Thread, ix.slots[ev.Thread]
+		}
 		condWait := ev.Call == CallCondWait || ev.Call == CallCondTimedWait
 		if ev.Class == Before {
 			var released int32

@@ -3,8 +3,10 @@ package trace
 import (
 	"bufio"
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -178,6 +180,38 @@ func TestQuoteHardCases(t *testing.T) {
 		}
 		if len(strings.Fields(q)) > 1 || (q != "" && strings.TrimSpace(q) != q) {
 			t.Errorf("quote(%q) = %q still splits under strings.Fields", s, q)
+		}
+	}
+}
+
+// TestQuoteMatchesOracle checks quote, whose plain-string check reads
+// ASCII bytes directly, against the rune-by-rune oracleQuote.
+func TestQuoteMatchesOracle(t *testing.T) {
+	f := func(s string) bool { return quote(s) == oracleQuote(s) }
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []string{"\t", "\n", "\v", "\f", "\r", " ", `\`, "\u0085", "\u00a0", "\u2028", "\u3000", "é", "\xff", "\xc2"} {
+		for off := 0; off <= 8; off++ {
+			s := "/src/app/"[:off] + c + "/main.go"
+			if got, want := quote(s), oracleQuote(s); got != want {
+				t.Errorf("quote(%q) = %q, oracle %q", s, got, want)
+			}
+		}
+	}
+}
+
+// TestDecLen checks decLen against strconv at every change of length.
+func TestDecLen(t *testing.T) {
+	vs := []int64{0, math.MaxInt64, math.MinInt64, math.MinInt64 + 1}
+	for p := int64(1); p <= math.MaxInt64/10; p *= 10 {
+		vs = append(vs, p-1, p, 10*p-1)
+	}
+	for _, v := range vs {
+		for _, v := range []int64{v, -v} {
+			if got, want := decLen(v), len(strconv.FormatInt(v, 10)); got != want {
+				t.Errorf("decLen(%d) = %d, want %d", v, got, want)
+			}
 		}
 	}
 }

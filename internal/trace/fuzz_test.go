@@ -7,6 +7,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"vppb/internal/source"
+	"vppb/internal/vtime"
 )
 
 // Fuzz targets for the decoders that consume untrusted bytes: the text and
@@ -14,7 +17,8 @@ import (
 // fuzzing is simple — return an error on bad input, never panic — plus a
 // round-trip obligation: anything the decoder accepts must re-encode and
 // re-decode to the same log. The text decoder must also agree with the
-// scanner-based reader it replaced, log for log and error for error.
+// scanner-based reader it replaced, log for log and error for error, and
+// the text encoder with the per-field-quoting encoder, byte for byte.
 
 func fuzzSeedLogs() []*Log {
 	truncated := repairFixture()
@@ -30,7 +34,27 @@ func fuzzSeedLogs() []*Log {
 			Threads: []ThreadInfo{{ID: 1, Name: "-", Func: `\`, BoundCPU: -1}},
 			Events:  []Event{{Seq: 0, Time: 5, Thread: 1, Class: Before, Call: CallThrExit}},
 		},
+		locRunsLog(),
 	}
+}
+
+// locRunsLog's source file changes mid-run and takes each form that quote
+// escapes: empty, "-", a space, a backslash and NBSP.
+func locRunsLog() *Log {
+	l := &Log{
+		Header:  Header{Program: "locs", CPUs: 1, LWPs: 1, End: 100},
+		Threads: []ThreadInfo{{ID: 1, Name: "main", BoundCPU: -1}},
+	}
+	for i, file := range []string{"a.go", "a.go", "b.go", "a.go", "", "", "-", "-", "a b.go", `a\b.go`, "a\u00a0b.go", "a\u00a0b.go", "a.go"} {
+		l.Events = append(l.Events, Event{
+			Seq: int64(2 * i), Time: vtime.Time(i), Thread: 1, Class: Before, Call: CallThrYield,
+			Loc: source.Loc{File: file, Line: i},
+		}, Event{
+			Seq: int64(2*i + 1), Time: vtime.Time(i), Thread: 1, Class: After, Call: CallThrYield,
+			Loc: source.Loc{File: file, Line: 999999999 + i},
+		})
+	}
+	return l
 }
 
 // fuzzTextSeeds is FuzzReadText's seed corpus: the seed logs encoded, and
@@ -40,13 +64,42 @@ func fuzzTextSeeds() [][]byte {
 	for _, l := range fuzzSeedLogs() {
 		seeds = append(seeds, AppendText(nil, l))
 	}
-	return append(seeds,
+	seeds = append(seeds,
 		[]byte("# vppb-log v1\nevent 0 0 T1 before thr_exit\n"),
 		[]byte("# vppb-log v1\nthread 1 name=\\s prio=-9999999999999999999\n"),
 		[]byte("# vppb-log v1\nobject 9 kind=mutex name=\\u0020\n"),
 		[]byte("# vppb-log v1\ncpus 99999999999999999999\n"),
 		[]byte("# vppb-log v1\r\n\n  thread 1 name=a\u00a0b func=\xff\u2028\r\r\nevent 0 0 T1 before thr_exit loc=x:y:7\n"),
+		// 9 and 10 digits around the inline integer parser, and int32
+		// overflow at 10 digits.
+		[]byte("# vppb-log v1\nthread 999999999 name=a prio=-999999999 boundcpu=+123456789\nthread 2147483647 name=b prio=-2147483648\n"+
+			"event 123456789 1234567890 T999999999 before thr_exit loc=a:-1234567890\n"),
+		[]byte("# vppb-log v1\nthread 2147483648 name=a\n"),
+		[]byte("# vppb-log v1\nobject 1 kind=mutex count=-2147483649\n"),
+		[]byte("# vppb-log v1\nevent 0 0 T1 before mutex_lock obj=1234567890\n"),
+		// A sign alone.
+		[]byte("# vppb-log v1\ncpus +\n"),
+		[]byte("# vppb-log v1\nevent - 0 T1 before thr_exit\n"),
+		[]byte("# vppb-log v1\nevent 0 0 T+ before thr_exit\n"),
+		[]byte("# vppb-log v1\nevent 0 0 T1 before thr_exit loc=a:+\n"),
+		[]byte("# vppb-log v1\nevent 0 0 T1 before thr_exit loc=a:-\n"),
+		// Repeated spaces, and a loc file that changes or is empty.
+		[]byte("# vppb-log v1\nevent  0   0 T1  before    thr_yield  loc=a:1\n"+
+			"event 1 1 T1 after thr_yield loc=:2\nevent 2 2 T1 before thr_yield loc=a:3\nevent 3 3 T1 after thr_yield loc=:4\n"),
 	)
+	// A control byte or a byte that is not ASCII at each offset 0-8 of a
+	// line, counted from either end: the first word of a line is tested
+	// whole, its last bytes one by one.
+	line := "event 0 0 T1 before thr_exit loc=a:1"
+	for _, c := range []string{"\t", "\v", "\r", "\u00a0", "\xff"} {
+		for off := 0; off <= 8; off++ {
+			end := len(line) - off
+			seeds = append(seeds,
+				[]byte("# vppb-log v1\n"+line[:off]+c+line[off:]+"\n"),
+				[]byte("# vppb-log v1\n"+line[:end]+c+line[end:]+"\n"))
+		}
+	}
+	return seeds
 }
 
 func FuzzReadText(f *testing.F) {
@@ -66,10 +119,13 @@ func FuzzReadText(f *testing.F) {
 			return
 		}
 		// Accepted input must survive a re-encode round trip, and the
-		// encoder must size its output exactly.
+		// encoder must size its output exactly and agree with the oracle.
 		enc := AppendText(nil, l)
 		if cap(enc) != len(enc) {
 			t.Fatalf("AppendText: cap %d, len %d", cap(enc), len(enc))
+		}
+		if oenc := oracleAppendText(nil, l); !bytes.Equal(enc, oenc) {
+			t.Fatalf("AppendText differs from the oracle's:\n%q\n%q", enc, oenc)
 		}
 		back, err := ReadText(bytes.NewReader(enc))
 		if err != nil {

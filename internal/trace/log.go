@@ -214,6 +214,9 @@ func (l *Log) validate() (*logIndex, int, error) {
 	open := make([]Call, len(ix.befores))
 	var prev vtime.Time
 	prevSeq := int64(-1)
+	// Consecutive events mostly come from one thread: its slot is looked
+	// up once per run.
+	tid, slot := ThreadID(0), int32(-1)
 	for i := range l.Events {
 		ev := &l.Events[i]
 		if ev.Time < prev {
@@ -229,9 +232,12 @@ func (l *Log) validate() (*logIndex, int, error) {
 		if ev.Call == CallNone || ev.Call >= numCalls {
 			return nil, i, fmt.Errorf("trace: event %d: invalid call %d", i, uint8(ev.Call))
 		}
-		slot, known := ix.slots[ev.Thread]
-		if !known {
-			return nil, i, fmt.Errorf("trace: event %d: unknown thread %d", i, ev.Thread)
+		if ev.Thread != tid || slot < 0 {
+			s, known := ix.slots[ev.Thread]
+			if !known {
+				return nil, i, fmt.Errorf("trace: event %d: unknown thread %d", i, ev.Thread)
+			}
+			tid, slot = ev.Thread, s
 		}
 		if ev.Object != 0 && ix.object(ev.Object) < 0 {
 			return nil, i, fmt.Errorf("trace: event %d: unknown object %d", i, ev.Object)

@@ -8,14 +8,16 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"vppb/internal/source"
 	"vppb/internal/vtime"
 )
 
 // Reference implementations for the differential tests: the scanner-based
-// text reader, the scan-per-lookup validator and the copy-per-thread
-// profile builder that the in-place decoder, the indexed validator and the
+// text reader, the per-field-quoting text encoder, the scan-per-lookup
+// validator and the copy-per-thread profile builder that the in-place
+// decoder, the per-run path encoder, the indexed validator and the
 // single-pass builder replaced. They are kept verbatim except for one
 // change each to validate and BuildProfile: where the original picked the
 // reported error by walking a map (random order when several threads are
@@ -287,6 +289,138 @@ func oracleCutLast(s, sep string) (before, after string, found bool) {
 		return s, "", false
 	}
 	return s[:i], s[i+len(sep):], true
+}
+
+// oracleAppendText is AppendText as it was before source paths were quoted
+// once per run: every name and path goes through oracleQuote, which checks
+// it rune by rune.
+func oracleAppendText(dst []byte, l *Log) []byte {
+	dst = append(dst, textMagic...)
+	dst = append(dst, '\n')
+	dst = append(dst, "program "...)
+	dst = append(dst, oracleQuote(l.Header.Program)...)
+	dst = append(dst, "\ncpus "...)
+	dst = strconv.AppendInt(dst, int64(l.Header.CPUs), 10)
+	dst = append(dst, "\nlwps "...)
+	dst = strconv.AppendInt(dst, int64(l.Header.LWPs), 10)
+	dst = append(dst, "\nprobecost "...)
+	dst = strconv.AppendInt(dst, int64(l.Header.ProbeCost), 10)
+	dst = append(dst, "\nstart "...)
+	dst = strconv.AppendInt(dst, int64(l.Header.Start), 10)
+	dst = append(dst, "\nend "...)
+	dst = strconv.AppendInt(dst, int64(l.Header.End), 10)
+	dst = append(dst, '\n')
+	for _, t := range l.Threads {
+		dst = append(dst, "thread "...)
+		dst = strconv.AppendInt(dst, int64(t.ID), 10)
+		dst = append(dst, " name="...)
+		dst = append(dst, oracleQuote(t.Name)...)
+		dst = append(dst, " func="...)
+		dst = append(dst, oracleQuote(t.Func)...)
+		dst = append(dst, " bound="...)
+		dst = strconv.AppendInt(dst, int64(b2i(t.Bound)), 10)
+		dst = append(dst, " boundcpu="...)
+		dst = strconv.AppendInt(dst, int64(t.BoundCPU), 10)
+		dst = append(dst, " prio="...)
+		dst = strconv.AppendInt(dst, int64(t.Prio), 10)
+		dst = append(dst, '\n')
+	}
+	for _, o := range l.Objects {
+		dst = append(dst, "object "...)
+		dst = strconv.AppendInt(dst, int64(o.ID), 10)
+		dst = append(dst, " kind="...)
+		dst = append(dst, o.Kind.String()...)
+		dst = append(dst, " name="...)
+		dst = append(dst, oracleQuote(o.Name)...)
+		dst = append(dst, " count="...)
+		dst = strconv.AppendInt(dst, int64(o.InitCount), 10)
+		dst = append(dst, '\n')
+	}
+	for i := range l.Events {
+		dst = oracleAppendEventLine(dst, &l.Events[i])
+	}
+	return dst
+}
+
+func oracleAppendEventLine(dst []byte, ev *Event) []byte {
+	dst = append(dst, "event "...)
+	dst = strconv.AppendInt(dst, ev.Seq, 10)
+	dst = append(dst, ' ')
+	dst = strconv.AppendInt(dst, int64(ev.Time), 10)
+	dst = append(dst, ' ', 'T')
+	dst = strconv.AppendInt(dst, int64(ev.Thread), 10)
+	dst = append(dst, ' ')
+	dst = append(dst, ev.Class.String()...)
+	dst = append(dst, ' ')
+	dst = append(dst, ev.Call.String()...)
+	if ev.Object != 0 {
+		dst = append(dst, " obj="...)
+		dst = strconv.AppendInt(dst, int64(ev.Object), 10)
+	}
+	if ev.Mutex != 0 {
+		dst = append(dst, " mutex="...)
+		dst = strconv.AppendInt(dst, int64(ev.Mutex), 10)
+	}
+	if ev.Target != 0 {
+		dst = append(dst, " target="...)
+		dst = strconv.AppendInt(dst, int64(ev.Target), 10)
+	}
+	if hasOutcome(ev.Call) {
+		dst = append(dst, " ok="...)
+		dst = strconv.AppendInt(dst, int64(b2i(ev.OK)), 10)
+	}
+	if ev.Timeout != 0 {
+		dst = append(dst, " timeout="...)
+		dst = strconv.AppendInt(dst, int64(ev.Timeout), 10)
+	}
+	if ev.Prio != 0 {
+		dst = append(dst, " prio="...)
+		dst = strconv.AppendInt(dst, int64(ev.Prio), 10)
+	}
+	if !ev.Loc.IsZero() {
+		dst = append(dst, " loc="...)
+		dst = append(dst, oracleQuote(ev.Loc.File)...)
+		dst = append(dst, ':')
+		dst = strconv.AppendInt(dst, int64(ev.Loc.Line), 10)
+	}
+	return append(dst, '\n')
+}
+
+func oracleQuote(s string) string {
+	if s == "" {
+		return "-"
+	}
+	if s == "-" {
+		return `\-`
+	}
+	plain := true
+	for _, r := range s {
+		if r == '\\' || unicode.IsSpace(r) {
+			plain = false
+			break
+		}
+	}
+	if plain {
+		return s
+	}
+	var b strings.Builder
+	for _, r := range s {
+		switch {
+		case r == '\\':
+			b.WriteString(`\\`)
+		case r == ' ':
+			b.WriteString(`\s`)
+		case r == '\n':
+			b.WriteString(`\n`)
+		case r == '\t':
+			b.WriteString(`\t`)
+		case unicode.IsSpace(r):
+			fmt.Fprintf(&b, `\u%04x`, r)
+		default:
+			b.WriteRune(r)
+		}
+	}
+	return b.String()
 }
 
 func oracleValidate(l *Log) (int, error) {
