@@ -22,7 +22,9 @@
 //	vppb-analyze -log damaged.log -strict              # refuse corrupt input
 //
 // A structurally invalid log is repaired automatically before analysis,
-// exactly as vppb-sim does.
+// exactly as vppb-sim does (a one-line note goes to stderr); -repair prints
+// the full repair report and -strict turns any corruption into a hard
+// failure. Usage mistakes exit with status 2, runtime failures with 1.
 package main
 
 import (
@@ -35,12 +37,13 @@ import (
 	"strings"
 
 	"vppb"
+	"vppb/internal/cli"
 )
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "vppb-analyze:", err)
-		os.Exit(1)
+		os.Exit(cli.ExitCode(err))
 	}
 }
 
@@ -64,43 +67,38 @@ func run(args []string, stdout, stderr io.Writer) error {
 		strict    = fs.Bool("strict", false, "fail on a corrupt log instead of repairing it")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return cli.UsageError{Err: err}
 	}
 	if *logPath == "" {
-		return fmt.Errorf("missing -log")
+		return cli.Usagef("missing -log")
 	}
 	if *strict && *repair {
-		return fmt.Errorf("-strict and -repair are mutually exclusive")
+		return cli.Usagef("-strict and -repair are mutually exclusive")
 	}
 	cpuCounts, err := parseCPUList(*cpusList)
 	if err != nil {
-		return err
+		return cli.UsageError{Err: err}
+	}
+	for _, c := range cpuCounts {
+		if c > vppb.MaxCPUs {
+			return cli.Usagef("-cpus allows at most %d CPUs per machine, got %d", vppb.MaxCPUs, c)
+		}
+	}
+	var boundCounts []int
+	if *boundAt != "" {
+		if boundCounts, err = parseCPUList(*boundAt); err != nil {
+			return cli.Usagef("-bound-at: %w", err)
+		}
+	}
+	if err := vppb.CheckLogFormat(*format); err != nil {
+		return cli.UsageError{Err: err}
 	}
 
-	if err := vppb.CheckLogFormat(*format); err != nil {
+	p, err := cli.ReadLog("vppb-analyze", *logPath, *format, *strict, *repair, stderr)
+	if err != nil {
 		return err
 	}
-	log, err := vppb.ReadLogFormat(*logPath, *format)
-	if err != nil {
-		return fmt.Errorf("%s: %w", *logPath, err)
-	}
-	if verr := log.Validate(); verr != nil {
-		if *strict {
-			return fmt.Errorf("%s: corrupt log: %w", *logPath, verr)
-		}
-		repaired, rep, rerr := vppb.RepairLog(log)
-		if rerr != nil {
-			return fmt.Errorf("%s: %w", *logPath, rerr)
-		}
-		if *repair {
-			fmt.Fprintf(stderr, "vppb-analyze: %s: corrupt log (%v)\n", *logPath, verr)
-			fmt.Fprint(stderr, rep.String())
-		} else {
-			fmt.Fprintf(stderr, "vppb-analyze: %s: corrupt log repaired: %s (-repair for details, -strict to fail)\n",
-				*logPath, rep.Summary())
-		}
-		log = repaired
-	}
+	log := p.Log
 
 	a, err := vppb.AnalyzeHB(log)
 	if err != nil {
@@ -108,11 +106,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *boundAt != "" {
-		counts, err := parseCPUList(*boundAt)
-		if err != nil {
-			return fmt.Errorf("-bound-at: %w", err)
-		}
-		return printBoundAt(stdout, log, a, counts, *jsonOut)
+		return printBoundAt(stdout, log, a, boundCounts, *jsonOut)
 	}
 
 	if *jsonOut {
@@ -136,12 +130,24 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "program            %s\n", log.Header.Program)
 	fmt.Fprintf(stdout, "events             %d over %d threads\n", len(log.Events), len(log.Threads))
 	io.WriteString(stdout, a.FormatBound())
-	fmt.Fprintf(stdout, "\n%6s %18s %13s\n", "CPUs", "predicted speed-up", "upper bound")
+
+	// One replay set: the 1-CPU baseline every speed-up divides by, then
+	// one machine per row. The flow graph and the SVG overlay draw the
+	// last row's replay, so only that one keeps its timeline, and only
+	// when they are asked for.
+	machines := []vppb.Machine{{CPUs: 1, DiscardTimeline: true}}
 	for _, cpus := range cpuCounts {
-		sp, err := vppb.PredictSpeedup(log, vppb.Machine{CPUs: cpus})
-		if err != nil {
-			return err
-		}
+		machines = append(machines, vppb.Machine{CPUs: cpus, DiscardTimeline: true})
+	}
+	drawn := len(machines) - 1
+	machines[drawn].DiscardTimeline = !*flow && *svgPath == ""
+	results, err := vppb.SimulateMany(p.Profile, machines)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "\n%6s %18s %13s\n", "CPUs", "predicted speed-up", "upper bound")
+	for i, cpus := range cpuCounts {
+		sp := vppb.Speedup(results[0].Duration, results[i+1].Duration)
 		fmt.Fprintf(stdout, "%6d %17.2fx %12.2fx\n", cpus, sp, a.BoundAt(cpus))
 	}
 
@@ -158,11 +164,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// The overlay highlights the replayed execution at the largest
 		// swept machine size.
 		cpus := cpuCounts[len(cpuCounts)-1]
-		res, err := vppb.Simulate(log, vppb.Machine{CPUs: cpus})
-		if err != nil {
-			return err
-		}
-		view, err := vppb.NewView(res.Timeline)
+		view, err := vppb.NewView(results[drawn].Timeline)
 		if err != nil {
 			return err
 		}

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"vppb"
+	"vppb/internal/cli"
+	"vppb/internal/ingest/ingesttest"
 )
 
 func fixtureLog(t *testing.T, workload string, prm vppb.WorkloadParams) string {
@@ -186,4 +188,44 @@ func TestRepairFlow(t *testing.T) {
 	if _, _, err := runCmd(t, "-log", path, "-strict"); err == nil {
 		t.Fatal("-strict accepted a corrupt log")
 	}
+}
+
+// TestUsageErrorsExitStatusTwo: every invocation mistake exits with
+// status 2, a runtime failure with 1.
+func TestUsageErrorsExitStatusTwo(t *testing.T) {
+	path := fixtureLog(t, "example", vppb.WorkloadParams{})
+	for _, args := range [][]string{
+		{},
+		{"-no-such-flag"},
+		{"-log", path, "-strict", "-repair"},
+		{"-log", path, "-cpus", "0"},
+		{"-log", path, "-cpus", "2,x"},
+		{"-log", path, "-cpus", "4097"},
+		{"-log", path, "-bound-at", "x"},
+		{"-log", path, "-format", "pcap"},
+		{"-log", "/no/such/file.log", "-top", "x"},
+	} {
+		_, _, err := runCmd(t, args...)
+		if err == nil {
+			t.Errorf("args %v accepted", args)
+			continue
+		}
+		if code := cli.ExitCode(err); code != 2 {
+			t.Errorf("args %v: exitCode = %d, want 2", args, code)
+		}
+	}
+	if _, _, err := runCmd(t, "-log", path, "-cpus", "4096", "-bound"); err != nil {
+		t.Errorf("-cpus at the limit: %v", err)
+	}
+	// Runtime failures still exit 1.
+	_, _, err := runCmd(t, "-log", "/no/such/file.log")
+	if err == nil || cli.ExitCode(err) != 1 {
+		t.Fatalf("missing file: err = %v, exitCode = %d; want exit 1", err, cli.ExitCode(err))
+	}
+}
+
+// TestIngestVerdicts: vppb-analyze accepts, repairs (with the same summary) or
+// refuses each shared frontend input exactly as ingest.Prepare does.
+func TestIngestVerdicts(t *testing.T) {
+	ingesttest.CheckCLI(t, run)
 }

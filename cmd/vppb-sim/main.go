@@ -24,7 +24,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -34,30 +33,14 @@ import (
 	"strings"
 
 	"vppb"
+	"vppb/internal/cli"
 )
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "vppb-sim:", err)
-		os.Exit(exitCode(err))
+		os.Exit(cli.ExitCode(err))
 	}
-}
-
-// usageError marks an invocation mistake (as opposed to a runtime
-// failure): the process exits with status 2, the conventional
-// bad-command-line code.
-type usageError struct{ err error }
-
-func (u usageError) Error() string { return u.err.Error() }
-func (u usageError) Unwrap() error { return u.err }
-
-// exitCode maps an error from run to a process exit status.
-func exitCode(err error) int {
-	var ue usageError
-	if errors.As(err, &ue) {
-		return 2
-	}
-	return 1
 }
 
 type bindFlags struct {
@@ -148,60 +131,39 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.Var(&bindFlags{overrides}, "bind", "thread binding override: TID=cpu:N | TID=lwp | TID=unbound (repeatable)")
 	fs.Var(&prioFlags{overrides}, "prio", "pin a thread's priority: TID=PRIO (repeatable)")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return cli.UsageError{Err: err}
 	}
 
 	if *logPath == "" {
-		return fmt.Errorf("missing -log")
+		return cli.Usagef("missing -log")
 	}
 	if *strict && *repair {
-		return fmt.Errorf("-strict and -repair are mutually exclusive")
+		return cli.Usagef("-strict and -repair are mutually exclusive")
 	}
 	if err := vppb.CheckPolicy(*policy); err != nil {
-		return usageError{fmt.Errorf("-policy: %w", err)}
+		return cli.Usagef("-policy: %w", err)
 	}
 	if err := vppb.CheckLogFormat(*format); err != nil {
-		return usageError{err}
+		return cli.UsageError{Err: err}
 	}
 	if *cpus > vppb.MaxCPUs || *lwps > vppb.MaxCPUs {
-		return usageError{fmt.Errorf("-cpus %d / -lwps %d: at most %d each", *cpus, *lwps, vppb.MaxCPUs)}
+		return cli.Usagef("-cpus %d / -lwps %d: at most %d each", *cpus, *lwps, vppb.MaxCPUs)
 	}
 	var sizes []int
 	if *sweep != "" {
 		var err error
 		if sizes, err = parseSizes(*sweep); err != nil {
-			return usageError{err}
+			return cli.UsageError{Err: err}
 		}
 	}
-	log, err := vppb.ReadLogFormat(*logPath, *format)
-	if err != nil {
-		return fmt.Errorf("%s: %w", *logPath, err)
-	}
-	if verr := log.Validate(); verr != nil {
-		if *strict {
-			return fmt.Errorf("%s: corrupt log: %w", *logPath, verr)
-		}
-		repaired, rep, rerr := vppb.RepairLog(log)
-		if rerr != nil {
-			return fmt.Errorf("%s: %w", *logPath, rerr)
-		}
-		if *repair {
-			fmt.Fprintf(stderr, "vppb-sim: %s: corrupt log (%v)\n", *logPath, verr)
-			fmt.Fprint(stderr, rep.String())
-		} else {
-			fmt.Fprintf(stderr, "vppb-sim: %s: corrupt log repaired: %s (-repair for details, -strict to fail)\n",
-				*logPath, rep.Summary())
-		}
-		log = repaired
-	}
-
-	// The profile is derived once and shared, read-only, by every
-	// simulation this invocation runs (the prediction, its uniprocessor
-	// baseline, and all sweep points).
-	prof, err := vppb.BuildProfile(log)
+	p, err := cli.ReadLog("vppb-sim", *logPath, *format, *strict, *repair, stderr)
 	if err != nil {
 		return err
 	}
+	// The profile is shared, read-only, by every simulation this
+	// invocation runs (the prediction, its uniprocessor baseline, and all
+	// sweep points).
+	log, prof := p.Log, p.Profile
 
 	machine := vppb.Machine{
 		CPUs:           *cpus,

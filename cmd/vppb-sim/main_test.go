@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"vppb"
+	"vppb/internal/cli"
+	"vppb/internal/ingest/ingesttest"
 )
 
 // fixtureLog records a workload into a temp file once per test.
@@ -359,7 +361,7 @@ func TestUnknownPolicyRejected(t *testing.T) {
 			t.Errorf("error %q does not mention %q", err, want)
 		}
 	}
-	if code := exitCode(err); code != 2 {
+	if code := cli.ExitCode(err); code != 2 {
 		t.Errorf("exitCode = %d, want the usage-error status 2", code)
 	}
 }
@@ -414,25 +416,46 @@ func TestOverrideFlags(t *testing.T) {
 
 // TestMachineSizeFlagsExitTwo: a machine beyond vppb.MaxCPUs CPUs or LWPs
 // is a usage error (exit status 2) naming the limit, never an attempt to
-// allocate it.
+// allocate it. So is every other invocation mistake: an unknown or
+// malformed flag, a missing -log, an unknown -format, and -strict with
+// -repair.
 func TestMachineSizeFlagsExitTwo(t *testing.T) {
 	path := fixtureLog(t, "example")
-	for _, args := range [][]string{
-		{"-cpus", "2000000000"},
-		{"-lwps", "4097"},
-		{"-sweep", "1,4097"},
-		{"-optimize", "-sweep", "2000000000"},
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-log", path, "-cpus", "2000000000"}, "4096"},
+		{[]string{"-log", path, "-lwps", "4097"}, "4096"},
+		{[]string{"-log", path, "-sweep", "1,4097"}, "4096"},
+		{[]string{"-log", path, "-optimize", "-sweep", "2000000000"}, "4096"},
+		{[]string{"-no-such-flag"}, "no-such-flag"},
+		{[]string{"-log", path, "-bind", "4=teapot"}, "teapot"},
+		{[]string{"-cpus", "2"}, "missing -log"},
+		{[]string{"-log", path, "-strict", "-repair"}, "mutually exclusive"},
+		{[]string{"-log", path, "-format", "pcap"}, "pcap"},
 	} {
-		_, _, err := runCmd(t, append([]string{"-log", path}, args...)...)
-		if err == nil || !strings.Contains(err.Error(), "4096") {
-			t.Errorf("%v: err = %v, want the limit named", args, err)
+		_, _, err := runCmd(t, tc.args...)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want it to name %q", tc.args, err, tc.want)
 			continue
 		}
-		if code := exitCode(err); code != 2 {
-			t.Errorf("%v: exitCode = %d, want 2", args, code)
+		if code := cli.ExitCode(err); code != 2 {
+			t.Errorf("%v: exitCode = %d, want 2", tc.args, code)
 		}
 	}
 	if _, _, err := runCmd(t, "-log", path, "-cpus", "4096", "-lwps", "4096"); err != nil {
 		t.Errorf("a machine at the limit fails: %v", err)
 	}
+	// Runtime failures still exit 1.
+	_, _, err := runCmd(t, "-log", "/no/such/file.log")
+	if err == nil || cli.ExitCode(err) != 1 {
+		t.Fatalf("missing file: err = %v, exitCode = %d; want exit 1", err, cli.ExitCode(err))
+	}
+}
+
+// TestIngestVerdicts: vppb-sim accepts, repairs (with the same summary) or
+// refuses each shared frontend input exactly as ingest.Prepare does.
+func TestIngestVerdicts(t *testing.T) {
+	ingesttest.CheckCLI(t, run, "-cpus", "2")
 }

@@ -21,7 +21,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -30,30 +29,14 @@ import (
 	"strings"
 
 	"vppb"
+	"vppb/internal/cli"
 )
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "vppb-view:", err)
-		os.Exit(exitCode(err))
+		os.Exit(cli.ExitCode(err))
 	}
-}
-
-// usageError marks an invocation mistake (as opposed to a runtime
-// failure): the process exits with status 2, the conventional
-// bad-command-line code.
-type usageError struct{ err error }
-
-func (u usageError) Error() string { return u.err.Error() }
-func (u usageError) Unwrap() error { return u.err }
-
-// exitCode maps an error from run to a process exit status.
-func exitCode(err error) int {
-	var ue usageError
-	if errors.As(err, &ue) {
-		return 2
-	}
-	return 1
 }
 
 func run(args []string, stdout, stderr io.Writer) error {
@@ -82,16 +65,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 		strict   = fs.Bool("strict", false, "fail on a corrupt log instead of repairing it")
 	)
 	if err := fs.Parse(args); err != nil {
-		return usageError{err}
+		return cli.UsageError{Err: err}
 	}
 	if fs.NArg() > 0 {
-		return usageError{fmt.Errorf("unexpected argument %q", fs.Arg(0))}
+		return cli.Usagef("unexpected argument %q", fs.Arg(0))
 	}
 	if *strict && *repair {
-		return usageError{fmt.Errorf("-strict and -repair are mutually exclusive")}
+		return cli.Usagef("-strict and -repair are mutually exclusive")
 	}
 	if *cpus > vppb.MaxCPUs || *lwps > vppb.MaxCPUs {
-		return usageError{fmt.Errorf("-cpus %d / -lwps %d: at most %d each", *cpus, *lwps, vppb.MaxCPUs)}
+		return cli.Usagef("-cpus %d / -lwps %d: at most %d each", *cpus, *lwps, vppb.MaxCPUs)
 	}
 
 	var timeline *vppb.Timeline
@@ -109,37 +92,20 @@ func run(args []string, stdout, stderr io.Writer) error {
 		program = timeline.Program
 	case *logPath != "":
 		if err := vppb.CheckLogFormat(*format); err != nil {
-			return usageError{err}
+			return cli.UsageError{Err: err}
 		}
-		log, err := vppb.ReadLogFormat(*logPath, *format)
+		p, err := cli.ReadLog("vppb-view", *logPath, *format, *strict, *repair, stderr)
 		if err != nil {
 			return err
 		}
-		if verr := log.Validate(); verr != nil {
-			if *strict {
-				return fmt.Errorf("%s: corrupt log: %w", *logPath, verr)
-			}
-			repaired, rep, rerr := vppb.RepairLog(log)
-			if rerr != nil {
-				return fmt.Errorf("%s: %w", *logPath, rerr)
-			}
-			if *repair {
-				fmt.Fprintf(stderr, "vppb-view: %s: corrupt log (%v)\n", *logPath, verr)
-				fmt.Fprint(stderr, rep.String())
-			} else {
-				fmt.Fprintf(stderr, "vppb-view: %s: corrupt log repaired: %s (-repair for details, -strict to fail)\n",
-					*logPath, rep.Summary())
-			}
-			log = repaired
-		}
-		res, err := vppb.Simulate(log, vppb.Machine{CPUs: *cpus, LWPs: *lwps})
+		res, err := vppb.SimulateProfile(p.Profile, vppb.Machine{CPUs: *cpus, LWPs: *lwps})
 		if err != nil {
 			return err
 		}
 		timeline = res.Timeline
-		program = log.Header.Program
+		program = p.Log.Header.Program
 	default:
-		return usageError{fmt.Errorf("need -log or -timeline")}
+		return cli.Usagef("need -log or -timeline")
 	}
 	view, err := vppb.NewView(timeline)
 	if err != nil {
@@ -149,12 +115,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *window != "" {
 		lo, hi, ok := strings.Cut(*window, ",")
 		if !ok {
-			return usageError{fmt.Errorf("-window wants start,end")}
+			return cli.Usagef("-window wants start,end")
 		}
 		start, err1 := strconv.ParseFloat(lo, 64)
 		end, err2 := strconv.ParseFloat(hi, 64)
 		if err1 != nil || err2 != nil {
-			return usageError{fmt.Errorf("-window wants numbers, got %q", *window)}
+			return cli.Usagef("-window wants numbers, got %q", *window)
 		}
 		if err := view.SetWindow(
 			vppb.Time(start*float64(vppb.Second)),
@@ -171,7 +137,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		for _, part := range strings.Split(*threads, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil {
-				return usageError{fmt.Errorf("-threads: %v", err)}
+				return cli.Usagef("-threads: %v", err)
 			}
 			ids = append(ids, vppb.ThreadID(n))
 		}

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"vppb"
+	"vppb/internal/cli"
+	"vppb/internal/ingest/ingesttest"
 )
 
 func fixtureLog(t *testing.T) string {
@@ -192,7 +194,7 @@ func TestStrictRejectsCorrupt(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "corrupt log") || !strings.Contains(err.Error(), path) {
 		t.Fatalf("err = %v", err)
 	}
-	if code := exitCode(err); code != 1 {
+	if code := cli.ExitCode(err); code != 1 {
 		t.Fatalf("a corrupt log is a runtime failure: exitCode = %d, want 1", code)
 	}
 }
@@ -216,20 +218,22 @@ func TestUsageErrorsExitStatusTwo(t *testing.T) {
 		{"-log", path, "stray-arg"},
 		{"-log", path, "-cpus", "2000000000"},
 		{"-log", path, "-lwps", "4097"},
+		{"-log", path, "-format", "pcap"},
+		{"-log", path, "-bogus"},
 	} {
 		_, _, err := runCmd(t, args...)
 		if err == nil {
 			t.Errorf("args %v accepted", args)
 			continue
 		}
-		if code := exitCode(err); code != 2 {
+		if code := cli.ExitCode(err); code != 2 {
 			t.Errorf("args %v: exitCode = %d, want 2", args, code)
 		}
 	}
 	// Runtime failures still exit 1.
 	_, _, err := runCmd(t, "-log", "/no/such/file.log")
-	if err == nil || exitCode(err) != 1 {
-		t.Fatalf("missing file: err = %v, exitCode = %d; want exit 1", err, exitCode(err))
+	if err == nil || cli.ExitCode(err) != 1 {
+		t.Fatalf("missing file: err = %v, exitCode = %d; want exit 1", err, cli.ExitCode(err))
 	}
 }
 
@@ -278,4 +282,10 @@ func TestMainExitCodeUsageError(t *testing.T) {
 	if !strings.Contains(string(out), "need -log or -timeline") {
 		t.Fatalf("diagnostic missing:\n%s", out)
 	}
+}
+
+// TestIngestVerdicts: vppb-view accepts, repairs (with the same summary) or
+// refuses each shared frontend input exactly as ingest.Prepare does.
+func TestIngestVerdicts(t *testing.T) {
+	ingesttest.CheckCLI(t, run, "-cpus", "2")
 }

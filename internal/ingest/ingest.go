@@ -1,12 +1,15 @@
 // Package ingest unifies the predictor's trace frontends: native vppb
 // recordings (text or binary) and Go runtime execution traces. Callers
-// hand it raw bytes; it detects the format from the content and returns a
-// validated trace.Log, so the CLIs and the prediction daemon share one
-// entry point and one set of error messages.
+// hand it raw bytes; it detects the format from the content, decodes it,
+// and Prepare turns the decoded trace.Log into a validated (if need be
+// repaired) Log and its replayable Profile. The CLIs and the prediction
+// daemon share that one entry point, one repair policy and one set of
+// error messages.
 package ingest
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 
@@ -95,4 +98,44 @@ func File(path, format string) (*trace.Log, error) {
 		return nil, err
 	}
 	return Decode(data, format, "")
+}
+
+// Prepared is a recording ready for replay.
+type Prepared struct {
+	// Log is the recording the Profile was built from: the decoded log,
+	// or its repaired copy.
+	Log *trace.Log
+	// Profile is the simulator input.
+	Profile *trace.Profile
+	// Invalid is why the decoded log failed validation, nil if it passed.
+	Invalid *trace.ValidationError
+	// Repair lists the fixes that made the log valid, nil if it passed.
+	Repair *trace.RepairReport
+}
+
+// Prepare is the one repair policy of every frontend. It profiles log,
+// which validates it. A log that fails validation is refused under strict
+// with an error that wraps the *trace.ValidationError; otherwise it is
+// repaired, and the repaired copy is profiled. A repair that fails returns
+// its *trace.UnrecoverableError, and a log no profile can be built from
+// (not a 1-CPU/1-LWP recording) returns BuildProfile's error.
+func Prepare(log *trace.Log, strict bool) (*Prepared, error) {
+	prof, err := trace.BuildProfile(log)
+	var verr *trace.ValidationError
+	switch {
+	case err == nil:
+		return &Prepared{Log: log, Profile: prof}, nil
+	case !errors.As(err, &verr):
+		return nil, err
+	case strict:
+		return nil, fmt.Errorf("corrupt log: %w", verr)
+	}
+	repaired, rep, err := trace.Repair(log)
+	if err != nil {
+		return nil, err
+	}
+	if prof, err = trace.BuildProfile(repaired); err != nil {
+		return nil, err
+	}
+	return &Prepared{Log: repaired, Profile: prof, Invalid: verr, Repair: rep}, nil
 }

@@ -61,27 +61,25 @@ func (a *admission) inflight() int { return len(a.slots) }
 // cooldown elapses, then one request is let through to probe again
 // (failing re-trips immediately at the threshold).
 type breakerSet struct {
-	mu        sync.Mutex
-	threshold int           // consecutive failures that trip the breaker
-	cooldown  time.Duration // how long a tripped breaker rejects requests
-	state     map[string]*breakerState
-	trips     int64
+	mu    sync.Mutex
+	state map[string]*breakerState
+	trips int64
 }
+
+// A breaker trips after breakerFailures consecutive simulation failures
+// of its digest and then rejects requests for breakerCooldown.
+const (
+	breakerFailures = 3
+	breakerCooldown = 10 * time.Second
+)
 
 type breakerState struct {
 	fails     int
 	openUntil time.Time
 }
 
-func newBreakerSet(threshold int, cooldown time.Duration) *breakerSet {
-	if threshold <= 0 {
-		return nil // disabled
-	}
-	return &breakerSet{
-		threshold: threshold,
-		cooldown:  cooldown,
-		state:     make(map[string]*breakerState),
-	}
+func newBreakerSet() *breakerSet {
+	return &breakerSet{state: make(map[string]*breakerState)}
 }
 
 // allow reports whether a simulation for digest may start.
@@ -100,7 +98,7 @@ func (b *breakerSet) allow(digest string) bool {
 	}
 	// Half-open: admit one probe; a failure re-trips at the threshold.
 	st.openUntil = time.Time{}
-	st.fails = b.threshold - 1
+	st.fails = breakerFailures - 1
 	return true
 }
 
@@ -119,8 +117,8 @@ func (b *breakerSet) record(digest string, ok bool) {
 		b.state[digest] = st
 	}
 	st.fails++
-	if st.fails >= b.threshold {
-		st.openUntil = time.Now().Add(b.cooldown)
+	if st.fails >= breakerFailures {
+		st.openUntil = time.Now().Add(breakerCooldown)
 		st.fails = 0
 		b.trips++
 	}

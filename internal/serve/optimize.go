@@ -71,19 +71,13 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) int {
 		MaxSimEvents: base.MaxSimEvents,
 	}
 
-	if s.breakers != nil && !s.breakers.allow(e.Digest) {
-		return writeError(w, errShed(http.StatusServiceUnavailable,
-			"circuit breaker open for trace %s after repeated simulation failures; retry later", e.Digest))
-	}
-	grid := int64(len(cpus) * len(policies))
-	s.metrics.SimQueue().Add(grid)
-	res, err := analysis.Optimize(r.Context(), e.Profile, hbA, opts)
-	s.metrics.SimQueue().Add(-grid)
-	if s.breakers != nil {
-		s.breakers.record(e.Digest, err == nil)
-	}
-	if err != nil {
-		return writeError(w, mapSimFailure(err, deadlineBudget))
+	var res *analysis.OptimizeResult
+	herr = s.replay(e, len(cpus)*len(policies), deadlineBudget, func() (err error) {
+		res, err = analysis.Optimize(r.Context(), e.Profile, hbA, opts)
+		return err
+	})
+	if herr != nil {
+		return writeError(w, herr)
 	}
 	s.metrics.OptimizeSimulated().Add(int64(res.Simulated))
 	s.metrics.OptimizeReused().Add(int64(res.Reused))

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"vppb/internal/core"
+	"vppb/internal/ingest/ingesttest"
 	"vppb/internal/metrics"
 	"vppb/internal/recorder"
 	"vppb/internal/trace"
@@ -107,5 +108,37 @@ func TestMachineSizeLimitRejected(t *testing.T) {
 
 	if resp, body := get(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("/healthz after the rejected requests: %d %s", resp.StatusCode, body)
+	}
+}
+
+// TestIngestVerdicts: /v1/predict accepts (200), repairs (200 with the
+// repair summary) or refuses (400 or 422) each shared frontend input
+// exactly as ingest.Prepare and the CLIs do.
+func TestIngestVerdicts(t *testing.T) {
+	for _, c := range ingesttest.Cases(t) {
+		_, ts := newTestServer(t, Config{})
+		url := ts.URL + "/v1/predict?cpus=2"
+		if c.Strict {
+			url += "&strict=true"
+		}
+		resp, body := post(t, url, c.Raw)
+		got := ingesttest.Verdict{Outcome: ingesttest.Refused}
+		switch resp.StatusCode {
+		case http.StatusOK:
+			var pr predictResponse
+			if err := json.Unmarshal(body, &pr); err != nil {
+				t.Fatalf("%s: %v", c.Name, err)
+			}
+			got.Outcome = ingesttest.Accepted
+			if pr.Repaired {
+				got = ingesttest.Verdict{Outcome: ingesttest.Repaired, Summary: pr.RepairSummary}
+			}
+		case http.StatusBadRequest, http.StatusUnprocessableEntity:
+		default:
+			t.Errorf("%s: status %d %s, want 200, 400 or 422", c.Name, resp.StatusCode, body)
+		}
+		if got != c.Want {
+			t.Errorf("%s: verdict %+v (%d %s), want %+v", c.Name, got, resp.StatusCode, body, c.Want)
+		}
 	}
 }

@@ -22,12 +22,13 @@
 //	GET  /healthz         readiness probe
 //	     /debug/pprof/*   Go profiling
 //
-// The ingestion path applies the shared repair policy: a structurally
-// corrupt upload is repaired automatically (the response carries the
-// repair summary) unless ?strict=true, which rejects it with 422. Request
-// bodies are size-limited, every request runs under a deadline, and the
-// remaining deadline is translated into the simulator's event budget so a
-// runaway replay of a pathological trace cannot pin a worker forever.
+// The ingestion path applies the CLIs' repair policy, ingest.Prepare: a
+// structurally corrupt upload is repaired automatically (the response
+// carries the repair summary) unless ?strict=true, which rejects it with
+// 422. Request bodies are size-limited, every request runs under a
+// deadline, and the remaining deadline is translated into the simulator's
+// event budget so a runaway replay of a pathological trace cannot pin a
+// worker forever.
 package serve
 
 import (
@@ -84,19 +85,6 @@ type Config struct {
 	// before being shed (0 = DefaultAdmissionWait; negative = shed
 	// immediately). The request deadline bounds the wait further.
 	AdmissionWait time.Duration
-	// BreakerFailures trips the per-digest circuit breaker after this many
-	// consecutive simulation failures (0 = DefaultBreakerFailures;
-	// negative = breaker disabled).
-	BreakerFailures int
-	// BreakerCooldown is how long a tripped breaker fast-fails requests
-	// for its digest before admitting a probe (0 = DefaultBreakerCooldown).
-	BreakerCooldown time.Duration
-	// Middleware, when set, wraps every instrumented handler inside the
-	// admission and panic-recovery layers, so a test can stall or break a
-	// request where the daemon's own robustness code sees it. A panicking
-	// middleware is recovered, counted in vppb_panics_total and answered
-	// with 500 like any handler panic.
-	Middleware func(http.Handler) http.Handler
 }
 
 // Defaults for the zero Config.
@@ -106,8 +94,6 @@ const (
 	DefaultSimEventsPerSecond = 2_000_000
 	DefaultMaxInflight        = 64
 	DefaultAdmissionWait      = 100 * time.Millisecond
-	DefaultBreakerFailures    = 3
-	DefaultBreakerCooldown    = 10 * time.Second
 )
 
 func (c Config) withDefaults() Config {
@@ -141,15 +127,6 @@ func (c Config) withDefaults() Config {
 	case c.AdmissionWait < 0:
 		c.AdmissionWait = 0
 	}
-	switch {
-	case c.BreakerFailures == 0:
-		c.BreakerFailures = DefaultBreakerFailures
-	case c.BreakerFailures < 0:
-		c.BreakerFailures = 0
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = DefaultBreakerCooldown
-	}
 	return c
 }
 
@@ -161,8 +138,8 @@ type Server struct {
 	cache    *Cache
 	store    *Store // nil when Config.StoreDir is empty
 	metrics  *Metrics
-	adm      *admission  // nil when inflight is unlimited
-	breakers *breakerSet // nil when the breaker is disabled
+	adm      *admission // nil when inflight is unlimited
+	breakers *breakerSet
 	flights  *flightGroup
 	mux      *http.ServeMux
 
@@ -174,6 +151,12 @@ type Server struct {
 	// onDecode, when set, runs before every decode of trace bytes: a
 	// fresh upload, a fault-in or a Log rebuilt for the hb reports.
 	onDecode func()
+	// middleware, when set, wraps every routed handler inside the
+	// admission and panic-recovery layers, so a test can stall or break a
+	// request where the daemon's own robustness code sees it. A panicking
+	// middleware is recovered, counted in vppb_panics_total and answered
+	// with 500 like any handler panic.
+	middleware func(http.Handler) http.Handler
 }
 
 // New creates a Server. With a StoreDir configured it opens the durable
@@ -188,7 +171,7 @@ func New(cfg Config) (*Server, error) {
 		metrics: NewMetrics(),
 	}
 	s.adm = newAdmission(s.cfg.MaxInflight, s.cfg.AdmissionWait)
-	s.breakers = newBreakerSet(s.cfg.BreakerFailures, s.cfg.BreakerCooldown)
+	s.breakers = newBreakerSet()
 	s.flights = newFlightGroup(func() { s.metrics.SingleflightShared().Add(1) })
 	if s.cfg.StoreDir != "" {
 		store, err := OpenStore(s.cfg.StoreDir)
@@ -241,19 +224,10 @@ func (s *Server) Store() *Store { return s.store }
 // Metrics exposes the metrics registry (for tests and the benchmark).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// breakerTrips reports how often a per-digest circuit breaker has tripped
-// (0 when the breaker is disabled).
-func (s *Server) breakerTrips() int64 {
-	if s.breakers == nil {
-		return 0
-	}
-	return s.breakers.tripsTotal()
-}
-
 // route mounts a handler behind the robustness and instrumentation
 // middleware: inflight gauge, per-request deadline, admission control on
-// simulation-heavy routes (gated), panic recovery, the optional injected
-// Config.Middleware, latency histogram, and the per-route request counter
+// simulation-heavy routes (gated), panic recovery, the optional test
+// middleware, latency histogram, and the per-route request counter
 // labelled with the route pattern (not the raw URL, which would explode
 // the label cardinality). Ungated routes (/metrics, /healthz) skip
 // admission so the daemon stays observable under overload.
@@ -283,8 +257,8 @@ func (s *Server) route(pattern string, gated bool, h func(http.ResponseWriter, *
 		var inner http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			code = h(w, r)
 		})
-		if s.cfg.Middleware != nil {
-			inner = s.cfg.Middleware(inner)
+		if s.middleware != nil {
+			inner = s.middleware(inner)
 		}
 		func() {
 			// A panicking handler must cost one request, not the process:
@@ -439,28 +413,34 @@ func binaryCopy(raw []byte, log *trace.Log, repaired bool) []byte {
 }
 
 // rebuildLog decodes a cached entry's Log again for the hb reports, the
-// only readers of its events: from the entry's binary copy, or from the
-// store's verified bytes through ingest, as a fault-in does.
+// only readers of its events: from the entry's binary copy, which holds
+// the ingested log, or from the store's verified bytes, the upload as it
+// came. The entry already records the repair verdict on those bytes, so
+// a repaired entry's Log is repaired again, and no profile is built.
 func (s *Server) rebuildLog(e *Entry) (*trace.Log, *httpError) {
-	if e.binary != nil {
-		log, err := s.decode(e.binary, ingest.FormatVPPB)
-		if err != nil {
-			return nil, errf(http.StatusInternalServerError, "internal error: trace %s: decoding its binary copy: %v", e.Digest, err)
+	raw, repair := e.binary, false
+	if raw == nil {
+		if s.store == nil {
+			return nil, errf(http.StatusInternalServerError, "internal error: trace %s has no bytes to rebuild its log from", e.Digest)
 		}
-		return log, nil
+		var err error
+		if raw, err = s.store.Get(e.Digest); err != nil {
+			// The bytes are gone (Get quarantined them if corrupt): forget
+			// the entry too, so that an upload of them ingests and stores
+			// afresh.
+			s.cache.Remove(e.Digest)
+			return nil, errf(http.StatusNotFound, "trace %s: its stored bytes are unreadable (upload it again): %v", e.Digest, err)
+		}
+		repair = e.Repaired
 	}
-	if s.store == nil {
-		return nil, errf(http.StatusInternalServerError, "internal error: trace %s has no bytes to rebuild its log from", e.Digest)
+	log, err := s.decode(raw, ingest.FormatAuto)
+	if err == nil && repair {
+		log, _, err = trace.Repair(log)
 	}
-	raw, err := s.store.Get(e.Digest)
 	if err != nil {
-		// The bytes are gone (Get quarantined them if corrupt): forget the
-		// entry too, so that an upload of them ingests and stores afresh.
-		s.cache.Remove(e.Digest)
-		return nil, errf(http.StatusNotFound, "trace %s: its stored bytes are unreadable (upload it again): %v", e.Digest, err)
+		return nil, errf(http.StatusInternalServerError, "internal error: trace %s: rebuilding its log: %v", e.Digest, err)
 	}
-	_, log, herr := s.ingest(e.Digest, raw, false)
-	return log, herr
+	return log, nil
 }
 
 // decode is ingest.Decode, run for every upload, fault-in and rebuild.
@@ -496,8 +476,8 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, *htt
 	return raw, nil
 }
 
-// ingest runs the upload pipeline on raw bytes: parse, validate,
-// auto-repair (unless strict), build the immutable profile. It is shared
+// ingest runs the upload pipeline on raw bytes: sniff and decode, then
+// ingest.Prepare's validate, repair (unless strict) and profile. It is shared
 // by fresh uploads and durable-store fault-ins, so an entry rebuilt after
 // a restart gets the exact same repair verdict as the original upload.
 // digest is Digest(raw), which every caller has already computed. It
@@ -518,29 +498,23 @@ func (s *Server) ingest(digest string, raw []byte, strict bool) (*Entry, *trace.
 		s.metrics.IngestError(format)
 		return nil, nil, errf(http.StatusBadRequest, "invalid %s trace: %v", format, err)
 	}
-	e := &Entry{Digest: digest, Size: len(raw)}
-	// BuildProfile validates the log; only a log it rejects as invalid is
-	// repaired and profiled again.
-	prof, err := trace.BuildProfile(log)
+	p, err := ingest.Prepare(log, strict)
 	var verr *trace.ValidationError
-	if errors.As(err, &verr) {
-		if strict {
-			return nil, nil, errf(http.StatusUnprocessableEntity, "corrupt log rejected by strict=true: %v", verr)
-		}
-		repaired, rep, rerr := trace.Repair(log)
-		if rerr != nil {
-			return nil, nil, errf(http.StatusUnprocessableEntity, "unrecoverable log: %v", rerr)
-		}
-		log = repaired
-		e.Repaired = true
-		e.RepairSummary = rep.Summary()
-		prof, err = trace.BuildProfile(log)
-	}
-	if err != nil {
+	var uerr *trace.UnrecoverableError
+	switch {
+	case errors.As(err, &verr):
+		return nil, nil, errf(http.StatusUnprocessableEntity, "corrupt log rejected by strict=true: %v", verr)
+	case errors.As(err, &uerr):
+		return nil, nil, errf(http.StatusUnprocessableEntity, "unrecoverable log: %v", uerr)
+	case err != nil:
 		return nil, nil, errf(http.StatusUnprocessableEntity, "%v", err)
 	}
-	e.Profile = prof
-	return e, log, nil
+	e := &Entry{Digest: digest, Size: len(raw), Profile: p.Profile}
+	if p.Repair != nil {
+		e.Repaired = true
+		e.RepairSummary = p.Repair.Summary()
+	}
+	return e, p.Log, nil
 }
 
 // machineFor builds the base machine of a request: the policy, the
@@ -575,26 +549,34 @@ func (s *Server) machineFor(ctx context.Context, policy string) (core.Machine, b
 	return m, deadlineBudget
 }
 
-// simulateAll fans the machines out over the bounded worker pool, keeping
-// the simulation queue-depth gauge current. It consults the per-digest
+// simulateAll fans the machines out over the bounded worker pool.
+func (s *Server) simulateAll(ctx context.Context, e *Entry, machines []core.Machine, deadlineBudget bool) ([]*core.Result, *httpError) {
+	var results []*core.Result
+	herr := s.replay(e, len(machines), deadlineBudget, func() (err error) {
+		results, err = core.SimulateManyCtx(ctx, e.Profile, machines)
+		return err
+	})
+	return results, herr
+}
+
+// replay runs sim, a request's n simulations of e, keeping the
+// simulation queue-depth gauge current. It consults the per-digest
 // circuit breaker first: a trace whose replays keep failing fast-fails
 // with 503 until the cooldown admits a probe, so one poisonous digest
 // cannot repeatedly burn full event budgets.
-func (s *Server) simulateAll(ctx context.Context, e *Entry, machines []core.Machine, deadlineBudget bool) ([]*core.Result, *httpError) {
-	if s.breakers != nil && !s.breakers.allow(e.Digest) {
-		return nil, errShed(http.StatusServiceUnavailable,
+func (s *Server) replay(e *Entry, n int, deadlineBudget bool, sim func() error) *httpError {
+	if !s.breakers.allow(e.Digest) {
+		return errShed(http.StatusServiceUnavailable,
 			"circuit breaker open for trace %s after repeated simulation failures; retry later", e.Digest)
 	}
-	s.metrics.SimQueue().Add(int64(len(machines)))
-	defer s.metrics.SimQueue().Add(-int64(len(machines)))
-	results, err := core.SimulateManyCtx(ctx, e.Profile, machines)
-	if s.breakers != nil {
-		s.breakers.record(e.Digest, err == nil)
-	}
+	s.metrics.SimQueue().Add(int64(n))
+	defer s.metrics.SimQueue().Add(-int64(n))
+	err := sim()
+	s.breakers.record(e.Digest, err == nil)
 	if err != nil {
-		return nil, mapSimFailure(err, deadlineBudget)
+		return mapSimFailure(err, deadlineBudget)
 	}
-	return results, nil
+	return nil
 }
 
 // Query-parameter parsing, mirroring the CLI contract.
@@ -907,7 +889,7 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request, contentType 
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.WritePrometheus(w, s.cache, s.store, s.breakerTrips())
+	s.metrics.WritePrometheus(w, s.cache, s.store, s.breakers.tripsTotal())
 	return http.StatusOK
 }
 

@@ -646,7 +646,8 @@ func TestPanicRecoveryConvertsTo500(t *testing.T) {
 			next.ServeHTTP(w, r)
 		})
 	}
-	_, ts := newTestServer(t, Config{Middleware: panicky})
+	s, ts := newTestServer(t, Config{})
+	s.middleware = panicky
 	raw := traceBytes(t, "example", 0.2)
 
 	req, err := http.NewRequest("POST", ts.URL+"/v1/predict", bytes.NewReader(raw))
@@ -698,7 +699,8 @@ func TestAdmissionShedsWith503(t *testing.T) {
 			next.ServeHTTP(w, r)
 		})
 	}
-	s, ts := newTestServer(t, Config{MaxInflight: 1, AdmissionWait: -1, Middleware: stall})
+	s, ts := newTestServer(t, Config{MaxInflight: 1, AdmissionWait: -1})
+	s.middleware = stall
 	raw := traceBytes(t, "example", 0.2)
 
 	done := make(chan struct{})
@@ -744,19 +746,15 @@ func TestAdmissionShedsWith503(t *testing.T) {
 	}
 }
 
-// TestBreakerTripsPerDigest: repeated simulation failures for one digest
-// trip its breaker; further requests fast-fail with 503 + Retry-After
-// instead of burning another event budget.
+// TestBreakerTripsPerDigest: breakerFailures simulation failures in a row
+// for one digest trip its breaker; further requests fast-fail with 503 +
+// Retry-After instead of burning another event budget.
 func TestBreakerTripsPerDigest(t *testing.T) {
 	// A nanosecond deadline makes every simulation fail with 504.
-	_, ts := newTestServer(t, Config{
-		RequestTimeout:  time.Nanosecond,
-		BreakerFailures: 2,
-		BreakerCooldown: time.Hour,
-	})
+	_, ts := newTestServer(t, Config{RequestTimeout: time.Nanosecond})
 	raw := traceBytes(t, "example", 0.2)
 
-	for i := 0; i < 2; i++ {
+	for i := 0; i < breakerFailures; i++ {
 		resp, body := post(t, ts.URL+"/v1/predict", raw)
 		if resp.StatusCode != http.StatusGatewayTimeout {
 			t.Fatalf("failure %d: %d %s, want 504", i, resp.StatusCode, body)

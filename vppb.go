@@ -162,6 +162,16 @@ func CheckLogFormat(format string) error { return ingest.CheckFormat(format) }
 // FormatVPPB, FormatGoTrace or "" when the bytes match neither.
 func DetectLogFormat(data []byte) string { return ingest.Detect(data) }
 
+// PreparedLog is a recording ready for replay: its Log (the repaired copy
+// when it needed repair), its Profile, and, for a repaired log, the
+// validation error it failed and the repair report.
+type PreparedLog = ingest.Prepared
+
+// PrepareLog applies the repair policy vppb-sim, vppb-analyze, vppb-view
+// and vppb-serve share: it validates a decoded log while building its
+// profile, refuses a corrupt log when strict, and otherwise repairs it.
+func PrepareLog(log *Log, strict bool) (*PreparedLog, error) { return ingest.Prepare(log, strict) }
+
 // ConvertGoTrace rebuilds a Go runtime execution trace as a 1-CPU/1-LWP
 // vppb recording: goroutines become threads, block/wake pairs become
 // synchronization operations. program names the recording ("gotrace" if
@@ -188,8 +198,6 @@ func UnmarshalTimeline(data []byte) (*Timeline, error) { return trace.UnmarshalT
 
 // Trace integrity & recovery.
 type (
-	// RepairStrategy names one recovery pass of RepairLog.
-	RepairStrategy = trace.RepairStrategy
 	// RepairReport lists every mutation a repair performed.
 	RepairReport = trace.RepairReport
 	// RepairMutation is one change in a RepairReport.
@@ -201,25 +209,6 @@ type (
 	// CorruptionInjection describes an applied corruption.
 	CorruptionInjection = faultinject.Injection
 )
-
-// Repair strategies, in pipeline order.
-const (
-	RepairSort           = trace.RepairSort
-	RepairDropDuplicates = trace.RepairDropDuplicates
-	RepairClampTimes     = trace.RepairClampTimes
-	RepairDropOrphans    = trace.RepairDropOrphans
-	RepairSynthesize     = trace.RepairSynthesize
-)
-
-// RepairLog recovers a structurally damaged log; with no strategies the
-// full pipeline runs. The result passes Log.Validate or the error is an
-// *UnrecoverableError.
-func RepairLog(log *Log, strategies ...RepairStrategy) (*Log, *RepairReport, error) {
-	return trace.Repair(log, strategies...)
-}
-
-// AllRepairStrategies lists every repair strategy in pipeline order.
-func AllRepairStrategies() []RepairStrategy { return trace.AllRepairStrategies() }
 
 // CorruptLog applies one deterministic corruption to a copy of the log —
 // the adversarial half of the integrity test harness.
