@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"vppb/internal/experiments"
+	"vppb/internal/faultinject"
 	"vppb/internal/trace"
 )
 
@@ -240,6 +241,33 @@ func benchDecode(b *testing.B, encode func(*Log) []byte) {
 		if _, err := trace.Decode(data); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRepair_Prodcons measures repairing an upload, one corruption
+// class per sub-benchmark, on the prodcons recording upload-cold corrupts.
+// Truncation is left out: its cut, not the repair, sets the log's size.
+func BenchmarkRepair_Prodcons(b *testing.B) {
+	log, err := RecordWorkload("prodcons", WorkloadParams{Scale: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, class := range CorruptionClasses() {
+		if class == faultinject.Truncate {
+			continue
+		}
+		bad, _, err := CorruptLog(log, class, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(string(class), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := trace.Repair(bad); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

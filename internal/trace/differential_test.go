@@ -7,10 +7,12 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 
 	"vppb/internal/faultinject"
 	"vppb/internal/gotrace"
+	"vppb/internal/ingest/ingesttest"
 	"vppb/internal/recorder"
 	"vppb/internal/trace"
 	"vppb/internal/vtime"
@@ -74,21 +76,11 @@ func checkOracle(t *testing.T, what string, l *trace.Log) {
 	}
 }
 
-func hasDuplicateSeq(l *trace.Log) bool {
-	seen := make(map[int64]bool, len(l.Events))
-	for _, ev := range l.Events {
-		if seen[ev.Seq] {
-			return true
-		}
-		seen[ev.Seq] = true
-	}
-	return false
-}
-
 // TestDifferentialDecodeValidateProfile decodes every recording from both
-// encodings, then checks Validate, Repair's rejection index and the
-// profile against the reference implementations on the decoded log, on
-// one faultinject corruption per class of it, and on their repairs.
+// encodings, then checks Validate, Repair and the profile against the
+// reference implementations on the decoded log and on one faultinject
+// corruption per class of it, and Validate and the profile on their
+// repairs.
 func TestDifferentialDecodeValidateProfile(t *testing.T) {
 	for name, rec := range differentialLogs(t) {
 		text := trace.AppendText(nil, rec)
@@ -129,20 +121,8 @@ func TestDifferentialDecodeValidateProfile(t *testing.T) {
 			case !errors.As(err, &ue):
 				t.Fatalf("%s: Repair: %v", what, err)
 			}
-			// Without duplicates, dropping them leaves the log as it is,
-			// so Repair's verdict is validate's on the log itself.
-			if hasDuplicateSeq(l) {
-				continue
-			}
-			oi, oerr := trace.OracleValidate(l)
-			_, _, err = trace.Repair(l, trace.RepairDropDuplicates)
-			ue = nil
-			if errors.As(err, &ue) {
-				if ue.Index != oi || errString(ue.Err) != errString(oerr) {
-					t.Fatalf("%s: Repair rejected event %d (%v); oracle %d (%v)", what, ue.Index, ue.Err, oi, oerr)
-				}
-			} else if err != nil || oerr != nil {
-				t.Fatalf("%s: Repair = %v; oracle validate %v", what, err, oerr)
+			if err := trace.DiffRepair(l); err != nil {
+				t.Fatalf("%s: %v", what, err)
 			}
 		}
 	}
@@ -198,5 +178,73 @@ func TestDifferentialValidateProfileRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 5000; i++ {
 		checkOracle(t, fmt.Sprintf("log %d", i), pairedLog(r))
+	}
+}
+
+// TestDifferentialRepair checks Repair against its reference
+// implementation: every recording under one to three compounded
+// faultinject corruptions, the first of each class; generated logs as
+// they are, with a duplicate out of place and with one corruption; and
+// every input of the frontends' verdict tests that decodes as a log, the
+// one no repair makes valid among them.
+func TestDifferentialRepair(t *testing.T) {
+	check := func(what string, l *trace.Log) {
+		t.Helper()
+		if err := trace.DiffRepair(l); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	classes := faultinject.Classes()
+	// corrupt compounds up to n corruptions, the first of class first; it
+	// stops early once a truncation leaves too few events for another.
+	corrupt := func(l *trace.Log, first faultinject.Class, n int, r *rand.Rand) (*trace.Log, string) {
+		what := ""
+		for k, class := 0, first; k < n; k, class = k+1, classes[r.Intn(len(classes))] {
+			bad, _, err := faultinject.Inject(l, class, r.Int63())
+			if err != nil {
+				break
+			}
+			l, what = bad, what+"/"+string(class)
+		}
+		return l, what
+	}
+	for name, rec := range differentialLogs(t) {
+		for _, class := range classes {
+			for seed := int64(1); seed <= 4; seed++ {
+				r := rand.New(rand.NewSource(seed))
+				l, what := corrupt(rec, class, 1+r.Intn(3), r)
+				check(fmt.Sprintf("%s%s (seed %d)", name, what, seed), l)
+			}
+		}
+	}
+	for seed := int64(1); seed <= 300; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		l := pairedLog(r)
+		check(fmt.Sprintf("paired log %d", seed), l)
+		// A copy of a record, with its outcome flipped, delivered out of
+		// order: the stable sort keeps whichever came first.
+		moved := l.Clone()
+		ev := moved.Events[r.Intn(len(moved.Events))]
+		ev.OK = !ev.OK
+		moved.Events = slices.Insert(moved.Events, r.Intn(len(moved.Events)+1), ev)
+		check(fmt.Sprintf("paired log %d with a moved duplicate", seed), moved)
+		l, what := corrupt(l, classes[seed%int64(len(classes))], 1, r)
+		check(fmt.Sprintf("paired log %d%s", seed, what), l)
+	}
+	refused := false
+	for _, c := range ingesttest.Cases(t) {
+		l, err := trace.Decode(c.Raw)
+		if err != nil {
+			continue
+		}
+		check(c.Name, l)
+		if c.Name == "unrecoverable" {
+			_, _, err := trace.Repair(l)
+			var ue *trace.UnrecoverableError
+			refused = errors.As(err, &ue)
+		}
+	}
+	if !refused {
+		t.Fatal("the unrecoverable input was repaired")
 	}
 }

@@ -6,6 +6,7 @@ var (
 	OracleReadText     = oracleReadText
 	OracleValidate     = oracleValidate
 	OracleBuildProfile = oracleBuildProfile
+	DiffRepair         = diffRepair
 	FuzzTextSeeds      = fuzzTextSeeds
 	Allocated          = allocated
 )

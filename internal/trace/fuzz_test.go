@@ -127,6 +127,9 @@ func FuzzReadText(f *testing.F) {
 		if oenc := oracleAppendText(nil, l); !bytes.Equal(enc, oenc) {
 			t.Fatalf("AppendText differs from the oracle's:\n%q\n%q", enc, oenc)
 		}
+		if err := diffRepair(l); err != nil {
+			t.Fatal(err)
+		}
 		back, err := ReadText(bytes.NewReader(enc))
 		if err != nil {
 			t.Fatalf("re-decode of accepted log failed: %v", err)

@@ -16,13 +16,14 @@ import (
 
 // Reference implementations for the differential tests: the scanner-based
 // text reader, the per-field-quoting text encoder, the scan-per-lookup
-// validator and the copy-per-thread profile builder that the in-place
-// decoder, the per-run path encoder, the indexed validator and the
-// single-pass builder replaced. They are kept verbatim except for one
-// change each to validate and BuildProfile: where the original picked the
-// reported error by walking a map (random order when several threads are
-// at fault), these walk thread IDs ascending, the order the replacements
-// report in.
+// validator, the copy-per-thread profile builder and the pass-per-stage
+// repair that the in-place decoder, the per-run path encoder, the indexed
+// validator, the single-pass builder and the one-walk repair replaced.
+// They are kept verbatim except for one change each to validate and
+// BuildProfile: where the original picked the reported error by walking a
+// map (random order when several threads are at fault), these walk thread
+// IDs ascending, the order the replacements report in. The repair keeps
+// only its full pipeline (see oracleRepair).
 
 func oracleReadText(r io.Reader) (*Log, error) {
 	sc := bufio.NewScanner(r)
@@ -633,4 +634,213 @@ func oracleBuildProfile(l *Log) (*Profile, error) {
 	}
 	sort.Slice(p.IDs, func(i, j int) bool { return p.IDs[i] < p.IDs[j] })
 	return p, nil
+}
+
+// oracleRepair is Repair as it was before the one-pass walk: a clone,
+// one pass per strategy, a map of seen sequence numbers and a final sort.
+// Its strategy list is fixed to the full pipeline, the only one Repair
+// runs now, and its report lines go through a local add where the
+// original had a RepairReport method.
+func oracleRepair(l *Log) (*Log, *RepairReport, error) {
+	enabled := map[RepairStrategy]bool{
+		RepairSort: true, RepairDropDuplicates: true, RepairClampTimes: true,
+		RepairDropOrphans: true, RepairSynthesize: true,
+	}
+	c := l.Clone()
+	rep := &RepairReport{}
+	add := func(s RepairStrategy, seq int64, format string, args ...any) {
+		rep.Mutations = append(rep.Mutations, RepairMutation{
+			Strategy: s, Seq: seq, Detail: fmt.Sprintf(format, args...),
+		})
+	}
+
+	// Recover recording order first: pairing and clock invariants are
+	// defined by the order events were recorded (Seq), not by their
+	// possibly shuffled positions or corrupted timestamps.
+	if enabled[RepairSort] {
+		if !sort.SliceIsSorted(c.Events, func(i, j int) bool {
+			return c.Events[i].Seq < c.Events[j].Seq
+		}) {
+			n := 0
+			for i := 1; i < len(c.Events); i++ {
+				if c.Events[i].Seq < c.Events[i-1].Seq {
+					n++
+				}
+			}
+			sort.SliceStable(c.Events, func(i, j int) bool {
+				return c.Events[i].Seq < c.Events[j].Seq
+			})
+			rep.Reordered += n
+			add(RepairSort, -1, "restored recording order (%d out-of-order boundaries)", n)
+		}
+	}
+
+	if enabled[RepairDropDuplicates] {
+		seen := make(map[int64]bool, len(c.Events))
+		kept := c.Events[:0]
+		for _, ev := range c.Events {
+			if seen[ev.Seq] {
+				rep.Dropped++
+				add(RepairDropDuplicates, ev.Seq, "dropped duplicate of T%d %s %s", ev.Thread, ev.Class, ev.Call)
+				continue
+			}
+			seen[ev.Seq] = true
+			kept = append(kept, ev)
+		}
+		c.Events = kept
+	}
+
+	if enabled[RepairClampTimes] {
+		prev := c.Header.Start
+		if len(c.Events) > 0 && c.Events[0].Time < c.Header.Start {
+			add(RepairClampTimes, -1, "moved header start %v back to first event at %v", c.Header.Start, c.Events[0].Time)
+			c.Header.Start = c.Events[0].Time
+			prev = c.Header.Start
+		}
+		for i := range c.Events {
+			if c.Events[i].Time < prev {
+				rep.Clamped++
+				add(RepairClampTimes, c.Events[i].Seq, "clamped regressed time %v to %v", c.Events[i].Time, prev)
+				c.Events[i].Time = prev
+			}
+			prev = c.Events[i].Time
+		}
+		if prev > c.Header.End {
+			add(RepairClampTimes, -1, "extended header end %v to last event at %v", c.Header.End, prev)
+			c.Header.End = prev
+		}
+	}
+
+	// Structural walk: resolve dangling references and BEFORE/AFTER
+	// pairing in one pass over the recording order.
+	renumber := false
+	if enabled[RepairDropOrphans] || enabled[RepairSynthesize] {
+		threadKnown := make(map[ThreadID]bool, len(c.Threads))
+		for _, t := range c.Threads {
+			threadKnown[t.ID] = true
+		}
+		objKnown := make(map[ObjectID]bool, len(c.Objects))
+		for _, o := range c.Objects {
+			objKnown[o.ID] = true
+		}
+		open := make(map[ThreadID]Event)
+		out := make([]Event, 0, len(c.Events))
+		drop := func(ev Event, format string, args ...any) {
+			rep.Dropped++
+			add(RepairDropOrphans, ev.Seq, format, args...)
+			renumber = true
+		}
+		synthAfter := func(before Event, at vtime.Time) {
+			after := before
+			after.Class = After
+			after.Time = at
+			rep.Synthesized++
+			add(RepairSynthesize, before.Seq, "synthesized AFTER %s for T%d at %v", before.Call, before.Thread, at)
+			out = append(out, after)
+			renumber = true
+		}
+		for _, ev := range c.Events {
+			if enabled[RepairDropOrphans] {
+				if ev.Call == CallNone || ev.Call >= numCalls {
+					drop(ev, "dropped event with invalid call %d", uint8(ev.Call))
+					continue
+				}
+				if ev.Class != Before && ev.Class != After {
+					drop(ev, "dropped event with invalid class %d", uint8(ev.Class))
+					continue
+				}
+				if ev.Thread != 0 && !threadKnown[ev.Thread] {
+					drop(ev, "dropped event of unknown thread %d", ev.Thread)
+					continue
+				}
+				if ev.Object != 0 && !objKnown[ev.Object] {
+					drop(ev, "dropped %s %s referencing unknown object %d", ev.Class, ev.Call, ev.Object)
+					continue
+				}
+				if ev.Mutex != 0 && !objKnown[ev.Mutex] {
+					drop(ev, "dropped %s %s referencing unknown mutex %d", ev.Class, ev.Call, ev.Mutex)
+					continue
+				}
+			}
+			switch ev.Class {
+			case Before:
+				if prevOpen, ok := open[ev.Thread]; ok {
+					if prevOpen.Call == CallThrExit {
+						// Nothing legitimately follows a thread's exit.
+						if enabled[RepairDropOrphans] {
+							drop(ev, "dropped event after thr_exit of T%d", ev.Thread)
+							continue
+						}
+					} else if enabled[RepairSynthesize] {
+						// The AFTER for the open call was lost; close it
+						// just before this event so the pairing invariant
+						// holds.
+						synthAfter(prevOpen, ev.Time)
+						delete(open, ev.Thread)
+					}
+				}
+				if pairsWithAfter(ev.Call) {
+					open[ev.Thread] = ev
+				}
+				out = append(out, ev)
+			case After:
+				prevOpen, ok := open[ev.Thread]
+				if !ok || prevOpen.Call != ev.Call {
+					if enabled[RepairDropOrphans] {
+						drop(ev, "dropped AFTER %s without matching BEFORE", ev.Call)
+						continue
+					}
+					out = append(out, ev)
+					continue
+				}
+				delete(open, ev.Thread)
+				out = append(out, ev)
+			default:
+				out = append(out, ev)
+			}
+		}
+		if enabled[RepairSynthesize] && len(open) > 0 {
+			// Truncation cut the log while these calls were in flight:
+			// close them at the end of the recording, in thread order for
+			// determinism. An open thr_exit is legitimate (it never
+			// completes for the exiting thread).
+			tids := make([]ThreadID, 0, len(open))
+			for tid := range open {
+				if open[tid].Call != CallThrExit {
+					tids = append(tids, tid)
+				}
+			}
+			sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
+			end := c.Header.End
+			if n := len(out); n > 0 && out[n-1].Time > end {
+				end = out[n-1].Time
+			}
+			for _, tid := range tids {
+				synthAfter(open[tid], end)
+			}
+		}
+		c.Events = out
+	}
+
+	// Restore canonical sequence numbering and global order after
+	// insertions or deletions changed the event list's shape.
+	if renumber {
+		for i := range c.Events {
+			c.Events[i].Seq = int64(i)
+		}
+		add(RepairSort, -1, "renumbered %d events", len(c.Events))
+	}
+	if enabled[RepairSort] {
+		c.SortEvents()
+	}
+
+	if _, idx, err := c.validate(); err != nil {
+		ue := &UnrecoverableError{Index: idx, Err: err}
+		if idx >= 0 && idx < len(c.Events) {
+			ev := c.Events[idx]
+			ue.Event = &ev
+		}
+		return nil, rep, ue
+	}
+	return c, rep, nil
 }

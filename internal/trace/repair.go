@@ -1,8 +1,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"vppb/internal/vtime"
@@ -10,11 +11,13 @@ import (
 
 // This file implements log recovery. A log that reaches the Simulator over
 // the wire can be truncated, reordered, clock-skewed or hand-edited;
-// Repair applies a pipeline of named, composable strategies so that
-// Validate → Repair → Validate either converges on a structurally sound
-// log or fails with a typed error naming the unrecoverable record.
+// Repair walks it once in recording order through a fixed pipeline of
+// named stages, writing one copy of its events, so that Validate →
+// Repair → Validate either converges on a structurally sound log or fails
+// with a typed error naming the unrecoverable record.
 
-// RepairStrategy names one recovery pass.
+// RepairStrategy names one stage of the repair pipeline; it labels each
+// mutation in a RepairReport.
 type RepairStrategy string
 
 // Repair strategies, in pipeline order.
@@ -38,14 +41,6 @@ const (
 	// open by truncation or record loss, so every BEFORE closes.
 	RepairSynthesize RepairStrategy = "synthesize-afters"
 )
-
-// AllRepairStrategies returns every strategy in pipeline order.
-func AllRepairStrategies() []RepairStrategy {
-	return []RepairStrategy{
-		RepairSort, RepairDropDuplicates, RepairClampTimes,
-		RepairDropOrphans, RepairSynthesize,
-	}
-}
 
 // RepairMutation is one change Repair made to the log.
 type RepairMutation struct {
@@ -91,18 +86,19 @@ func (r *RepairReport) String() string {
 	return b.String()
 }
 
-func (r *RepairReport) add(s RepairStrategy, seq int64, format string, args ...any) {
-	r.Mutations = append(r.Mutations, RepairMutation{
-		Strategy: s, Seq: seq, Detail: fmt.Sprintf(format, args...),
-	})
+// mutations is one stage's share of a report, in the order the walk
+// produced it.
+type mutations []RepairMutation
+
+func (m *mutations) add(s RepairStrategy, seq int64, format string, args ...any) {
+	*m = append(*m, RepairMutation{Strategy: s, Seq: seq, Detail: fmt.Sprintf(format, args...)})
 }
 
 // UnrecoverableError reports that repair could not produce a valid log.
 // It names the record Validate still rejects.
 type UnrecoverableError struct {
 	// Index is the position of the offending event in the repaired log,
-	// or -1 when the violation is log-level (e.g. a call that never
-	// completes and synthesis was not enabled).
+	// or -1 when the violation is log-level.
 	Index int
 	// Event is a copy of the offending event when Index >= 0.
 	Event *Event
@@ -121,205 +117,196 @@ func (e *UnrecoverableError) Error() string {
 func (e *UnrecoverableError) Unwrap() error { return e.Err }
 
 // Repair returns a repaired copy of l plus a report of every mutation.
-// With no explicit strategies, the full pipeline runs. The result either
-// passes Validate or Repair returns a *UnrecoverableError; l itself is
-// never modified.
-func Repair(l *Log, strategies ...RepairStrategy) (*Log, *RepairReport, error) {
-	if len(strategies) == 0 {
-		strategies = AllRepairStrategies()
+// The result either passes Validate or Repair returns a
+// *UnrecoverableError; l itself is never modified.
+//
+// The stages run in one walk over the events in recording (Seq) order:
+// each event is dropped as a duplicate, clamped, then dropped as an orphan
+// or paired, and what survives, with the AFTER records synthesized for
+// it, goes into the one event slice Repair allocates. The report lists the
+// mutations stage by stage: sort, duplicates, clamps, then orphans and
+// synthesized AFTERs in walk order, then renumbering.
+func Repair(l *Log) (*Log, *RepairReport, error) {
+	c := &Log{
+		Header:  l.Header,
+		Threads: append([]ThreadInfo(nil), l.Threads...),
+		Objects: append([]ObjectInfo(nil), l.Objects...),
 	}
-	enabled := make(map[RepairStrategy]bool, len(strategies))
-	for _, s := range strategies {
-		switch s {
-		case RepairSort, RepairDropDuplicates, RepairClampTimes, RepairDropOrphans, RepairSynthesize:
-			enabled[s] = true
-		default:
-			return nil, nil, fmt.Errorf("trace: unknown repair strategy %q", s)
-		}
-	}
-
-	c := l.Clone()
 	rep := &RepairReport{}
+	// Each stage's mutations, joined in pipeline order at the end; walk
+	// takes orphans, synthesized AFTERs and renumbering in walk order.
+	var sorted, dups, clamps, walk mutations
 
 	// Recover recording order first: pairing and clock invariants are
 	// defined by the order events were recorded (Seq), not by their
-	// possibly shuffled positions or corrupted timestamps.
-	if enabled[RepairSort] {
-		if !sort.SliceIsSorted(c.Events, func(i, j int) bool {
-			return c.Events[i].Seq < c.Events[j].Seq
-		}) {
-			n := 0
-			for i := 1; i < len(c.Events); i++ {
-				if c.Events[i].Seq < c.Events[i-1].Seq {
-					n++
-				}
-			}
-			sort.SliceStable(c.Events, func(i, j int) bool {
-				return c.Events[i].Seq < c.Events[j].Seq
-			})
-			rep.Reordered += n
-			rep.add(RepairSort, -1, "restored recording order (%d out-of-order boundaries)", n)
+	// possibly shuffled positions or corrupted timestamps. A shuffled log
+	// is walked through a permutation sorted by (Seq, position): its
+	// stable order by Seq.
+	n := len(l.Events)
+	for i := 1; i < n; i++ {
+		if l.Events[i].Seq < l.Events[i-1].Seq {
+			rep.Reordered++
 		}
 	}
+	var order []int32
+	if rep.Reordered > 0 {
+		order = make([]int32, n)
+		for i := range order {
+			order[i] = int32(i)
+		}
+		slices.SortFunc(order, func(a, b int32) int {
+			if c := cmp.Compare(l.Events[a].Seq, l.Events[b].Seq); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+		sorted.add(RepairSort, -1, "restored recording order (%d out-of-order boundaries)", rep.Reordered)
+	}
 
-	if enabled[RepairDropDuplicates] {
-		seen := make(map[int64]bool, len(c.Events))
-		kept := c.Events[:0]
-		for _, ev := range c.Events {
-			if seen[ev.Seq] {
-				rep.Dropped++
-				rep.add(RepairDropDuplicates, ev.Seq, "dropped duplicate of T%d %s %s", ev.Thread, ev.Class, ev.Call)
+	ix := newLogIndex(c)
+	// open holds the position in out of each slot's Before awaiting its
+	// After, or -1.
+	open := make([]int, len(ix.befores))
+	for s := range open {
+		open[s] = -1
+	}
+	// Room for every event and one synthesized AFTER per slot, as much as
+	// a truncation or a lost record needs; a log that lost more grows it.
+	out := make([]Event, 0, n+len(open))
+	renumber := false
+	drop := func(seq int64, format string, args ...any) {
+		rep.Dropped++
+		walk.add(RepairDropOrphans, seq, format, args...)
+		renumber = true
+	}
+	synthAfter := func(before Event, at vtime.Time) {
+		after := before
+		after.Class = After
+		after.Time = at
+		rep.Synthesized++
+		walk.add(RepairSynthesize, before.Seq, "synthesized AFTER %s for T%d at %v", before.Call, before.Thread, at)
+		out = append(out, after)
+		renumber = true
+	}
+
+	prev := c.Header.Start
+	var prevSeq int64
+	// Consecutive events mostly come from one thread: its slot is looked
+	// up once per run.
+	tid, slot := ThreadID(0), int32(-1)
+	for k := 0; k < n; k++ {
+		i := k
+		if order != nil {
+			i = int(order[k])
+		}
+		ev := l.Events[i]
+
+		// In Seq order a duplicate follows the event it copies; the first
+		// occurrence wins.
+		if k > 0 && ev.Seq == prevSeq {
+			rep.Dropped++
+			dups.add(RepairDropDuplicates, ev.Seq, "dropped duplicate of T%d %s %s", ev.Thread, ev.Class, ev.Call)
+			continue
+		}
+		prevSeq = ev.Seq
+
+		// Force timestamps monotone, widening the header window back to
+		// the first event.
+		if k == 0 && ev.Time < c.Header.Start {
+			clamps.add(RepairClampTimes, -1, "moved header start %v back to first event at %v", c.Header.Start, ev.Time)
+			c.Header.Start = ev.Time
+			prev = ev.Time
+		}
+		if ev.Time < prev {
+			rep.Clamped++
+			clamps.add(RepairClampTimes, ev.Seq, "clamped regressed time %v to %v", ev.Time, prev)
+			ev.Time = prev
+		}
+		prev = ev.Time
+
+		// Resolve dangling references and BEFORE/AFTER pairing.
+		if ev.Call == CallNone || ev.Call >= numCalls {
+			drop(ev.Seq, "dropped event with invalid call %d", uint8(ev.Call))
+			continue
+		}
+		if ev.Class != Before && ev.Class != After {
+			drop(ev.Seq, "dropped event with invalid class %d", uint8(ev.Class))
+			continue
+		}
+		if ev.Thread != tid || slot < 0 {
+			s, known := ix.slots[ev.Thread]
+			if !known {
+				drop(ev.Seq, "dropped event of unknown thread %d", ev.Thread)
 				continue
 			}
-			seen[ev.Seq] = true
-			kept = append(kept, ev)
+			tid, slot = ev.Thread, s
 		}
-		c.Events = kept
+		if ev.Object != 0 && ix.object(ev.Object) < 0 {
+			drop(ev.Seq, "dropped %s %s referencing unknown object %d", ev.Class, ev.Call, ev.Object)
+			continue
+		}
+		if ev.Mutex != 0 && ix.object(ev.Mutex) < 0 {
+			drop(ev.Seq, "dropped %s %s referencing unknown mutex %d", ev.Class, ev.Call, ev.Mutex)
+			continue
+		}
+		if ev.Class == Before {
+			if o := open[slot]; o >= 0 {
+				if out[o].Call == CallThrExit {
+					// Nothing legitimately follows a thread's exit.
+					drop(ev.Seq, "dropped event after thr_exit of T%d", ev.Thread)
+					continue
+				}
+				// The AFTER for the open call was lost; close it just
+				// before this event so the pairing invariant holds.
+				synthAfter(out[o], ev.Time)
+				open[slot] = -1
+			}
+			if pairsWithAfter(ev.Call) {
+				open[slot] = len(out)
+			}
+		} else if o := open[slot]; o < 0 || out[o].Call != ev.Call {
+			drop(ev.Seq, "dropped AFTER %s without matching BEFORE", ev.Call)
+			continue
+		} else {
+			open[slot] = -1
+		}
+		out = append(out, ev)
+	}
+	if prev > c.Header.End {
+		clamps.add(RepairClampTimes, -1, "extended header end %v to last event at %v", c.Header.End, prev)
+		c.Header.End = prev
 	}
 
-	if enabled[RepairClampTimes] {
-		prev := c.Header.Start
-		if len(c.Events) > 0 && c.Events[0].Time < c.Header.Start {
-			rep.add(RepairClampTimes, -1, "moved header start %v back to first event at %v", c.Header.Start, c.Events[0].Time)
-			c.Header.Start = c.Events[0].Time
-			prev = c.Header.Start
+	// Truncation cut the log while these calls were in flight: close them
+	// at the end of the recording, which the clamp widened to cover every
+	// event, in thread order for determinism. An
+	// open thr_exit is legitimate (it never completes for the exiting
+	// thread).
+	var tails []int
+	for s, o := range open {
+		if o >= 0 && out[o].Call != CallThrExit {
+			tails = append(tails, s)
 		}
-		for i := range c.Events {
-			if c.Events[i].Time < prev {
-				rep.Clamped++
-				rep.add(RepairClampTimes, c.Events[i].Seq, "clamped regressed time %v to %v", c.Events[i].Time, prev)
-				c.Events[i].Time = prev
-			}
-			prev = c.Events[i].Time
-		}
-		if prev > c.Header.End {
-			rep.add(RepairClampTimes, -1, "extended header end %v to last event at %v", c.Header.End, prev)
-			c.Header.End = prev
+	}
+	if len(tails) > 0 {
+		slices.SortFunc(tails, func(a, b int) int { return cmp.Compare(c.threadID(a), c.threadID(b)) })
+		for _, s := range tails {
+			synthAfter(out[open[s]], c.Header.End)
 		}
 	}
 
-	// Structural walk: resolve dangling references and BEFORE/AFTER
-	// pairing in one pass over the recording order.
-	renumber := false
-	if enabled[RepairDropOrphans] || enabled[RepairSynthesize] {
-		threadKnown := make(map[ThreadID]bool, len(c.Threads))
-		for _, t := range c.Threads {
-			threadKnown[t.ID] = true
-		}
-		objKnown := make(map[ObjectID]bool, len(c.Objects))
-		for _, o := range c.Objects {
-			objKnown[o.ID] = true
-		}
-		open := make(map[ThreadID]Event)
-		out := make([]Event, 0, len(c.Events))
-		drop := func(ev Event, format string, args ...any) {
-			rep.Dropped++
-			rep.add(RepairDropOrphans, ev.Seq, format, args...)
-			renumber = true
-		}
-		synthAfter := func(before Event, at vtime.Time) {
-			after := before
-			after.Class = After
-			after.Time = at
-			rep.Synthesized++
-			rep.add(RepairSynthesize, before.Seq, "synthesized AFTER %s for T%d at %v", before.Call, before.Thread, at)
-			out = append(out, after)
-			renumber = true
-		}
-		for _, ev := range c.Events {
-			if enabled[RepairDropOrphans] {
-				if ev.Call == CallNone || ev.Call >= numCalls {
-					drop(ev, "dropped event with invalid call %d", uint8(ev.Call))
-					continue
-				}
-				if ev.Class != Before && ev.Class != After {
-					drop(ev, "dropped event with invalid class %d", uint8(ev.Class))
-					continue
-				}
-				if ev.Thread != 0 && !threadKnown[ev.Thread] {
-					drop(ev, "dropped event of unknown thread %d", ev.Thread)
-					continue
-				}
-				if ev.Object != 0 && !objKnown[ev.Object] {
-					drop(ev, "dropped %s %s referencing unknown object %d", ev.Class, ev.Call, ev.Object)
-					continue
-				}
-				if ev.Mutex != 0 && !objKnown[ev.Mutex] {
-					drop(ev, "dropped %s %s referencing unknown mutex %d", ev.Class, ev.Call, ev.Mutex)
-					continue
-				}
-			}
-			switch ev.Class {
-			case Before:
-				if prevOpen, ok := open[ev.Thread]; ok {
-					if prevOpen.Call == CallThrExit {
-						// Nothing legitimately follows a thread's exit.
-						if enabled[RepairDropOrphans] {
-							drop(ev, "dropped event after thr_exit of T%d", ev.Thread)
-							continue
-						}
-					} else if enabled[RepairSynthesize] {
-						// The AFTER for the open call was lost; close it
-						// just before this event so the pairing invariant
-						// holds.
-						synthAfter(prevOpen, ev.Time)
-						delete(open, ev.Thread)
-					}
-				}
-				if pairsWithAfter(ev.Call) {
-					open[ev.Thread] = ev
-				}
-				out = append(out, ev)
-			case After:
-				prevOpen, ok := open[ev.Thread]
-				if !ok || prevOpen.Call != ev.Call {
-					if enabled[RepairDropOrphans] {
-						drop(ev, "dropped AFTER %s without matching BEFORE", ev.Call)
-						continue
-					}
-					out = append(out, ev)
-					continue
-				}
-				delete(open, ev.Thread)
-				out = append(out, ev)
-			default:
-				out = append(out, ev)
-			}
-		}
-		if enabled[RepairSynthesize] && len(open) > 0 {
-			// Truncation cut the log while these calls were in flight:
-			// close them at the end of the recording, in thread order for
-			// determinism. An open thr_exit is legitimate (it never
-			// completes for the exiting thread).
-			tids := make([]ThreadID, 0, len(open))
-			for tid := range open {
-				if open[tid].Call != CallThrExit {
-					tids = append(tids, tid)
-				}
-			}
-			sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
-			end := c.Header.End
-			if n := len(out); n > 0 && out[n-1].Time > end {
-				end = out[n-1].Time
-			}
-			for _, tid := range tids {
-				synthAfter(open[tid], end)
-			}
-		}
-		c.Events = out
-	}
-
-	// Restore canonical sequence numbering and global order after
-	// insertions or deletions changed the event list's shape.
+	// Restore canonical sequence numbering after insertions or deletions
+	// changed the event list's shape. Clamped times are monotone in Seq
+	// order and every synthesized AFTER lands at or after its
+	// predecessor, so out is already in (time, seq) order.
 	if renumber {
-		for i := range c.Events {
-			c.Events[i].Seq = int64(i)
+		for i := range out {
+			out[i].Seq = int64(i)
 		}
-		rep.add(RepairSort, -1, "renumbered %d events", len(c.Events))
+		walk.add(RepairSort, -1, "renumbered %d events", len(out))
 	}
-	if enabled[RepairSort] {
-		c.SortEvents()
-	}
+	c.Events = out
+	rep.Mutations = slices.Concat(sorted, dups, clamps, walk)
 
 	if _, idx, err := c.validate(); err != nil {
 		ue := &UnrecoverableError{Index: idx, Err: err}

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -41,9 +43,35 @@ func repairFixture() *Log {
 	return l
 }
 
-func mustRepair(t *testing.T, l *Log, strategies ...RepairStrategy) (*Log, *RepairReport) {
+// diffRepair runs Repair and its reference implementation on l and
+// describes the first difference between their logs, reports or errors.
+func diffRepair(l *Log) error {
+	got, rep, err := Repair(l)
+	want, orep, oerr := oracleRepair(l)
+	if !reflect.DeepEqual(got, want) {
+		if got == nil || want == nil {
+			return fmt.Errorf("repaired log %v; oracle %v (error %v; oracle %v)", got != nil, want != nil, err, oerr)
+		}
+		for i := range min(len(got.Events), len(want.Events)) {
+			if got.Events[i] != want.Events[i] {
+				return fmt.Errorf("repaired event %d: %+v; oracle %+v", i, got.Events[i], want.Events[i])
+			}
+		}
+		return fmt.Errorf("repaired log differs from the oracle's: header %+v, %d events; oracle %+v, %d events",
+			got.Header, len(got.Events), want.Header, len(want.Events))
+	}
+	if !reflect.DeepEqual(rep, orep) {
+		return fmt.Errorf("report differs from the oracle's:\n%s\noracle:\n%s", rep, orep)
+	}
+	if !reflect.DeepEqual(err, oerr) {
+		return fmt.Errorf("error %v; oracle %v", err, oerr)
+	}
+	return nil
+}
+
+func mustRepair(t *testing.T, l *Log) (*Log, *RepairReport) {
 	t.Helper()
-	repaired, rep, err := Repair(l, strategies...)
+	repaired, rep, err := Repair(l)
 	if err != nil {
 		t.Fatalf("Repair: %v", err)
 	}
@@ -184,23 +212,22 @@ func TestRepairTruncatedTail(t *testing.T) {
 
 func TestRepairWithoutSynthesisFailsTyped(t *testing.T) {
 	l := repairFixture()
-	l.Events = l.Events[:4] // open mutex_lock, but synthesis disabled
-	_, _, err := Repair(l, RepairSort, RepairDropDuplicates, RepairClampTimes)
+	// The clamp moves the header start back to the first event, but
+	// validation starts the clock at 0.
+	l.Events[0].Time = -1
+	_, _, err := Repair(l)
 	if err == nil {
-		t.Fatal("expected an error with synthesis disabled")
+		t.Fatal("expected an error for a first event before time 0")
 	}
 	var ue *UnrecoverableError
 	if !errors.As(err, &ue) {
 		t.Fatalf("error is %T, want *UnrecoverableError", err)
 	}
+	if ue.Index != 0 || ue.Event == nil || ue.Event.Time != -1 {
+		t.Fatalf("error names index %d, event %+v; want the first event", ue.Index, ue.Event)
+	}
 	if !strings.Contains(ue.Error(), "unrecoverable log") {
 		t.Fatalf("error text: %v", ue)
-	}
-}
-
-func TestRepairUnknownStrategy(t *testing.T) {
-	if _, _, err := Repair(repairFixture(), RepairStrategy("bogus")); err == nil {
-		t.Fatal("unknown strategy accepted")
 	}
 }
 
